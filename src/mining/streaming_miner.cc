@@ -1,6 +1,7 @@
 #include "mining/streaming_miner.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -15,6 +16,8 @@ struct MinerMetrics {
   Counter* patterns_demoted;
   Gauge* tracked_patterns;
   Gauge* live_embeddings;
+  Gauge* embedding_slots;
+  Gauge* pool_bytes;
 };
 
 const MinerMetrics& Metrics() {
@@ -31,14 +34,31 @@ const MinerMetrics& Metrics() {
                                     "Distinct patterns under maintenance");
     m.live_embeddings = r.GetGauge("nous_mining_live_embeddings",
                                    "Live embeddings across all patterns");
+    m.embedding_slots = r.GetGauge(
+        "nous_mining_embedding_slots",
+        "Embedding slots allocated (live plus free)");
+    m.pool_bytes = r.GetGauge(
+        "nous_mining_pool_bytes",
+        "Capacity bytes of the embedding slot pools and free list");
     return m;
   }();
   return metrics;
 }
 
+template <typename T>
+size_t CapacityBytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
 }  // namespace
 
-StreamingMiner::StreamingMiner(MinerConfig config) : config_(config) {}
+StreamingMiner::StreamingMiner(MinerConfig config) : config_(config) {
+  // Per-slot edge and vertex counts are u8; a connected pattern of k
+  // edges has at most k + 1 vertices.
+  NOUS_CHECK(config_.max_edges < std::numeric_limits<uint8_t>::max())
+      << "max_edges " << config_.max_edges
+      << " does not fit the slot pools' u8 counts";
+}
 
 void StreamingMiner::OnEdgeAdded(const PropertyGraph& graph, EdgeId edge) {
   NOUS_SPAN("mining");
@@ -52,7 +72,7 @@ void StreamingMiner::OnEdgeAdded(const PropertyGraph& graph, EdgeId edge) {
         AddEmbedding(graph, subset);
       });
   Metrics().tracked_patterns->Set(static_cast<double>(patterns_.size()));
-  Metrics().live_embeddings->Set(static_cast<double>(live_embeddings_));
+  PublishGauges();
 }
 
 void StreamingMiner::OnEdgeExpiring(const PropertyGraph& /*graph*/,
@@ -65,9 +85,19 @@ void StreamingMiner::OnEdgeExpiring(const PropertyGraph& /*graph*/,
   std::vector<uint32_t> ids = std::move(it->second);
   edge_index_.erase(it);
   for (uint32_t id : ids) {
-    if (embeddings_[id].alive) RemoveEmbedding(id);
+    if (slot_pattern_[id] != kFreeSlot) RemoveEmbedding(id);
   }
-  Metrics().live_embeddings->Set(static_cast<double>(live_embeddings_));
+  PublishGauges();
+}
+
+void StreamingMiner::PublishGauges() const {
+  const MinerMetrics& m = Metrics();
+  m.live_embeddings->Set(static_cast<double>(live_embeddings_));
+  m.embedding_slots->Set(static_cast<double>(slot_pattern_.size()));
+  m.pool_bytes->Set(static_cast<double>(
+      CapacityBytes(slot_pattern_) + CapacityBytes(slot_num_edges_) +
+      CapacityBytes(slot_num_vertices_) + CapacityBytes(slot_edges_) +
+      CapacityBytes(slot_vertices_) + CapacityBytes(free_slots_)));
 }
 
 void StreamingMiner::AddEmbedding(const PropertyGraph& graph,
@@ -95,31 +125,44 @@ void StreamingMiner::AddEmbedding(const PropertyGraph& graph,
     Metrics().patterns_emitted->Increment();
   }
 
+  const size_t edge_stride = config_.max_edges;
+  const size_t vertex_stride = config_.max_edges + 1;
+  NOUS_CHECK(edges.size() <= edge_stride);
+  NOUS_CHECK(assignment.size() <= vertex_stride);
   uint32_t id;
   if (!free_slots_.empty()) {
     id = free_slots_.back();
     free_slots_.pop_back();
   } else {
-    id = static_cast<uint32_t>(embeddings_.size());
-    embeddings_.emplace_back();
+    id = static_cast<uint32_t>(slot_pattern_.size());
+    NOUS_CHECK(id != kFreeSlot);
+    slot_pattern_.push_back(kFreeSlot);
+    slot_num_edges_.push_back(0);
+    slot_num_vertices_.push_back(0);
+    slot_edges_.resize(slot_edges_.size() + edge_stride);
+    slot_vertices_.resize(slot_vertices_.size() + vertex_stride);
   }
-  Embedding& emb = embeddings_[id];
-  emb.pattern_id = pattern_id;
-  emb.edges = edges;
-  emb.assignment = std::move(assignment);
-  emb.alive = true;
+  slot_pattern_[id] = pattern_id;
+  slot_num_edges_[id] = static_cast<uint8_t>(edges.size());
+  slot_num_vertices_[id] = static_cast<uint8_t>(assignment.size());
+  std::copy(edges.begin(), edges.end(),
+            slot_edges_.begin() + id * edge_stride);
+  std::copy(assignment.begin(), assignment.end(),
+            slot_vertices_.begin() + id * vertex_stride);
   for (EdgeId e : edges) edge_index_[e].push_back(id);
   ++live_embeddings_;
   ++created_total_;
 }
 
 void StreamingMiner::RemoveEmbedding(uint32_t embedding_id) {
-  Embedding& emb = embeddings_[embedding_id];
-  NOUS_CHECK(emb.alive);
-  PatternEntry& entry = patterns_[emb.pattern_id];
+  NOUS_CHECK(slot_pattern_[embedding_id] != kFreeSlot);
+  PatternEntry& entry = patterns_[slot_pattern_[embedding_id]];
+  const VertexId* assignment =
+      slot_vertices_.data() + embedding_id * (config_.max_edges + 1);
+  const EdgeId* edges = slot_edges_.data() + embedding_id * config_.max_edges;
   size_t support_before = SupportOfEntry(entry);
-  for (size_t pos = 0; pos < emb.assignment.size(); ++pos) {
-    auto it = entry.position_counts[pos].find(emb.assignment[pos]);
+  for (size_t pos = 0; pos < slot_num_vertices_[embedding_id]; ++pos) {
+    auto it = entry.position_counts[pos].find(assignment[pos]);
     NOUS_CHECK(it != entry.position_counts[pos].end());
     if (--it->second == 0) entry.position_counts[pos].erase(it);
   }
@@ -128,8 +171,8 @@ void StreamingMiner::RemoveEmbedding(uint32_t embedding_id) {
       SupportOfEntry(entry) < config_.min_support) {
     Metrics().patterns_demoted->Increment();
   }
-  for (EdgeId e : emb.edges) {
-    auto it = edge_index_.find(e);
+  for (size_t k = 0; k < slot_num_edges_[embedding_id]; ++k) {
+    auto it = edge_index_.find(edges[k]);
     if (it == edge_index_.end()) continue;  // being drained by expiry
     auto& ids = it->second;
     for (size_t i = 0; i < ids.size(); ++i) {
@@ -140,9 +183,7 @@ void StreamingMiner::RemoveEmbedding(uint32_t embedding_id) {
       }
     }
   }
-  emb.alive = false;
-  emb.edges.clear();
-  emb.assignment.clear();
+  slot_pattern_[embedding_id] = kFreeSlot;
   free_slots_.push_back(embedding_id);
   --live_embeddings_;
   ++removed_total_;
@@ -168,7 +209,9 @@ std::vector<PatternStats> StreamingMiner::FrequentPatterns() const {
     stats.support = support;
     results.push_back(std::move(stats));
   }
-  std::sort(results.begin(), results.end(),
+  // Stable: equal supports keep pattern id (first-seen) order, so the
+  // closed set and its rendering do not depend on the sort's whims.
+  std::stable_sort(results.begin(), results.end(),
             [](const PatternStats& a, const PatternStats& b) {
               return a.support > b.support;
             });
@@ -199,20 +242,16 @@ size_t StreamingMiner::SupportOf(const Pattern& pattern) const {
 }
 
 StreamingMiner::Churn StreamingMiner::TakeChurn() {
-  std::unordered_set<size_t> now;
-  for (size_t i = 0; i < patterns_.size(); ++i) {
-    if (SupportOfEntry(patterns_[i]) >= config_.min_support) {
-      now.insert(i);
-    }
-  }
+  // Walk pattern ids in order so both lists come out ascending.
   Churn churn;
-  for (size_t id : now) {
-    if (last_frequent_.count(id) == 0) {
+  std::unordered_set<size_t> now;
+  for (size_t id = 0; id < patterns_.size(); ++id) {
+    bool frequent = SupportOfEntry(patterns_[id]) >= config_.min_support;
+    bool was_frequent = last_frequent_.count(id) != 0;
+    if (frequent) now.insert(id);
+    if (frequent && !was_frequent) {
       churn.became_frequent.push_back(patterns_[id].pattern);
-    }
-  }
-  for (size_t id : last_frequent_) {
-    if (now.count(id) == 0) {
+    } else if (!frequent && was_frequent) {
       churn.became_infrequent.push_back(patterns_[id].pattern);
     }
   }

@@ -1,6 +1,8 @@
 #ifndef NOUS_MINING_STREAMING_MINER_H_
 #define NOUS_MINING_STREAMING_MINER_H_
 
+#include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -43,7 +45,8 @@ class StreamingMiner : public WindowListener {
   void OnEdgeAdded(const PropertyGraph& graph, EdgeId edge) override;
   void OnEdgeExpiring(const PropertyGraph& graph, EdgeId edge) override;
 
-  /// Patterns with support >= min_support, sorted by support desc.
+  /// Patterns with support >= min_support, sorted by support desc;
+  /// equal supports keep first-seen (pattern id) order.
   std::vector<PatternStats> FrequentPatterns() const;
 
   /// Frequent patterns with no frequent strict super-pattern of equal
@@ -53,7 +56,8 @@ class StreamingMiner : public WindowListener {
   /// Support of one pattern (0 when untracked).
   size_t SupportOf(const Pattern& pattern) const;
 
-  /// Frequency churn since the previous TakeChurn call.
+  /// Frequency churn since the previous TakeChurn call, each list in
+  /// first-seen (pattern id) order.
   struct Churn {
     std::vector<Pattern> became_frequent;
     std::vector<Pattern> became_infrequent;
@@ -69,6 +73,8 @@ class StreamingMiner : public WindowListener {
 
   size_t num_tracked_patterns() const { return patterns_.size(); }
   size_t num_live_embeddings() const { return live_embeddings_; }
+  /// Embedding slots allocated, live plus free.
+  size_t num_embedding_slots() const { return slot_pattern_.size(); }
   size_t total_embeddings_created() const { return created_total_; }
   size_t total_embeddings_removed() const { return removed_total_; }
   const MinerConfig& config() const { return config_; }
@@ -80,22 +86,28 @@ class StreamingMiner : public WindowListener {
     size_t embeddings = 0;
   };
 
-  struct Embedding {
-    uint32_t pattern_id = 0;
-    std::vector<EdgeId> edges;
-    std::vector<VertexId> assignment;
-    bool alive = false;
-  };
+  /// slot_pattern_ value of a slot on the free list.
+  static constexpr uint32_t kFreeSlot = std::numeric_limits<uint32_t>::max();
 
   void AddEmbedding(const PropertyGraph& graph,
                     const std::vector<EdgeId>& edges);
   void RemoveEmbedding(uint32_t embedding_id);
   size_t SupportOfEntry(const PatternEntry& entry) const;
+  void PublishGauges() const;
 
   MinerConfig config_;
   std::vector<PatternEntry> patterns_;
   std::unordered_map<Pattern, uint32_t, PatternHash> pattern_index_;
-  std::vector<Embedding> embeddings_;
+  // Embeddings live in flat slot pools indexed by embedding id: slot i
+  // holds pattern slot_pattern_[i] (kFreeSlot when free), its
+  // slot_num_edges_[i] edges at slot_edges_[i * max_edges] and its
+  // slot_num_vertices_[i] vertex assignment (one graph vertex per
+  // pattern position) at slot_vertices_[i * (max_edges + 1)].
+  std::vector<uint32_t> slot_pattern_;
+  std::vector<uint8_t> slot_num_edges_;
+  std::vector<uint8_t> slot_num_vertices_;
+  std::vector<EdgeId> slot_edges_;
+  std::vector<VertexId> slot_vertices_;
   std::vector<uint32_t> free_slots_;
   std::unordered_map<EdgeId, std::vector<uint32_t>> edge_index_;
   std::unordered_set<size_t> last_frequent_;  // pattern ids

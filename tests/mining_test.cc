@@ -15,6 +15,7 @@
 #include "mining/pattern.h"
 #include "mining/streaming_miner.h"
 #include "mining/subgraph_enum.h"
+#include "obs/metrics.h"
 
 namespace nous {
 namespace {
@@ -288,6 +289,64 @@ TEST(StreamingMinerTest, ClosednessFiltersSubsumedPatterns) {
   }
 }
 
+std::vector<std::string> Rendered(const std::vector<Pattern>& patterns,
+                                   const Dictionary& preds) {
+  std::vector<std::string> out;
+  for (const Pattern& p : patterns) out.push_back(p.ToString(preds));
+  return out;
+}
+
+std::vector<std::string> Rendered(const std::vector<PatternStats>& stats,
+                                   const Dictionary& preds) {
+  std::vector<std::string> out;
+  for (const PatternStats& s : stats) out.push_back(s.pattern.ToString(preds));
+  return out;
+}
+
+TEST(StreamingMinerTest, EqualSupportsKeepFirstSeenOrder) {
+  PropertyGraph g;
+  TemporalWindow w(&g, 40);
+  MinerConfig config;
+  config.max_edges = 1;
+  config.min_support = 1;
+  StreamingMiner miner(config);
+  w.AddListener(&miner);
+  // 40 disjoint edges, each with its own predicate, first seen in an
+  // order unrelated to the names: 40 patterns of support 1 -- enough
+  // that an unstable sort would reorder them.
+  auto single_edge = [&g](const std::string& pred) {
+    PredicateId id = *g.predicates().Lookup(pred);
+    return Pattern::Canonicalize({{0, id, 1}}, NoLabel).ToString(
+        g.predicates());
+  };
+  std::vector<std::string> first_wave;
+  for (int i = 0; i < 40; ++i) {
+    std::string pred = "p" + std::to_string((i * 17) % 40);
+    std::string n = std::to_string(i);
+    w.Add(Tr("s" + n, pred, "o" + n, i));
+    first_wave.push_back(single_edge(pred));
+  }
+  EXPECT_EQ(Rendered(miner.FrequentPatterns(), g.predicates()), first_wave);
+  EXPECT_EQ(Rendered(miner.ClosedFrequentPatterns(), g.predicates()),
+            first_wave);
+  auto churn1 = miner.TakeChurn();
+  EXPECT_EQ(Rendered(churn1.became_frequent, g.predicates()), first_wave);
+  EXPECT_TRUE(churn1.became_infrequent.empty());
+
+  // A second wave of 40 new predicates expires the whole first wave.
+  std::vector<std::string> second_wave;
+  for (int i = 0; i < 40; ++i) {
+    std::string pred = "q" + std::to_string((i * 23) % 40);
+    std::string n = std::to_string(40 + i);
+    w.Add(Tr("s" + n, pred, "o" + n, 40 + i));
+    second_wave.push_back(single_edge(pred));
+  }
+  EXPECT_EQ(Rendered(miner.FrequentPatterns(), g.predicates()), second_wave);
+  auto churn2 = miner.TakeChurn();
+  EXPECT_EQ(Rendered(churn2.became_frequent, g.predicates()), second_wave);
+  EXPECT_EQ(Rendered(churn2.became_infrequent, g.predicates()), first_wave);
+}
+
 // ---------- Result equivalence: streaming == re-enumeration ----------
 
 std::map<std::string, std::pair<size_t, size_t>> ToMap(
@@ -362,6 +421,60 @@ TEST(MinerEquivalenceTest, EquivalenceAfterFullExpiry) {
   EXPECT_EQ(miner.num_live_embeddings(),
             miner.total_embeddings_created() -
                 miner.total_embeddings_removed());
+}
+
+// Records the miner's live embedding count right after each arrival
+// (registered after the miner, before the window expires anything), so
+// the maximum is the true high-water mark.
+class LiveHighWater : public WindowListener {
+ public:
+  explicit LiveHighWater(const StreamingMiner* miner) : miner_(miner) {}
+  void OnEdgeAdded(const PropertyGraph&, EdgeId) override {
+    peak = std::max(peak, miner_->num_live_embeddings());
+  }
+  void OnEdgeExpiring(const PropertyGraph&, EdgeId) override {}
+  size_t peak = 0;
+
+ private:
+  const StreamingMiner* miner_;
+};
+
+TEST(StreamingMinerTest, SlotReuseKeepsPoolBoundedUnderChurn) {
+  PropertyGraph g;
+  TemporalWindow w(&g, 50);
+  MinerConfig config;
+  config.max_edges = 3;
+  config.min_support = 2;
+  StreamingMiner miner(config);
+  LiveHighWater high_water(&miner);
+  w.AddListener(&miner);
+  w.AddListener(&high_water);
+  StreamConfig sc;
+  sc.num_edges = 500;  // 10x the window: 3-edge slots freed and reused
+  sc.num_entities = 25;
+  sc.num_predicates = 3;
+  sc.seed = 7;
+  for (const TimedTriple& t : GenerateStream(sc)) {
+    w.Add(t);
+    ASSERT_LE(miner.num_embedding_slots(), high_water.peak);
+  }
+  auto streaming = ToMap(miner.FrequentPatterns(), g.predicates());
+  auto arabesque = ToMap(MineArabesqueSim(g, config), g.predicates());
+  EXPECT_EQ(streaming, arabesque);
+  EXPECT_FALSE(streaming.empty());
+  EXPECT_EQ(miner.num_live_embeddings(),
+            miner.total_embeddings_created() -
+                miner.total_embeddings_removed());
+  // Far more embeddings were created than slots exist: slots recycle.
+  EXPECT_GT(miner.total_embeddings_created(),
+            2 * miner.num_embedding_slots());
+  EXPECT_EQ(MetricsRegistry::Global()
+                .GetGauge("nous_mining_embedding_slots")
+                ->Value(),
+            static_cast<double>(miner.num_embedding_slots()));
+  EXPECT_GT(MetricsRegistry::Global().GetGauge("nous_mining_pool_bytes")
+                ->Value(),
+            0.0);
 }
 
 // ---------- Baselines directly ----------

@@ -8,8 +8,6 @@
 //
 //   bench_pipeline [--threads N]   # sweep caps at N (default:
 //                                  # hardware concurrency)
-//   bench_pipeline [--shards N]    # sharded-commit sweep caps at N
-//                                  # (default: 8)
 
 #include <benchmark/benchmark.h>
 
@@ -28,7 +26,6 @@
 #include "common/string_util.h"
 #include "common/table_printer.h"
 #include "common/timer.h"
-#include "core/kg_ops.h"
 #include "core/nous.h"
 #include "corpus/document_stream.h"
 #include "durability/fs_util.h"
@@ -82,7 +79,7 @@ void RunThroughput() {
 /// IngestBatch), so extraction fans out while fusion stays ordered —
 /// the resulting KG must be identical at every thread count, which the
 /// sweep asserts. Results land in BENCH_pipeline.json (written by
-/// main, which appends the sharded-commit sweep to the same object).
+/// main, which appends the group-commit sweep to the same object).
 void RunParallelIngest(size_t max_threads, JsonWriter* out) {
   bench::PrintHeader(
       "E8b: parallel ingest speedup",
@@ -199,51 +196,39 @@ void RunParallelIngest(size_t max_threads, JsonWriter* out) {
 }
 
 /// A scratch durability directory with no stale WAL/checkpoint files
-/// from an earlier run (legacy and sharded layouts both).
-std::string FreshCommitDir(size_t shards) {
-  std::string dir = "/tmp/nous_bench_shard_" + std::to_string(shards);
+/// from an earlier run.
+std::string FreshCommitDir(size_t writers) {
+  std::string dir = "/tmp/nous_bench_commit_" + std::to_string(writers);
   NOUS_CHECK_OK(EnsureDirectory(dir));
-  for (const char* file : {"/wal.log", "/checkpoint.nous",
-                           "/checkpoint.nous.tmp", "/wal/manifest.nous",
-                           "/wal/manifest.nous.tmp"}) {
+  for (const char* file :
+       {"/wal.log", "/checkpoint.nous", "/checkpoint.nous.tmp"}) {
     NOUS_CHECK_OK(RemoveFile(dir + file));
-  }
-  for (size_t k = 0; k < kMaxShards; ++k) {
-    std::string shard_dir = dir + "/wal/shard-" + std::to_string(k);
-    for (const char* file :
-         {"/wal.log", "/checkpoint.nous", "/checkpoint.nous.tmp"}) {
-      NOUS_CHECK_OK(RemoveFile(shard_dir + file));
-    }
   }
   return dir;
 }
 
-/// Sharded durable-commit sweep (DESIGN.md §5.16): 8 writer threads
-/// committing single-article batches with fsync-per-commit
-/// (FsyncPolicy::kAlways). shards=1 is the legacy path — one WAL with
-/// the fsync inside the ingest critical section, so every commit pays
-/// the flush serially. shards >= 2 append to per-shard WAL segments
-/// and the commit lanes group-commit the fsyncs off the critical
-/// path, so concurrent writers overlap their durable waits. The
-/// headline row is 4 shards: target >= 1.8x the 1-shard commit rate.
-void RunShardedCommit(size_t max_shards, JsonWriter* out) {
+/// Group-commit sweep (DESIGN.md §5.16): 1/2/4/8 writer threads
+/// committing single-article batches to one WAL with an fsync before
+/// every acknowledgement (FsyncPolicy::kAlways). Each writer logs,
+/// applies and publishes under the ingest mutex, then waits for the
+/// fsync with the mutex released; one fsync covers every record
+/// appended while the previous one ran, so fsyncs/commit falls and
+/// commits/s rises with the writer count.
+void RunGroupCommit(JsonWriter* out) {
   bench::PrintHeader(
-      "E8c: sharded durable commit throughput",
-      "DESIGN.md §5.16 (hash-sharded KG, per-shard WALs)",
-      "8 writers, fsync per commit; 1 shard = legacy single-WAL path.");
-  constexpr size_t kWriters = 8;
+      "E8c: durable commit throughput (group commit)",
+      "DESIGN.md §5.16 (single-WAL group commit)",
+      "1..8 writers, one WAL, every commit fsynced before its ack.");
   // This container's page cache acks fsync in ~0.15 ms; production
-  // block storage takes 1-5 ms. Pad every WAL fsync (both the legacy
-  // single-WAL path and the shard lanes — the injection point is
-  // shared) to a realistic floor so the sweep measures how each
-  // commit tier handles real storage, not the host's write cache.
+  // block storage takes 1-5 ms. Pad every WAL fsync to a realistic
+  // floor so the sweep measures how the commit path handles real
+  // storage, not the host's write cache.
   constexpr int64_t kFsyncDelayMs = 1;
   CorpusConfig corpus_config;
   corpus_config.sources = {"wsj", "webcrawl", "technews"};
   // Single-fact articles with the noise knobs off: per-commit pipeline
-  // CPU stays minimal, so the durable flush dominates — the regime the
-  // sharded commit tier exists for (extraction cost has its own sweeps
-  // above).
+  // CPU stays minimal, so the durable flush dominates (extraction cost
+  // has its own sweeps above).
   corpus_config.min_facts_per_article = 1;
   corpus_config.max_facts_per_article = 1;
   corpus_config.pronoun_rate = 0;
@@ -259,50 +244,43 @@ void RunShardedCommit(size_t max_shards, JsonWriter* out) {
   FaultInjector::Global().Arm("wal_fsync", FaultKind::kDelay, 1,
                               /*sticky=*/true, kFsyncDelayMs);
 
-  std::vector<size_t> sweep;
-  for (size_t s : {1ul, 2ul, 4ul, 8ul}) {
-    if (s <= max_shards && s <= kMaxShards) sweep.push_back(s);
-  }
-
-  TablePrinter table(
-      {"shards", "seconds", "commits/s", "speedup vs 1 shard", "edges"});
+  TablePrinter table({"writers", "seconds", "commits/s",
+                      "speedup vs 1 writer", "fsyncs/commit", "edges"});
   JsonWriter& json = *out;
-  json.Key("sharded_commit");
+  json.Key("group_commit");
   json.BeginObject();
-  json.Key("writers");
-  json.Int(kWriters);
   json.Key("commits");
   json.Int(static_cast<long long>(fixture.articles.size()));
   json.Key("fsync_policy");
   json.String("always");
   json.Key("fsync_delay_ms");
   json.Int(kFsyncDelayMs);
-  json.Key("target_speedup_4_shard");
-  json.Number(1.8);
   json.Key("runs");
   json.BeginArray();
 
   double base_rate = 0;
-  for (size_t shards : sweep) {
+  for (size_t writers : {1ul, 2ul, 4ul, 8ul}) {
     Nous::Options options;
-    options.shards = shards;
     // Commit-bound configuration: batch analytics (mining, link
     // prediction) off and topic inference short, so each commit is
     // dominated by the WAL flush rather than model refreshes.
     options.pipeline.enable_mining = false;
     options.pipeline.enable_link_prediction = false;
     options.pipeline.lda.iterations = 5;
-    options.durability.dir = FreshCommitDir(shards);
+    options.durability.dir = FreshCommitDir(writers);
     options.durability.fsync_policy = FsyncPolicy::kAlways;
     Nous nous(&fixture.kb, options);
     NOUS_CHECK_OK(nous.EnableDurability());
+    const uint64_t fsyncs_before =
+        bench::GlobalHistogramQuantilesUs("nous_wal_fsync_latency_seconds")
+            .count;
 
     std::atomic<size_t> next{0};
     WallTimer timer;
-    std::vector<std::thread> writers;
-    writers.reserve(kWriters);
-    for (size_t w = 0; w < kWriters; ++w) {
-      writers.emplace_back([&] {
+    std::vector<std::thread> threads;
+    threads.reserve(writers);
+    for (size_t w = 0; w < writers; ++w) {
+      threads.emplace_back([&] {
         for (;;) {
           size_t i = next.fetch_add(1, std::memory_order_relaxed);
           if (i >= fixture.articles.size()) return;
@@ -310,29 +288,35 @@ void RunShardedCommit(size_t max_shards, JsonWriter* out) {
         }
       });
     }
-    for (auto& t : writers) t.join();
+    for (auto& t : threads) t.join();
     double seconds = timer.ElapsedSeconds();
-    if (shards > 1) nous.DrainShards();
 
-    double rate = static_cast<double>(fixture.articles.size()) /
-                  std::max(seconds, 1e-9);
-    if (shards == sweep.front()) base_rate = rate;
+    const double commits = static_cast<double>(fixture.articles.size());
+    const double fsyncs = static_cast<double>(
+        bench::GlobalHistogramQuantilesUs("nous_wal_fsync_latency_seconds")
+            .count -
+        fsyncs_before);
+    double rate = commits / std::max(seconds, 1e-9);
+    if (writers == 1) base_rate = rate;
     double speedup = rate / std::max(base_rate, 1e-9);
-    size_t edges = nous.graph().NumEdges();
-    table.AddRow({TablePrinter::Int(static_cast<long long>(shards)),
+    size_t edges = nous.snapshot()->graph().NumEdges();
+    table.AddRow({TablePrinter::Int(static_cast<long long>(writers)),
                   TablePrinter::Num(seconds, 2),
                   TablePrinter::Num(rate, 1),
                   TablePrinter::Num(speedup, 2),
+                  TablePrinter::Num(fsyncs / commits, 3),
                   TablePrinter::Int(static_cast<long long>(edges))});
     json.BeginObject();
-    json.Key("shards");
-    json.Int(static_cast<long long>(shards));
+    json.Key("writers");
+    json.Int(static_cast<long long>(writers));
     json.Key("seconds");
     json.Number(seconds);
     json.Key("commits_per_sec");
     json.Number(rate);
-    json.Key("speedup_vs_1_shard");
+    json.Key("speedup_vs_1_writer");
     json.Number(speedup);
+    json.Key("fsyncs_per_commit");
+    json.Number(fsyncs / commits);
     json.Key("edges");
     json.Int(static_cast<long long>(edges));
     json.EndObject();
@@ -341,10 +325,10 @@ void RunShardedCommit(size_t max_shards, JsonWriter* out) {
   json.EndObject();
   FaultInjector::Global().Disarm("wal_fsync");
   table.Print(std::cout);
-  std::cout << "\nShape to check: the 4-shard row commits >= 1.8x the "
-               "1-shard rate — the per-shard lanes group-commit and "
-               "overlap WAL fsyncs the legacy path serializes under "
-               "the ingest lock.\n";
+  std::cout << "\nShape to check: fsyncs/commit falls below 1 as writers "
+               "are added — one fsync acknowledges every commit appended "
+               "while the previous one ran — and commits/s rises with "
+               "it; edges are equal in every row.\n";
 }
 
 void RunMultiSource() {
@@ -416,8 +400,7 @@ BENCHMARK(BM_PipelineIngest);
 
 int main(int argc, char** argv) {
   size_t max_threads = 0;
-  size_t max_shards = 8;
-  // Consume --threads / --shards ourselves (compacting argv) so the
+  // Consume --threads ourselves (compacting argv) so the
   // remaining flags go to the benchmark library untouched. Checked
   // parsing: "--threads 4x" is an error, not 4 (atoi's old behavior).
   auto parse = [](const char* flag, const std::string& text, size_t* value,
@@ -436,10 +419,6 @@ int main(int argc, char** argv) {
       parse("--threads", argv[++i], &max_threads, 1, 1024);
     } else if (arg.rfind("--threads=", 0) == 0) {
       parse("--threads", arg.substr(10), &max_threads, 1, 1024);
-    } else if (arg == "--shards" && i + 1 < argc) {
-      parse("--shards", argv[++i], &max_shards, 1, nous::kMaxShards);
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      parse("--shards", arg.substr(9), &max_shards, 1, nous::kMaxShards);
     } else {
       argv[out++] = argv[i];
     }
@@ -452,14 +431,14 @@ int main(int argc, char** argv) {
   nous::JsonWriter json;
   json.BeginObject();
   nous::RunParallelIngest(max_threads, &json);
-  nous::RunShardedCommit(max_shards, &json);
+  nous::RunGroupCommit(&json);
   json.EndObject();
   {
     std::ofstream file("BENCH_pipeline.json");
     file << json.Result() << "\n";
   }
   std::cout << "\nwrote BENCH_pipeline.json (parallel-ingest + "
-               "sharded-commit sweeps)\n";
+               "group-commit sweeps)\n";
   nous::RunThroughput();
   nous::RunMultiSource();
   benchmark::Initialize(&argc, argv);

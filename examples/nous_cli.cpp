@@ -3,21 +3,18 @@
 // web and command line interface").
 //
 // Usage:
-//   nous_cli [num_events] [--threads N] [--shards N] [--wal-dir DIR]
+//   nous_cli [num_events] [--threads N] [--wal-dir DIR]
 //            [--checkpoint-interval N] [--fsync MODE]
 //
 // --threads N sizes the pipeline's extraction/BPR worker pool
 // (default: hardware concurrency). The built KG is identical for
 // every value.
 //
-// --shards N hash-partitions the KG into N shards, each with its own
-// commit lane, WAL segment, and snapshot store (DESIGN.md §5.16); the
-// fused KG stays bit-identical for every shard count.
-//
 // --wal-dir DIR makes :ingest crash-safe (DESIGN.md §5.10): a
 // previous run's checkpoint + WAL are recovered (skipping the demo
 // build) and every new ingest is logged before it is applied.
-// --fsync always|interval|never picks the WAL flush policy;
+// --fsync always|interval|never picks the WAL flush policy (always =
+// acknowledged once a group fsync covers it, DESIGN.md §5.16);
 // --checkpoint-interval N checkpoints every N logged batches
 // (default 8; 0 = only via :checkpoint).
 //
@@ -90,7 +87,6 @@ size_t RequireSize(const char* flag, std::string_view value, size_t min,
 int main(int argc, char** argv) {
   using namespace nous;
   size_t num_threads = 0;  // 0 = hardware_concurrency
-  size_t num_shards = 1;
   std::string wal_dir;
   size_t checkpoint_interval = 8;
   FsyncPolicy fsync_policy = FsyncPolicy::kInterval;
@@ -101,10 +97,6 @@ int main(int argc, char** argv) {
       num_threads = RequireSize("--threads", argv[++i], 1, 1024);
     } else if (arg.rfind("--threads=", 0) == 0) {
       num_threads = RequireSize("--threads", arg.substr(10), 1, 1024);
-    } else if (arg == "--shards" && i + 1 < argc) {
-      num_shards = RequireSize("--shards", argv[++i], 1, kMaxShards);
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      num_shards = RequireSize("--shards", arg.substr(9), 1, kMaxShards);
     } else if (arg == "--wal-dir" && i + 1 < argc) {
       wal_dir = argv[++i];
     } else if (arg.rfind("--wal-dir=", 0) == 0) {
@@ -151,7 +143,6 @@ int main(int argc, char** argv) {
   options.pipeline.miner.use_vertex_types = true;
   options.pipeline.miner.min_support = 4;
   options.pipeline.num_threads = num_threads;
-  options.shards = num_shards;
   options.durability.dir = wal_dir;
   options.durability.checkpoint_interval_batches = checkpoint_interval;
   options.durability.fsync_policy = fsync_policy;

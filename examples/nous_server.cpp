@@ -1,8 +1,7 @@
 // Web demo (the paper's Figure 6): builds a drone-domain KG from a
 // synthetic stream and serves the query interface over HTTP.
 //
-//   nous_server [port] [num_events] [--threads N] [--shards N]
-//               [--wal-dir DIR]
+//   nous_server [port] [num_events] [--threads N] [--wal-dir DIR]
 //               [--checkpoint-interval N] [--fsync MODE]
 //               [--query-cache-entries N] [--no-query-cache]
 //               [--slow-query-ms MS] [--replicate-to PORT]
@@ -129,7 +128,6 @@ double RequireDouble(const char* flag, std::string_view value) {
 int main(int argc, char** argv) {
   using namespace nous;
   size_t num_threads = 0;  // 0 = hardware_concurrency
-  size_t num_shards = 1;
   std::string wal_dir;
   size_t checkpoint_interval = 8;
   FsyncPolicy fsync_policy = FsyncPolicy::kInterval;
@@ -144,10 +142,6 @@ int main(int argc, char** argv) {
       num_threads = RequireSize("--threads", argv[++i], 1, 1024);
     } else if (arg.rfind("--threads=", 0) == 0) {
       num_threads = RequireSize("--threads", arg.substr(10), 1, 1024);
-    } else if (arg == "--shards" && i + 1 < argc) {
-      num_shards = RequireSize("--shards", argv[++i], 1, kMaxShards);
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      num_shards = RequireSize("--shards", arg.substr(9), 1, kMaxShards);
     } else if (arg == "--wal-dir" && i + 1 < argc) {
       wal_dir = argv[++i];
     } else if (arg.rfind("--wal-dir=", 0) == 0) {
@@ -261,7 +255,6 @@ int main(int argc, char** argv) {
   options.pipeline.miner.use_vertex_types = true;
   options.pipeline.miner.min_support = 4;
   options.pipeline.num_threads = num_threads;
-  options.shards = num_shards;
   options.durability.dir = wal_dir;
   options.durability.checkpoint_interval_batches = checkpoint_interval;
   options.durability.fsync_policy = fsync_policy;

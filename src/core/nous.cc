@@ -1,5 +1,6 @@
 #include "core/nous.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <string_view>
 #include <utility>
@@ -9,56 +10,40 @@
 #include "common/thread_annotations.h"
 #include "durability/wal_codec.h"
 #include "obs/metrics.h"
-#include "qa/sharded_view.h"
 
 namespace nous {
 
 namespace {
 
-/// Parses the N of an "adhoc_N" article id (what IngestText assigns);
-/// replay uses it to fast-forward the pipeline's ad-hoc counter past
-/// every id the crashed instance already handed out.
-bool ParseAdhocId(const std::string& id, size_t* value) {
+/// One past the highest N among the batch's "adhoc_N" article ids
+/// (what IngestText assigns), 0 when there are none. Replay raises the
+/// pipeline's ad-hoc counter to it so new ids never collide with ones
+/// the crashed (or leader) instance already handed out.
+size_t AdhocFloor(const std::vector<Article>& batch) {
   constexpr std::string_view kPrefix = "adhoc_";
-  if (id.size() <= kPrefix.size() ||
-      std::string_view(id).substr(0, kPrefix.size()) != kPrefix) {
-    return false;
+  size_t floor = 0;
+  for (const Article& article : batch) {
+    const std::string& id = article.id;
+    if (id.size() <= kPrefix.size() ||
+        std::string_view(id).substr(0, kPrefix.size()) != kPrefix) {
+      continue;
+    }
+    const char* digits = id.c_str() + kPrefix.size();
+    char* end = nullptr;
+    unsigned long long n = std::strtoull(digits, &end, 10);
+    if (end == digits || *end != '\0') continue;
+    floor = std::max(floor, static_cast<size_t>(n) + 1);
   }
-  const char* digits = id.c_str() + kPrefix.size();
-  char* end = nullptr;
-  unsigned long long n = std::strtoull(digits, &end, 10);
-  if (end == digits || *end != '\0') return false;
-  *value = static_cast<size_t>(n);
-  return true;
+  return floor;
 }
 
 }  // namespace
 
-Nous::Options Nous::NormalizeOptions(Options options) {
-  if (options.shards > kMaxShards) options.shards = kMaxShards;
-  if (options.shards > 1) {
-    // Sharded queries are served from the planner snapshot plus the
-    // shard views; without published snapshots there is nothing
-    // coherent to compose.
-    options.pipeline.publish_snapshots = true;
-  }
-  return options;
-}
-
 Nous::Nous(const CuratedKb* kb, Options options)
-    : options_(NormalizeOptions(std::move(options))),
-      pipeline_(kb, options_.pipeline) {
+    : options_(std::move(options)), pipeline_(kb, options_.pipeline) {
+  NOUS_CHECK(options_.shards == 1);
   if (options_.query_cache.enabled && options_.query_cache.entries > 0) {
     cache_ = std::make_unique<QueryCache>(options_.query_cache.entries);
-  }
-  if (options_.shards > 1) {
-    pipeline_.EnableOpCapture();
-    shards_ = std::make_unique<ShardSet>(options_.shards);
-    {
-      ReaderMutexLock lock(kg_mutex());
-      shards_->Bootstrap(pipeline_.graph(), pipeline_.kg_version());
-    }
-    shards_->Start();
   }
 }
 
@@ -78,7 +63,6 @@ Result<Nous::RecoveryStats> Nous::Recover() {
           "Recover() must run before any ingest");
     }
   }
-  if (shards_ != nullptr) return RecoverShardedLocked();
   auto manager = std::make_unique<DurabilityManager>(options_.durability);
   NOUS_ASSIGN_OR_RETURN(DurabilityManager::RecoveredState recovered,
                         manager->Recover());
@@ -91,140 +75,21 @@ Result<Nous::RecoveryStats> Nous::Recover() {
     stats.restored_checkpoint = true;
     last_seq = recovered.checkpoint.last_applied_seq;
   }
-  size_t adhoc_floor = 0;
   for (const WalRecord& record : recovered.replay) {
     NOUS_ASSIGN_OR_RETURN(std::vector<Article> batch,
                           DecodeArticleBatch(record.payload));
-    for (const Article& article : batch) {
-      size_t n = 0;
-      if (ParseAdhocId(article.id, &n) && n + 1 > adhoc_floor) {
-        adhoc_floor = n + 1;
-      }
-    }
     pipeline_.IngestBatch(batch);
+    pipeline_.EnsureAdhocCounterAtLeast(AdhocFloor(batch));
     last_seq = record.seq;
     ++stats.replayed_batches;
     stats.replayed_articles += batch.size();
   }
-  if (adhoc_floor > 0) pipeline_.EnsureAdhocCounterAtLeast(adhoc_floor);
   NOUS_RETURN_IF_ERROR(manager->OpenWal(last_seq));
   stats.last_seq = last_seq;
   durability_ = std::move(manager);
   durability_enabled_.store(true, std::memory_order_release);
   PublishCommitLocked(last_seq);
   return stats;
-}
-
-Result<Nous::RecoveryStats> Nous::RecoverShardedLocked() {
-  NOUS_ASSIGN_OR_RETURN(
-      ShardRecoveryResult recovered,
-      shards_->RecoverDurable(options_.durability.dir));
-  RecoveryStats stats;
-  stats.dropped_wal_records = recovered.dropped_wal_records;
-  stats.dropped_wal_bytes = recovered.dropped_wal_bytes;
-  uint64_t last_seq = 0;
-  if (recovered.restored_checkpoint) {
-    NOUS_RETURN_IF_ERROR(pipeline_.LoadState(recovered.planner_state));
-    stats.restored_checkpoint = true;
-    last_seq = recovered.checkpoint_seq;
-  }
-  // Nothing captured so far corresponds to shard state we kept.
-  (void)pipeline_.TakeCapturedOps();
-  {
-    ReaderMutexLock read(kg_mutex());
-    if (shards_->shards_restored()) {
-      // Every shard graph came off its own checkpoint image; only the
-      // in-memory router tables need rebuilding.
-      shards_->RebuildRouter(pipeline_.graph());
-    } else {
-      shards_->Bootstrap(pipeline_.graph(), pipeline_.kg_version());
-    }
-  }
-  size_t adhoc_floor = 0;
-  for (const WalRecord& record : recovered.replay) {
-    NOUS_ASSIGN_OR_RETURN(std::vector<Article> batch,
-                          DecodeArticleBatch(record.payload));
-    for (const Article& article : batch) {
-      size_t n = 0;
-      if (ParseAdhocId(article.id, &n) && n + 1 > adhoc_floor) {
-        adhoc_floor = n + 1;
-      }
-    }
-    pipeline_.IngestBatch(batch);
-    std::vector<KgOpBatch> ops = pipeline_.TakeCapturedOps();
-    uint64_t version = 0;
-    {
-      ReaderMutexLock read(kg_mutex());
-      version = pipeline_.kg_version();
-    }
-    shards_->ApplySynchronously(std::move(ops), version);
-    last_seq = record.seq;
-    ++stats.replayed_batches;
-    stats.replayed_articles += batch.size();
-  }
-  if (adhoc_floor > 0) pipeline_.EnsureAdhocCounterAtLeast(adhoc_floor);
-  NOUS_RETURN_IF_ERROR(shards_->StartDurable(
-      options_.durability.dir, options_.durability, last_seq));
-  // Unconditional checkpoint: collapses any gap-cut WAL tails (records
-  // dropped past a seq gap still sit in sibling shard WALs) so the
-  // next recovery starts from a clean composite image.
-  NOUS_RETURN_IF_ERROR(ShardedCheckpointLocked());
-  stats.last_seq = last_seq;
-  durability_enabled_.store(true, std::memory_order_release);
-  PublishCommitLocked(last_seq);
-  return stats;
-}
-
-Status Nous::ShardedCheckpointLocked() {
-  std::string state = pipeline_.SaveState();
-  uint64_t version = 0;
-  {
-    ReaderMutexLock read(kg_mutex());
-    version = pipeline_.kg_version();
-  }
-  return shards_->WriteCheckpoint(state, version);
-}
-
-void Nous::CommitToShardsLocked(uint64_t seq) {
-  std::vector<KgOpBatch> ops = pipeline_.TakeCapturedOps();
-  uint64_t version = 0;
-  {
-    ReaderMutexLock read(kg_mutex());
-    version = pipeline_.kg_version();
-  }
-  shards_->Commit(std::move(ops), version, seq);
-}
-
-Status Nous::IngestBatchSharded(const Article* articles, size_t count,
-                                uint64_t* seq_out) {
-  *seq_out = 0;
-  if (!durable()) {
-    pipeline_.IngestBatch(articles, count);
-    CommitToShardsLocked(0);
-    return Status::Ok();
-  }
-  // Log before apply, same contract as the unsharded durable path;
-  // the fsync itself happens on the seq's home lane, off this thread.
-  std::string payload = EncodeArticleBatch(articles, count);
-  const uint64_t seq = shards_->NextSeq();
-  NOUS_RETURN_IF_ERROR(shards_->AppendWal(seq, payload));
-  pipeline_.IngestBatch(articles, count);
-  CommitToShardsLocked(seq);
-  PublishCommitLocked(seq);
-  if (shards_->ShouldCheckpoint()) {
-    NOUS_RETURN_IF_ERROR(ShardedCheckpointLocked());
-  }
-  *seq_out = seq;
-  return Status::Ok();
-}
-
-void Nous::DrainShards() {
-  if (shards_ != nullptr) shards_->Drain();
-}
-
-std::vector<uint64_t> Nous::CompositeVersion() const {
-  if (shards_ == nullptr) return {};
-  return shards_->CompositeVersion();
 }
 
 Status Nous::EnableDurability() {
@@ -234,18 +99,13 @@ Status Nous::EnableDurability() {
 
 Status Nous::Checkpoint() {
   MutexLock lock(ingest_mutex_);
-  if (shards_ != nullptr) {
-    if (!durable()) {
-      return Status::FailedPrecondition("durability is not enabled");
-    }
-    const uint64_t seq = shards_->last_seq();
-    NOUS_RETURN_IF_ERROR(ShardedCheckpointLocked());
-    PublishCommitLocked(seq);
-    return Status::Ok();
-  }
   if (durability_ == nullptr) {
     return Status::FailedPrecondition("durability is not enabled");
   }
+  return CheckpointLocked();
+}
+
+Status Nous::CheckpointLocked() {
   std::string state = pipeline_.SaveState();
   const uint64_t seq = durability_->last_logged_seq();
   NOUS_RETURN_IF_ERROR(durability_->WriteCheckpoint(state));
@@ -265,60 +125,40 @@ uint64_t Nous::PublishCommitLocked(uint64_t seq) {
   return kgv;
 }
 
-Status Nous::IngestBatchDurable(const Article* articles, size_t count) {
-  // Log before apply: a batch that cannot reach the WAL is rejected
-  // with the pipeline untouched, so nothing unlogged is ever
-  // acknowledged. A torn append (crash or injected fault) leaves a
-  // CRC-invalid tail the next Recover() drops.
-  std::string payload = EncodeArticleBatch(articles, count);
-  NOUS_ASSIGN_OR_RETURN(uint64_t seq, durability_->LogBatch(payload));
-  pipeline_.IngestBatch(articles, count);
-  const uint64_t kgv = PublishCommitLocked(seq);
-  if (listener_ != nullptr) listener_->OnCommit(seq, payload, kgv);
-  if (durability_->ShouldCheckpoint()) {
-    std::string state = pipeline_.SaveState();
-    NOUS_RETURN_IF_ERROR(durability_->WriteCheckpoint(state));
-    if (listener_ != nullptr) listener_->OnCheckpoint(seq, state, kgv);
-  }
-  return Status::Ok();
-}
-
-Status Nous::Ingest(const Article& article) {
-  if (shards_ != nullptr) {
-    uint64_t seq = 0;
-    {
-      MutexLock lock(ingest_mutex_);
-      NOUS_RETURN_IF_ERROR(IngestBatchSharded(&article, 1, &seq));
-    }
-    // Wait for the home lane's fsync *outside* the ingest mutex, so
-    // other writers' appends overlap this batch's flush.
-    return shards_->WaitDurable(seq);
-  }
+Status Nous::Commit(const Article* articles, size_t count) {
+  if (count == 0) return Status::Ok();
   if (!durable()) {
-    pipeline_.Ingest(article);
+    pipeline_.IngestBatch(articles, count);
     return Status::Ok();
   }
-  MutexLock lock(ingest_mutex_);
-  return IngestBatchDurable(&article, 1);
+  DurabilityManager* manager = nullptr;
+  uint64_t seq = 0;
+  {
+    MutexLock lock(ingest_mutex_);
+    // Log before apply: a batch that cannot reach the WAL is rejected
+    // with the pipeline untouched, so nothing unlogged is ever
+    // acknowledged. A torn append (crash or injected fault) leaves a
+    // CRC-invalid tail the next Recover() drops.
+    std::string payload = EncodeArticleBatch(articles, count);
+    NOUS_ASSIGN_OR_RETURN(seq, durability_->LogBatch(payload));
+    pipeline_.IngestBatch(articles, count);
+    const uint64_t kgv = PublishCommitLocked(seq);
+    if (listener_ != nullptr) listener_->OnCommit(seq, payload, kgv);
+    if (durability_->ShouldCheckpoint()) {
+      NOUS_RETURN_IF_ERROR(CheckpointLocked());
+    }
+    manager = durability_.get();
+  }
+  // Group commit (kAlways): wait for the fsync with the ingest mutex
+  // released, so the next writers append while this one's flush runs
+  // and one fsync acknowledges them all. No-op for the other policies.
+  return manager->WaitDurable(seq);
 }
+
+Status Nous::Ingest(const Article& article) { return Commit(&article, 1); }
 
 Status Nous::IngestBatch(const std::vector<Article>& articles) {
-  if (articles.empty()) return Status::Ok();
-  if (shards_ != nullptr) {
-    uint64_t seq = 0;
-    {
-      MutexLock lock(ingest_mutex_);
-      NOUS_RETURN_IF_ERROR(
-          IngestBatchSharded(articles.data(), articles.size(), &seq));
-    }
-    return shards_->WaitDurable(seq);
-  }
-  if (!durable()) {
-    pipeline_.IngestBatch(articles);
-    return Status::Ok();
-  }
-  MutexLock lock(ingest_mutex_);
-  return IngestBatchDurable(articles.data(), articles.size());
+  return Commit(articles.data(), articles.size());
 }
 
 Status Nous::IngestStream(DocumentStream* stream, bool finalize) {
@@ -342,10 +182,6 @@ Status Nous::IngestStream(DocumentStream* stream, bool finalize) {
 
 Status Nous::IngestText(const std::string& text, const Date& date,
                         const std::string& source) {
-  if (shards_ == nullptr && !durable()) {
-    pipeline_.IngestText(text, date, source);
-    return Status::Ok();
-  }
   // Reserve the concrete "adhoc_N" id up front so the WAL logs the
   // article exactly as the pipeline will ingest it.
   Article article;
@@ -353,60 +189,23 @@ Status Nous::IngestText(const std::string& text, const Date& date,
   article.date = date;
   article.source = source;
   article.text = text;
-  if (shards_ != nullptr) {
-    uint64_t seq = 0;
-    {
-      MutexLock lock(ingest_mutex_);
-      NOUS_RETURN_IF_ERROR(IngestBatchSharded(&article, 1, &seq));
-    }
-    return shards_->WaitDurable(seq);
-  }
-  MutexLock lock(ingest_mutex_);
-  return IngestBatchDurable(&article, 1);
+  return Commit(&article, 1);
 }
 
 void Nous::Finalize() {
-  if (shards_ != nullptr) {
-    MutexLock lock(ingest_mutex_);
-    pipeline_.Finalize();
-    CommitToShardsLocked(0);
-    if (durable()) {
-      // Same rationale as the unsharded branch below: Finalize's
-      // mutations live outside the WAL, so only a checkpoint makes
-      // them crash-safe.
-      Status status = ShardedCheckpointLocked();
-      if (!status.ok()) {
-        NOUS_LOG(Warning)
-            << "Finalize(): sharded checkpoint failed, durable state "
-               "lags the finalized KG: "
-            << status.ToString();
-        return;
-      }
-      PublishCommitLocked(shards_->last_seq());
-    }
-    return;
-  }
-  if (!durable()) {
-    pipeline_.Finalize();
-    return;
-  }
+  MutexLock lock(ingest_mutex_);
+  pipeline_.Finalize();
+  if (durability_ == nullptr) return;
   // Finalize mutates the KG outside the WAL (topic fit, confidence
   // refresh), so durable mode must capture its effect in a checkpoint
   // — otherwise a restart or a follower replaying the WAL would land
   // on a different KG than the one that served queries.
-  MutexLock lock(ingest_mutex_);
-  pipeline_.Finalize();
-  std::string state = pipeline_.SaveState();
-  const uint64_t seq = durability_->last_logged_seq();
-  Status status = durability_->WriteCheckpoint(state);
+  Status status = CheckpointLocked();
   if (!status.ok()) {
     NOUS_LOG(Warning) << "Finalize(): checkpoint failed, durable state "
                          "lags the finalized KG: "
                       << status.ToString();
-    return;
   }
-  const uint64_t kgv = PublishCommitLocked(seq);
-  if (listener_ != nullptr) listener_->OnCheckpoint(seq, state, kgv);
 }
 
 void Nous::SetCommitListener(CommitListener* listener) {
@@ -415,10 +214,6 @@ void Nous::SetCommitListener(CommitListener* listener) {
 }
 
 Result<Nous::ReplicationImage> Nous::CaptureReplicationImage() {
-  if (shards_ != nullptr) {
-    return Status::FailedPrecondition(
-        "replication is not supported in sharded mode");
-  }
   MutexLock lock(ingest_mutex_);
   if (durability_ == nullptr) {
     return Status::FailedPrecondition(
@@ -436,57 +231,46 @@ Result<Nous::ReplicationImage> Nous::CaptureReplicationImage() {
 
 Status Nous::ApplyReplicatedBatch(uint64_t seq, const std::string& payload,
                                   uint64_t expected_kg_version) {
-  if (shards_ != nullptr) {
-    return Status::FailedPrecondition(
-        "replication is not supported in sharded mode");
-  }
-  MutexLock lock(ingest_mutex_);
-  if (durability_ == nullptr) {
-    return Status::FailedPrecondition(
-        "ApplyReplicatedBatch(): durability is not enabled");
-  }
-  const uint64_t local = durability_->last_logged_seq();
-  if (seq != local + 1) {
-    return Status::FailedPrecondition(
-        "replicated batch seq " + std::to_string(seq) +
-        " does not follow local seq " + std::to_string(local));
-  }
-  // Decode before logging: a payload that cannot decode must not
-  // enter the local WAL (recovery would choke on it).
-  NOUS_ASSIGN_OR_RETURN(std::vector<Article> batch,
-                        DecodeArticleBatch(payload));
-  NOUS_ASSIGN_OR_RETURN(uint64_t logged, durability_->LogBatch(payload));
-  (void)logged;
-  size_t adhoc_floor = 0;
-  for (const Article& article : batch) {
-    size_t n = 0;
-    if (ParseAdhocId(article.id, &n) && n + 1 > adhoc_floor) {
-      adhoc_floor = n + 1;
+  DurabilityManager* manager = nullptr;
+  {
+    MutexLock lock(ingest_mutex_);
+    if (durability_ == nullptr) {
+      return Status::FailedPrecondition(
+          "ApplyReplicatedBatch(): durability is not enabled");
     }
+    const uint64_t local = durability_->last_logged_seq();
+    if (seq != local + 1) {
+      return Status::FailedPrecondition(
+          "replicated batch seq " + std::to_string(seq) +
+          " does not follow local seq " + std::to_string(local));
+    }
+    // Decode before logging: a payload that cannot decode must not
+    // enter the local WAL (recovery would choke on it).
+    NOUS_ASSIGN_OR_RETURN(std::vector<Article> batch,
+                          DecodeArticleBatch(payload));
+    NOUS_ASSIGN_OR_RETURN(uint64_t logged, durability_->LogBatch(payload));
+    (void)logged;
+    pipeline_.IngestBatch(batch);
+    pipeline_.EnsureAdhocCounterAtLeast(AdhocFloor(batch));
+    const uint64_t kgv = PublishCommitLocked(seq);
+    if (listener_ != nullptr) listener_->OnCommit(seq, payload, kgv);
+    if (expected_kg_version != 0 && kgv != expected_kg_version) {
+      return Status::DataLoss(
+          "replica diverged: KG version " + std::to_string(kgv) +
+          " after seq " + std::to_string(seq) + ", leader had " +
+          std::to_string(expected_kg_version));
+    }
+    if (durability_->ShouldCheckpoint()) {
+      NOUS_RETURN_IF_ERROR(CheckpointLocked());
+    }
+    manager = durability_.get();
   }
-  pipeline_.IngestBatch(batch);
-  if (adhoc_floor > 0) pipeline_.EnsureAdhocCounterAtLeast(adhoc_floor);
-  const uint64_t kgv = PublishCommitLocked(seq);
-  if (listener_ != nullptr) listener_->OnCommit(seq, payload, kgv);
-  if (expected_kg_version != 0 && kgv != expected_kg_version) {
-    return Status::DataLoss(
-        "replica diverged: KG version " + std::to_string(kgv) +
-        " after seq " + std::to_string(seq) + ", leader had " +
-        std::to_string(expected_kg_version));
-  }
-  if (durability_->ShouldCheckpoint()) {
-    NOUS_RETURN_IF_ERROR(
-        durability_->WriteCheckpoint(pipeline_.SaveState()));
-  }
-  return Status::Ok();
+  // Same group-commit wait as Commit(): acknowledged once fsynced.
+  return manager->WaitDurable(seq);
 }
 
 Status Nous::ApplyReplicatedCheckpoint(uint64_t seq,
                                        const std::string& state) {
-  if (shards_ != nullptr) {
-    return Status::FailedPrecondition(
-        "replication is not supported in sharded mode");
-  }
   MutexLock lock(ingest_mutex_);
   if (durability_ == nullptr) {
     return Status::FailedPrecondition(
@@ -509,42 +293,7 @@ Result<Answer> Nous::Execute(const Query& query,
                              std::shared_ptr<const KgSnapshot>* snapshot_out) {
   std::shared_ptr<const KgSnapshot> snap = pipeline_.snapshot();
   if (snapshot_out != nullptr) *snapshot_out = snap;
-  if (snap == nullptr) {
-    // Snapshot publishing disabled: the pre-snapshot locked path.
-    ReaderMutexLock lock(kg_mutex());
-    return ExecuteUnlocked(query);
-  }
-  if (shards_ != nullptr) return ExecuteOnShards(query, snap);
   return ExecuteOnSnapshot(query, snap);
-}
-
-Result<Answer> Nous::ExecuteOnShards(
-    const Query& query,
-    const std::shared_ptr<const KgSnapshot>& snap) const {
-  std::vector<std::shared_ptr<const ShardView>> views =
-      shards_->CurrentViews();
-  for (const auto& view : views) {
-    if (view == nullptr || view->version != snap->version()) {
-      // A lane has not yet published this version (or raced past it):
-      // the planner snapshot alone is bit-identical, so serve from it
-      // instead of blocking on the lanes.
-      return ExecuteOnSnapshot(query, snap);
-    }
-  }
-  std::string key;
-  if (cache_ != nullptr) {
-    key = CanonicalCacheKey(query);
-    Answer cached;
-    // Answers are identical either way, so the cache is safely shared
-    // with the planner-snapshot fallback path at the same version.
-    if (cache_->Lookup(key, snap->version(), &cached)) return cached;
-  }
-  ShardedGraphView view(&snap->graph(), std::move(views));
-  QueryEngineT<ShardedGraphView> engine(&view, snap->patterns(),
-                                        options_.query);
-  NOUS_ASSIGN_OR_RETURN(Answer answer, engine.Execute(query));
-  if (cache_ != nullptr) cache_->Insert(key, snap->version(), answer);
-  return answer;
 }
 
 Result<Answer> Nous::ExecuteOnSnapshot(
@@ -562,24 +311,8 @@ Result<Answer> Nous::ExecuteOnSnapshot(
   return answer;
 }
 
-Result<Answer> Nous::AskUnlocked(const std::string& question) const {
-  QueryEngine engine(&pipeline_.graph(), pipeline_.miner(),
-                     options_.query, pipeline_.miner_graph());
-  return engine.ExecuteText(question);
-}
-
-Result<Answer> Nous::ExecuteUnlocked(const Query& query) const {
-  QueryEngine engine(&pipeline_.graph(), pipeline_.miner(),
-                     options_.query, pipeline_.miner_graph());
-  return engine.Execute(query);
-}
-
 GraphStats Nous::ComputeStats() const {
-  if (auto snap = pipeline_.snapshot()) {
-    return ComputeGraphStats(snap->graph());
-  }
-  ReaderMutexLock lock(kg_mutex());
-  return ComputeGraphStats(graph());
+  return ComputeGraphStats(pipeline_.snapshot()->graph());
 }
 
 void Nous::RegisterResourceProbes(ResourceSampler* sampler) {

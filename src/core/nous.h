@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/pipeline.h"
-#include "core/shard_set.h"
 #include "core/snapshot.h"
 #include "corpus/document_stream.h"
 #include "durability/manager.h"
@@ -21,7 +20,9 @@ namespace nous {
 /// Observer of durable commits, the WAL-shipping hook (DESIGN.md
 /// §5.15). Both callbacks run on the committing thread while it holds
 /// the ingest mutex: implementations must only enqueue (never block on
-/// network or disk) and must not call back into Nous.
+/// network or disk) and must not call back into Nous. Under
+/// FsyncPolicy::kAlways OnCommit fires once the batch is applied,
+/// before its group fsync (§5.16).
 class CommitListener {
  public:
   virtual ~CommitListener() = default;
@@ -50,8 +51,10 @@ class CommitListener {
 /// Durability (DESIGN.md §5.10): with Options::durability.dir set,
 /// Recover() restores the last checkpoint, replays the WAL, and opens
 /// the log; every subsequent ingest is logged before it is applied and
-/// only acknowledged (Status OK) once both succeeded. kill -9 at any
-/// byte offset recovers a KG bit-identical to the last durable batch.
+/// only acknowledged (Status OK) once both succeeded — and, under
+/// FsyncPolicy::kAlways, once a group fsync covered it (§5.16). kill -9
+/// at any byte offset recovers a KG bit-identical to the last durable
+/// batch.
 /// Nous construction options. Lives at namespace scope (with a nested
 /// alias below) because GCC 12 miscompiles `Options options = {}`
 /// default arguments when a nested class carries its own default
@@ -61,20 +64,12 @@ struct NousOptions {
   QueryEngineConfig query;
   /// Crash safety; disabled while `durability.dir` is empty.
   DurabilityOptions durability;
-  /// Versioned LRU cache over executed answers (DESIGN.md §5.11).
-  /// Only effective in snapshot-serving mode
-  /// (pipeline.publish_snapshots): a cached answer is keyed by the
-  /// KG version it was computed at, so every ingest commit
-  /// implicitly invalidates the whole cache.
+  /// Versioned LRU cache over executed answers (DESIGN.md §5.11): a
+  /// cached answer is keyed by the KG version it was computed at, so
+  /// every ingest commit implicitly invalidates the whole cache.
   QueryCacheOptions query_cache;
-  /// Hash-shards the KG commit tier into N shards (DESIGN.md
-  /// §5.16): each shard owns its own commit lane, mutex, WAL
-  /// segment, checkpoint, and snapshot store, so parallel durable
-  /// ingest overlaps the per-batch fsyncs. 1 (the default) keeps
-  /// the classic single-graph layout byte-for-byte. Values > 1
-  /// force pipeline.publish_snapshots (sharded queries serve from
-  /// the planner snapshot plus the shard views) and are clamped to
-  /// kMaxShards. The fused KG is bit-identical for every value.
+  /// Must be 1 (the constructor checks): one graph, one WAL, one
+  /// commit path. Accepted so callers that set it keep compiling.
   size_t shards = 1;
 };
 
@@ -120,7 +115,9 @@ class Nous {
   /// Feeds one article through the construction pipeline. With
   /// durability armed, the article is WAL-logged first and the call
   /// fails — with no state change — if logging fails ("never
-  /// acknowledge what is not logged").
+  /// acknowledge what is not logged"). Under FsyncPolicy::kAlways a
+  /// failed group fsync also fails the call, after the batch was
+  /// applied (it is visible but was never acknowledged).
   Status Ingest(const Article& article) EXCLUDES(kg_mutex());
 
   /// Batch ingest: extraction fans out across the pipeline's worker
@@ -190,54 +187,24 @@ class Nous {
   }
 
   /// Parses and executes a natural-language-like query (Figure 5).
-  /// In snapshot-serving mode (the default) this runs entirely
-  /// against the latest published KgSnapshot — no lock is taken, so
-  /// a slow query can never stall ingest — consulting the versioned
-  /// query cache first. With publishing disabled it falls back to
-  /// reader-locked execution against the live graph.
+  /// Runs entirely against the latest published KgSnapshot — no lock
+  /// is taken, so a slow query can never stall ingest — consulting
+  /// the versioned query cache first.
   ///
   /// `snapshot_out`, when non-null, receives the snapshot the answer
-  /// was computed against (null in the locked fallback) so callers
-  /// can serialize the answer against the exact same view.
+  /// was computed against so callers can serialize the answer against
+  /// the exact same view.
   Result<Answer> Ask(const std::string& question,
                      std::shared_ptr<const KgSnapshot>* snapshot_out =
-                         nullptr) EXCLUDES(kg_mutex());
+                         nullptr);
 
   /// Executes a pre-built structured query. Serves like Ask().
   Result<Answer> Execute(const Query& query,
                          std::shared_ptr<const KgSnapshot>* snapshot_out =
-                             nullptr) EXCLUDES(kg_mutex());
+                             nullptr);
 
-  /// True when the commit tier is hash-sharded (Options::shards > 1).
-  bool sharded() const { return shards_ != nullptr; }
-
-  /// Blocks until every shard lane has applied its queue, so the next
-  /// query sees a composite view at the latest committed version.
-  /// No-op when unsharded.
-  void DrainShards();
-
-  /// One published version per shard, in shard order (empty when
-  /// unsharded). After DrainShards() every entry equals the planner's
-  /// kg_version() — the coherence criterion composite reads check.
-  std::vector<uint64_t> CompositeVersion() const;
-
-  /// The shard commit tier, for tests and benches; null unsharded.
-  ShardSet* shard_set() { return shards_.get(); }
-  const ShardSet* shard_set() const { return shards_.get(); }
-
-  /// Variants for callers that already hold a ReaderMutexLock on
-  /// kg_mutex() — e.g. the HTTP API, which serializes the answer under
-  /// the same lock. Calling Ask()/Execute() while holding the lock
-  /// would self-deadlock against a queued writer; the REQUIRES_SHARED
-  /// annotations make either mistake (no lock, or double lock) a
-  /// compile error under Clang.
-  Result<Answer> AskUnlocked(const std::string& question) const
-      REQUIRES_SHARED(kg_mutex());
-  Result<Answer> ExecuteUnlocked(const Query& query) const
-      REQUIRES_SHARED(kg_mutex());
-
-  /// The pipeline's reader/writer lock, re-exported so lock-aware
-  /// callers (HTTP API) can name one capability for both objects:
+  /// The pipeline's reader/writer lock, re-exported so callers that
+  /// inspect the live graph can name one capability for both objects:
   /// RETURN_CAPABILITY aliases `nous.kg_mutex()` to the pipeline's
   /// underlying mutex member.
   AnnotatedSharedMutex& kg_mutex() const
@@ -255,16 +222,15 @@ class Nous {
   const PipelineStats& stats() const REQUIRES_SHARED(kg_mutex()) {
     return pipeline_.stats();
   }
-  /// Walks the latest snapshot when one is published; otherwise
-  /// read-locks the pipeline and walks the live graph.
-  GraphStats ComputeStats() const EXCLUDES(kg_mutex());
+  /// Walks the latest published snapshot (no lock).
+  GraphStats ComputeStats() const;
   KgPipeline& pipeline() { return pipeline_; }
   const StreamingMiner* miner() const REQUIRES_SHARED(kg_mutex()) {
     return pipeline_.miner();
   }
 
-  /// Latest published KG snapshot; null when snapshot serving is off
-  /// (Options::pipeline.publish_snapshots = false).
+  /// Latest published KG snapshot (never null: the constructor
+  /// publishes the curated bootstrap).
   std::shared_ptr<const KgSnapshot> snapshot() const {
     return pipeline_.snapshot();
   }
@@ -284,43 +250,20 @@ class Nous {
   void RegisterResourceProbes(ResourceSampler* sampler);
 
  private:
-  /// Clamps Options::shards and forces the settings sharding relies
-  /// on. Runs before pipeline_ is constructed.
-  static Options NormalizeOptions(Options options);
+  /// The one commit path: Ingest, IngestBatch and IngestText all land
+  /// here, and only here is durable vs. not decided. Durable: log,
+  /// apply and publish under ingest_mutex_, then (kAlways) wait for
+  /// the group fsync with the mutex released, so concurrent writers
+  /// share one fsync.
+  Status Commit(const Article* articles, size_t count)
+      EXCLUDES(ingest_mutex_, kg_mutex());
+  /// Persists SaveState() as the checkpoint covering every logged
+  /// batch (resetting the WAL) and tells the listener.
+  Status CheckpointLocked() REQUIRES(ingest_mutex_) EXCLUDES(kg_mutex());
   /// Cache-checked execution against one immutable snapshot.
   Result<Answer> ExecuteOnSnapshot(
       const Query& query,
       const std::shared_ptr<const KgSnapshot>& snap) const;
-  /// Cache-checked scatter-gather execution over the shard views
-  /// published at `snap`'s version. When a lane has not yet published
-  /// that version, serves from the (bit-identical) planner snapshot
-  /// instead of blocking.
-  Result<Answer> ExecuteOnShards(
-      const Query& query,
-      const std::shared_ptr<const KgSnapshot>& snap) const;
-  /// Durable log-then-apply for one batch; caller holds ingest_mutex_
-  /// so WAL order always matches apply order.
-  Status IngestBatchDurable(const Article* articles, size_t count)
-      REQUIRES(ingest_mutex_) EXCLUDES(kg_mutex());
-  /// Sharded log-then-apply for one batch. `*seq_out` receives the
-  /// WAL seq the caller must WaitDurable() on *after* releasing
-  /// ingest_mutex_ (0 in non-durable mode), so concurrent writers
-  /// overlap their fsync waits.
-  Status IngestBatchSharded(const Article* articles, size_t count,
-                            uint64_t* seq_out) REQUIRES(ingest_mutex_)
-      EXCLUDES(kg_mutex());
-  /// Drains the pipeline's captured op batches to the shard lanes at
-  /// the current KG version (seq == 0 when there is nothing to fsync).
-  void CommitToShardsLocked(uint64_t seq) REQUIRES(ingest_mutex_)
-      EXCLUDES(kg_mutex());
-  /// Persists the planner + per-shard checkpoints and resets the
-  /// shard WALs (ShardSet::WriteCheckpoint commit protocol).
-  Status ShardedCheckpointLocked() REQUIRES(ingest_mutex_)
-      EXCLUDES(kg_mutex());
-  /// Sharded Recover() body: per-shard checkpoints + merged WAL
-  /// replay through the planner, re-captured onto the shards.
-  Result<RecoveryStats> RecoverShardedLocked() REQUIRES(ingest_mutex_)
-      EXCLUDES(kg_mutex());
   /// Reads the live KG version (brief reader lock) and publishes the
   /// (seq, version) pair to the lock-free accessors + the listener.
   uint64_t PublishCommitLocked(uint64_t seq) REQUIRES(ingest_mutex_)
@@ -334,8 +277,9 @@ class Nous {
 
   /// Serializes durable ingest so the WAL append order equals the
   /// pipeline apply order (lock order: ingest_mutex_ before the
-  /// pipeline's kg_mutex, which IngestBatch acquires internally).
-  /// Non-durable ingest never touches this mutex.
+  /// pipeline's kg_mutex, which IngestBatch acquires internally, and
+  /// before the DurabilityManager's group-commit mutex). Non-durable
+  /// ingest never touches this mutex.
   AnnotatedMutex ingest_mutex_;
   std::unique_ptr<DurabilityManager> durability_ GUARDED_BY(ingest_mutex_);
   /// Fast-path flag mirroring `durability_ != nullptr`; flipped once
@@ -347,11 +291,6 @@ class Nous {
   /// lock-free lag/staleness reads by the serving tier.
   std::atomic<uint64_t> durable_seq_{0};
   std::atomic<uint64_t> durable_kg_version_{0};
-  /// Sharded commit tier (Options::shards > 1); null otherwise. The
-  /// pointer is immutable after construction and the ShardSet is
-  /// internally synchronized. Declared last so the lane threads stop
-  /// before anything they publish into goes away.
-  std::unique_ptr<ShardSet> shards_;  // lint: unguarded(see above)
 };
 
 }  // namespace nous

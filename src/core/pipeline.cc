@@ -1,7 +1,6 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
-#include <set>
 #include <thread>
 
 #include "common/string_util.h"
@@ -226,18 +225,6 @@ std::string KgPipeline::VertexTypeName(VertexId v) const {
   return graph_.types().GetString(t);
 }
 
-void KgPipeline::Ingest(const Article& article) {
-  ExtractedDoc doc = ExtractDocument(article);
-  {
-    WriterMutexLock lock(kg_mutex_);
-    BeginOpCaptureLocked();
-    CommitDocument(article, std::move(doc));
-    ++kg_version_;
-    EndOpCaptureLocked(/*finalize=*/false);
-  }
-  PublishSnapshot();
-}
-
 void KgPipeline::IngestBatch(const Article* articles, size_t count) {
   if (count == 0) return;
   NOUS_SPAN_VAR(span, "ingest_batch");
@@ -258,14 +245,12 @@ void KgPipeline::IngestBatch(const Article* articles, size_t count) {
   }
   {
     WriterMutexLock lock(kg_mutex_);
-    BeginOpCaptureLocked();
     for (size_t i = 0; i < count; ++i) {
       CommitDocument(articles[i], std::move(docs[i]));
     }
     // One bump per batch (the WAL commit unit), so recovery replay
     // reproduces the exact version of the uncrashed run.
     ++kg_version_;
-    EndOpCaptureLocked(/*finalize=*/false);
   }
   PublishSnapshot();
 }
@@ -364,7 +349,7 @@ void KgPipeline::CommitDocument(const Article& article,
           if (auto existing = graph_.FindEdge(s, *pred, o)) {
             const EdgeRecord& rec = graph_.Edge(*existing);
             if (!rec.meta.curated) {
-              SetEdgeConfidenceTracked(
+              graph_.SetEdgeConfidence(
                   *existing,
                   rec.meta.confidence * config_.retraction_factor);
               ++stats_.retractions;
@@ -446,7 +431,7 @@ void KgPipeline::CommitDocument(const Article& article,
       double boosted =
           std::max(rec.meta.confidence,
                    1.0 - (1.0 - rec.meta.confidence) * (1.0 - confidence));
-      SetEdgeConfidenceTracked(*existing, boosted);
+      graph_.SetEdgeConfidence(*existing, boosted);
       ++stats_.deduped_triples;
       metrics.deduped->Increment();
       if (config_.enable_source_trust &&
@@ -512,20 +497,14 @@ std::string KgPipeline::ReserveAdhocId() {
       "adhoc_%zu", adhoc_counter_.fetch_add(1, std::memory_order_relaxed));
 }
 
-void KgPipeline::IngestText(const std::string& text, const Date& date,
-                            const std::string& source) {
-  Article article;
-  article.id = ReserveAdhocId();
-  article.date = date;
-  article.source = source;
-  article.text = text;
-  Ingest(article);
-}
-
 namespace {
 /// SaveState payload version; bump on any layout change.
 /// v2: adds kg_version_ after the curated-KB fingerprint.
-constexpr uint32_t kStateVersion = 2;
+/// v3: drops the five wall-clock stage timings (extract/link/map/
+/// score/mine seconds), so the image is a pure function of the
+/// ingested stream. v2 images still load; their timings are skipped.
+constexpr uint32_t kStateVersion = 3;
+constexpr uint32_t kStateVersionWithTimings = 2;
 }  // namespace
 
 std::string KgPipeline::SaveState() const {
@@ -565,11 +544,6 @@ std::string KgPipeline::SaveState() const {
   writer.U64(stats_.new_entities);
   writer.U64(stats_.ds_alignments);
   writer.U64(stats_.retractions);
-  writer.F64(stats_.extract_seconds);
-  writer.F64(stats_.link_seconds);
-  writer.F64(stats_.map_seconds);
-  writer.F64(stats_.score_seconds);
-  writer.F64(stats_.mine_seconds);
 
   // Miner window: the streamed (non-curated) triples currently in the
   // window, oldest first, with the fused-KG type names needed to
@@ -615,7 +589,7 @@ Status KgPipeline::LoadStateLocked(std::string_view payload) {
   BinaryReader reader(payload);
   uint32_t version = 0;
   NOUS_RETURN_IF_ERROR(reader.U32(&version));
-  if (version != kStateVersion) {
+  if (version != kStateVersion && version != kStateVersionWithTimings) {
     return Status::DataLoss("pipeline state version " +
                             std::to_string(version) + " unsupported");
   }
@@ -666,11 +640,12 @@ Status KgPipeline::LoadStateLocked(std::string_view payload) {
   stats_.new_entities = counts[9];
   stats_.ds_alignments = counts[10];
   stats_.retractions = counts[11];
-  NOUS_RETURN_IF_ERROR(reader.F64(&stats_.extract_seconds));
-  NOUS_RETURN_IF_ERROR(reader.F64(&stats_.link_seconds));
-  NOUS_RETURN_IF_ERROR(reader.F64(&stats_.map_seconds));
-  NOUS_RETURN_IF_ERROR(reader.F64(&stats_.score_seconds));
-  NOUS_RETURN_IF_ERROR(reader.F64(&stats_.mine_seconds));
+  if (version == kStateVersionWithTimings) {
+    for (int i = 0; i < 5; ++i) {
+      double ignored = 0;
+      NOUS_RETURN_IF_ERROR(reader.F64(&ignored));
+    }
+  }
 
   // The window machinery accretes via listeners, so a load onto a
   // warm pipeline (replication resync) must rebuild it from scratch:
@@ -738,10 +713,8 @@ void KgPipeline::RefreshBpr(size_t epochs) {
 void KgPipeline::Finalize() {
   {
     WriterMutexLock lock(kg_mutex_);
-    BeginOpCaptureLocked();
     FinalizeLocked();
     ++kg_version_;
-    EndOpCaptureLocked(/*finalize=*/true);
   }
   PublishSnapshot();
 }
@@ -760,7 +733,7 @@ void KgPipeline::FinalizeLocked() {
           double prior =
               bpr_.Score(rec.subject, rec.predicate, rec.object);
           double rescored = rec.meta.confidence * (1.0 - w) + prior * w;
-          SetEdgeConfidenceTracked(e, std::clamp(rescored, 0.0, 1.0));
+          graph_.SetEdgeConfidence(e, std::clamp(rescored, 0.0, 1.0));
         });
   }
   // Fit in src/topic (pure), apply here: SetVertexTopics is a KG
@@ -772,128 +745,7 @@ void KgPipeline::FinalizeLocked() {
   lda_ = std::make_unique<LdaModel>(std::move(fitted.model));
 }
 
-void KgPipeline::EnableOpCapture() {
-  WriterMutexLock lock(kg_mutex_);
-  capture_ops_ = true;
-  captured_.clear();
-  capture_conf_.clear();
-  capture_vertex_watermark_ = graph_.NumVertices();
-  capture_edge_watermark_ = graph_.NumEdgeSlots();
-  // Seed the late-typing watchlist with every currently untyped
-  // vertex, so typings that land after a checkpoint restore still
-  // reach the shards. Called again after LoadState for the same
-  // reason (the ShardSet re-bootstraps from the restored graph).
-  capture_untyped_.clear();
-  for (VertexId v = 0; v < graph_.NumVertices(); ++v) {
-    if (graph_.VertexType(v) == kInvalidType) {
-      capture_untyped_.push_back(v);
-    }
-  }
-}
-
-std::vector<KgOpBatch> KgPipeline::TakeCapturedOps() {
-  WriterMutexLock lock(kg_mutex_);
-  std::vector<KgOpBatch> out = std::move(captured_);
-  captured_.clear();
-  return out;
-}
-
-void KgPipeline::BeginOpCaptureLocked() {
-  if (!capture_ops_) return;
-  capture_conf_.clear();
-  capture_vertex_watermark_ = graph_.NumVertices();
-  capture_edge_watermark_ = graph_.NumEdgeSlots();
-}
-
-void KgPipeline::SetEdgeConfidenceTracked(EdgeId e, double confidence) {
-  graph_.SetEdgeConfidence(e, confidence);
-  if (capture_ops_) capture_conf_.emplace_back(e, confidence);
-}
-
-void KgPipeline::EndOpCaptureLocked(bool finalize) {
-  if (!capture_ops_) return;
-  KgOpBatch batch;
-  batch.finalize = finalize;
-  // New vertices, ascending: replaying defines in gid order keeps each
-  // shard's local insertion order aligned with global-id order, which
-  // the composite view's tie-breaking relies on.
-  for (VertexId v = static_cast<VertexId>(capture_vertex_watermark_);
-       v < graph_.NumVertices(); ++v) {
-    KgOp op;
-    op.kind = KgOp::Kind::kDefineVertex;
-    op.vertex = v;
-    op.label = graph_.VertexLabel(v);
-    TypeId t = graph_.VertexType(v);
-    if (t != kInvalidType) {
-      op.type_name = graph_.types().GetString(t);
-    } else {
-      capture_untyped_.push_back(v);
-    }
-    op.topics = graph_.VertexTopics(v);
-    batch.ops.push_back(std::move(op));
-  }
-  // Confidence rewrites of pre-batch edges, in call order; rewrites of
-  // edges created this batch are already folded into the kAddEdge meta
-  // below (the fused KG never removes edge slots, so every slot past
-  // the watermark is a new live edge).
-  for (const auto& [e, conf] : capture_conf_) {
-    if (e >= capture_edge_watermark_) continue;
-    KgOp op;
-    op.kind = KgOp::Kind::kSetEdgeConfidence;
-    op.edge = e;
-    op.confidence = conf;
-    batch.ops.push_back(std::move(op));
-  }
-  // New edges, ascending slot order, with their end-of-batch meta.
-  for (EdgeId e = static_cast<EdgeId>(capture_edge_watermark_);
-       e < graph_.NumEdgeSlots(); ++e) {
-    const EdgeRecord& rec = graph_.Edge(e);
-    KgOp op;
-    op.kind = KgOp::Kind::kAddEdge;
-    op.edge = e;
-    op.subject = rec.subject;
-    op.object = rec.object;
-    op.predicate_name = graph_.predicates().GetString(rec.predicate);
-    if (rec.meta.source != kInvalidSource) {
-      op.source_name = graph_.sources().GetString(rec.meta.source);
-    }
-    op.confidence = rec.meta.confidence;
-    op.timestamp = rec.meta.timestamp;
-    op.curated = rec.meta.curated;
-    batch.ops.push_back(std::move(op));
-  }
-  // Late typings: the linker types a vertex at most once, so each
-  // watched vertex graduates via exactly one kSetVertexType op.
-  size_t kept = 0;
-  for (VertexId v : capture_untyped_) {
-    TypeId t = graph_.VertexType(v);
-    if (t == kInvalidType) {
-      capture_untyped_[kept++] = v;
-      continue;
-    }
-    KgOp op;
-    op.kind = KgOp::Kind::kSetVertexType;
-    op.vertex = v;
-    op.type_name = graph_.types().GetString(t);
-    batch.ops.push_back(std::move(op));
-  }
-  capture_untyped_.resize(kept);
-  if (finalize) {
-    // Finalize refits LDA topics for every vertex; ship them all
-    // rather than diffing the (dense) distributions.
-    for (VertexId v = 0; v < graph_.NumVertices(); ++v) {
-      KgOp op;
-      op.kind = KgOp::Kind::kSetVertexTopics;
-      op.vertex = v;
-      op.topics = graph_.VertexTopics(v);
-      batch.ops.push_back(std::move(op));
-    }
-  }
-  captured_.push_back(std::move(batch));
-}
-
 void KgPipeline::PublishSnapshot() {
-  if (!config_.publish_snapshots) return;
   NOUS_SPAN_VAR(span, "snapshot_publish");
   uint64_t version = 0;
   PropertyGraph graph;

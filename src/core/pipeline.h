@@ -13,7 +13,6 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
-#include "core/kg_ops.h"
 #include "core/pipeline_stats.h"
 #include "core/snapshot.h"
 #include "corpus/article_generator.h"
@@ -88,12 +87,6 @@ struct PipelineConfig {
   /// BprConfig::sgd_block at 0; keeps pipeline results independent of
   /// num_threads.
   size_t bpr_sgd_block = 256;
-  /// Publish an immutable KgSnapshot after every mutating operation
-  /// (ingest call, batch, finalize, state load) so queries serve
-  /// lock-free (DESIGN.md §5.11). Off = the pre-snapshot behavior:
-  /// snapshot() stays null and Nous falls back to reader-locked
-  /// serving (also the benchmark baseline mode).
-  bool publish_snapshots = true;
 };
 
 /// The NOUS knowledge-graph construction pipeline (§3): curated-KB
@@ -118,15 +111,12 @@ class KgPipeline {
   KgPipeline(const KgPipeline&) = delete;
   KgPipeline& operator=(const KgPipeline&) = delete;
 
-  /// Ingests one article: extraction, joint linking, predicate
-  /// mapping, confidence scoring, KG + miner-window update, distant
-  /// supervision. Takes the write lock for the post-extraction stages.
-  void Ingest(const Article& article) EXCLUDES(kg_mutex_);
-
-  /// Ingests a batch: extraction runs across the pool (pure,
+  /// Ingests a batch: extraction, joint linking, predicate mapping,
+  /// confidence scoring, KG + miner-window update, distant
+  /// supervision. Extraction runs across the pool (pure,
   /// per-document), then link -> map -> score -> update commits
-  /// sequentially in array order under one write-lock acquisition.
-  /// Equivalent to calling Ingest() on each article in order.
+  /// sequentially in array order under one write-lock acquisition, so
+  /// the fused KG is the same for any batching of the same articles.
   void IngestBatch(const Article* articles, size_t count)
       EXCLUDES(kg_mutex_);
   void IngestBatch(const std::vector<Article>& articles)
@@ -134,12 +124,8 @@ class KgPipeline {
     IngestBatch(articles.data(), articles.size());
   }
 
-  /// Convenience for ad-hoc text.
-  void IngestText(const std::string& text, const Date& date,
-                  const std::string& source) EXCLUDES(kg_mutex_);
-
-  /// Draws the next "adhoc_N" article id (what IngestText assigns).
-  /// Exposed so durable callers can build the Article — and WAL-log it
+  /// Draws the next "adhoc_N" article id (what Nous::IngestText
+  /// assigns), so the caller can build the Article — and WAL-log it
   /// under its final id — before handing it to IngestBatch.
   std::string ReserveAdhocId();
 
@@ -151,9 +137,11 @@ class KgPipeline {
   /// ingest — fused KG (bit-exact: ids, edge slots, adjacency order),
   /// linker alias index, mapper evidence, BPR parameters + RNG state,
   /// source-trust counts, accepted-triple list, refresh cadence,
-  /// ad-hoc id counter, stats, and the miner's current window triples.
-  /// Takes the shared lock. The payload feeds the durability
-  /// checkpointer (DESIGN.md §5.10).
+  /// ad-hoc id counter, stats counters, and the miner's current window
+  /// triples. Holds no wall-clock value (the stage timings restart at
+  /// zero after a load), so the bytes are a pure function of the
+  /// ingested stream. Takes the shared lock. The payload feeds the
+  /// durability checkpointer (DESIGN.md §5.10).
   std::string SaveState() const EXCLUDES(kg_mutex_);
 
   /// Restores a SaveState payload. Must be called on a freshly
@@ -166,12 +154,12 @@ class KgPipeline {
   Status LoadState(std::string_view payload) EXCLUDES(kg_mutex_);
 
   /// Raises the ad-hoc article-id counter to at least `value` (used
-  /// after WAL replay so future IngestText ids cannot collide with
+  /// after WAL replay so future ReserveAdhocId ids cannot collide with
   /// replayed "adhoc_N" ids).
   void EnsureAdhocCounterAtLeast(size_t value);
 
   /// Reader/writer lock over the fused KG, miner state, and models.
-  /// Ingest/Finalize acquire it exclusively; concurrent readers
+  /// IngestBatch/Finalize acquire it exclusively; concurrent readers
   /// (query execution, stats, serialization) must hold a
   /// ReaderMutexLock while touching graph()/miner()/stats().
   /// RETURN_CAPABILITY makes `pipeline.kg_mutex()` and the member
@@ -219,39 +207,29 @@ class KgPipeline {
   const Ner& ner() const { return ner_; }
 
   /// Monotonic KG version: starts at 1 after the curated bootstrap and
-  /// increments on every mutating operation (Ingest call, IngestBatch
-  /// call, Finalize). Restored exactly by LoadState, and WAL replay
+  /// increments on every mutating operation (each IngestBatch call
+  /// and Finalize). Restored exactly by LoadState, and WAL replay
   /// re-applies the same operations, so a recovered pipeline reports
   /// the same version as the uncrashed run. Keys the query cache.
   uint64_t kg_version() const REQUIRES_SHARED(kg_mutex_) {
     return kg_version_;
   }
 
-  /// Latest published snapshot; null until the first Publish (i.e.
-  /// always null when config().publish_snapshots is false). The
-  /// returned snapshot is immutable and safe to read with no lock.
   /// The snapshot store itself, for publish-count telemetry
   /// (/api/stats, ResourceSampler probes).
   const SnapshotStore& snapshot_store() const { return snapshots_; }
 
+  /// Latest published snapshot (DESIGN.md §5.11); the constructor
+  /// publishes the curated bootstrap, so it is never null. Immutable
+  /// and safe to read with no lock.
   std::shared_ptr<const KgSnapshot> snapshot() const {
     return snapshots_.Current();
   }
 
   /// Clones the KG under the shared lock and installs the result as
   /// the current snapshot. Called automatically after every mutating
-  /// operation when config().publish_snapshots is on; no-op otherwise.
+  /// operation (ingest call, batch, finalize, state load).
   void PublishSnapshot() EXCLUDES(kg_mutex_);
-
-  /// Sharded mode (DESIGN.md §5.16): from now on, every committed
-  /// mutating operation also appends a KgOpBatch describing the exact
-  /// fused-KG mutations it performed, for replay on shard lanes.
-  void EnableOpCapture() EXCLUDES(kg_mutex_);
-
-  /// Drains the captured batches (FIFO). The ShardSet routes each
-  /// batch to per-shard lanes; batches must be taken after every
-  /// mutating call so the queue stays bounded.
-  std::vector<KgOpBatch> TakeCapturedOps() EXCLUDES(kg_mutex_);
 
  private:
   /// Result of the pure, thread-safe extraction stage for one article.
@@ -283,20 +261,6 @@ class KgPipeline {
       REQUIRES(kg_mutex_);
   /// LoadState body, under the writer lock held by LoadState().
   Status LoadStateLocked(std::string_view payload) REQUIRES(kg_mutex_);
-
-  /// Op capture (sharded mode). Begin records vertex/edge watermarks;
-  /// End diffs the graph against them and appends one KgOpBatch:
-  /// [new-vertex defines, asc][confidence updates to pre-batch edges,
-  /// in call order][new edges with final meta, asc][late typings of
-  /// previously untyped vertices]. The groups commute with each other,
-  /// so replaying them in this canonical order reproduces the exact
-  /// interleaved mutation sequence's final state *and* id assignment.
-  void BeginOpCaptureLocked() REQUIRES(kg_mutex_);
-  void EndOpCaptureLocked(bool finalize) REQUIRES(kg_mutex_);
-  /// SetEdgeConfidence that also records (edge, value) for op capture;
-  /// all pipeline confidence rewrites must go through this.
-  void SetEdgeConfidenceTracked(EdgeId e, double confidence)
-      REQUIRES(kg_mutex_);
 
   /// Immutable after construction.
   PipelineConfig config_;
@@ -350,20 +314,6 @@ class KgPipeline {
   /// early.
   std::atomic<size_t> adhoc_counter_{0};
   PipelineStats stats_ GUARDED_BY(kg_mutex_);
-
-  /// ---- Op capture state (sharded mode; see EnableOpCapture). ----
-  bool capture_ops_ GUARDED_BY(kg_mutex_) = false;
-  std::vector<KgOpBatch> captured_ GUARDED_BY(kg_mutex_);
-  /// Confidence rewrites recorded by SetEdgeConfidenceTracked during
-  /// the current batch, in call order (cleared by Begin).
-  std::vector<std::pair<EdgeId, double>> capture_conf_
-      GUARDED_BY(kg_mutex_);
-  size_t capture_vertex_watermark_ GUARDED_BY(kg_mutex_) = 0;
-  size_t capture_edge_watermark_ GUARDED_BY(kg_mutex_) = 0;
-  /// Vertices previously emitted with no type; the linker types a
-  /// vertex at most once, so each entry graduates via one
-  /// kSetVertexType op the batch it gains a type.
-  std::vector<VertexId> capture_untyped_ GUARDED_BY(kg_mutex_);
 };
 
 }  // namespace nous

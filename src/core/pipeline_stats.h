@@ -23,6 +23,8 @@ struct PipelineStats {
   size_t new_entities = 0;
   size_t ds_alignments = 0;
   size_t retractions = 0;
+  /// Wall-clock stage timings of this process; never persisted
+  /// (KgPipeline::SaveState), so they restart at zero after a load.
   double extract_seconds = 0;
   double link_seconds = 0;
   double map_seconds = 0;

@@ -105,8 +105,10 @@ Status DurabilityManager::OpenWal(uint64_t last_applied_seq) {
   wal_options.fsync_policy = options_.fsync_policy;
   wal_options.fsync_interval_records = options_.fsync_interval_records;
   NOUS_RETURN_IF_ERROR(wal_.Open(wal_path(), wal_options));
-  last_logged_seq_ = last_applied_seq;
+  last_logged_seq_.store(last_applied_seq, std::memory_order_release);
   batches_since_checkpoint_ = 0;
+  MutexLock lock(sync_mutex_);
+  durable_upto_ = last_applied_seq;
   return Status::Ok();
 }
 
@@ -114,17 +116,55 @@ Result<uint64_t> DurabilityManager::LogBatch(std::string_view payload) {
   if (!wal_.is_open()) {
     return Status::FailedPrecondition("durability: WAL not open");
   }
-  const uint64_t seq = last_logged_seq_ + 1;
+  if (options_.fsync_policy == FsyncPolicy::kAlways) {
+    NOUS_RETURN_IF_ERROR(StickyError());
+  }
+  const uint64_t seq = last_logged_seq() + 1;
   Status status = wal_.Append(seq, payload);
   if (!status.ok()) {
     WalAppendFailures()->Increment();
     return status;
   }
-  last_logged_seq_ = seq;
+  last_logged_seq_.store(seq, std::memory_order_release);
   ++batches_since_checkpoint_;
   WalRecords()->Increment();
   WalBytes()->Increment(payload.size());
   return seq;
+}
+
+Status DurabilityManager::StickyError() {
+  MutexLock lock(sync_mutex_);
+  return sync_error_;
+}
+
+Status DurabilityManager::WaitDurable(uint64_t seq) {
+  if (options_.fsync_policy != FsyncPolicy::kAlways) return Status::Ok();
+  for (;;) {
+    uint64_t target = 0;
+    {
+      UniqueLock lock(sync_mutex_);
+      while (durable_upto_ < seq && sync_error_.ok() && sync_in_flight_) {
+        sync_cv_.wait(lock.std_lock());
+      }
+      if (durable_upto_ >= seq) return Status::Ok();
+      if (!sync_error_.ok()) return sync_error_;
+      // Leader: one fsync covers every record already in the file,
+      // including the ones other writers appended while we waited.
+      sync_in_flight_ = true;
+      target = last_logged_seq();
+    }
+    Status status = wal_.SyncData();
+    {
+      MutexLock lock(sync_mutex_);
+      sync_in_flight_ = false;
+      if (status.ok()) {
+        durable_upto_ = std::max(durable_upto_, target);
+      } else if (sync_error_.ok()) {
+        sync_error_ = status;
+      }
+    }
+    sync_cv_.notify_all();
+  }
 }
 
 bool DurabilityManager::ShouldCheckpoint() const {
@@ -135,8 +175,11 @@ bool DurabilityManager::ShouldCheckpoint() const {
 Status DurabilityManager::WriteCheckpoint(std::string state) {
   NOUS_SPAN_VAR(span, "checkpoint");
   span.Attr("state_bytes", state.size());
+  if (options_.fsync_policy == FsyncPolicy::kAlways) {
+    NOUS_RETURN_IF_ERROR(StickyError());
+  }
   CheckpointData data;
-  data.last_applied_seq = last_logged_seq_;
+  data.last_applied_seq = last_logged_seq();
   data.state = std::move(state);
   Status status = WriteCheckpointFile(checkpoint_path(), data);
   if (!status.ok()) {
@@ -144,9 +187,17 @@ Status DurabilityManager::WriteCheckpoint(std::string state) {
     return status;
   }
 
-  // The checkpoint covers every logged record, so the WAL restarts
-  // empty. A crash between these steps is safe: stale records carry
-  // seq <= last_applied_seq and are skipped on replay.
+  // The checkpoint is on stable storage and covers every logged
+  // record: release their waiters, then wait out any in-flight group
+  // fsync so the WAL fd can be swapped under it.
+  UniqueLock lock(sync_mutex_);
+  while (sync_in_flight_) sync_cv_.wait(lock.std_lock());
+  durable_upto_ = data.last_applied_seq;
+  sync_cv_.notify_all();
+
+  // The WAL restarts empty. A crash between these steps is safe:
+  // stale records carry seq <= last_applied_seq and are skipped on
+  // replay.
   const bool was_open = wal_.is_open();
   if (was_open) NOUS_RETURN_IF_ERROR(wal_.Close());
   NOUS_RETURN_IF_ERROR(RemoveFile(wal_path()));
@@ -164,13 +215,8 @@ Status DurabilityManager::WriteCheckpoint(std::string state) {
 
 Status DurabilityManager::InstallCheckpoint(uint64_t last_applied_seq,
                                             std::string state) {
-  last_logged_seq_ = last_applied_seq;
+  last_logged_seq_.store(last_applied_seq, std::memory_order_release);
   return WriteCheckpoint(std::move(state));
-}
-
-Status DurabilityManager::SyncWal() {
-  if (!wal_.is_open()) return Status::Ok();
-  return wal_.Sync();
 }
 
 Status DurabilityManager::Close() {

@@ -136,7 +136,9 @@ Status WalWriter::Append(uint64_t seq, std::string_view payload) {
   ++records_since_sync_;
   switch (options_.fsync_policy) {
     case FsyncPolicy::kAlways:
-      return Sync();
+      // Group commit: the owner fsyncs before acknowledging, once for
+      // every record appended meanwhile (DurabilityManager::WaitDurable).
+      return Status::Ok();
     case FsyncPolicy::kInterval:
       if (records_since_sync_ >= options_.fsync_interval_records) {
         return Sync();
@@ -149,6 +151,12 @@ Status WalWriter::Append(uint64_t seq, std::string_view payload) {
 }
 
 Status WalWriter::Sync() {
+  NOUS_RETURN_IF_ERROR(SyncData());
+  records_since_sync_ = 0;
+  return Status::Ok();
+}
+
+Status WalWriter::SyncData() {
   if (!is_open()) return Status::FailedPrecondition("WAL not open");
   NOUS_SPAN("wal_fsync");
   if (auto fault = FaultInjector::Global().Hit("wal_fsync")) {
@@ -160,7 +168,6 @@ Status WalWriter::Sync() {
     }
   }
   if (::fsync(fd_) != 0) return Status::Internal(Errno("fsync", path_));
-  records_since_sync_ = 0;
   return Status::Ok();
 }
 

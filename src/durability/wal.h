@@ -12,7 +12,8 @@ namespace nous {
 
 /// When the WAL forces appended records to stable storage.
 enum class FsyncPolicy {
-  kAlways,    ///< fsync after every append (durable to the last batch)
+  kAlways,    ///< every record fsynced before it is acknowledged; the
+              ///< owner group-commits (WalWriter::Append does not sync)
   kInterval,  ///< fsync every `fsync_interval_records` appends
   kNever,     ///< rely on the OS page cache (tests / throwaway runs)
 };
@@ -59,7 +60,7 @@ struct WalReadResult {
 /// after close — simulates a crash with unsynced page cache).
 ///
 /// Not internally synchronized: NOUS serializes appends under the
-/// pipeline's ingest commit lock.
+/// pipeline's ingest commit lock; only SyncData() may overlap them.
 class WalWriter {
  public:
   WalWriter() = default;
@@ -81,6 +82,11 @@ class WalWriter {
 
   /// Forces everything appended so far to stable storage.
   Status Sync();
+
+  /// Sync() without the kInterval bookkeeping, so it may run
+  /// concurrently with Append() on another thread (group commit). The
+  /// caller must keep Open()/Close() from racing it.
+  Status SyncData();
 
   /// Syncs (best effort) and closes the file. Idempotent.
   Status Close();

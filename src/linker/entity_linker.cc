@@ -186,13 +186,13 @@ std::vector<LinkDecision> EntityLinker::LinkMentions(
     // even though this file lives outside the nous-layering allow-list
     // (DESIGN.md §5.14).
     // NOLINTNEXTLINE(nous-layering)
-    // lint: graph-mutation-ok(kg_mutex-held commit write, captured as ops)
+    // lint: graph-mutation-ok(kg_mutex-held commit write, replayed from the WAL)
     VertexId v = graph_->GetOrAddVertex(surfaces[i]);
     EntityType type =
         i < types.size() ? types[i] : EntityType::kMisc;
     if (graph_->VertexType(v) == kInvalidType) {
       // NOLINTNEXTLINE(nous-layering)
-      // lint: graph-mutation-ok(same commit section, captured as a KgOp)
+      // lint: graph-mutation-ok(same commit section, replayed from the WAL)
       graph_->SetVertexType(v, graph_->types().Intern(TypeNameFor(type)));
     }
     RegisterEntity(v, {surfaces[i]}, 1.0);

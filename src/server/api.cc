@@ -135,35 +135,17 @@ HttpResponse NousApi::HandleQuery(const HttpRequest& request) {
         answer.status().ToString());
   }
   HttpResponse response;
-  if (snap != nullptr) {
-    response.body = AnswerJson(*answer, snap->graph());
-  } else {
-    // Locked fallback (snapshot publishing disabled): one shared-lock
-    // span must cover the serialization too.
-    ReaderMutexLock lock(nous_->kg_mutex());
-    response.body = AnswerJson(*answer, nous_->graph());
-  }
+  response.body = AnswerJson(*answer, snap->graph());
   return response;
 }
 
 HttpResponse NousApi::HandleStats() {
   NOUS_SPAN("api_stats");
-  // Snapshot path: walk the latest published view, no lock. Locked
-  // fallback only when snapshot publishing is disabled.
-  GraphStats stats;
-  PipelineStats ps;
-  uint64_t kg_version = 0;
+  // Walk the latest published snapshot, no lock.
   std::shared_ptr<const KgSnapshot> snap = nous_->snapshot();
-  if (snap != nullptr) {
-    stats = ComputeGraphStats(snap->graph());
-    ps = snap->stats();
-    kg_version = snap->version();
-  } else {
-    ReaderMutexLock lock(nous_->kg_mutex());
-    stats = ComputeGraphStats(nous_->graph());
-    ps = nous_->stats();
-    kg_version = nous_->kg_version();
-  }
+  const GraphStats stats = ComputeGraphStats(snap->graph());
+  const PipelineStats& ps = snap->stats();
+  const uint64_t kg_version = snap->version();
   JsonWriter w;
   w.BeginObject();
   w.Key("vertices");
@@ -191,12 +173,10 @@ HttpResponse NousApi::HandleStats() {
   w.Int(static_cast<long long>(
       nous_->pipeline().snapshot_store().publish_count()));
   w.Key("snapshot_graph_bytes");
-  w.Int(static_cast<long long>(snap != nullptr ? snap->approx_graph_bytes()
-                                               : 0));
+  w.Int(static_cast<long long>(snap->approx_graph_bytes()));
   // Live COW split: how much of the snapshot is shared with the live
   // graph vs retained privately (amplification = private / total).
-  CowFootprint snap_fp;
-  if (snap != nullptr) snap_fp = snap->graph().Footprint();
+  const CowFootprint snap_fp = snap->graph().Footprint();
   w.Key("snapshot_graph_shared_bytes");
   w.Int(static_cast<long long>(snap_fp.shared_bytes));
   w.Key("snapshot_graph_private_bytes");
@@ -338,21 +318,17 @@ HttpResponse NousApi::HandleIngest(const HttpRequest& request) {
     source = it->second;
   }
   auto read_counts = [this](size_t* accepted, size_t* edges) {
-    if (auto snap = nous_->snapshot()) {
-      *accepted = snap->stats().accepted_triples;
-      *edges = snap->graph().NumEdges();
-      return;
-    }
-    ReaderMutexLock lock(nous_->kg_mutex());
-    *accepted = nous_->stats().accepted_triples;
-    *edges = nous_->graph().NumEdges();
+    std::shared_ptr<const KgSnapshot> snap = nous_->snapshot();
+    *accepted = snap->stats().accepted_triples;
+    *edges = snap->graph().NumEdges();
   };
   size_t accepted_before = 0, edges_before = 0;
   read_counts(&accepted_before, &edges_before);
   Status status = nous_->IngestText(request.body, date, source);
   if (!status.ok()) {
-    // Durable logging failed: nothing was committed, so the honest
-    // answer is "retry later", not a fabricated accept count.
+    // Durable logging (or, under kAlways, its group fsync) failed:
+    // the document is not acknowledged, so the honest answer is
+    // "retry later", not a fabricated accept count.
     return JsonError(503, "ingest not durable: " + status.ToString());
   }
   // The ingest call published its snapshot before returning
@@ -510,14 +486,7 @@ HttpResponse NousApi::Handle(const HttpRequest& request) {
   // The KG version this process would serve right now. Combined with
   // X-Nous-Kg-Version from the leader, clients can bound the staleness
   // of any replica read without a second round trip.
-  uint64_t kg_version = 0;
-  if (std::shared_ptr<const KgSnapshot> snap = nous_->snapshot();
-      snap != nullptr) {
-    kg_version = snap->version();
-  } else {
-    ReaderMutexLock lock(nous_->kg_mutex());
-    kg_version = nous_->kg_version();
-  }
+  const uint64_t kg_version = nous_->snapshot()->version();
   response.headers.emplace_back(
       "X-Nous-Kg-Version",
       StrFormat("%llu", static_cast<unsigned long long>(kg_version)));

@@ -3,13 +3,17 @@
 // state, and kill -9 at any byte offset of the log recovers a KG equal
 // to the last durable batch — torn tails are CRC-detected and dropped,
 // never crashed on. Fault injection (NOUS_FAULTS) drives the failure
-// paths deterministically.
+// paths deterministically. Group commit (kAlways, DESIGN.md §5.16):
+// concurrent writers share fsyncs, acknowledge only what recovery
+// restores, and a failed fsync fails its whole group and sticks.
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -603,6 +607,50 @@ TEST_F(DurabilityPipelineFixture,
   }
 }
 
+TEST_F(DurabilityPipelineFixture, LoadStateAcceptsVersion2ImagesWithTimings) {
+  auto articles = MakeArticles();
+  ASSERT_GE(articles.size(), 6u);
+  KgPipeline original(&kb_, FastOptions().pipeline);
+  original.IngestBatch(articles.data(), 6);
+  std::string v3 = original.SaveState();
+
+  // Rebuild the v2 layout: version word 2, and five wall-clock F64s
+  // right after the twelve stats counters.
+  BinaryWriter counters;
+  {
+    ReaderMutexLock lock(original.kg_mutex());
+    const PipelineStats& st = original.stats();
+    for (size_t c : {st.documents, st.extractions, st.accepted_triples,
+                     st.deduped_triples, st.dropped_low_confidence,
+                     st.dropped_unmapped, st.mapped_triples,
+                     st.unmapped_kept, st.linked_to_existing,
+                     st.new_entities, st.ds_alignments, st.retractions}) {
+      counters.U64(c);
+    }
+  }
+  const size_t at = v3.find(counters.data());
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(v3.find(counters.data(), at + 1), std::string::npos);
+  BinaryWriter timings;
+  for (double seconds : {0.5, 1.5, 2.5, 3.5, 4.5}) timings.F64(seconds);
+  std::string v2 = v3;
+  v2.insert(at + counters.data().size(), timings.data());
+  BinaryWriter version;
+  version.U32(2);
+  v2.replace(0, version.data().size(), version.data());
+
+  KgPipeline restored(&kb_, FastOptions().pipeline);
+  Status load = restored.LoadState(v2);
+  ASSERT_TRUE(load.ok()) << load;
+  // The timings were read and discarded: the re-saved image is the
+  // timing-free v3 image, byte for byte.
+  EXPECT_EQ(restored.SaveState(), v3);
+  {
+    ReaderMutexLock lock(restored.kg_mutex());
+    EXPECT_EQ(restored.stats().extract_seconds, 0.0);
+  }
+}
+
 TEST_F(DurabilityPipelineFixture, LoadStateRejectsAMismatchedCuratedKb) {
   KgPipeline original(&kb_, FastOptions().pipeline);
   std::string payload = original.SaveState();
@@ -933,6 +981,142 @@ TEST_F(DurabilityPipelineFixture, KgVersionSurvivesCrashRecovery) {
     ASSERT_TRUE(recovered.IngestBatch(more[4]).ok());
     EXPECT_EQ(recovered.snapshot()->version(), reference_version + 1);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Group commit (FsyncPolicy::kAlways)
+
+class GroupCommitFixture : public DurabilityPipelineFixture {
+ protected:
+  Nous::Options AlwaysOptions(const std::string& dir,
+                              size_t checkpoint_interval = 0) {
+    Nous::Options options = DurableOptions(dir, checkpoint_interval);
+    options.durability.fsync_policy = FsyncPolicy::kAlways;
+    return options;
+  }
+  static std::string GraphBytes(Nous& nous) {
+    ReaderMutexLock lock(nous.kg_mutex());
+    BinaryWriter writer;
+    nous.graph().SaveBinary(&writer);
+    return writer.Take();
+  }
+  /// Runs `writers` threads that ingest `articles` one at a time
+  /// (shared cursor); returns how many ingests were acknowledged.
+  static size_t IngestConcurrently(Nous* nous,
+                                   const std::vector<Article>& articles,
+                                   size_t writers) {
+    std::atomic<size_t> next{0};
+    std::atomic<size_t> acked{0};
+    std::vector<std::thread> threads;
+    for (size_t w = 0; w < writers; ++w) {
+      threads.emplace_back([&] {
+        for (;;) {
+          size_t i = next.fetch_add(1);
+          if (i >= articles.size()) return;
+          if (nous->Ingest(articles[i]).ok()) acked.fetch_add(1);
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    return acked.load();
+  }
+};
+
+TEST_F(GroupCommitFixture, EightWritersAcknowledgeOnlyWhatRecoveryRestores) {
+  FaultGuard guard;
+  std::string dir = FreshDir("group_commit");
+  // The corpus four times over (re-sent news is deduplicated, still
+  // one commit each), so eight writers contend for a while.
+  std::vector<Article> articles;
+  for (int pass = 0; pass < 4; ++pass) {
+    for (const Article& a : MakeArticles()) articles.push_back(a);
+  }
+  // Checkpoints every 4 batches race the fsync waiters too.
+  Nous live(&kb_, AlwaysOptions(dir, /*checkpoint_interval=*/4));
+  ASSERT_TRUE(live.EnableDurability().ok());
+  // A 1 ms fsync lets the other writers append behind each flush.
+  FaultInjector::Global().Arm("wal_fsync", FaultKind::kDelay, 1,
+                              /*sticky=*/true, /*arg=*/1);
+  const size_t acked = IngestConcurrently(&live, articles, 8);
+  FaultInjector::Global().Reset();
+  EXPECT_EQ(acked, articles.size());
+  EXPECT_EQ(Documents(live), acked);
+
+  // Recover from a copy of the files taken while `live` still runs —
+  // what a kill -9 now would leave — not from a clean shutdown.
+  std::string crash_dir = FreshDir("group_commit_crash");
+  for (const char* file : {"/wal.log", "/checkpoint.nous"}) {
+    if (FileExists(dir + file)) {
+      WriteFile(crash_dir + file, ReadFile(dir + file));
+    }
+  }
+  Nous recovered(&kb_, AlwaysOptions(crash_dir));
+  auto stats = recovered.Recover();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->last_seq, articles.size());
+  // Every acknowledged article is back, applied in the live WAL order.
+  EXPECT_EQ(Documents(recovered), acked);
+  EXPECT_EQ(GraphBytes(recovered), GraphBytes(live));
+}
+
+TEST_F(GroupCommitFixture, FailedFsyncFailsItsWholeGroupAndSticks) {
+  FaultGuard guard;
+  std::string dir = FreshDir("group_fsync_fail");
+  auto articles = MakeArticles();
+  ASSERT_GE(articles.size(), 10u);
+  const std::vector<Article> group(articles.begin(), articles.begin() + 8);
+  std::string live_bytes;
+  {
+    Nous live(&kb_, AlwaysOptions(dir));
+    ASSERT_TRUE(live.EnableDurability().ok());
+    // The first group fsync fails (once); nothing was durable before.
+    FaultInjector::Global().Arm("wal_fsync", FaultKind::kFail, 1);
+    EXPECT_EQ(IngestConcurrently(&live, group, 8), 0u);
+    FaultInjector::Global().Reset();
+    // Sticky: with the fault gone, commits and checkpoints still fail,
+    // and a refused commit is not applied.
+    const size_t docs = Documents(live);
+    EXPECT_FALSE(live.Ingest(articles[8]).ok());
+    EXPECT_EQ(Documents(live), docs);
+    EXPECT_FALSE(live.Checkpoint().ok());
+    live_bytes = GraphBytes(live);
+  }
+  // A fresh Recover() clears the error. Batches that reached the WAL
+  // were applied (visible, never acknowledged) and replay identically.
+  Nous recovered(&kb_, AlwaysOptions(dir));
+  ASSERT_TRUE(recovered.Recover().ok());
+  EXPECT_EQ(GraphBytes(recovered), live_bytes);
+  EXPECT_TRUE(recovered.Ingest(articles[9]).ok());
+}
+
+TEST_F(GroupCommitFixture, CheckpointsRacingFsyncWaitersStayConsistent) {
+  FaultGuard guard;
+  std::string dir = FreshDir("group_checkpoint_race");
+  auto articles = MakeArticles();
+  std::string live_bytes;
+  {
+    Nous live(&kb_, AlwaysOptions(dir));
+    ASSERT_TRUE(live.EnableDurability().ok());
+    std::atomic<bool> done{false};
+    std::atomic<size_t> checkpoints{0};
+    std::thread checkpointer([&] {
+      while (!done.load()) {
+        EXPECT_TRUE(live.Checkpoint().ok());
+        checkpoints.fetch_add(1);
+      }
+    });
+    EXPECT_EQ(IngestConcurrently(&live, articles, 4), articles.size());
+    done.store(true);
+    checkpointer.join();
+    EXPECT_GT(checkpoints.load(), 0u);
+    live_bytes = GraphBytes(live);
+  }
+  Nous recovered(&kb_, AlwaysOptions(dir));
+  auto stats = recovered.Recover();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->last_seq, articles.size());
+  EXPECT_EQ(Documents(recovered), articles.size());
+  EXPECT_EQ(GraphBytes(recovered), live_bytes);
 }
 
 }  // namespace

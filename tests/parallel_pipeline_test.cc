@@ -146,6 +146,20 @@ TEST_F(ParallelPipelineFixture, IngestStreamBatchingMatchesSerial) {
   ExpectStatsEqualModuloTiming(serial.stats(), streamed.stats());
 }
 
+TEST_F(ParallelPipelineFixture, SaveStateBytesMatchAcrossRunsAndThreadCounts) {
+  // Durable images are a pure function of the ingested stream: no
+  // wall-clock value inside, and the same bytes at every thread count.
+  auto articles = MakeArticles();
+  auto image = [&](size_t threads) {
+    Nous nous(&kb_, FastOptions(threads));
+    NOUS_CHECK_OK(nous.IngestBatch(articles));
+    return nous.pipeline().SaveState();
+  };
+  const std::string first = image(1);
+  EXPECT_EQ(image(1), first);
+  EXPECT_EQ(image(4), first);
+}
+
 TEST_F(ParallelPipelineFixture, QueriesRunSafelyDuringIngest) {
   // Readers (Ask, ComputeStats) hold the shared lock while a writer
   // thread streams documents in. The test is a smoke check for the

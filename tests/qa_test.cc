@@ -121,9 +121,8 @@ TEST_F(PathFixture, TopicGuidanceBeatsBfsOnCoherence) {
 }
 
 // Regression: equal-coherence paths used to land in std::sort's
-// unspecified order, so the top-k cut could differ across platforms
-// (and across shard counts once scatter-gather merges views). Ties
-// now break lexicographically by (vertices, edges).
+// unspecified order, so the top-k cut could differ across platforms.
+// Ties now break lexicographically by (vertices, edges).
 TEST(PathTieBreakTest, EqualCoherencePathsSortLexicographically) {
   PropertyGraph graph;
   VertexId src = graph.GetOrAddVertex("src");

@@ -1,6 +1,6 @@
 // Snapshot-isolated query serving (DESIGN.md §5.11): publish-on-commit
 // KgSnapshots, the monotonic KG version, the versioned LRU query
-// cache, and the locked fallback. The concurrency case at the bottom
+// cache, and parity with the live graph. The concurrency case at the bottom
 // is the TSan target for "queries never hold kg_mutex": readers and a
 // writer run together and every answer must be consistent with the
 // exact snapshot it was served from.
@@ -111,52 +111,43 @@ TEST_F(SnapshotTest, SnapshotsAreIsolatedFromLaterIngest) {
 }
 
 TEST_F(SnapshotTest, SnapshotAnswersMatchLockedAnswers) {
-  // Same corpus through a snapshot-serving instance (cache off, so
-  // every ask re-executes) and a locked-fallback instance: the five
-  // query classes must render identically.
-  Nous::Options snapshot_options;
-  snapshot_options.query_cache.enabled = false;
-  Nous snapshot_nous(&kb_, snapshot_options);
-  Nous::Options locked_options;
-  locked_options.pipeline.publish_snapshots = false;
-  Nous locked_nous(&kb_, locked_options);
-  for (const Article& a : articles_) {
-    NOUS_CHECK_OK(snapshot_nous.Ingest(a));
-    NOUS_CHECK_OK(locked_nous.Ingest(a));
-  }
-  std::shared_ptr<const KgSnapshot> snap = snapshot_nous.snapshot();
+  // Snapshot serving (cache off, so every ask re-executes) must render
+  // each query class exactly as an engine run against the live graph
+  // and miner under the reader lock.
+  Nous::Options options;
+  options.query_cache.enabled = false;
+  Nous nous(&kb_, options);
+  for (const Article& a : articles_) NOUS_CHECK_OK(nous.Ingest(a));
+  std::shared_ptr<const KgSnapshot> snap = nous.snapshot();
   ASSERT_NE(snap, nullptr);
-  EXPECT_EQ(locked_nous.snapshot(), nullptr);
   std::string entity = BusyEntity(*snap);
   std::vector<std::string> questions = {"tell me about " + entity,
                                         "what is trending",
                                         "show patterns"};
   for (const std::string& question : questions) {
     std::shared_ptr<const KgSnapshot> out;
-    auto from_snapshot = snapshot_nous.Ask(question, &out);
-    auto from_locked = locked_nous.Ask(question, &out);
+    auto from_snapshot = nous.Ask(question, &out);
+    ReaderMutexLock lock(nous.kg_mutex());
+    QueryEngine locked(&nous.graph(), nous.miner(), options.query,
+                       nous.pipeline().miner_graph());
+    auto from_locked = locked.ExecuteText(question);
     ASSERT_EQ(from_snapshot.ok(), from_locked.ok()) << question;
     if (!from_snapshot.ok()) continue;
+    EXPECT_EQ(out, snap);
     EXPECT_EQ(from_snapshot->Render(snap->graph()),
-              [&] {
-                ReaderMutexLock lock(locked_nous.kg_mutex());
-                return from_locked->Render(locked_nous.graph());
-              }())
+              from_locked->Render(nous.graph()))
         << question;
   }
 }
 
-TEST_F(SnapshotTest, LockedFallbackReportsNullSnapshot) {
-  Nous::Options options;
-  options.pipeline.publish_snapshots = false;
-  Nous nous(&kb_, options);
+TEST_F(SnapshotTest, AskReportsTheSnapshotItAnswered) {
+  Nous nous(&kb_);
   for (size_t i = 0; i < 8; ++i) NOUS_CHECK_OK(nous.Ingest(articles_[i]));
-  // Non-null sentinel (an empty snapshot) so the nulling is observable.
-  std::shared_ptr<const KgSnapshot> out = std::make_shared<const KgSnapshot>(
-      0, PropertyGraph{}, nullptr, PipelineStats{});
+  std::shared_ptr<const KgSnapshot> out;
   auto answer = nous.Ask("what is trending", &out);
   ASSERT_TRUE(answer.ok());
-  EXPECT_EQ(out, nullptr);
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(out, nous.snapshot());
 }
 
 TEST_F(SnapshotTest, CacheHitsOnRepeatAndCountsStats) {

@@ -65,13 +65,12 @@ hygiene contracts (DESIGN.md "Static analysis & locking contracts"):
                       AddEdge, RemoveEdge, SetVertexType,
                       SetVertexTopics, AddVertexTerm,
                       SetEdgeConfidence, RebuildDerivedIndexes) is
-                      confined to the commit path: src/graph/ itself,
-                      the sequential planner (src/core/pipeline.cc),
-                      and the shard replay lanes
-                      (src/core/shard_set.cc). Anywhere else a write
-                      would bypass op capture, and the N-shard replay
-                      (DESIGN.md §5.16) silently diverges from the
-                      planner. Suppress with
+                      confined to the commit path: src/graph/ itself
+                      and the pipeline (src/core/pipeline.cc). Anywhere
+                      else a write bypasses the WAL: recovery replays
+                      only logged batches through the pipeline, so the
+                      recovered KG would no longer be bit-identical to
+                      the live one (DESIGN.md §5.10). Suppress with
                       `// lint: graph-mutation-ok(reason)`.
 
 Suppression comments must name a reason; empty parentheses do not
@@ -138,10 +137,9 @@ GRAPH_MUTATOR_RE = re.compile(
     r"(?:\.|->)\s*(GetOrAddVertex|AddEdge|RemoveEdge|SetVertexType|"
     r"SetVertexTopics|AddVertexTerm|SetEdgeConfidence|"
     r"RebuildDerivedIndexes)\s*\(")
-# The commit path: the graph layer, the sequential planner, the shard
-# replay lanes.
-GRAPH_MUTATION_ALLOWED = (
-    "/src/graph/", "/src/core/pipeline.cc", "/src/core/shard_set.cc")
+# The commit path: the graph layer and the pipeline, whose every write
+# is replayed from the WAL on recovery.
+GRAPH_MUTATION_ALLOWED = ("/src/graph/", "/src/core/pipeline.cc")
 
 
 def strip_comments_and_strings(text):
@@ -399,9 +397,8 @@ class Linter:
                     path, lineno, "graph-mutation",
                     f"direct PropertyGraph mutation '{m.group(1)}' "
                     "outside the commit path (src/graph/, "
-                    "src/core/pipeline.cc, src/core/shard_set.cc); "
-                    "route it through captured KgOps so shard replay "
-                    "stays bit-identical — or add "
+                    "src/core/pipeline.cc): it bypasses the WAL, so "
+                    "recovery would not be bit-identical — or add "
                     "`// lint: graph-mutation-ok(reason)`")
 
     # R8

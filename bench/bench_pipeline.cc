@@ -11,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
@@ -39,11 +40,15 @@ void RunThroughput() {
   bench::PrintHeader(
       "E8: end-to-end pipeline",
       "Figure 1 (system) + §1 contribution 3 (multi-source answers)",
-      "Stage breakdown, throughput, and evidence source spread.");
+      "Stage breakdown (us/doc and share), throughput, and evidence "
+      "source spread, as the corpus grows 200 -> 6400 events.");
+  std::cout << "hardware_concurrency: " << std::thread::hardware_concurrency()
+            << "\n";
   TablePrinter table({"events", "articles", "docs/s", "triples/s",
-                      "extract %", "link %", "map %", "score %",
-                      "mine %"});
-  for (size_t events : {200ul, 400ul, 800ul}) {
+                      "extract us/doc", "extract %", "link us/doc",
+                      "link %", "map us/doc", "map %", "score us/doc",
+                      "score %", "mine us/doc", "mine %"});
+  for (size_t events : {200ul, 400ul, 800ul, 1600ul, 3200ul, 6400ul}) {
     CorpusConfig corpus_config;
     corpus_config.sources = {"wsj", "webcrawl", "technews"};
     auto fixture = bench::MakeDroneFixture(events, 17, 0.6,
@@ -57,19 +62,21 @@ void RunThroughput() {
                          ps.map_seconds + ps.score_seconds +
                          ps.mine_seconds;
     if (stage_total <= 0) stage_total = 1e-9;
-    auto pct = [&](double s) {
-      return TablePrinter::Num(100.0 * s / stage_total, 1);
-    };
-    table.AddRow(
-        {TablePrinter::Int(static_cast<long long>(events)),
-         TablePrinter::Int(static_cast<long long>(ps.documents)),
-         TablePrinter::Num(static_cast<double>(ps.documents) /
-                               ingest_seconds, 1),
-         TablePrinter::Num(static_cast<double>(ps.accepted_triples) /
-                               ingest_seconds, 1),
-         pct(ps.extract_seconds), pct(ps.link_seconds),
-         pct(ps.map_seconds), pct(ps.score_seconds),
-         pct(ps.mine_seconds)});
+    const double docs =
+        static_cast<double>(std::max<size_t>(ps.documents, 1));
+    std::vector<std::string> row = {
+        TablePrinter::Int(static_cast<long long>(events)),
+        TablePrinter::Int(static_cast<long long>(ps.documents)),
+        TablePrinter::Num(static_cast<double>(ps.documents) /
+                              ingest_seconds, 1),
+        TablePrinter::Num(static_cast<double>(ps.accepted_triples) /
+                              ingest_seconds, 1)};
+    for (double s : {ps.extract_seconds, ps.link_seconds, ps.map_seconds,
+                     ps.score_seconds, ps.mine_seconds}) {
+      row.push_back(TablePrinter::Num(1e6 * s / docs, 1));
+      row.push_back(TablePrinter::Num(100.0 * s / stage_total, 1));
+    }
+    table.AddRow(row);
   }
   table.Print(std::cout);
 }

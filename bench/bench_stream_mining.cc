@@ -8,11 +8,20 @@
 // the baselines remine the current window graph from scratch. We
 // report per-slide latency and the cumulative speedup, sweeping window
 // size. Result sets are cross-checked for equality at each checkpoint.
+//
+//   bench_stream_mining [--small]
+//
+// --small runs smaller windows and skips the micro-benchmarks, for CI.
+// The exit status is 1 when any slide's streaming result differed from
+// a baseline's ("results match" = NO), so the run doubles as a miner
+// equivalence gate.
 
 #include <benchmark/benchmark.h>
 
+#include <cstring>
 #include <iostream>
 #include <map>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/table_printer.h"
@@ -37,6 +46,10 @@ std::vector<TimedTriple> MakeStream(size_t num_events, uint64_t seed) {
   return GeneratePlantedStream(config);
 }
 
+/// Cleared by any slide whose streaming result differs from a
+/// baseline's; main() turns it into the exit status.
+bool g_all_results_match = true;
+
 std::map<std::string, size_t> ResultKey(
     const std::vector<PatternStats>& stats, const Dictionary& preds) {
   std::map<std::string, size_t> key;
@@ -46,7 +59,19 @@ std::map<std::string, size_t> ResultKey(
   return key;
 }
 
-void RunWindowSweep() {
+/// True when the streaming miner's frequent set equals both baselines'.
+bool ResultsMatch(const StreamingMiner& miner,
+                  const std::vector<PatternStats>& arabesque,
+                  const std::vector<PatternStats>& gspan,
+                  const Dictionary& preds) {
+  auto streaming = ResultKey(miner.FrequentPatterns(), preds);
+  bool match = streaming == ResultKey(arabesque, preds) &&
+               streaming == ResultKey(gspan, preds);
+  if (!match) g_all_results_match = false;
+  return match;
+}
+
+void RunWindowSweep(bool small) {
   bench::PrintHeader(
       "E4: streaming frequent graph mining",
       "§3.5 (speedup vs Arabesque-style re-enumeration)",
@@ -55,7 +80,10 @@ void RunWindowSweep() {
                       "arabesque ms/slide", "gspan ms/slide",
                       "speedup vs arabesque", "speedup vs gspan",
                       "frequent", "results match"});
-  for (size_t window_size : {1000ul, 2000ul, 4000ul, 8000ul}) {
+  const std::vector<size_t> windows =
+      small ? std::vector<size_t>{500, 1000}
+            : std::vector<size_t>{1000, 2000, 4000, 8000};
+  for (size_t window_size : windows) {
     MinerConfig config;
     config.max_edges = 2;
     config.min_support = 8;
@@ -83,11 +111,8 @@ void RunWindowSweep() {
         WallTimer t2;
         auto gspan = MineGspan(graph, config);
         gspan_seconds += t2.ElapsedSeconds();
-        auto stream_result =
-            ResultKey(miner.FrequentPatterns(), graph.predicates());
-        frequent_count = stream_result.size();
-        if (stream_result != ResultKey(arabesque, graph.predicates()) ||
-            stream_result != ResultKey(gspan, graph.predicates())) {
+        frequent_count = miner.FrequentPatterns().size();
+        if (!ResultsMatch(miner, arabesque, gspan, graph.predicates())) {
           all_match = false;
         }
       }
@@ -160,35 +185,42 @@ void RunMinsupSweep() {
   table.Print(std::cout);
 }
 
-void RunPatternSizeSweep() {
-  std::cout << "\n-- pattern size sensitivity (window 2000) --\n";
+void RunPatternSizeSweep(bool small) {
+  const size_t window_size = small ? 500 : 2000;
+  std::cout << "\n-- pattern size sensitivity (window " << window_size
+            << ") --\n";
   TablePrinter table({"max edges", "stream ms/slide",
                       "arabesque ms/slide", "gspan ms/slide",
-                      "speedup vs arabesque", "live embeddings"});
+                      "speedup vs arabesque", "live embeddings",
+                      "results match"});
   for (size_t max_edges : {1ul, 2ul, 3ul}) {
     MinerConfig config;
     config.max_edges = max_edges;
     config.min_support = 8;
     PropertyGraph graph;
-    TemporalWindow window(&graph, 2000);
+    TemporalWindow window(&graph, window_size);
     StreamingMiner miner(config);
     window.AddListener(&miner);
-    auto stream = MakeStream(4000, 13);
-    const size_t slide = 200;
+    auto stream = MakeStream(2 * window_size, 13);
+    const size_t slide = window_size / 10;
     double stream_seconds = 0, arabesque_seconds = 0, gspan_seconds = 0;
     size_t slides = 0;
+    bool all_match = true;
     for (size_t i = 0; i < stream.size(); ++i) {
       WallTimer t;
       window.Add(stream[i]);
       stream_seconds += t.ElapsedSeconds();
-      if (i >= 2000 && (i % slide) == 0) {
+      if (i >= window_size && (i % slide) == 0) {
         ++slides;
         WallTimer t1;
-        MineArabesqueSim(graph, config);
+        auto arabesque = MineArabesqueSim(graph, config);
         arabesque_seconds += t1.ElapsedSeconds();
         WallTimer t2;
-        MineGspan(graph, config);
+        auto gspan = MineGspan(graph, config);
         gspan_seconds += t2.ElapsedSeconds();
+        if (!ResultsMatch(miner, arabesque, gspan, graph.predicates())) {
+          all_match = false;
+        }
       }
     }
     double stream_per_slide =
@@ -204,7 +236,8 @@ void RunPatternSizeSweep() {
          TablePrinter::Num(gspan_per_slide * 1e3, 2),
          TablePrinter::Num(arabesque_per_slide / stream_per_slide, 2),
          TablePrinter::Int(static_cast<long long>(
-             miner.num_live_embeddings()))});
+             miner.num_live_embeddings())),
+         all_match ? "yes" : "NO"});
   }
   table.Print(std::cout);
 }
@@ -235,10 +268,29 @@ BENCHMARK(BM_StreamingMinerAddEdge)->Arg(1000)->Arg(4000);
 }  // namespace nous
 
 int main(int argc, char** argv) {
-  nous::RunWindowSweep();
-  nous::RunMinsupSweep();
-  nous::RunPatternSizeSweep();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  // Consume --small ourselves so the remaining flags go to the
+  // benchmark library untouched.
+  bool small = false;
+  int out = 1;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--small") == 0) {
+      small = true;
+    } else {
+      argv[out++] = argv[i];
+    }
+  }
+  argc = out;
+  nous::RunWindowSweep(small);
+  if (!small) nous::RunMinsupSweep();
+  nous::RunPatternSizeSweep(small);
+  if (!small) {
+    benchmark::Initialize(&argc, argv);
+    benchmark::RunSpecifiedBenchmarks();
+  }
+  if (!nous::g_all_results_match) {
+    std::cerr << "bench_stream_mining: a slide's streaming result "
+                 "differed from a baseline (results match = NO)\n";
+    return 1;
+  }
   return 0;
 }

@@ -18,8 +18,9 @@ namespace nous {
 /// measured against this.
 ///
 /// Returns patterns with support >= config.min_support, sorted by
-/// support descending. `total_embeddings`, when non-null, receives the
-/// number of embeddings enumerated (the work measure).
+/// support descending (ties in first-seen order). `total_embeddings`,
+/// when non-null, receives the number of embeddings enumerated (the
+/// work measure).
 std::vector<PatternStats> MineArabesqueSim(const PropertyGraph& graph,
                                            const MinerConfig& config,
                                            size_t* total_embeddings = nullptr);

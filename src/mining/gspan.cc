@@ -25,21 +25,31 @@ struct LevelEntry {
   }
 };
 
-using Level = std::unordered_map<Pattern, LevelEntry, PatternHash>;
+/// One level's patterns in first-seen order, with a lookup index.
+struct Level {
+  std::vector<LevelEntry> entries;
+  std::unordered_map<Pattern, size_t, PatternHash> index;
+};
 
 void Accumulate(const PropertyGraph& graph, const MinerConfig& config,
-                const std::vector<EdgeId>& subset, Level* level,
+                const std::vector<EdgeId>& subset,
+                Pattern::Canonicalizer* canonicalizer, Level* level,
                 size_t* total) {
-  std::vector<VertexId> assignment;
-  Pattern p = CanonicalizeEdgeSet(graph, subset, config.use_vertex_types,
-                                  &assignment);
-  LevelEntry& entry = (*level)[p];
-  if (entry.embeddings.empty() && entry.position_counts.empty()) {
-    entry.pattern = p;
-    entry.position_counts.resize(p.num_vertices());
+  CanonicalizeEdgeSet(graph, subset, config.use_vertex_types,
+                      canonicalizer);
+  const Pattern& p = canonicalizer->pattern();
+  auto [it, inserted] = level->index.try_emplace(p, level->entries.size());
+  if (inserted) {
+    LevelEntry fresh;
+    fresh.pattern = p;
+    fresh.position_counts.resize(p.num_vertices());
+    level->entries.push_back(std::move(fresh));
   }
+  LevelEntry& entry = level->entries[it->second];
+  const std::vector<uint64_t>& assignment =
+      canonicalizer->position_to_vertex();
   for (size_t pos = 0; pos < assignment.size(); ++pos) {
-    entry.position_counts[pos][assignment[pos]]++;
+    entry.position_counts[pos][static_cast<VertexId>(assignment[pos])]++;
   }
   entry.embeddings.push_back(subset);
   ++(*total);
@@ -51,19 +61,20 @@ std::vector<PatternStats> MineGspan(const PropertyGraph& graph,
                                     const MinerConfig& config,
                                     size_t* total_embeddings) {
   size_t total = 0;
+  Pattern::Canonicalizer canonicalizer;
   // Level 1: every live edge.
   Level level;
   graph.ForEachEdge([&](EdgeId e, const EdgeRecord&) {
-    Accumulate(graph, config, {e}, &level, &total);
+    Accumulate(graph, config, {e}, &canonicalizer, &level, &total);
   });
 
   std::vector<PatternStats> results;
   auto harvest = [&results, &config](const Level& lv) {
-    for (const auto& [pattern, entry] : lv) {
+    for (const LevelEntry& entry : lv.entries) {
       size_t support = entry.Support();
       if (support < config.min_support) continue;
       PatternStats stats;
-      stats.pattern = pattern;
+      stats.pattern = entry.pattern;
       stats.embeddings = entry.embeddings.size();
       stats.support = support;
       results.push_back(std::move(stats));
@@ -74,7 +85,7 @@ std::vector<PatternStats> MineGspan(const PropertyGraph& graph,
   for (size_t size = 2; size <= config.max_edges; ++size) {
     Level next;
     std::set<std::vector<EdgeId>> seen;
-    for (const auto& [pattern, entry] : level) {
+    for (const LevelEntry& entry : level.entries) {
       if (entry.Support() < config.min_support) continue;  // prune
       for (const std::vector<EdgeId>& emb : entry.embeddings) {
         // Extend by any adjacent live edge.
@@ -89,7 +100,8 @@ std::vector<PatternStats> MineGspan(const PropertyGraph& graph,
               grown.push_back(ext);
               std::sort(grown.begin(), grown.end());
               if (!seen.insert(grown).second) return;
-              Accumulate(graph, config, grown, &next, &total);
+              Accumulate(graph, config, grown, &canonicalizer, &next,
+                         &total);
             };
             for (const AdjEntry& a : graph.OutEdges(v)) try_extend(a.edge);
             for (const AdjEntry& a : graph.InEdges(v)) try_extend(a.edge);
@@ -101,10 +113,12 @@ std::vector<PatternStats> MineGspan(const PropertyGraph& graph,
     level = std::move(next);
   }
 
-  std::sort(results.begin(), results.end(),
-            [](const PatternStats& a, const PatternStats& b) {
-              return a.support > b.support;
-            });
+  // Stable: equal supports keep first-seen order (level by level), as
+  // in StreamingMiner::FrequentPatterns.
+  std::stable_sort(results.begin(), results.end(),
+                   [](const PatternStats& a, const PatternStats& b) {
+                     return a.support > b.support;
+                   });
   if (total_embeddings != nullptr) *total_embeddings = total;
   return results;
 }

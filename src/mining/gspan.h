@@ -16,7 +16,8 @@ namespace nous {
 /// still pays the full window cost every slide.
 ///
 /// Returns patterns with support >= config.min_support, sorted by
-/// support descending. `total_embeddings`, when non-null, receives the
+/// support descending; equal supports keep first-seen order, level by
+/// level. `total_embeddings`, when non-null, receives the
 /// number of embeddings materialized across all levels.
 std::vector<PatternStats> MineGspan(const PropertyGraph& graph,
                                     const MinerConfig& config,

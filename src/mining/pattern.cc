@@ -1,7 +1,6 @@
 #include "mining/pattern.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -9,80 +8,125 @@
 
 namespace nous {
 
-namespace {
-
-/// Comparable canonical code: edge triples then vertex labels.
-struct Code {
-  std::vector<PatternEdge> edges;
-  std::vector<TypeId> labels;
-  std::vector<uint64_t> mapping;  // variable -> concrete vertex
-
-  bool LessThan(const Code& other) const {
-    for (size_t i = 0; i < edges.size() && i < other.edges.size(); ++i) {
-      const PatternEdge& a = edges[i];
-      const PatternEdge& b = other.edges[i];
-      if (a.src != b.src) return a.src < b.src;
-      if (a.pred != b.pred) return a.pred < b.pred;
-      if (a.dst != b.dst) return a.dst < b.dst;
-    }
-    if (edges.size() != other.edges.size()) {
-      return edges.size() < other.edges.size();
-    }
-    return labels < other.labels;
-  }
-};
-
-Code BuildCode(const std::vector<Pattern::ConcreteEdge>& edges,
-               const std::vector<size_t>& order,
-               const std::function<TypeId(uint64_t)>& vertex_label) {
-  Code code;
-  std::map<uint64_t, int> var_of;
-  auto var = [&](uint64_t v) {
-    auto it = var_of.find(v);
-    if (it != var_of.end()) return it->second;
-    int id = static_cast<int>(var_of.size());
-    var_of.emplace(v, id);
-    code.mapping.push_back(v);
-    code.labels.push_back(vertex_label(v));
-    return id;
-  };
-  for (size_t idx : order) {
-    const Pattern::ConcreteEdge& e = edges[idx];
-    int s = var(e.src);
-    int d = var(e.dst);
-    code.edges.push_back(PatternEdge{s, e.pred, d});
-  }
-  return code;
-}
-
-}  // namespace
-
 Pattern Pattern::Canonicalize(
     const std::vector<ConcreteEdge>& edges,
     const std::function<TypeId(uint64_t)>& vertex_label,
     std::vector<uint64_t>* position_to_vertex) {
-  NOUS_CHECK(!edges.empty());
-  std::vector<size_t> order(edges.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  Code best = BuildCode(edges, order, vertex_label);
-  while (std::next_permutation(order.begin(), order.end())) {
-    Code candidate = BuildCode(edges, order, vertex_label);
-    if (candidate.LessThan(best)) best = std::move(candidate);
+  Canonicalizer canonicalizer;
+  for (const ConcreteEdge& e : edges) {
+    canonicalizer.Add(e.src, e.pred, e.dst);
   }
-  Pattern p;
-  p.edges_ = std::move(best.edges);
-  p.vertex_labels_ = std::move(best.labels);
+  canonicalizer.Run(vertex_label);
   if (position_to_vertex != nullptr) {
-    *position_to_vertex = std::move(best.mapping);
+    *position_to_vertex = canonicalizer.position_to_vertex();
   }
-  return p;
+  return canonicalizer.pattern();
+}
+
+void Pattern::Canonicalizer::Clear() {
+  vertices_.clear();
+  edges_.clear();
+}
+
+uint32_t Pattern::Canonicalizer::Intern(uint64_t vertex) {
+  for (uint32_t i = 0; i < vertices_.size(); ++i) {
+    if (vertices_[i] == vertex) return i;
+  }
+  vertices_.push_back(vertex);
+  return static_cast<uint32_t>(vertices_.size() - 1);
+}
+
+void Pattern::Canonicalizer::Add(uint64_t src, PredicateId pred,
+                                 uint64_t dst) {
+  uint32_t s = Intern(src);
+  uint32_t d = Intern(dst);
+  edges_.push_back(LocalEdge{s, pred, d});
+}
+
+bool Pattern::Canonicalizer::Build(const Code* best, Code* candidate,
+                                   bool* less) {
+  // Variables are numbered by first appearance along the ordering.
+  std::fill(var_of_.begin(), var_of_.end(), -1);
+  candidate->vertex_of_var.clear();
+  auto var = [this, candidate](uint32_t v) {
+    if (var_of_[v] < 0) {
+      var_of_[v] = static_cast<int>(candidate->vertex_of_var.size());
+      candidate->vertex_of_var.push_back(v);
+    }
+    return var_of_[v];
+  };
+  bool smaller = false;
+  for (size_t i = 0; i < order_.size(); ++i) {
+    const LocalEdge& e = edges_[order_[i]];
+    int s = var(e.src);
+    int d = var(e.dst);
+    PatternEdge code{s, e.pred, d};
+    candidate->edges[i] = code;
+    if (best == nullptr || smaller) continue;
+    const PatternEdge& b = best->edges[i];
+    if (code.src != b.src) {
+      if (code.src > b.src) return false;
+      smaller = true;
+    } else if (code.pred != b.pred) {
+      if (code.pred > b.pred) return false;
+      smaller = true;
+    } else if (code.dst != b.dst) {
+      if (code.dst > b.dst) return false;
+      smaller = true;
+    }
+  }
+  *less = smaller;
+  return true;
+}
+
+bool Pattern::Canonicalizer::LabelsLess(const Code& a, const Code& b) const {
+  // Every ordering assigns a variable to every vertex, so both label
+  // sequences have vertices_.size() entries.
+  for (size_t var = 0; var < a.vertex_of_var.size(); ++var) {
+    TypeId la = labels_[a.vertex_of_var[var]];
+    TypeId lb = labels_[b.vertex_of_var[var]];
+    if (la != lb) return la < lb;
+  }
+  return false;
+}
+
+void Pattern::Canonicalizer::Run(
+    const std::function<TypeId(uint64_t)>& vertex_label) {
+  NOUS_CHECK(!edges_.empty());
+  const size_t n = edges_.size();
+  labels_.resize(vertices_.size());
+  for (size_t i = 0; i < vertices_.size(); ++i) {
+    labels_[i] = vertex_label(vertices_[i]);
+  }
+  var_of_.resize(vertices_.size());
+  best_.edges.resize(n);
+  candidate_.edges.resize(n);
+  order_.resize(n);
+  for (uint32_t i = 0; i < n; ++i) order_[i] = i;
+  // Try every edge ordering and keep the smallest code: edges
+  // lexicographically, then the variables' labels. Ties keep the
+  // earlier ordering.
+  bool less = false;
+  Build(nullptr, &best_, &less);
+  while (std::next_permutation(order_.begin(), order_.end())) {
+    if (!Build(&best_, &candidate_, &less)) continue;
+    if (less || LabelsLess(candidate_, best_)) {
+      std::swap(best_, candidate_);
+    }
+  }
+  pattern_.edges_.assign(best_.edges.begin(), best_.edges.end());
+  pattern_.vertex_labels_.resize(best_.vertex_of_var.size());
+  mapping_.resize(best_.vertex_of_var.size());
+  for (size_t var = 0; var < best_.vertex_of_var.size(); ++var) {
+    pattern_.vertex_labels_[var] = labels_[best_.vertex_of_var[var]];
+    mapping_[var] = vertices_[best_.vertex_of_var[var]];
+  }
 }
 
 bool Pattern::Contains(const Pattern& sub) const {
   if (sub.num_edges() > num_edges()) return false;
   // Try every injective assignment of sub edges onto our edges with a
   // consistent variable mapping. Pattern sizes are tiny.
-  std::vector<size_t> chosen;
   std::vector<bool> used(edges_.size(), false);
   std::vector<int> var_map(sub.num_vertices(), -1);
 
@@ -117,7 +161,6 @@ bool Pattern::Contains(const Pattern& sub) const {
     }
     return false;
   };
-  (void)chosen;
   return match(0);
 }
 

@@ -40,11 +40,14 @@ class Pattern {
     uint64_t dst;
   };
 
+  class Canonicalizer;
+
   /// Builds the canonical pattern for `edges`. `vertex_label` supplies
   /// the type label per concrete vertex (return kInvalidType for
   /// untyped mining). If `position_to_vertex` is non-null it receives
   /// the concrete vertex for each canonical variable position — the
-  /// assignment MNI support counting needs.
+  /// assignment MNI support counting needs. One-off convenience over
+  /// Canonicalizer, which hot paths keep and reuse.
   static Pattern Canonicalize(
       const std::vector<ConcreteEdge>& edges,
       const std::function<TypeId(uint64_t)>& vertex_label,
@@ -78,6 +81,67 @@ class Pattern {
  private:
   std::vector<PatternEdge> edges_;
   std::vector<TypeId> vertex_labels_;
+};
+
+/// Canonicalization with buffers kept across calls: once its buffers
+/// have grown to the largest edge set seen, Run() does no heap
+/// allocation, and pattern() can be looked up in a Pattern-keyed map
+/// without building a fresh Pattern. Vertices are interned by a linear
+/// scan (a connected k-edge set has at most k + 1), each vertex label
+/// is fetched once, and an edge ordering is abandoned at the first
+/// edge where its code exceeds the best so far. Not thread-safe: keep
+/// one per thread (miner, support counter, gSpan run).
+class Pattern::Canonicalizer {
+ public:
+  /// Starts a new edge set.
+  void Clear();
+  /// Adds one concrete edge to the set.
+  void Add(uint64_t src, PredicateId pred, uint64_t dst);
+  /// Canonicalizes the edges added since Clear(); `vertex_label` is
+  /// called once per distinct vertex. Among orderings that give the
+  /// same minimal code the first in std::next_permutation order fixes
+  /// position_to_vertex(), as in Pattern::Canonicalize.
+  void Run(const std::function<TypeId(uint64_t)>& vertex_label);
+
+  /// The canonical pattern of the last Run().
+  const Pattern& pattern() const { return pattern_; }
+  /// The concrete vertex at each canonical variable position of the
+  /// last Run().
+  const std::vector<uint64_t>& position_to_vertex() const {
+    return mapping_;
+  }
+
+ private:
+  /// An edge over indices into vertices_.
+  struct LocalEdge {
+    uint32_t src;
+    PredicateId pred;
+    uint32_t dst;
+  };
+  /// One edge ordering's code: its edges over variable ids, and the
+  /// vertices_ index each variable was assigned.
+  struct Code {
+    std::vector<PatternEdge> edges;
+    std::vector<uint32_t> vertex_of_var;
+  };
+
+  uint32_t Intern(uint64_t vertex);
+  /// Builds the code of order_ into `candidate`. With `best` non-null,
+  /// returns false as soon as the candidate's edge prefix exceeds
+  /// best's (the candidate cannot win); `*less` tells whether the
+  /// built edges are strictly smaller than best's.
+  bool Build(const Code* best, Code* candidate, bool* less);
+  bool LabelsLess(const Code& a, const Code& b) const;
+
+  std::vector<uint64_t> vertices_;
+  std::vector<TypeId> labels_;  // per vertices_ entry
+  std::vector<LocalEdge> edges_;
+  std::vector<uint32_t> order_;
+  std::vector<int> var_of_;  // per vertices_ entry, -1 when unassigned
+  Code best_;
+  Code candidate_;
+  Pattern pattern_;
+  std::vector<uint64_t> mapping_;
 };
 
 struct PatternHash {

@@ -14,6 +14,7 @@ namespace {
 struct MinerMetrics {
   Counter* patterns_emitted;
   Counter* patterns_demoted;
+  Counter* subsets_enumerated;
   Gauge* tracked_patterns;
   Gauge* live_embeddings;
   Gauge* embedding_slots;
@@ -30,6 +31,9 @@ const MinerMetrics& Metrics() {
     m.patterns_demoted = r.GetCounter(
         "nous_mining_patterns_demoted_total",
         "Patterns that decayed below min_support");
+    m.subsets_enumerated = r.GetCounter(
+        "nous_mining_subsets_enumerated_total",
+        "Connected edge subsets enumerated for arriving edges");
     m.tracked_patterns = r.GetGauge("nous_mining_tracked_patterns",
                                     "Distinct patterns under maintenance");
     m.live_embeddings = r.GetGauge("nous_mining_live_embeddings",
@@ -66,12 +70,12 @@ void StreamingMiner::OnEdgeAdded(const PropertyGraph& graph, EdgeId edge) {
   // Every connected subset containing the new edge; all other edges in
   // the window are older (smaller ids), so older_only enumeration
   // discovers each subset exactly once across the stream.
-  EnumerateConnectedSubsets(
+  size_t subsets = EnumerateConnectedSubsets(
       graph, edge, config_, /*older_only=*/true,
       [this, &graph](const std::vector<EdgeId>& subset) {
         AddEmbedding(graph, subset);
       });
-  Metrics().tracked_patterns->Set(static_cast<double>(patterns_.size()));
+  Metrics().subsets_enumerated->Increment(subsets);
   PublishGauges();
 }
 
@@ -92,6 +96,7 @@ void StreamingMiner::OnEdgeExpiring(const PropertyGraph& /*graph*/,
 
 void StreamingMiner::PublishGauges() const {
   const MinerMetrics& m = Metrics();
+  m.tracked_patterns->Set(static_cast<double>(patterns_.size()));
   m.live_embeddings->Set(static_cast<double>(live_embeddings_));
   m.embedding_slots->Set(static_cast<double>(slot_pattern_.size()));
   m.pool_bytes->Set(static_cast<double>(
@@ -102,9 +107,12 @@ void StreamingMiner::PublishGauges() const {
 
 void StreamingMiner::AddEmbedding(const PropertyGraph& graph,
                                   const std::vector<EdgeId>& edges) {
-  std::vector<VertexId> assignment;
-  Pattern p = CanonicalizeEdgeSet(graph, edges, config_.use_vertex_types,
-                                  &assignment);
+  CanonicalizeEdgeSet(graph, edges, config_.use_vertex_types,
+                      &canonicalizer_);
+  const Pattern& p = canonicalizer_.pattern();
+  const std::vector<uint64_t>& assignment =
+      canonicalizer_.position_to_vertex();
+  // try_emplace copies the key only when the pattern is new.
   auto [it, inserted] = pattern_index_.try_emplace(
       p, static_cast<uint32_t>(patterns_.size()));
   if (inserted) {
@@ -117,7 +125,7 @@ void StreamingMiner::AddEmbedding(const PropertyGraph& graph,
   PatternEntry& entry = patterns_[pattern_id];
   size_t support_before = SupportOfEntry(entry);
   for (size_t pos = 0; pos < assignment.size(); ++pos) {
-    entry.position_counts[pos][assignment[pos]]++;
+    entry.position_counts[pos][static_cast<VertexId>(assignment[pos])]++;
   }
   ++entry.embeddings;
   if (support_before < config_.min_support &&
@@ -147,8 +155,9 @@ void StreamingMiner::AddEmbedding(const PropertyGraph& graph,
   slot_num_vertices_[id] = static_cast<uint8_t>(assignment.size());
   std::copy(edges.begin(), edges.end(),
             slot_edges_.begin() + id * edge_stride);
-  std::copy(assignment.begin(), assignment.end(),
-            slot_vertices_.begin() + id * vertex_stride);
+  std::transform(assignment.begin(), assignment.end(),
+                 slot_vertices_.begin() + id * vertex_stride,
+                 [](uint64_t v) { return static_cast<VertexId>(v); });
   for (EdgeId e : edges) edge_index_[e].push_back(id);
   ++live_embeddings_;
   ++created_total_;

@@ -96,6 +96,7 @@ class StreamingMiner : public WindowListener {
   void PublishGauges() const;
 
   MinerConfig config_;
+  Pattern::Canonicalizer canonicalizer_;  // AddEmbedding's scratch
   std::vector<PatternEntry> patterns_;
   std::unordered_map<Pattern, uint32_t, PatternHash> pattern_index_;
   // Embeddings live in flat slot pools indexed by embedding id: slot i

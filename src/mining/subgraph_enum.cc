@@ -5,84 +5,141 @@
 
 namespace nous {
 
+namespace {
+
+/// "Already collected" marks for extension dedup, indexed by EdgeId. A
+/// slot holding the current epoch is marked, so starting a new mark
+/// set is one increment instead of a clear.
+class EdgeMarks {
+ public:
+  /// Starts an empty mark set over edge ids < num_slots.
+  void Reset(size_t num_slots) {
+    if (stamps_.size() < num_slots) stamps_.resize(num_slots, 0);
+    if (++epoch_ == 0) {
+      // Wrapped: a stale stamp could equal the new epoch.
+      std::fill(stamps_.begin(), stamps_.end(), 0);
+      epoch_ = 1;
+    }
+  }
+
+  /// Marks `e`; true when it was not marked yet.
+  bool Mark(EdgeId e) {
+    if (stamps_[e] == epoch_) return false;
+    stamps_[e] = epoch_;
+    return true;
+  }
+
+ private:
+  std::vector<uint32_t> stamps_;
+  uint32_t epoch_ = 0;
+};
+
+/// One per thread, so MineArabesqueSimParallel's workers never share
+/// marks. A mark set lives only while one subset's extensions are
+/// collected, before any callback runs, so a callback that enumerates
+/// again on the same thread is safe.
+thread_local EdgeMarks t_edge_marks;
+
+class SubsetEnumerator {
+ public:
+  SubsetEnumerator(const PropertyGraph& graph, EdgeId anchor,
+                   const MinerConfig& config, bool older_only,
+                   const std::function<void(const std::vector<EdgeId>&)>& fn)
+      : graph_(graph),
+        anchor_(anchor),
+        config_(config),
+        older_only_(older_only),
+        fn_(fn),
+        marks_(t_edge_marks),
+        extensions_(config.max_edges) {
+    current_.reserve(config.max_edges);
+    sorted_.reserve(config.max_edges);
+  }
+
+  size_t Run() {
+    current_.push_back(anchor_);
+    Grow();
+    return visited_;
+  }
+
+ private:
+  /// Emits current_ unless already seen, then grows it by each of its
+  /// extensions in turn. False once the subset cap is reached.
+  bool Grow() {
+    sorted_.assign(current_.begin(), current_.end());
+    std::sort(sorted_.begin(), sorted_.end());
+    // {anchor} is grown once and {anchor, e} once per distinct
+    // extension e, so only larger subsets can repeat.
+    if (sorted_.size() >= 3 && !seen_.insert(sorted_).second) return true;
+    ++visited_;
+    fn_(sorted_);
+    if (visited_ >= config_.max_subsets_per_edge) return false;
+    if (current_.size() >= config_.max_edges) return true;
+    std::vector<EdgeId>& extensions = extensions_[current_.size()];
+    CollectExtensions(&extensions);
+    for (EdgeId ext : extensions) {
+      current_.push_back(ext);
+      bool keep_going = Grow();
+      current_.pop_back();
+      if (!keep_going) return false;
+    }
+    return true;
+  }
+
+  /// Live edges adjacent to any endpoint of current_, outside it, in
+  /// first-encounter order.
+  void CollectExtensions(std::vector<EdgeId>* out) {
+    out->clear();
+    marks_.Reset(graph_.NumEdgeSlots());
+    for (EdgeId e : current_) marks_.Mark(e);
+    auto consider = [this, out](EdgeId e) {
+      if (older_only_ && e >= anchor_) return;
+      if (marks_.Mark(e)) out->push_back(e);
+    };
+    for (EdgeId in_set : current_) {
+      const EdgeRecord& rec = graph_.Edge(in_set);
+      for (VertexId v : {rec.subject, rec.object}) {
+        for (const AdjEntry& a : graph_.OutEdges(v)) consider(a.edge);
+        for (const AdjEntry& a : graph_.InEdges(v)) consider(a.edge);
+      }
+    }
+  }
+
+  const PropertyGraph& graph_;
+  const EdgeId anchor_;
+  const MinerConfig& config_;
+  const bool older_only_;
+  const std::function<void(const std::vector<EdgeId>&)>& fn_;
+  EdgeMarks& marks_;
+  std::vector<EdgeId> current_;  // growth order
+  std::vector<EdgeId> sorted_;   // current_ sorted, as emitted
+  std::vector<std::vector<EdgeId>> extensions_;  // per subset size
+  std::set<std::vector<EdgeId>> seen_;           // subsets of 3+ edges
+  size_t visited_ = 0;
+};
+
+}  // namespace
+
 size_t EnumerateConnectedSubsets(
     const PropertyGraph& graph, EdgeId anchor, const MinerConfig& config,
     bool older_only,
     const std::function<void(const std::vector<EdgeId>&)>& fn) {
-  size_t visited = 0;
-  std::set<std::vector<EdgeId>> seen;
-  std::vector<EdgeId> current = {anchor};
-
-  // Collect candidate extensions: live edges adjacent to any endpoint
-  // of the current subset.
-  auto extensions = [&graph, older_only, anchor](
-                        const std::vector<EdgeId>& subset) {
-    std::vector<EdgeId> result;
-    auto consider = [&](EdgeId e) {
-      if (older_only && e >= anchor) return;
-      if (e == anchor) return;
-      if (std::find(subset.begin(), subset.end(), e) != subset.end())
-        return;
-      if (std::find(result.begin(), result.end(), e) != result.end())
-        return;
-      result.push_back(e);
-    };
-    for (EdgeId in_set : subset) {
-      const EdgeRecord& rec = graph.Edge(in_set);
-      for (VertexId v : {rec.subject, rec.object}) {
-        for (const AdjEntry& a : graph.OutEdges(v)) consider(a.edge);
-        for (const AdjEntry& a : graph.InEdges(v)) consider(a.edge);
-      }
-    }
-    return result;
-  };
-
-  std::function<bool(std::vector<EdgeId>*)> grow =
-      [&](std::vector<EdgeId>* subset) -> bool {
-    std::vector<EdgeId> sorted = *subset;
-    std::sort(sorted.begin(), sorted.end());
-    if (!seen.insert(sorted).second) return true;
-    ++visited;
-    fn(sorted);
-    if (visited >= config.max_subsets_per_edge) return false;
-    if (subset->size() >= config.max_edges) return true;
-    for (EdgeId ext : extensions(*subset)) {
-      subset->push_back(ext);
-      bool keep_going = grow(subset);
-      subset->pop_back();
-      if (!keep_going) return false;
-    }
-    return true;
-  };
-  grow(&current);
-  return visited;
+  return SubsetEnumerator(graph, anchor, config, older_only, fn).Run();
 }
 
-Pattern CanonicalizeEdgeSet(const PropertyGraph& graph,
-                            const std::vector<EdgeId>& edges,
-                            bool use_vertex_types,
-                            std::vector<VertexId>* assignment) {
-  std::vector<Pattern::ConcreteEdge> concrete;
-  concrete.reserve(edges.size());
+void CanonicalizeEdgeSet(const PropertyGraph& graph,
+                         const std::vector<EdgeId>& edges,
+                         bool use_vertex_types,
+                         Pattern::Canonicalizer* canonicalizer) {
+  canonicalizer->Clear();
   for (EdgeId e : edges) {
     const EdgeRecord& rec = graph.Edge(e);
-    concrete.push_back(
-        Pattern::ConcreteEdge{rec.subject, rec.predicate, rec.object});
+    canonicalizer->Add(rec.subject, rec.predicate, rec.object);
   }
-  auto label = [&graph, use_vertex_types](uint64_t v) -> TypeId {
+  canonicalizer->Run([&graph, use_vertex_types](uint64_t v) -> TypeId {
     if (!use_vertex_types) return kInvalidType;
     return graph.VertexType(static_cast<VertexId>(v));
-  };
-  std::vector<uint64_t> mapping;
-  Pattern p = Pattern::Canonicalize(concrete, label,
-                                    assignment ? &mapping : nullptr);
-  if (assignment != nullptr) {
-    assignment->clear();
-    for (uint64_t v : mapping) {
-      assignment->push_back(static_cast<VertexId>(v));
-    }
-  }
-  return p;
+  });
 }
 
 SupportCounter::SupportCounter(const PropertyGraph* graph,
@@ -90,9 +147,9 @@ SupportCounter::SupportCounter(const PropertyGraph* graph,
     : graph_(graph), use_vertex_types_(use_vertex_types) {}
 
 void SupportCounter::AddEmbedding(const std::vector<EdgeId>& edges) {
-  std::vector<VertexId> assignment;
-  Pattern p =
-      CanonicalizeEdgeSet(*graph_, edges, use_vertex_types_, &assignment);
+  CanonicalizeEdgeSet(*graph_, edges, use_vertex_types_, &canonicalizer_);
+  const Pattern& p = canonicalizer_.pattern();
+  // try_emplace copies the key only when the pattern is new.
   auto [it, inserted] = index_.try_emplace(p, entries_.size());
   if (inserted) {
     Entry entry;
@@ -101,8 +158,10 @@ void SupportCounter::AddEmbedding(const std::vector<EdgeId>& edges) {
     entries_.push_back(std::move(entry));
   }
   Entry& entry = entries_[it->second];
+  const std::vector<uint64_t>& assignment =
+      canonicalizer_.position_to_vertex();
   for (size_t pos = 0; pos < assignment.size(); ++pos) {
-    entry.position_counts[pos][assignment[pos]]++;
+    entry.position_counts[pos][static_cast<VertexId>(assignment[pos])]++;
   }
   ++entry.embeddings;
   ++total_embeddings_;
@@ -146,10 +205,12 @@ std::vector<PatternStats> SupportCounter::Results(
     stats.support = support;
     results.push_back(std::move(stats));
   }
-  std::sort(results.begin(), results.end(),
-            [](const PatternStats& a, const PatternStats& b) {
-              return a.support > b.support;
-            });
+  // Stable: equal supports keep first-seen order, as in
+  // StreamingMiner::FrequentPatterns.
+  std::stable_sort(results.begin(), results.end(),
+                   [](const PatternStats& a, const PatternStats& b) {
+                     return a.support > b.support;
+                   });
   return results;
 }
 

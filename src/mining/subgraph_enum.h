@@ -15,6 +15,14 @@ namespace nous {
 /// ids). Returns the number of subsets visited (callback count), which
 /// is also capped at config.max_subsets_per_edge.
 ///
+/// Cost is linear in the adjacency scanned: candidate extensions are
+/// deduplicated with per-thread epoch marks indexed by EdgeId (O(edge
+/// slots) scratch, reused across calls), and only subsets of three or
+/// more edges — the only ones reachable along two growth orders — go
+/// through a seen-set. Emission order is fixed (depth-first, each
+/// subset's extensions in adjacency order of its members in growth
+/// order); pattern ids, and so FrequentPatterns' tie order, follow it.
+///
 /// The `older_only` restriction gives exactly-once global enumeration:
 /// every connected subset has a unique maximum edge id, so enumerating
 /// per-anchor over all edges (or per arriving edge in the streaming
@@ -37,7 +45,8 @@ class SupportCounter {
   /// combine per-worker counters after a parallel enumeration).
   void Merge(const SupportCounter& other);
 
-  /// Patterns meeting `min_support`, sorted by support descending.
+  /// Patterns meeting `min_support`, sorted by support descending;
+  /// equal supports keep first-seen order.
   std::vector<PatternStats> Results(size_t min_support) const;
 
   size_t num_patterns() const { return entries_.size(); }
@@ -52,17 +61,19 @@ class SupportCounter {
 
   const PropertyGraph* graph_;
   bool use_vertex_types_;
+  Pattern::Canonicalizer canonicalizer_;
   std::vector<Entry> entries_;
   std::unordered_map<Pattern, size_t, PatternHash> index_;
   size_t total_embeddings_ = 0;
 };
 
-/// Canonicalizes a concrete edge set from the graph; assignment (if
-/// non-null) receives the graph vertex per canonical position.
-Pattern CanonicalizeEdgeSet(const PropertyGraph& graph,
-                            const std::vector<EdgeId>& edges,
-                            bool use_vertex_types,
-                            std::vector<VertexId>* assignment = nullptr);
+/// Canonicalizes a concrete edge set from the graph into
+/// `canonicalizer`: its pattern() is the canonical pattern and its
+/// position_to_vertex() the graph vertex per canonical position.
+void CanonicalizeEdgeSet(const PropertyGraph& graph,
+                         const std::vector<EdgeId>& edges,
+                         bool use_vertex_types,
+                         Pattern::Canonicalizer* canonicalizer);
 
 }  // namespace nous
 

@@ -25,6 +25,26 @@ HttpResponse JsonError(int status, const std::string& message) {
   return response;
 }
 
+/// The streaming miner's cost instruments, read lock-free from the
+/// process-wide registry: the miner publishes them on every window
+/// event under the pipeline's lock, so /api/stats needs no lock of
+/// its own to report them.
+struct MinerReadout {
+  Gauge* live_embeddings;
+  Gauge* tracked_patterns;
+  Counter* subsets_enumerated;
+};
+
+const MinerReadout& Miner() {
+  static const MinerReadout readout = [] {
+    MetricsRegistry& r = MetricsRegistry::Global();
+    return MinerReadout{r.GetGauge("nous_mining_live_embeddings"),
+                        r.GetGauge("nous_mining_tracked_patterns"),
+                        r.GetCounter("nous_mining_subsets_enumerated_total")};
+  }();
+  return readout;
+}
+
 }  // namespace
 
 NousApi::NousApi(Nous* nous) : nous_(nous) {}
@@ -166,6 +186,14 @@ HttpResponse NousApi::HandleStats() {
   w.Int(static_cast<long long>(ps.new_entities));
   w.Key("mean_extracted_confidence");
   w.Number(stats.extracted_confidence.Mean());
+  // Miner state that explains per-document mining cost.
+  const MinerReadout& miner = Miner();
+  w.Key("mining_live_embeddings");
+  w.Int(static_cast<long long>(miner.live_embeddings->Value()));
+  w.Key("mining_tracked_patterns");
+  w.Int(static_cast<long long>(miner.tracked_patterns->Value()));
+  w.Key("mining_subsets_enumerated");
+  w.Int(static_cast<long long>(miner.subsets_enumerated->Value()));
   // Serving-tier basics, so operators need not scrape /api/metrics.
   w.Key("kg_version");
   w.Int(static_cast<long long>(kg_version));

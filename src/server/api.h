@@ -18,7 +18,8 @@ namespace nous {
 ///   GET  /                      single-page query UI
 ///   GET  /api/query?q=<text>    parse + execute any Figure-5 query
 ///   GET  /api/stats             graph + pipeline statistics, including
-///                               per-stage latency quantiles
+///                               per-stage latency quantiles and the
+///                               streaming miner's cost gauges
 ///   GET  /api/metrics           Prometheus text-exposition dump of the
 ///                               process-wide MetricsRegistry (obs/)
 ///   GET  /api/trace?limit=N     the N most recent completed spans as

@@ -147,12 +147,14 @@ TEST_P(MatcherEquivalenceTest, AgreesWithEnumeration) {
   std::set<std::vector<EdgeId>> expected;
   MinerConfig mc;
   mc.max_edges = 2;
+  Pattern::Canonicalizer canonicalizer;
   g.ForEachEdge([&](EdgeId anchor, const EdgeRecord&) {
     EnumerateConnectedSubsets(
         g, anchor, mc, /*older_only=*/true,
         [&](const std::vector<EdgeId>& subset) {
           if (subset.size() != 2) return;
-          if (CanonicalizeEdgeSet(g, subset, false) == chain) {
+          CanonicalizeEdgeSet(g, subset, false, &canonicalizer);
+          if (canonicalizer.pattern() == chain) {
             expected.insert(subset);
           }
         });

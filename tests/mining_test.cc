@@ -85,6 +85,23 @@ TEST(PatternTest, SubPatternsAreConnectedAndSmaller) {
   }
 }
 
+TEST(PatternTest, AutomorphicTiesKeepTheFirstOrdering) {
+  // Both orderings of a two-leaf star give the same code; the first
+  // (input order) fixes which leaf lands at which position, and with
+  // it the per-position MNI counts.
+  std::vector<uint64_t> positions;
+  Pattern star =
+      Pattern::Canonicalize({{1, 5, 2}, {1, 5, 3}}, NoLabel, &positions);
+  EXPECT_EQ(positions, (std::vector<uint64_t>{1, 2, 3}));
+  Pattern::Canonicalizer canonicalizer;
+  canonicalizer.Add(1, 5, 3);
+  canonicalizer.Add(1, 5, 2);
+  canonicalizer.Run(NoLabel);
+  EXPECT_EQ(canonicalizer.pattern(), star);
+  EXPECT_EQ(canonicalizer.position_to_vertex(),
+            (std::vector<uint64_t>{1, 3, 2}));
+}
+
 TEST(PatternTest, ToStringRendersPredicateNames) {
   Dictionary preds;
   PredicateId acquired = preds.Intern("acquired");
@@ -133,6 +150,183 @@ TEST(SubgraphEnumTest, OlderOnlySkipsNewerEdges) {
   EnumerateConnectedSubsets(g, e0, config, true,
                             [&](const std::vector<EdgeId>&) { ++count; });
   EXPECT_EQ(count, 1u);  // only {e0}
+}
+
+// Order pinning. Pattern ids are assigned in the order the enumeration
+// emits subsets, and that id order breaks support ties in
+// FrequentPatterns, so the exact emission sequence is part of the
+// miner's observable behaviour. The constants below were recorded from
+// the std::find/std::set enumeration these tests guard.
+
+constexpr size_t kPinnedTwoEdgeCount = 288;
+constexpr uint64_t kPinnedTwoEdgeDigest = 12319189888213060632ULL;
+constexpr size_t kPinnedThreeEdgeCount = 49008;
+constexpr uint64_t kPinnedThreeEdgeDigest = 14963082482630638383ULL;
+constexpr uint64_t kPinnedNewestEdgeDigest = 2209332383511829657ULL;
+constexpr size_t kPinnedFrequentTwoCount = 50;
+constexpr uint64_t kPinnedFrequentTwoDigest = 1117818207236906977ULL;
+constexpr size_t kPinnedFrequentThreeCount = 85;
+constexpr uint64_t kPinnedFrequentThreeDigest = 927087197040837027ULL;
+
+uint64_t Fnv1a(uint64_t h, uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (value >> (8 * i)) & 0xff;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+uint64_t SequenceDigest(const std::vector<std::vector<EdgeId>>& sequence) {
+  uint64_t h = 14695981039346656037ULL;
+  for (const std::vector<EdgeId>& subset : sequence) {
+    for (EdgeId e : subset) h = Fnv1a(h, e);
+    h = Fnv1a(h, ~0ULL);
+  }
+  return h;
+}
+
+uint64_t RenderingDigest(const std::vector<std::string>& lines) {
+  uint64_t h = 14695981039346656037ULL;
+  for (const std::string& line : lines) {
+    for (char c : line) h = Fnv1a(h, static_cast<unsigned char>(c));
+    h = Fnv1a(h, ~0ULL);
+  }
+  return h;
+}
+
+// 650 Zipf-skewed edges over 300 entities: the most popular entity ends
+// up with degree >= 200.
+StreamConfig HubStreamConfig() {
+  StreamConfig sc;
+  sc.num_entities = 300;
+  sc.num_predicates = 4;
+  sc.num_edges = 650;
+  sc.seed = 11;
+  return sc;
+}
+
+struct HubGraph {
+  PropertyGraph graph;
+  VertexId hub = 0;
+  size_t hub_degree = 0;
+  EdgeId newest_hub_edge = 0;
+};
+
+void BuildHubGraph(HubGraph* out) {
+  for (const TimedTriple& t : GenerateStream(HubStreamConfig())) {
+    out->graph.AddTriple(t);
+  }
+  PropertyGraph& g = out->graph;
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    size_t degree = g.OutDegree(v) + g.InDegree(v);
+    if (degree > out->hub_degree) {
+      out->hub = v;
+      out->hub_degree = degree;
+    }
+  }
+  for (const AdjEntry& a : g.OutEdges(out->hub)) {
+    out->newest_hub_edge = std::max(out->newest_hub_edge, a.edge);
+  }
+  for (const AdjEntry& a : g.InEdges(out->hub)) {
+    out->newest_hub_edge = std::max(out->newest_hub_edge, a.edge);
+  }
+}
+
+std::vector<std::vector<EdgeId>> Emitted(const PropertyGraph& g,
+                                         EdgeId anchor,
+                                         const MinerConfig& config,
+                                         size_t* visited = nullptr) {
+  std::vector<std::vector<EdgeId>> sequence;
+  size_t n = EnumerateConnectedSubsets(
+      g, anchor, config, /*older_only=*/true,
+      [&sequence](const std::vector<EdgeId>& s) { sequence.push_back(s); });
+  if (visited != nullptr) *visited = n;
+  return sequence;
+}
+
+TEST(SubgraphEnumTest, HubEmissionOrderIsPinned) {
+  HubGraph hub;
+  BuildHubGraph(&hub);
+  ASSERT_GE(hub.hub_degree, 200u);
+  const PropertyGraph& g = hub.graph;
+  MinerConfig config;
+
+  config.max_edges = 2;
+  auto two = Emitted(g, hub.newest_hub_edge, config);
+  EXPECT_EQ(two.size(), kPinnedTwoEdgeCount);
+  EXPECT_EQ(SequenceDigest(two), kPinnedTwoEdgeDigest);
+
+  config.max_edges = 3;
+  auto three = Emitted(g, hub.newest_hub_edge, config);
+  EXPECT_EQ(three.size(), kPinnedThreeEdgeCount);
+  EXPECT_EQ(SequenceDigest(three), kPinnedThreeEdgeDigest);
+  // Growing max_edges only appends deeper subsets: the 2-edge run is
+  // the 3-edge run with its 3-edge subsets removed.
+  std::vector<std::vector<EdgeId>> shallow;
+  for (const auto& subset : three) {
+    if (subset.size() <= 2) shallow.push_back(subset);
+  }
+  EXPECT_EQ(shallow, two);
+
+  // A non-hub anchor (the newest edge overall) as well.
+  EdgeId newest = static_cast<EdgeId>(g.NumEdgeSlots() - 1);
+  EXPECT_EQ(SequenceDigest(Emitted(g, newest, config)),
+            kPinnedNewestEdgeDigest);
+}
+
+TEST(SubgraphEnumTest, SubsetCapStopsAtExactlyTheCap) {
+  HubGraph hub;
+  BuildHubGraph(&hub);
+  MinerConfig config;
+  config.max_edges = 3;
+  auto full = Emitted(hub.graph, hub.newest_hub_edge, config);
+  ASSERT_GT(full.size(), 1000u);
+  for (size_t cap : {1ul, 2ul, 3ul, 250ul, 1000ul}) {
+    config.max_subsets_per_edge = cap;
+    size_t visited = 0;
+    auto capped = Emitted(hub.graph, hub.newest_hub_edge, config, &visited);
+    EXPECT_EQ(visited, cap);
+    ASSERT_EQ(capped.size(), cap);
+    // The cap truncates the uncapped sequence; it does not reorder it.
+    EXPECT_TRUE(std::equal(capped.begin(), capped.end(), full.begin()))
+        << "cap " << cap;
+  }
+}
+
+std::vector<std::string> RenderedFrequent(const StreamingMiner& miner,
+                                          const Dictionary& preds) {
+  std::vector<std::string> lines;
+  for (const PatternStats& s : miner.FrequentPatterns()) {
+    lines.push_back(StrFormat("%zu %zu ", s.support, s.embeddings) +
+                    s.pattern.ToString(preds));
+  }
+  return lines;
+}
+
+TEST(StreamingMinerTest, HubStreamFrequentPatternOrderIsPinned) {
+  struct Case {
+    size_t max_edges;
+    size_t window;  // smaller at 3 edges to keep the test fast
+    size_t count;
+    uint64_t digest;
+  };
+  for (const Case& c : {Case{2, 200, kPinnedFrequentTwoCount,
+                             kPinnedFrequentTwoDigest},
+                        Case{3, 60, kPinnedFrequentThreeCount,
+                             kPinnedFrequentThreeDigest}}) {
+    PropertyGraph g;
+    TemporalWindow w(&g, c.window);
+    MinerConfig config;
+    config.max_edges = c.max_edges;
+    config.min_support = 3;
+    StreamingMiner miner(config);
+    w.AddListener(&miner);
+    for (const TimedTriple& t : GenerateStream(HubStreamConfig())) w.Add(t);
+    auto lines = RenderedFrequent(miner, g.predicates());
+    EXPECT_EQ(lines.size(), c.count) << "max_edges " << c.max_edges;
+    EXPECT_EQ(RenderingDigest(lines), c.digest)
+        << "max_edges " << c.max_edges;
+  }
 }
 
 // ---------- Streaming miner ----------
@@ -523,6 +717,47 @@ TEST(ArabesqueSimTest, ParallelVariantMatchesSerial) {
   auto fallback = MineArabesqueSimParallel(g, config, nullptr);
   EXPECT_EQ(ToMap(serial, g.predicates()),
             ToMap(fallback, g.predicates()));
+}
+
+// 40 disjoint single-edge patterns of support 1, first seen (edge id
+// order) in an order unrelated to their names: enough equal supports
+// that an unstable sort would reorder them.
+struct TiedGraph {
+  PropertyGraph graph;
+  std::vector<std::string> first_seen;
+};
+
+void BuildTiedGraph(TiedGraph* out) {
+  PropertyGraph& g = out->graph;
+  for (int i = 0; i < 40; ++i) {
+    std::string n = std::to_string(i);
+    PredicateId p =
+        g.predicates().Intern("p" + std::to_string((i * 17) % 40));
+    g.AddEdge(g.GetOrAddVertex("s" + n), p, g.GetOrAddVertex("o" + n), {});
+    out->first_seen.push_back(
+        Pattern::Canonicalize({{0, p, 1}}, NoLabel).ToString(g.predicates()));
+  }
+}
+
+TEST(ArabesqueSimTest, EqualSupportsKeepFirstSeenOrder) {
+  TiedGraph tied;
+  BuildTiedGraph(&tied);
+  MinerConfig config;
+  config.max_edges = 1;
+  config.min_support = 1;
+  EXPECT_EQ(Rendered(MineArabesqueSim(tied.graph, config),
+                     tied.graph.predicates()),
+            tied.first_seen);
+}
+
+TEST(GspanTest, EqualSupportsKeepFirstSeenOrder) {
+  TiedGraph tied;
+  BuildTiedGraph(&tied);
+  MinerConfig config;
+  config.max_edges = 1;
+  config.min_support = 1;
+  EXPECT_EQ(Rendered(MineGspan(tied.graph, config), tied.graph.predicates()),
+            tied.first_seen);
 }
 
 TEST(GspanTest, PruningSkipsInfrequentExtensions) {

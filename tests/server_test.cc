@@ -213,6 +213,19 @@ TEST_F(ServerFixture, StatsEndpoint) {
   EXPECT_NE(response.find("\"documents\":1"), std::string::npos);
 }
 
+TEST_F(ServerFixture, StatsReportMinerCostGauges) {
+  std::string response = Get(server_.port(), "/api/stats");
+  for (const char* key :
+       {"\"mining_live_embeddings\":", "\"mining_tracked_patterns\":",
+        "\"mining_subsets_enumerated\":"}) {
+    EXPECT_NE(response.find(key), std::string::npos) << key;
+  }
+  // The fixture's ingest added edges, so the miner enumerated at least
+  // one subset (the registry is process-wide, so only a floor holds).
+  EXPECT_EQ(response.find("\"mining_subsets_enumerated\":0,"),
+            std::string::npos);
+}
+
 TEST_F(ServerFixture, StatsReportLatencyQuantilesPerStage) {
   std::string response = Get(server_.port(), "/api/stats");
   EXPECT_NE(response.find("\"latency\":{"), std::string::npos);

@@ -47,20 +47,26 @@ void RunThroughput() {
   TablePrinter table({"events", "articles", "docs/s", "triples/s",
                       "extract us/doc", "extract %", "link us/doc",
                       "link %", "map us/doc", "map %", "score us/doc",
-                      "score %", "mine us/doc", "mine %"});
+                      "score %", "refresh us/doc", "refresh %",
+                      "mine us/doc", "mine %", "link adj/doc"});
+  // Adjacency entries the linker reads per document: what still grows
+  // with hub degree (coherence reads each candidate's full adjacency).
+  const Counter* adjacency_scanned = MetricsRegistry::Global().GetCounter(
+      "nous_linker_adjacency_scanned_total");
   for (size_t events : {200ul, 400ul, 800ul, 1600ul, 3200ul, 6400ul}) {
     CorpusConfig corpus_config;
     corpus_config.sources = {"wsj", "webcrawl", "technews"};
     auto fixture = bench::MakeDroneFixture(events, 17, 0.6,
                                            corpus_config);
     Nous nous(&fixture.kb);
+    const uint64_t scanned_before = adjacency_scanned->Value();
     WallTimer timer;
     for (const Article& a : fixture.articles) NOUS_CHECK_OK(nous.Ingest(a));
     double ingest_seconds = timer.ElapsedSeconds();
     const PipelineStats& ps = nous.stats();
     double stage_total = ps.extract_seconds + ps.link_seconds +
                          ps.map_seconds + ps.score_seconds +
-                         ps.mine_seconds;
+                         ps.refresh_seconds + ps.mine_seconds;
     if (stage_total <= 0) stage_total = 1e-9;
     const double docs =
         static_cast<double>(std::max<size_t>(ps.documents, 1));
@@ -72,10 +78,15 @@ void RunThroughput() {
         TablePrinter::Num(static_cast<double>(ps.accepted_triples) /
                               ingest_seconds, 1)};
     for (double s : {ps.extract_seconds, ps.link_seconds, ps.map_seconds,
-                     ps.score_seconds, ps.mine_seconds}) {
+                     ps.score_seconds, ps.refresh_seconds,
+                     ps.mine_seconds}) {
       row.push_back(TablePrinter::Num(1e6 * s / docs, 1));
       row.push_back(TablePrinter::Num(100.0 * s / stage_total, 1));
     }
+    row.push_back(TablePrinter::Num(
+        static_cast<double>(adjacency_scanned->Value() - scanned_before) /
+            docs,
+        0));
     table.AddRow(row);
   }
   table.Print(std::cout);
@@ -106,7 +117,7 @@ void RunParallelIngest(size_t max_threads, JsonWriter* out) {
 
   TablePrinter table({"threads", "seconds", "docs/s", "speedup",
                       "extract s", "link s", "map s", "score s",
-                      "mine s"});
+                      "refresh s", "mine s"});
   JsonWriter& json = *out;
   json.Key("bench");
   json.String("pipeline_parallel_ingest");
@@ -158,6 +169,7 @@ void RunParallelIngest(size_t max_threads, JsonWriter* out) {
          TablePrinter::Num(ps.link_seconds, 2),
          TablePrinter::Num(ps.map_seconds, 2),
          TablePrinter::Num(ps.score_seconds, 2),
+         TablePrinter::Num(ps.refresh_seconds, 2),
          TablePrinter::Num(ps.mine_seconds, 2)});
     json.BeginObject();
     json.Key("threads");
@@ -176,6 +188,8 @@ void RunParallelIngest(size_t max_threads, JsonWriter* out) {
     json.Number(ps.map_seconds);
     json.Key("score_seconds");
     json.Number(ps.score_seconds);
+    json.Key("refresh_seconds");
+    json.Number(ps.refresh_seconds);
     json.Key("mine_seconds");
     json.Number(ps.mine_seconds);
     json.Key("vertices");

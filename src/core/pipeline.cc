@@ -93,12 +93,12 @@ std::string PipelineStats::ToString() const {
       "dropped(conf)=%zu dropped(unmapped)=%zu mapped=%zu raw_kept=%zu "
       "linked=%zu new_entities=%zu ds_alignments=%zu retractions=%zu\n"
       "stage seconds: extract=%.3f link=%.3f map=%.3f score=%.3f "
-      "mine=%.3f",
+      "refresh=%.3f mine=%.3f",
       documents, extractions, accepted_triples, deduped_triples,
       dropped_low_confidence, dropped_unmapped, mapped_triples,
       unmapped_kept, linked_to_existing, new_entities, ds_alignments,
       retractions, extract_seconds, link_seconds, map_seconds,
-      score_seconds, mine_seconds);
+      score_seconds, refresh_seconds, mine_seconds);
 }
 
 KgPipeline::KgPipeline(const CuratedKb* kb, PipelineConfig config)
@@ -707,7 +707,7 @@ void KgPipeline::RefreshBpr(size_t epochs) {
   WallTimer timer;
   bpr_.TrainIncremental(accepted_ids_, graph_.NumVertices(),
                         graph_.predicates().size(), epochs);
-  stats_.score_seconds += timer.ElapsedSeconds();
+  stats_.refresh_seconds += timer.ElapsedSeconds();
 }
 
 void KgPipeline::Finalize() {

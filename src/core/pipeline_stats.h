@@ -28,7 +28,10 @@ struct PipelineStats {
   double extract_seconds = 0;
   double link_seconds = 0;
   double map_seconds = 0;
+  /// Per-triple confidence scoring only; periodic BPR retraining is
+  /// refresh_seconds.
   double score_seconds = 0;
+  double refresh_seconds = 0;
   double mine_seconds = 0;
 
   std::string ToString() const;

@@ -2,14 +2,40 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "common/string_util.h"
+#include "obs/metrics.h"
 
 namespace nous {
 
+namespace {
+
+/// Linking cost instruments, so per-document linker work shows up on
+/// /api/stats next to the miner's.
+struct LinkerMetrics {
+  Counter* candidates;
+  Counter* adjacency_scanned;
+};
+
+const LinkerMetrics& Metrics() {
+  static const LinkerMetrics metrics = [] {
+    MetricsRegistry& r = MetricsRegistry::Global();
+    return LinkerMetrics{
+        r.GetCounter("nous_linker_candidates_total",
+                     "Alias candidates scored by the entity linker"),
+        r.GetCounter("nous_linker_adjacency_scanned_total",
+                     "KG adjacency entries read for entity context and "
+                     "coherence")};
+  }();
+  return metrics;
+}
+
+}  // namespace
+
 EntityLinker::EntityLinker(PropertyGraph* graph, LinkerConfig config)
-    : graph_(graph), config_(config) {}
+    : graph_(graph),
+      config_(config),
+      context_(graph, config.max_context_neighbors) {}
 
 void EntityLinker::RegisterEntity(VertexId vertex,
                                   const std::vector<std::string>& surfaces,
@@ -36,25 +62,23 @@ std::vector<std::pair<VertexId, double>> EntityLinker::CandidatesFor(
 }
 
 std::vector<EntityLinker::ScoredCandidate> EntityLinker::ScoreCandidates(
-    const std::string& surface, const TermBag& doc_bag) const {
+    const std::string& surface) {
   // AIDA compares the mention's *surrounding* context with the entity
   // context: the mention's own tokens are excluded, otherwise any
   // candidate whose description contains its own name (typical for
   // locations) gets a spurious vote just for being mentioned.
-  TermBag context_bag = doc_bag;
-  for (const std::string& word : SplitWhitespace(surface)) {
-    context_bag.erase(ToLower(word));
-  }
   std::vector<ScoredCandidate> scored;
-  for (const auto& [vertex, prior] : CandidatesFor(surface)) {
+  auto it = alias_index_.find(ToLower(surface));
+  if (it == alias_index_.end()) return scored;
+  context_.SetMention(surface);
+  for (const auto& [vertex, prior] : it->second) {
     double prior_score = std::log1p(prior) / std::log1p(max_prior_);
-    double context = CosineSimilarity(
-        context_bag,
-        BuildEntityBag(*graph_, vertex, config_.max_context_neighbors));
+    double context = context_.Similarity(vertex);
     double local = config_.prior_weight * prior_score +
                    config_.context_weight * context;
     scored.push_back(ScoredCandidate{vertex, local, local});
   }
+  Metrics().candidates->Increment(scored.size());
   std::sort(scored.begin(), scored.end(),
             [](const ScoredCandidate& a, const ScoredCandidate& b) {
               return a.local_score > b.local_score;
@@ -63,6 +87,85 @@ std::vector<EntityLinker::ScoredCandidate> EntityLinker::ScoreCandidates(
     scored.resize(config_.max_candidates);
   }
   return scored;
+}
+
+uint64_t EntityLinker::CollectNeighbors(
+    const std::vector<std::vector<ScoredCandidate>>& candidates) {
+  const size_t num_vertices = graph_->NumVertices();
+  if (neighbor_span_.size() < num_vertices) {
+    neighbor_span_.resize(num_vertices);
+    inverse_log_degree_.resize(num_vertices);
+  }
+  has_neighbors_.Reset(num_vertices);
+  has_inverse_log_degree_.Reset(num_vertices);
+  neighbor_ids_.clear();
+  relatedness_memo_.clear();
+  uint64_t scanned = 0;
+  for (const auto& list : candidates) {
+    for (const ScoredCandidate& c : list) {
+      if (!has_neighbors_.Insert(c.vertex)) continue;
+      const size_t begin = neighbor_ids_.size();
+      neighbor_mark_.Reset(num_vertices);
+      for (const std::vector<AdjEntry>* adj :
+           {&graph_->OutEdges(c.vertex), &graph_->InEdges(c.vertex)}) {
+        for (const AdjEntry& a : *adj) {
+          if (neighbor_mark_.Insert(a.neighbor)) {
+            neighbor_ids_.push_back(a.neighbor);
+          }
+        }
+        scanned += adj->size();
+      }
+      std::sort(neighbor_ids_.begin() + begin, neighbor_ids_.end());
+      neighbor_span_[c.vertex] = {static_cast<uint32_t>(begin),
+                                  static_cast<uint32_t>(neighbor_ids_.size())};
+    }
+  }
+  return scanned;
+}
+
+double EntityLinker::Relatedness(VertexId a, VertexId b) {
+  // Adamic-Adar-weighted overlap: a shared neighbor is evidence in
+  // inverse proportion to its degree — two companies headquartered in
+  // the same big city are barely related; sharing a rare partner is
+  // strong. Normalized by the smaller neighborhood so well-connected
+  // candidates don't dominate. The shared neighbors are summed in
+  // ascending VertexId order, a pure function of graph content that
+  // makes the value symmetric, so one memo entry serves both orders
+  // and both conditioning rounds.
+  const uint64_t key = (static_cast<uint64_t>(std::min(a, b)) << 32) |
+                       std::max(a, b);
+  auto [memo, inserted] = relatedness_memo_.try_emplace(key, 0.0);
+  if (!inserted) return memo->second;
+  const auto [a_begin, a_end] = neighbor_span_[a];
+  const auto [b_begin, b_end] = neighbor_span_[b];
+  const size_t a_size = a_end - a_begin, b_size = b_end - b_begin;
+  if (a_size == 0 || b_size == 0) return 0.0;  // memo holds 0.0
+  const VertexId* x = neighbor_ids_.data() + a_begin;
+  const VertexId* x_end = neighbor_ids_.data() + a_end;
+  const VertexId* y = neighbor_ids_.data() + b_begin;
+  const VertexId* y_end = neighbor_ids_.data() + b_end;
+  double score = 0;
+  while (x != x_end && y != y_end) {
+    if (*x < *y) {
+      ++x;
+    } else if (*y < *x) {
+      ++y;
+    } else {
+      const VertexId v = *x;
+      // Memoized per document: the graph does not change before the
+      // decisions are taken.
+      if (has_inverse_log_degree_.Insert(v)) {
+        double degree = static_cast<double>(graph_->OutDegree(v) +
+                                            graph_->InDegree(v));
+        inverse_log_degree_[v] = 1.0 / std::log(2.0 + degree);
+      }
+      score += inverse_log_degree_[v];
+      ++x;
+      ++y;
+    }
+  }
+  memo->second = score / static_cast<double>(std::min(a_size, b_size));
+  return memo->second;
 }
 
 const char* EntityLinker::TypeNameFor(EntityType type) {
@@ -81,49 +184,20 @@ std::vector<LinkDecision> EntityLinker::LinkMentions(
     const std::vector<std::string>& surfaces,
     const std::vector<EntityType>& types, const TermBag& doc_bag) {
   const size_t n = surfaces.size();
+  const uint64_t bag_scanned_before = context_.adjacency_scanned();
+  context_.SetDocument(doc_bag);
   std::vector<std::vector<ScoredCandidate>> candidates(n);
   for (size_t i = 0; i < n; ++i) {
-    candidates[i] = ScoreCandidates(surfaces[i], doc_bag);
+    candidates[i] = ScoreCandidates(surfaces[i]);
   }
 
   // ---- AIDA global stage: entity-entity coherence. ----
-  // Coherence = Jaccard overlap of KG neighborhoods. Each candidate's
-  // total score blends its local score with its mean coherence to the
-  // other mentions' candidates; then the weakest candidates of
-  // ambiguous mentions are dropped iteratively.
-  auto neighbor_set = [this](VertexId v) {
-    std::unordered_set<VertexId> set;
-    for (const AdjEntry& a : graph_->OutEdges(v)) set.insert(a.neighbor);
-    for (const AdjEntry& a : graph_->InEdges(v)) set.insert(a.neighbor);
-    return set;
-  };
-  std::unordered_map<VertexId, std::unordered_set<VertexId>> neighbors;
-  for (const auto& list : candidates) {
-    for (const ScoredCandidate& c : list) {
-      if (neighbors.count(c.vertex) == 0) {
-        neighbors[c.vertex] = neighbor_set(c.vertex);
-      }
-    }
-  }
-  // Adamic-Adar-weighted overlap: a shared neighbor is evidence in
-  // inverse proportion to its degree — two companies headquartered in
-  // the same big city are barely related; sharing a rare partner is
-  // strong. Normalized by the smaller neighborhood so well-connected
-  // candidates don't dominate.
-  auto relatedness = [this](const std::unordered_set<VertexId>& a,
-                            const std::unordered_set<VertexId>& b) {
-    if (a.empty() || b.empty()) return 0.0;
-    const auto& small = a.size() <= b.size() ? a : b;
-    const auto& large = a.size() <= b.size() ? b : a;
-    double score = 0;
-    for (VertexId v : small) {
-      if (large.count(v) == 0) continue;
-      double degree = static_cast<double>(graph_->OutDegree(v) +
-                                          graph_->InDegree(v));
-      score += 1.0 / std::log(2.0 + degree);
-    }
-    return score / static_cast<double>(small.size());
-  };
+  // Each candidate's total score blends its local score with its mean
+  // Adamic-Adar relatedness to the other mentions' candidates; then the
+  // weakest candidates of ambiguous mentions are dropped iteratively.
+  const uint64_t neighbors_scanned = CollectNeighbors(candidates);
+  Metrics().adjacency_scanned->Increment(
+      context_.adjacency_scanned() - bag_scanned_before + neighbors_scanned);
   // Two conditioning rounds: candidates score their relatedness to the
   // other mentions' CURRENT best candidate (initially the local-score
   // leader), then the assignment is re-ranked and scored once more —
@@ -141,8 +215,7 @@ std::vector<LinkDecision> EntityLinker::LinkMentions(
         for (size_t j = 0; j < n; ++j) {
           if (j == i || anchors[j] == kInvalidVertex) continue;
           if (anchors[j] == c.vertex) continue;
-          coherence_sum += relatedness(neighbors[c.vertex],
-                                       neighbors[anchors[j]]);
+          coherence_sum += Relatedness(c.vertex, anchors[j]);
           ++coherence_count;
         }
         double coherence =
@@ -256,6 +329,9 @@ Status EntityLinker::LoadBinary(BinaryReader* reader) {
   uint64_t created = 0;
   NOUS_RETURN_IF_ERROR(reader->U64(&created));
   num_created_ = created;
+  // The graph was reloaded with this state, so the derived word lists
+  // may describe vertices and terms that no longer exist.
+  context_.Clear();
   return Status::Ok();
 }
 

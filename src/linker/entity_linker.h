@@ -1,9 +1,11 @@
 #ifndef NOUS_LINKER_ENTITY_LINKER_H_
 #define NOUS_LINKER_ENTITY_LINKER_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/binary_io.h"
@@ -80,7 +82,8 @@ class EntityLinker {
 
   /// Checkpoint serialization of the alias index (surfaces in sorted
   /// order, candidate lists in registration order) plus counters.
-  /// The graph pointer and config are reconstructed by the caller.
+  /// The graph pointer and config are reconstructed by the caller, and
+  /// the derived word ids start cold again on load.
   void SaveBinary(BinaryWriter* writer) const;
   Status LoadBinary(BinaryReader* reader);
 
@@ -91,8 +94,19 @@ class EntityLinker {
     double total_score;
   };
 
-  std::vector<ScoredCandidate> ScoreCandidates(const std::string& surface,
-                                               const TermBag& doc_bag) const;
+  /// Local scores of `surface`'s candidates against the document set
+  /// on context_ (best first, capped at max_candidates).
+  std::vector<ScoredCandidate> ScoreCandidates(const std::string& surface);
+
+  /// Appends each distinct candidate's sorted distinct KG neighbors to
+  /// neighbor_ids_ and records its span, for the coherence stage.
+  /// Returns the adjacency entries read.
+  uint64_t CollectNeighbors(
+      const std::vector<std::vector<ScoredCandidate>>& candidates);
+
+  /// Adamic-Adar overlap of two candidates' neighborhoods, normalized by
+  /// the smaller one; memoized per document.
+  double Relatedness(VertexId a, VertexId b);
 
   /// Ontology-ish type name for a new vertex created from a mention.
   static const char* TypeNameFor(EntityType type);
@@ -103,6 +117,17 @@ class EntityLinker {
       alias_index_;
   double max_prior_ = 1.0;
   size_t num_created_ = 0;
+
+  // ---- Derived per-document scratch (never serialized). ----
+  ContextScorer context_;
+  StampSet has_neighbors_;  // VertexId: neighbor span built this document
+  StampSet neighbor_mark_;  // VertexId: neighbor seen for this candidate
+  std::vector<std::pair<uint32_t, uint32_t>> neighbor_span_;  // VertexId
+  std::vector<VertexId> neighbor_ids_;
+  StampSet has_inverse_log_degree_;  // VertexId: memoized this document
+  std::vector<double> inverse_log_degree_;  // VertexId
+  // Relatedness of (min, max) candidate pairs, this document.
+  std::unordered_map<uint64_t, double> relatedness_memo_;
 };
 
 }  // namespace nous

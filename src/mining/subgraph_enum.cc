@@ -3,42 +3,18 @@
 #include <algorithm>
 #include <set>
 
+#include "common/stamp_set.h"
+
 namespace nous {
 
 namespace {
 
-/// "Already collected" marks for extension dedup, indexed by EdgeId. A
-/// slot holding the current epoch is marked, so starting a new mark
-/// set is one increment instead of a clear.
-class EdgeMarks {
- public:
-  /// Starts an empty mark set over edge ids < num_slots.
-  void Reset(size_t num_slots) {
-    if (stamps_.size() < num_slots) stamps_.resize(num_slots, 0);
-    if (++epoch_ == 0) {
-      // Wrapped: a stale stamp could equal the new epoch.
-      std::fill(stamps_.begin(), stamps_.end(), 0);
-      epoch_ = 1;
-    }
-  }
-
-  /// Marks `e`; true when it was not marked yet.
-  bool Mark(EdgeId e) {
-    if (stamps_[e] == epoch_) return false;
-    stamps_[e] = epoch_;
-    return true;
-  }
-
- private:
-  std::vector<uint32_t> stamps_;
-  uint32_t epoch_ = 0;
-};
-
+/// "Already collected" marks for extension dedup, indexed by EdgeId.
 /// One per thread, so MineArabesqueSimParallel's workers never share
 /// marks. A mark set lives only while one subset's extensions are
 /// collected, before any callback runs, so a callback that enumerates
 /// again on the same thread is safe.
-thread_local EdgeMarks t_edge_marks;
+thread_local StampSet t_edge_marks;
 
 class SubsetEnumerator {
  public:
@@ -91,10 +67,10 @@ class SubsetEnumerator {
   void CollectExtensions(std::vector<EdgeId>* out) {
     out->clear();
     marks_.Reset(graph_.NumEdgeSlots());
-    for (EdgeId e : current_) marks_.Mark(e);
+    for (EdgeId e : current_) marks_.Insert(e);
     auto consider = [this, out](EdgeId e) {
       if (older_only_ && e >= anchor_) return;
-      if (marks_.Mark(e)) out->push_back(e);
+      if (marks_.Insert(e)) out->push_back(e);
     };
     for (EdgeId in_set : current_) {
       const EdgeRecord& rec = graph_.Edge(in_set);
@@ -110,7 +86,7 @@ class SubsetEnumerator {
   const MinerConfig& config_;
   const bool older_only_;
   const std::function<void(const std::vector<EdgeId>&)>& fn_;
-  EdgeMarks& marks_;
+  StampSet& marks_;
   std::vector<EdgeId> current_;  // growth order
   std::vector<EdgeId> sorted_;   // current_ sorted, as emitted
   std::vector<std::vector<EdgeId>> extensions_;  // per subset size

@@ -25,22 +25,27 @@ HttpResponse JsonError(int status, const std::string& message) {
   return response;
 }
 
-/// The streaming miner's cost instruments, read lock-free from the
-/// process-wide registry: the miner publishes them on every window
-/// event under the pipeline's lock, so /api/stats needs no lock of
-/// its own to report them.
-struct MinerReadout {
+/// The streaming miner's and the entity linker's cost instruments,
+/// read lock-free from the process-wide registry: both publish them
+/// under the pipeline's lock, so /api/stats needs no lock of its own
+/// to report them.
+struct CostReadout {
   Gauge* live_embeddings;
   Gauge* tracked_patterns;
   Counter* subsets_enumerated;
+  Counter* linker_candidates;
+  Counter* linker_adjacency_scanned;
 };
 
-const MinerReadout& Miner() {
-  static const MinerReadout readout = [] {
+const CostReadout& Cost() {
+  static const CostReadout readout = [] {
     MetricsRegistry& r = MetricsRegistry::Global();
-    return MinerReadout{r.GetGauge("nous_mining_live_embeddings"),
-                        r.GetGauge("nous_mining_tracked_patterns"),
-                        r.GetCounter("nous_mining_subsets_enumerated_total")};
+    return CostReadout{
+        r.GetGauge("nous_mining_live_embeddings"),
+        r.GetGauge("nous_mining_tracked_patterns"),
+        r.GetCounter("nous_mining_subsets_enumerated_total"),
+        r.GetCounter("nous_linker_candidates_total"),
+        r.GetCounter("nous_linker_adjacency_scanned_total")};
   }();
   return readout;
 }
@@ -186,14 +191,18 @@ HttpResponse NousApi::HandleStats() {
   w.Int(static_cast<long long>(ps.new_entities));
   w.Key("mean_extracted_confidence");
   w.Number(stats.extracted_confidence.Mean());
-  // Miner state that explains per-document mining cost.
-  const MinerReadout& miner = Miner();
+  // Miner and linker state that explains per-document ingest cost.
+  const CostReadout& cost = Cost();
   w.Key("mining_live_embeddings");
-  w.Int(static_cast<long long>(miner.live_embeddings->Value()));
+  w.Int(static_cast<long long>(cost.live_embeddings->Value()));
   w.Key("mining_tracked_patterns");
-  w.Int(static_cast<long long>(miner.tracked_patterns->Value()));
+  w.Int(static_cast<long long>(cost.tracked_patterns->Value()));
   w.Key("mining_subsets_enumerated");
-  w.Int(static_cast<long long>(miner.subsets_enumerated->Value()));
+  w.Int(static_cast<long long>(cost.subsets_enumerated->Value()));
+  w.Key("linker_candidates");
+  w.Int(static_cast<long long>(cost.linker_candidates->Value()));
+  w.Key("linker_adjacency_scanned");
+  w.Int(static_cast<long long>(cost.linker_adjacency_scanned->Value()));
   // Serving-tier basics, so operators need not scrape /api/metrics.
   w.Key("kg_version");
   w.Int(static_cast<long long>(kg_version));

@@ -226,6 +226,19 @@ TEST_F(ServerFixture, StatsReportMinerCostGauges) {
             std::string::npos);
 }
 
+TEST_F(ServerFixture, StatsReportLinkerCostCounters) {
+  std::string response = Get(server_.port(), "/api/stats");
+  for (const char* key :
+       {"\"linker_candidates\":", "\"linker_adjacency_scanned\":"}) {
+    EXPECT_NE(response.find(key), std::string::npos) << key;
+  }
+  // The fixture's document mentions curated entities, so the linker
+  // scored candidates and read their KG adjacency.
+  EXPECT_EQ(response.find("\"linker_candidates\":0,"), std::string::npos);
+  EXPECT_EQ(response.find("\"linker_adjacency_scanned\":0,"),
+            std::string::npos);
+}
+
 TEST_F(ServerFixture, StatsReportLatencyQuantilesPerStage) {
   std::string response = Get(server_.port(), "/api/stats");
   EXPECT_NE(response.find("\"latency\":{"), std::string::npos);

@@ -37,7 +37,7 @@ class StampSet {
 
   bool Contains(uint32_t id) const { return stamps_[id] == epoch_; }
 
-  /// Releases the id range; the next Reset starts from scratch.
+  /// Releases the id range; the next Reset starts over at epoch 1.
   void Clear() {
     stamps_.clear();
     epoch_ = 0;

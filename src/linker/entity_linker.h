@@ -118,7 +118,7 @@ class EntityLinker {
   double max_prior_ = 1.0;
   size_t num_created_ = 0;
 
-  // ---- Derived per-document scratch (never serialized). ----
+  // ---- Derived per-document working state (never serialized). ----
   ContextScorer context_;
   StampSet has_neighbors_;  // VertexId: neighbor span built this document
   StampSet neighbor_mark_;  // VertexId: neighbor seen for this candidate

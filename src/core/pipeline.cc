@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <thread>
 
+#include "common/logging.h"
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "linker/context.h"
@@ -193,30 +194,32 @@ void KgPipeline::LoadCuratedKb() {
 
 void KgPipeline::BootstrapMinerWindowLocked() {
   if (!config_.enable_mining) return;
-  SourceId kb_source = graph_.sources().Intern("curated_kb");
-  for (const KbFact& f : kb_->facts()) {
-    EdgeMeta meta;
-    meta.confidence = 1.0;
-    meta.timestamp = f.timestamp;
-    meta.source = kb_source;
-    meta.curated = true;
-    VertexId ws =
-        window_graph_.GetOrAddVertex(kb_->entities()[f.subject].name);
-    VertexId wo =
-        window_graph_.GetOrAddVertex(kb_->entities()[f.object].name);
-    window_graph_.SetVertexType(
-        ws,
-        window_graph_.types().Intern(kb_->entities()[f.subject].type_name));
-    window_graph_.SetVertexType(
-        wo,
-        window_graph_.types().Intern(kb_->entities()[f.object].type_name));
-    PredicateId wp = window_graph_.predicates().Intern(f.predicate);
-    // Direct insertion (not window_->Add): curated facts never expire.
-    EdgeId we = window_graph_.AddEdge(ws, wp, wo, meta);
-    if (miner_ != nullptr) {
-      miner_->OnEdgeAdded(window_graph_, we);
-    }
+  for (EdgeId e = 0; e < kb_->facts().size(); ++e) {
+    const EdgeRecord& rec = graph_.Edge(e);
+    // Direct insertion (not window_->Push): curated facts never expire.
+    miner_->OnEdgeAdded(
+        window_graph_,
+        AddWindowEdgeLocked(rec.subject, rec.predicate, rec.object,
+                            rec.meta.timestamp, /*curated=*/true));
   }
+}
+
+EdgeId KgPipeline::AddWindowEdgeLocked(VertexId s, PredicateId p,
+                                       VertexId o, Timestamp timestamp,
+                                       bool curated) {
+  // Window vertex v is KG vertex v: KG labels are unique, so adding
+  // them in id order gives each the next window id.
+  for (VertexId v = static_cast<VertexId>(window_graph_.NumVertices());
+       v < graph_.NumVertices(); ++v) {
+    NOUS_CHECK(window_graph_.GetOrAddVertex(graph_.VertexLabel(v)) == v);
+  }
+  window_graph_.SetVertexType(s, graph_.VertexType(s));
+  window_graph_.SetVertexType(o, graph_.VertexType(o));
+  // The window and miner read only the timestamp and curated flag.
+  EdgeMeta meta;
+  meta.timestamp = timestamp;
+  meta.curated = curated;
+  return window_graph_.AddEdge(s, p, o, meta);
 }
 
 std::string KgPipeline::VertexTypeName(VertexId v) const {
@@ -462,22 +465,12 @@ void KgPipeline::CommitDocument(const Article& article,
     metrics.accepted->Increment();
 
     // ---- 6. Stream the fact into the miner's sliding window. ----
+    // Only new KG edges enter the window. A retraction (above) only
+    // lowers a KG edge's confidence, which the window does not hold,
+    // so it leaves the window unchanged.
     if (config_.enable_mining) {
       WallTimer mine_timer;
-      TimedTriple wt;
-      wt.triple.subject = graph_.VertexLabel(s);
-      wt.triple.predicate = predicate_name;
-      wt.triple.object = graph_.VertexLabel(o);
-      wt.timestamp = ts;
-      wt.source = article.source;
-      wt.confidence = confidence;
-      VertexId ws = window_graph_.GetOrAddVertex(wt.triple.subject);
-      VertexId wo = window_graph_.GetOrAddVertex(wt.triple.object);
-      window_graph_.SetVertexType(
-          ws, window_graph_.types().Intern(VertexTypeName(s)));
-      window_graph_.SetVertexType(
-          wo, window_graph_.types().Intern(VertexTypeName(o)));
-      window_->Add(wt);
+      window_->Push(AddWindowEdgeLocked(s, p, o, ts, /*curated=*/false));
       stats_.mine_seconds += mine_timer.ElapsedSeconds();
       metrics.window_edges->Set(static_cast<double>(window_->size()));
     }
@@ -503,8 +496,13 @@ namespace {
 /// v3: drops the five wall-clock stage timings (extract/link/map/
 /// score/mine seconds), so the image is a pure function of the
 /// ingested stream. v2 images still load; their timings are skipped.
-constexpr uint32_t kStateVersion = 3;
+/// v4: window records are KG ids (subject, predicate, object u32 +
+/// timestamp i64) instead of six strings, a timestamp and a
+/// confidence. v2/v3 window records still load, resolved by name.
+constexpr uint32_t kStateVersion = 4;
+constexpr uint32_t kStateVersionStringWindow = 3;
 constexpr uint32_t kStateVersionWithTimings = 2;
+constexpr size_t kWindowRecordBytes = 3 * 4 + 8;
 }  // namespace
 
 std::string KgPipeline::SaveState() const {
@@ -545,32 +543,21 @@ std::string KgPipeline::SaveState() const {
   writer.U64(stats_.ds_alignments);
   writer.U64(stats_.retractions);
 
-  // Miner window: the streamed (non-curated) triples currently in the
-  // window, oldest first, with the fused-KG type names needed to
-  // replay them through the same code path as live ingest. The miner
-  // itself is not serialized — its pattern state is a function of the
-  // window content and is rebuilt by the replay.
+  // Miner window: the streamed (non-curated) edges currently in the
+  // window, oldest first, as KG ids. The miner itself is not
+  // serialized — its pattern state is a function of the window
+  // content and is rebuilt by replaying these through the live insert
+  // path.
   if (window_ == nullptr) {
     writer.U64(0);
   } else {
-    const auto& edges = window_->edges();
-    writer.U64(edges.size());
-    for (EdgeId e : edges) {
+    writer.U64(window_->edges().size());
+    for (EdgeId e : window_->edges()) {
       const EdgeRecord& rec = window_graph_.Edge(e);
-      writer.Str(window_graph_.VertexLabel(rec.subject));
-      writer.Str(window_graph_.predicates().GetString(rec.predicate));
-      writer.Str(window_graph_.VertexLabel(rec.object));
+      writer.U32(rec.subject);
+      writer.U32(rec.predicate);
+      writer.U32(rec.object);
       writer.I64(rec.meta.timestamp);
-      writer.Str(rec.meta.source == kInvalidSource
-                     ? ""
-                     : window_graph_.sources().GetString(rec.meta.source));
-      writer.F64(rec.meta.confidence);
-      TypeId st = window_graph_.VertexType(rec.subject);
-      TypeId ot = window_graph_.VertexType(rec.object);
-      writer.Str(st == kInvalidType ? ""
-                                    : window_graph_.types().GetString(st));
-      writer.Str(ot == kInvalidType ? ""
-                                    : window_graph_.types().GetString(ot));
     }
   }
   return writer.Take();
@@ -589,7 +576,8 @@ Status KgPipeline::LoadStateLocked(std::string_view payload) {
   BinaryReader reader(payload);
   uint32_t version = 0;
   NOUS_RETURN_IF_ERROR(reader.U32(&version));
-  if (version != kStateVersion && version != kStateVersionWithTimings) {
+  if (version != kStateVersion && version != kStateVersionStringWindow &&
+      version != kStateVersionWithTimings) {
     return Status::DataLoss("pipeline state version " +
                             std::to_string(version) + " unsupported");
   }
@@ -654,6 +642,9 @@ Status KgPipeline::LoadStateLocked(std::string_view payload) {
   // too — the new miner restarts its generation counter, so a stale
   // set could alias a fresh generation.
   if (config_.enable_mining) {
+    if (graph_.NumEdgeSlots() < kb_->facts().size()) {
+      return Status::DataLoss("pipeline state lacks the curated edges");
+    }
     window_graph_ = PropertyGraph();
     miner_ = std::make_unique<StreamingMiner>(config_.miner);
     window_ = std::make_unique<TemporalWindow>(&window_graph_,
@@ -663,34 +654,59 @@ Status KgPipeline::LoadStateLocked(std::string_view payload) {
     rendered_patterns_.store(nullptr, std::memory_order_release);
   }
 
-  uint64_t num_window = 0;
-  NOUS_RETURN_IF_ERROR(reader.Count(&num_window, 8 * 5 + 8 + 8));
-  for (uint64_t i = 0; i < num_window; ++i) {
-    TimedTriple wt;
-    std::string subject_type, object_type;
-    NOUS_RETURN_IF_ERROR(reader.Str(&wt.triple.subject));
-    NOUS_RETURN_IF_ERROR(reader.Str(&wt.triple.predicate));
-    NOUS_RETURN_IF_ERROR(reader.Str(&wt.triple.object));
-    NOUS_RETURN_IF_ERROR(reader.I64(&wt.timestamp));
-    NOUS_RETURN_IF_ERROR(reader.Str(&wt.source));
-    NOUS_RETURN_IF_ERROR(reader.F64(&wt.confidence));
-    NOUS_RETURN_IF_ERROR(reader.Str(&subject_type));
-    NOUS_RETURN_IF_ERROR(reader.Str(&object_type));
-    if (window_ == nullptr) continue;  // mining disabled in this config
-    VertexId ws = window_graph_.GetOrAddVertex(wt.triple.subject);
-    VertexId wo = window_graph_.GetOrAddVertex(wt.triple.object);
-    if (!subject_type.empty()) {
-      window_graph_.SetVertexType(
-          ws, window_graph_.types().Intern(subject_type));
+  if (version == kStateVersion) {
+    uint64_t num_window = 0;
+    NOUS_RETURN_IF_ERROR(reader.Count(&num_window, kWindowRecordBytes));
+    for (uint64_t i = 0; i < num_window; ++i) {
+      uint32_t s = 0, p = 0, o = 0;
+      Timestamp ts = 0;
+      NOUS_RETURN_IF_ERROR(reader.U32(&s));
+      NOUS_RETURN_IF_ERROR(reader.U32(&p));
+      NOUS_RETURN_IF_ERROR(reader.U32(&o));
+      NOUS_RETURN_IF_ERROR(reader.I64(&ts));
+      if (s >= graph_.NumVertices() || o >= graph_.NumVertices() ||
+          p >= graph_.predicates().size()) {
+        return Status::DataLoss("window edge id out of range");
+      }
+      if (window_ == nullptr) continue;  // mining disabled in this config
+      window_->Push(AddWindowEdgeLocked(s, p, o, ts, /*curated=*/false));
     }
-    if (!object_type.empty()) {
-      window_graph_.SetVertexType(
-          wo, window_graph_.types().Intern(object_type));
-    }
-    window_->Add(wt);
+  } else {
+    NOUS_RETURN_IF_ERROR(LoadLegacyWindowLocked(&reader));
   }
   if (!reader.AtEnd()) {
     return Status::DataLoss("pipeline state has trailing bytes");
+  }
+  return Status::Ok();
+}
+
+Status KgPipeline::LoadLegacyWindowLocked(BinaryReader* reader) {
+  // Per record: subject, predicate and object names, timestamp, source,
+  // confidence, subject and object type names. Only the ids and the
+  // timestamp matter; types come from the KG, as in live ingest.
+  uint64_t num_window = 0;
+  NOUS_RETURN_IF_ERROR(reader->Count(&num_window, 8 * 5 + 8 + 8));
+  for (uint64_t i = 0; i < num_window; ++i) {
+    std::string subject, predicate, object, ignored;
+    Timestamp ts = 0;
+    double confidence = 0;
+    NOUS_RETURN_IF_ERROR(reader->Str(&subject));
+    NOUS_RETURN_IF_ERROR(reader->Str(&predicate));
+    NOUS_RETURN_IF_ERROR(reader->Str(&object));
+    NOUS_RETURN_IF_ERROR(reader->I64(&ts));
+    NOUS_RETURN_IF_ERROR(reader->Str(&ignored));
+    NOUS_RETURN_IF_ERROR(reader->F64(&confidence));
+    NOUS_RETURN_IF_ERROR(reader->Str(&ignored));
+    NOUS_RETURN_IF_ERROR(reader->Str(&ignored));
+    std::optional<VertexId> s = graph_.FindVertex(subject);
+    std::optional<VertexId> o = graph_.FindVertex(object);
+    std::optional<PredicateId> p = graph_.predicates().Lookup(predicate);
+    if (!s || !o || !p) {
+      return Status::DataLoss("window edge (" + subject + ", " + predicate +
+                              ", " + object + ") is not in the KG");
+    }
+    if (window_ == nullptr) continue;  // mining disabled in this config
+    window_->Push(AddWindowEdgeLocked(*s, *p, *o, ts, /*curated=*/false));
   }
   return Status::Ok();
 }
@@ -767,14 +783,7 @@ void KgPipeline::PublishSnapshot() {
       if (rendered == nullptr || rendered->miner_generation != generation) {
         auto fresh = std::make_shared<RenderedPatternSet>();
         fresh->miner_generation = generation;
-        for (const PatternStats& stats : miner_->ClosedFrequentPatterns()) {
-          RenderedPattern p;
-          p.description = stats.pattern.ToString(window_graph_.predicates(),
-                                                 &window_graph_.types());
-          p.support = stats.support;
-          p.embeddings = stats.embeddings;
-          fresh->patterns.push_back(std::move(p));
-        }
+        fresh->patterns = RenderClosedPatterns(*miner_, graph_);
         rendered = std::move(fresh);
         rendered_patterns_.store(rendered, std::memory_order_release);
       }

@@ -138,9 +138,9 @@ class KgPipeline {
   /// linker alias index, mapper evidence, BPR parameters + RNG state,
   /// source-trust counts, accepted-triple list, refresh cadence,
   /// ad-hoc id counter, stats counters, and the miner's current window
-  /// triples. Holds no wall-clock value (the stage timings restart at
-  /// zero after a load), so the bytes are a pure function of the
-  /// ingested stream. Takes the shared lock. The payload feeds the
+  /// edges as KG ids. Holds no wall-clock value (the stage timings
+  /// restart at zero after a load), so the bytes are a pure function of
+  /// the ingested stream. Takes the shared lock. The payload feeds the
   /// durability checkpointer (DESIGN.md §5.10).
   std::string SaveState() const EXCLUDES(kg_mutex_);
 
@@ -148,7 +148,8 @@ class KgPipeline {
   /// constructed pipeline with the same CuratedKb and PipelineConfig
   /// that produced the payload (the curated bootstrap is re-derived,
   /// then overwritten by the exact saved state; the miner window is
-  /// rebuilt semantically by replaying the saved window triples).
+  /// rebuilt by replaying the saved window edges through the live
+  /// insert path, so the restored miner serves the same patterns).
   /// After a successful load, ingesting the same articles produces a
   /// fused KG bit-identical to the uncheckpointed run.
   Status LoadState(std::string_view payload) EXCLUDES(kg_mutex_);
@@ -184,10 +185,10 @@ class KgPipeline {
   const StreamingMiner* miner() const REQUIRES_SHARED(kg_mutex_) {
     return miner_.get();
   }
-  /// The graph the miner watches; its dictionaries resolve pattern
-  /// ids (distinct from the fused KG's dictionaries).
-  const PropertyGraph* miner_graph() const REQUIRES_SHARED(kg_mutex_) {
-    return &window_graph_;
+  /// The miner's sliding window, null with mining off. Its graph is in
+  /// the KG's id space (see window_graph_).
+  const TemporalWindow* miner_window() const REQUIRES_SHARED(kg_mutex_) {
+    return window_.get();
   }
   EntityLinker& linker() REQUIRES(kg_mutex_) { return linker_; }
   PredicateMapper& mapper() REQUIRES(kg_mutex_) { return mapper_; }
@@ -243,10 +244,21 @@ class KgPipeline {
   };
 
   void LoadCuratedKb() REQUIRES(kg_mutex_);
-  /// Seeds the miner window graph with the curated facts (direct
-  /// insertion, never expired). Called from the curated bootstrap and
-  /// again by LoadStateLocked after it resets the window machinery.
+  /// Seeds the miner window graph with the curated facts, the KG's
+  /// first kb_->facts().size() edges (direct insertion, never
+  /// expired). Called from the curated bootstrap and again by
+  /// LoadStateLocked after it resets the window machinery.
   void BootstrapMinerWindowLocked() REQUIRES(kg_mutex_);
+  /// Inserts KG edge (s, p, o) into the window graph — the one insert
+  /// path for curated bootstrap, live ingest and LoadState replay —
+  /// and returns its window edge id. Extends the window graph's
+  /// vertices to the KG's and copies the endpoints' KG types first.
+  EdgeId AddWindowEdgeLocked(VertexId s, PredicateId p, VertexId o,
+                             Timestamp timestamp, bool curated)
+      REQUIRES(kg_mutex_);
+  /// Reads a v2/v3 image's string window records, resolving labels and
+  /// predicate names against the just-loaded KG, and replays them.
+  Status LoadLegacyWindowLocked(BinaryReader* reader) REQUIRES(kg_mutex_);
   /// Finalize body (BPR refresh + rescore + LDA), under the writer
   /// lock held by Finalize().
   void FinalizeLocked() REQUIRES(kg_mutex_);
@@ -272,8 +284,12 @@ class KgPipeline {
   std::unique_ptr<ThreadPool> pool_;  // lint: unguarded(see above)
 
   PropertyGraph graph_ GUARDED_BY(kg_mutex_);  // the fused KG
-  /// Mirror graph holding the miner's sliding window (curated base +
-  /// recent stream).
+  /// The miner's sliding window (curated base + recent stream) in the
+  /// KG's id space: window vertex v is KG vertex v, and edges and
+  /// vertex types carry KG PredicateIds and TypeIds, so patterns render
+  /// through graph_'s dictionaries. Its own predicate, type and source
+  /// dictionaries stay empty; it holds vertex labels only because
+  /// PropertyGraph creates vertices by label.
   PropertyGraph window_graph_ GUARDED_BY(kg_mutex_);
   std::unique_ptr<TemporalWindow> window_ GUARDED_BY(kg_mutex_);
   std::unique_ptr<StreamingMiner> miner_ GUARDED_BY(kg_mutex_);

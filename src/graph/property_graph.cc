@@ -405,6 +405,10 @@ Status PropertyGraph::LoadBinary(BinaryReader* reader) {
     NOUS_RETURN_IF_ERROR(reader->U8(&alive));
     rec.meta.curated = curated != 0;
     rec.alive = alive != 0;
+    if (rec.subject >= num_vertices || rec.object >= num_vertices ||
+        rec.predicate >= predicates_.size()) {
+      return Status::DataLoss("graph checkpoint: edge id out of range");
+    }
   }
 
   NOUS_RETURN_IF_ERROR(LoadAdjacency(reader, num_vertices, &out_));

@@ -9,12 +9,11 @@ namespace nous {
 TemporalWindow::TemporalWindow(PropertyGraph* graph, size_t max_edges)
     : graph_(graph), max_edges_(max_edges) {}
 
-EdgeId TemporalWindow::Add(const TimedTriple& triple) {
-  EdgeId e = graph_->AddTriple(triple);
-  window_.push_back(e);
-  for (WindowListener* l : listeners_) l->OnEdgeAdded(*graph_, e);
+EdgeId TemporalWindow::Push(EdgeId edge) {
+  window_.push_back(edge);
+  for (WindowListener* l : listeners_) l->OnEdgeAdded(*graph_, edge);
   while (max_edges_ != 0 && window_.size() > max_edges_) ExpireOldest();
-  return e;
+  return edge;
 }
 
 size_t TemporalWindow::ExpireOlderThan(Timestamp horizon) {

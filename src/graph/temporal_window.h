@@ -25,7 +25,8 @@ class WindowListener {
 /// recent edges in insertion order, expiring the oldest either by count
 /// (`max_edges`) or by timestamp horizon. The wrapped graph holds the
 /// union of the curated KB (never expired; inserted directly into the
-/// graph) and the windowed extracted stream.
+/// graph) and the windowed extracted stream. Expiry reads only the
+/// edges' timestamps.
 ///
 /// Concurrency: externally synchronized, like the listeners it
 /// notifies. KgPipeline mutates it (and the wrapped window graph)
@@ -36,8 +37,16 @@ class TemporalWindow {
   /// `max_edges` == 0 disables count-based expiry.
   TemporalWindow(PropertyGraph* graph, size_t max_edges);
 
-  /// Appends a streamed edge, then expires by count if needed.
-  EdgeId Add(const TimedTriple& triple);
+  /// Makes `edge`, already live in graph(), the newest windowed edge:
+  /// notifies the listeners, then expires by count if needed. Returns
+  /// `edge`.
+  EdgeId Push(EdgeId edge);
+
+  /// Inserts `triple` into graph() by label and pushes it (for tests
+  /// and benches that stream string triples).
+  EdgeId Add(const TimedTriple& triple) {
+    return Push(graph_->AddTriple(triple));
+  }
 
   /// Expires every windowed edge with timestamp < `horizon`.
   size_t ExpireOlderThan(Timestamp horizon);

@@ -17,10 +17,9 @@ namespace nous {
 /// re-enumeration cost; the NOUS streaming miner's speedup claim is
 /// measured against this.
 ///
-/// Returns patterns with support >= config.min_support, sorted by
-/// support descending (ties in first-seen order). `total_embeddings`,
-/// when non-null, receives the number of embeddings enumerated (the
-/// work measure).
+/// Returns patterns with support >= config.min_support, in
+/// SortBySupport order. `total_embeddings`, when non-null, receives
+/// the number of embeddings enumerated (the work measure).
 std::vector<PatternStats> MineArabesqueSim(const PropertyGraph& graph,
                                            const MinerConfig& config,
                                            size_t* total_embeddings = nullptr);

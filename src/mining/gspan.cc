@@ -25,7 +25,7 @@ struct LevelEntry {
   }
 };
 
-/// One level's patterns in first-seen order, with a lookup index.
+/// One level's patterns, with a lookup index.
 struct Level {
   std::vector<LevelEntry> entries;
   std::unordered_map<Pattern, size_t, PatternHash> index;
@@ -113,12 +113,7 @@ std::vector<PatternStats> MineGspan(const PropertyGraph& graph,
     level = std::move(next);
   }
 
-  // Stable: equal supports keep first-seen order (level by level), as
-  // in StreamingMiner::FrequentPatterns.
-  std::stable_sort(results.begin(), results.end(),
-                   [](const PatternStats& a, const PatternStats& b) {
-                     return a.support > b.support;
-                   });
+  SortBySupport(&results);
   if (total_embeddings != nullptr) *total_embeddings = total;
   return results;
 }

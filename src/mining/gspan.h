@@ -15,10 +15,9 @@ namespace nous {
 /// Arabesque-style full enumeration when labels are selective, but
 /// still pays the full window cost every slide.
 ///
-/// Returns patterns with support >= config.min_support, sorted by
-/// support descending; equal supports keep first-seen order, level by
-/// level. `total_embeddings`, when non-null, receives the
-/// number of embeddings materialized across all levels.
+/// Returns patterns with support >= config.min_support, in
+/// SortBySupport order. `total_embeddings`, when non-null, receives
+/// the number of embeddings materialized across all levels.
 std::vector<PatternStats> MineGspan(const PropertyGraph& graph,
                                     const MinerConfig& config,
                                     size_t* total_embeddings = nullptr);

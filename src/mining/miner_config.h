@@ -1,7 +1,9 @@
 #ifndef NOUS_MINING_MINER_CONFIG_H_
 #define NOUS_MINING_MINER_CONFIG_H_
 
+#include <algorithm>
 #include <cstddef>
+#include <vector>
 
 #include "mining/pattern.h"
 
@@ -30,6 +32,19 @@ struct PatternStats {
   /// vertices observed in that position.
   size_t support = 0;
 };
+
+/// The one result order shared by the streaming miner and both
+/// baselines: support descending, ties by canonical pattern. It
+/// depends only on the reported set, never on enumeration or window
+/// history, so a restored miner lists its patterns as the live one
+/// does.
+inline void SortBySupport(std::vector<PatternStats>* stats) {
+  std::sort(stats->begin(), stats->end(),
+            [](const PatternStats& a, const PatternStats& b) {
+              if (a.support != b.support) return a.support > b.support;
+              return a.pattern < b.pattern;
+            });
+}
 
 }  // namespace nous
 

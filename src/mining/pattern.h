@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "graph/dictionary.h"
@@ -19,6 +20,9 @@ struct PatternEdge {
 
   friend bool operator==(const PatternEdge& a, const PatternEdge& b) {
     return a.src == b.src && a.pred == b.pred && a.dst == b.dst;
+  }
+  friend bool operator<(const PatternEdge& a, const PatternEdge& b) {
+    return std::tie(a.src, a.pred, a.dst) < std::tie(b.src, b.pred, b.dst);
   }
 };
 
@@ -74,6 +78,14 @@ class Pattern {
 
   friend bool operator==(const Pattern& a, const Pattern& b) {
     return a.edges_ == b.edges_ && a.vertex_labels_ == b.vertex_labels_;
+  }
+
+  /// Total order on canonical patterns: edges lexicographically by
+  /// (src, pred, dst), then vertex labels. Independent of when or in
+  /// which window a pattern was first seen.
+  friend bool operator<(const Pattern& a, const Pattern& b) {
+    if (a.edges_ != b.edges_) return a.edges_ < b.edges_;
+    return a.vertex_labels_ < b.vertex_labels_;
   }
 
   size_t Hash() const;

@@ -218,12 +218,7 @@ std::vector<PatternStats> StreamingMiner::FrequentPatterns() const {
     stats.support = support;
     results.push_back(std::move(stats));
   }
-  // Stable: equal supports keep pattern id (first-seen) order, so the
-  // closed set and its rendering do not depend on the sort's whims.
-  std::stable_sort(results.begin(), results.end(),
-            [](const PatternStats& a, const PatternStats& b) {
-              return a.support > b.support;
-            });
+  SortBySupport(&results);
   return results;
 }
 

@@ -45,8 +45,7 @@ class StreamingMiner : public WindowListener {
   void OnEdgeAdded(const PropertyGraph& graph, EdgeId edge) override;
   void OnEdgeExpiring(const PropertyGraph& graph, EdgeId edge) override;
 
-  /// Patterns with support >= min_support, sorted by support desc;
-  /// equal supports keep first-seen (pattern id) order.
+  /// Patterns with support >= min_support, in SortBySupport order.
   std::vector<PatternStats> FrequentPatterns() const;
 
   /// Frequent patterns with no frequent strict super-pattern of equal

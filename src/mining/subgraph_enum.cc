@@ -181,12 +181,7 @@ std::vector<PatternStats> SupportCounter::Results(
     stats.support = support;
     results.push_back(std::move(stats));
   }
-  // Stable: equal supports keep first-seen order, as in
-  // StreamingMiner::FrequentPatterns.
-  std::stable_sort(results.begin(), results.end(),
-                   [](const PatternStats& a, const PatternStats& b) {
-                     return a.support > b.support;
-                   });
+  SortBySupport(&results);
   return results;
 }
 

@@ -21,7 +21,8 @@ namespace nous {
 /// more edges — the only ones reachable along two growth orders — go
 /// through a seen-set. Emission order is fixed (depth-first, each
 /// subset's extensions in adjacency order of its members in growth
-/// order); pattern ids, and so FrequentPatterns' tie order, follow it.
+/// order). Pattern ids, and so TakeChurn's list order, follow it;
+/// SortBySupport's result order does not.
 ///
 /// The `older_only` restriction gives exactly-once global enumeration:
 /// every connected subset has a unique maximum edge id, so enumerating
@@ -45,8 +46,7 @@ class SupportCounter {
   /// combine per-worker counters after a parallel enumeration).
   void Merge(const SupportCounter& other);
 
-  /// Patterns meeting `min_support`, sorted by support descending;
-  /// equal supports keep first-seen order.
+  /// Patterns meeting `min_support`, in SortBySupport order.
   std::vector<PatternStats> Results(size_t min_support) const;
 
   size_t num_patterns() const { return entries_.size(); }

@@ -63,36 +63,36 @@ std::string Answer::Render(const PropertyGraph& graph) const {
 
 QueryEngine::QueryEngine(const PropertyGraph* graph,
                          const StreamingMiner* miner,
-                         QueryEngineConfig config,
-                         const PropertyGraph* miner_graph)
-    : graph_(graph), miner_(miner), miner_graph_(miner_graph),
-      config_(config) {
-  if (miner_graph_ == nullptr) miner_graph_ = graph;
-}
+                         QueryEngineConfig config)
+    : graph_(graph), miner_(miner), config_(config) {}
 
 QueryEngine::QueryEngine(
     const PropertyGraph* graph, const std::vector<RenderedPattern>& patterns,
     QueryEngineConfig config)
     : graph_(graph),
       miner_(nullptr),
-      miner_graph_(nullptr),
       prerendered_patterns_(&patterns),
       config_(config) {}
 
-std::vector<RenderedPattern> QueryEngine::RenderMinerPatterns()
-    const {
-  if (prerendered_patterns_ != nullptr) return *prerendered_patterns_;
+std::vector<RenderedPattern> RenderClosedPatterns(
+    const StreamingMiner& miner, const PropertyGraph& graph) {
   std::vector<RenderedPattern> rendered;
-  if (miner_ == nullptr || miner_graph_ == nullptr) return rendered;
-  for (const PatternStats& stats : miner_->ClosedFrequentPatterns()) {
+  for (const PatternStats& stats : miner.ClosedFrequentPatterns()) {
     RenderedPattern p;
-    p.description = stats.pattern.ToString(miner_graph_->predicates(),
-                                           &miner_graph_->types());
+    p.description =
+        stats.pattern.ToString(graph.predicates(), &graph.types());
     p.support = stats.support;
     p.embeddings = stats.embeddings;
     rendered.push_back(std::move(p));
   }
   return rendered;
+}
+
+std::vector<RenderedPattern> QueryEngine::RenderMinerPatterns()
+    const {
+  if (prerendered_patterns_ != nullptr) return *prerendered_patterns_;
+  if (miner_ == nullptr) return {};
+  return RenderClosedPatterns(*miner_, *graph_);
 }
 
 Result<VertexId> QueryEngine::ResolveEntity(

@@ -25,14 +25,19 @@ struct FactLine {
   Timestamp timestamp = 0;
 };
 
-/// A discovered pattern rendered against the miner's dictionaries
-/// (pattern ids are only meaningful relative to the graph the miner
-/// watched, so answers carry strings).
+/// A discovered pattern rendered against the KG's dictionaries (the
+/// miner's window shares the KG's id space).
 struct RenderedPattern {
   std::string description;
   size_t support = 0;
   size_t embeddings = 0;
 };
+
+/// The miner's closed frequent patterns, in order, rendered with
+/// `graph`'s dictionaries — what snapshots serve and what the locked
+/// engine renders.
+std::vector<RenderedPattern> RenderClosedPatterns(
+    const StreamingMiner& miner, const PropertyGraph& graph);
 
 /// Structured answer; which fields are filled depends on `kind`.
 struct Answer {
@@ -69,14 +74,12 @@ struct QueryEngineConfig {
 
 /// Executes the five query classes against the dynamic KG and the
 /// streaming miner's pattern state. The miner is optional (pattern and
-/// trending-pattern sections are empty without it). `miner_graph` is
-/// the graph the miner watched — its dictionaries resolve pattern ids;
-/// pass null to reuse `graph` (single-graph setups).
+/// trending-pattern sections are empty without it); its pattern ids
+/// are KG predicate and type ids, rendered with `graph`'s dictionaries.
 class QueryEngine {
  public:
   QueryEngine(const PropertyGraph* graph, const StreamingMiner* miner,
-              QueryEngineConfig config = {},
-              const PropertyGraph* miner_graph = nullptr);
+              QueryEngineConfig config = {});
 
   /// Snapshot-serving variant: patterns were already rendered at
   /// snapshot publish time (core/snapshot.h), so no miner or window
@@ -105,8 +108,7 @@ class QueryEngine {
   std::vector<RenderedPattern> RenderMinerPatterns() const;
 
   const PropertyGraph* graph_;
-  const StreamingMiner* miner_;       // may be null
-  const PropertyGraph* miner_graph_;  // dictionary source for patterns
+  const StreamingMiner* miner_;  // may be null
   /// Pre-rendered patterns (snapshot mode); exclusive with miner_.
   const std::vector<RenderedPattern>* prerendered_patterns_ = nullptr;
   QueryEngineConfig config_;

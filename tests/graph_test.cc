@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
 #include "common/random.h"
 #include "common/string_util.h"
 #include "graph/dictionary.h"
@@ -180,6 +181,37 @@ TEST(PropertyGraphTest, SetEdgeConfidence) {
   EdgeId e = g.AddEdge(a, g.predicates().Intern("p"), b, {});
   g.SetEdgeConfidence(e, 0.12);
   EXPECT_DOUBLE_EQ(g.Edge(e).meta.confidence, 0.12);
+}
+
+TEST(PropertyGraphTest, LoadBinaryRejectsOutOfRangeEdgeIds) {
+  PropertyGraph g;
+  EdgeMeta meta;
+  meta.confidence = 0.123456789;  // a byte pattern the image holds once
+  g.AddEdge(g.GetOrAddVertex("a"), g.predicates().Intern("p"),
+            g.GetOrAddVertex("b"), meta);
+  BinaryWriter writer;
+  g.SaveBinary(&writer);
+  const std::string bytes = writer.Take();
+  BinaryWriter confidence;
+  confidence.F64(meta.confidence);
+  const size_t at = bytes.find(confidence.data());
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes.find(confidence.data(), at + 1), std::string::npos);
+  // The edge record is subject, object, predicate (u32 each), then the
+  // confidence; 2 is past both the two vertices and the one predicate.
+  for (size_t back : {12u, 8u, 4u}) {
+    BinaryWriter id;
+    id.U32(2);
+    std::string bad = bytes;
+    bad.replace(at - back, 4, id.data());
+    PropertyGraph loaded;
+    BinaryReader reader(bad);
+    EXPECT_EQ(loaded.LoadBinary(&reader).code(), StatusCode::kDataLoss)
+        << back;
+  }
+  PropertyGraph loaded;
+  BinaryReader reader(bytes);
+  EXPECT_TRUE(loaded.LoadBinary(&reader).ok());
 }
 
 TEST(PropertyGraphTest, ForEachEdgeSkipsDead) {

@@ -1,0 +1,302 @@
+// The miner window in the KG's id space (DESIGN.md §5.1, §5.10): window
+// vertex v is KG vertex v, window edges carry KG predicate ids, and the
+// image stores window edges as 20-byte id records. These tests pin the
+// consequences: a restored pipeline serves exactly the live pipeline's
+// patterns, the window mines what the string-keyed window it replaced
+// mined, its graph holds no dictionaries of its own, and corrupt
+// window records are DataLoss, never a crash.
+
+#include <cstdint>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "common/binary_io.h"
+#include "common/status.h"
+#include "core/pipeline.h"
+#include "corpus/article_generator.h"
+#include "corpus/world_model.h"
+#include "graph/temporal_window.h"
+#include "kb/kb_generator.h"
+#include "mining/pattern.h"
+#include "mining/streaming_miner.h"
+
+namespace nous {
+namespace {
+
+/// Small enough that the fixture's stream expires most of it.
+constexpr size_t kWindowEdges = 64;
+/// v4 window record: subject, predicate, object (u32) + timestamp (i64).
+constexpr size_t kRecordBytes = 20;
+
+using ServedPattern = std::tuple<std::string, size_t, size_t>;
+
+/// Parameter: typed (true) or untyped (false) mining.
+class MinerWindowTest : public ::testing::TestWithParam<bool> {
+ protected:
+  MinerWindowTest()
+      : world_(WorldModel::BuildDroneWorld(WorldConfig())),
+        kb_(BuildCuratedKb(world_, Ontology::DroneDefault(), Coverage())),
+        articles_(ArticleGenerator(&world_, CorpusConfig{})
+                      .GenerateArticles()) {}
+
+  static DroneWorldConfig WorldConfig() {
+    DroneWorldConfig config;
+    config.num_companies = 10;
+    config.num_people = 6;
+    config.num_products = 6;
+    config.num_events = 300;
+    config.seed = 29;
+    return config;
+  }
+  static KbCoverage Coverage() {
+    KbCoverage coverage;
+    coverage.entity_coverage = 0.6;
+    coverage.fact_coverage = 0.9;
+    return coverage;
+  }
+  PipelineConfig Config() const {
+    PipelineConfig config;
+    config.lda.iterations = 10;
+    config.bpr.epochs = 2;
+    config.miner.min_support = 2;
+    config.miner.use_vertex_types = GetParam();
+    config.miner_window_edges = kWindowEdges;
+    config.num_threads = 1;
+    return config;
+  }
+
+  /// The closed patterns the pipeline's snapshot serves, in order.
+  static std::vector<ServedPattern> Served(const KgPipeline& pipeline) {
+    std::vector<ServedPattern> out;
+    for (const RenderedPattern& p : pipeline.snapshot()->patterns()) {
+      out.emplace_back(p.description, p.support, p.embeddings);
+    }
+    return out;
+  }
+
+  static size_t Accepted(const KgPipeline& pipeline) {
+    ReaderMutexLock lock(pipeline.kg_mutex());
+    return pipeline.stats().accepted_triples;
+  }
+
+  WorldModel world_;
+  CuratedKb kb_;
+  std::vector<Article> articles_;
+};
+
+TEST_P(MinerWindowTest, RestoredPipelineServesTheLivePatterns) {
+  const size_t half = articles_.size() / 2;
+  KgPipeline live(&kb_, Config());
+  live.IngestBatch(articles_.data(), half);
+  // The window has slid: the live miner has seen (and dropped) more
+  // edges than the restored one will replay.
+  ASSERT_GT(Accepted(live), 2 * kWindowEdges);
+
+  KgPipeline restored(&kb_, Config());
+  Status load = restored.LoadState(live.SaveState());
+  ASSERT_TRUE(load.ok()) << load;
+  std::vector<ServedPattern> served = Served(live);
+  ASSERT_FALSE(served.empty());
+  EXPECT_EQ(Served(restored), served);
+
+  // Both keep serving the same patterns as the same stream continues.
+  live.IngestBatch(articles_.data() + half, articles_.size() - half);
+  restored.IngestBatch(articles_.data() + half, articles_.size() - half);
+  EXPECT_EQ(Served(restored), Served(live));
+  EXPECT_EQ(restored.SaveState(), live.SaveState());
+}
+
+/// The window as it was before it shared the KG's id space: a separate
+/// string-keyed graph with its own dictionaries, fed by label. Curated
+/// facts (the KG's first `num_curated` edges) go in directly and never
+/// expire; every later KG edge — each one a triple the pipeline
+/// accepted, in acceptance order — streams through a TemporalWindow.
+/// Returns the oracle's frequent patterns mapped to KG predicate and
+/// type ids by name and re-canonicalized; `raw_supports` receives the
+/// unmapped (support, embeddings) sequence.
+std::vector<PatternStats> StringWindowOracle(
+    const PropertyGraph& kg, size_t num_curated, const PipelineConfig& config,
+    std::vector<std::pair<size_t, size_t>>* raw_supports) {
+  PropertyGraph g;
+  StreamingMiner miner(config.miner);
+  TemporalWindow window(&g, config.miner_window_edges);
+  window.AddListener(&miner);
+  auto type_name = [&kg](VertexId v) {
+    TypeId t = kg.VertexType(v);
+    return t == kInvalidType ? std::string() : kg.types().GetString(t);
+  };
+  for (EdgeId e = 0; e < kg.NumEdgeSlots(); ++e) {
+    const EdgeRecord& rec = kg.Edge(e);
+    TimedTriple t;
+    t.triple.subject = kg.VertexLabel(rec.subject);
+    t.triple.predicate = kg.predicates().GetString(rec.predicate);
+    t.triple.object = kg.VertexLabel(rec.object);
+    t.timestamp = rec.meta.timestamp;
+    VertexId s = g.GetOrAddVertex(t.triple.subject);
+    VertexId o = g.GetOrAddVertex(t.triple.object);
+    g.SetVertexType(s, g.types().Intern(type_name(rec.subject)));
+    g.SetVertexType(o, g.types().Intern(type_name(rec.object)));
+    if (e < num_curated) {
+      EdgeMeta meta;
+      meta.timestamp = t.timestamp;
+      meta.curated = true;
+      miner.OnEdgeAdded(
+          g, g.AddEdge(s, g.predicates().Intern(t.triple.predicate), o, meta));
+    } else {
+      window.Add(t);
+    }
+  }
+  std::vector<PatternStats> mapped;
+  for (const PatternStats& stats : miner.FrequentPatterns()) {
+    raw_supports->emplace_back(stats.support, stats.embeddings);
+    const Pattern& p = stats.pattern;
+    std::vector<Pattern::ConcreteEdge> edges;
+    for (const PatternEdge& pe : p.edges()) {
+      auto pred = kg.predicates().Lookup(g.predicates().GetString(pe.pred));
+      EXPECT_TRUE(pred.has_value());
+      edges.push_back({static_cast<uint64_t>(pe.src),
+                       pred.value_or(kInvalidPredicate),
+                       static_cast<uint64_t>(pe.dst)});
+    }
+    PatternStats kg_stats = stats;
+    kg_stats.pattern = Pattern::Canonicalize(edges, [&](uint64_t var) {
+      TypeId t = p.vertex_labels()[var];
+      if (t == kInvalidType) return kInvalidType;
+      auto kg_type = kg.types().Lookup(g.types().GetString(t));
+      EXPECT_TRUE(kg_type.has_value());
+      return kg_type.value_or(kInvalidType);
+    });
+    mapped.push_back(std::move(kg_stats));
+  }
+  SortBySupport(&mapped);
+  return mapped;
+}
+
+TEST_P(MinerWindowTest, WindowMinesWhatTheStringKeyedWindowMined) {
+  KgPipeline pipeline(&kb_, Config());
+  pipeline.IngestBatch(articles_);
+  ASSERT_GT(Accepted(pipeline), 2 * kWindowEdges);
+  ReaderMutexLock lock(pipeline.kg_mutex());
+  std::vector<std::pair<size_t, size_t>> oracle_supports;
+  std::vector<PatternStats> oracle = StringWindowOracle(
+      pipeline.graph(), kb_.facts().size(), Config(), &oracle_supports);
+  std::vector<PatternStats> live = pipeline.miner()->FrequentPatterns();
+  ASSERT_FALSE(live.empty());
+  ASSERT_EQ(live.size(), oracle.size());
+  std::vector<std::pair<size_t, size_t>> live_supports;
+  for (size_t i = 0; i < live.size(); ++i) {
+    live_supports.emplace_back(live[i].support, live[i].embeddings);
+    EXPECT_TRUE(live[i].pattern == oracle[i].pattern) << "rank " << i;
+    EXPECT_EQ(live[i].support, oracle[i].support) << "rank " << i;
+    EXPECT_EQ(live[i].embeddings, oracle[i].embeddings) << "rank " << i;
+  }
+  EXPECT_EQ(live_supports, oracle_supports);
+}
+
+TEST_P(MinerWindowTest, WindowGraphHoldsKgIdsAndNoDictionaries) {
+  KgPipeline pipeline(&kb_, Config());
+  pipeline.IngestBatch(articles_);
+  ReaderMutexLock lock(pipeline.kg_mutex());
+  const PropertyGraph& kg = pipeline.graph();
+  const TemporalWindow* window = pipeline.miner_window();
+  ASSERT_NE(window, nullptr);
+  const PropertyGraph& wg = window->graph();
+  EXPECT_EQ(wg.predicates().size(), 0u);
+  EXPECT_EQ(wg.types().size(), 0u);
+  EXPECT_EQ(wg.sources().size(), 0u);
+  EXPECT_EQ(wg.terms().size(), 0u);
+  ASSERT_LE(wg.NumVertices(), kg.NumVertices());
+  for (VertexId v = 0; v < wg.NumVertices(); ++v) {
+    EXPECT_EQ(wg.VertexLabel(v), kg.VertexLabel(v));
+    EXPECT_EQ(wg.VertexType(v), kg.VertexType(v));
+  }
+  // Curated facts plus a full window of streamed KG edges.
+  EXPECT_EQ(window->size(), kWindowEdges);
+  EXPECT_EQ(wg.NumEdges(), kb_.facts().size() + kWindowEdges);
+  for (EdgeId e : window->edges()) {
+    const EdgeRecord& rec = wg.Edge(e);
+    auto kg_edge = kg.FindEdge(rec.subject, rec.predicate, rec.object);
+    ASSERT_TRUE(kg_edge.has_value());
+    EXPECT_FALSE(kg.Edge(*kg_edge).meta.curated);
+    EXPECT_EQ(kg.Edge(*kg_edge).meta.timestamp, rec.meta.timestamp);
+  }
+}
+
+TEST_P(MinerWindowTest, CorruptWindowRecordsAreDataLoss) {
+  KgPipeline live(&kb_, Config());
+  live.IngestBatch(articles_.data(), articles_.size() / 2);
+  const std::string image = live.SaveState();
+  size_t records = 0;
+  uint32_t num_vertices = 0, num_predicates = 0;
+  {
+    ReaderMutexLock lock(live.kg_mutex());
+    records = live.miner_window()->size();
+    num_vertices = static_cast<uint32_t>(live.graph().NumVertices());
+    num_predicates = static_cast<uint32_t>(live.graph().predicates().size());
+  }
+  ASSERT_EQ(records, kWindowEdges);
+  // The window block is the image's tail: a u64 count, then the records.
+  const size_t block = image.size() - 8 - records * kRecordBytes;
+  {
+    BinaryReader count(std::string_view(image).substr(block));
+    uint64_t n = 0;
+    ASSERT_TRUE(count.U64(&n).ok());
+    ASSERT_EQ(n, records);
+  }
+  auto load = [this](const std::string& bytes) {
+    KgPipeline probe(&kb_, Config());
+    return probe.LoadState(bytes);
+  };
+  ASSERT_TRUE(load(image).ok());
+
+  // Out-of-range subject, predicate and object ids, in the first and
+  // the last record.
+  struct Field {
+    size_t offset;
+    uint32_t value;
+  };
+  for (size_t record : {size_t{0}, records - 1}) {
+    for (const Field& f : {Field{0, num_vertices}, Field{4, num_predicates},
+                           Field{8, num_vertices}, Field{0, ~0u},
+                           Field{4, ~0u}, Field{8, ~0u}}) {
+      BinaryWriter value;
+      value.U32(f.value);
+      std::string bad = image;
+      bad.replace(block + 8 + record * kRecordBytes + f.offset, 4,
+                  value.data());
+      Status s = load(bad);
+      EXPECT_EQ(s.code(), StatusCode::kDataLoss)
+          << "record " << record << " offset " << f.offset << ": " << s;
+    }
+  }
+  // Records cut short: the count no longer fits the bytes left.
+  for (size_t cut : {size_t{1}, size_t{7}, kRecordBytes - 1, kRecordBytes,
+                     kRecordBytes + 1, records * kRecordBytes - 1,
+                     records * kRecordBytes}) {
+    Status s = load(image.substr(0, image.size() - cut));
+    EXPECT_EQ(s.code(), StatusCode::kDataLoss) << "cut " << cut << ": " << s;
+  }
+  // A count beyond the records present.
+  {
+    BinaryWriter count;
+    count.U64(records + 1);
+    std::string bad = image;
+    bad.replace(block, 8, count.data());
+    EXPECT_EQ(load(bad).code(), StatusCode::kDataLoss);
+  }
+  // The count word itself cut short is a failed read, not a crash.
+  for (size_t keep = 0; keep < 8; ++keep) {
+    EXPECT_FALSE(load(image.substr(0, block + keep)).ok()) << keep;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Mining, MinerWindowTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Typed" : "Untyped";
+                         });
+
+}  // namespace
+}  // namespace nous

@@ -152,11 +152,13 @@ TEST(SubgraphEnumTest, OlderOnlySkipsNewerEdges) {
   EXPECT_EQ(count, 1u);  // only {e0}
 }
 
-// Order pinning. Pattern ids are assigned in the order the enumeration
-// emits subsets, and that id order breaks support ties in
-// FrequentPatterns, so the exact emission sequence is part of the
-// miner's observable behaviour. The constants below were recorded from
-// the std::find/std::set enumeration these tests guard.
+// Order pinning. The enumeration's emission sequence fixes which
+// subsets survive the per-edge cap and the pattern ids TakeChurn lists
+// by, so it is part of the miner's observable behaviour; the subset
+// constants below were recorded from the std::find/std::set
+// enumeration these tests guard. The two FrequentPatterns digests pin
+// the rendering in SortBySupport order (equal supports by canonical
+// pattern).
 
 constexpr size_t kPinnedTwoEdgeCount = 288;
 constexpr uint64_t kPinnedTwoEdgeDigest = 12319189888213060632ULL;
@@ -164,9 +166,9 @@ constexpr size_t kPinnedThreeEdgeCount = 49008;
 constexpr uint64_t kPinnedThreeEdgeDigest = 14963082482630638383ULL;
 constexpr uint64_t kPinnedNewestEdgeDigest = 2209332383511829657ULL;
 constexpr size_t kPinnedFrequentTwoCount = 50;
-constexpr uint64_t kPinnedFrequentTwoDigest = 1117818207236906977ULL;
+constexpr uint64_t kPinnedFrequentTwoDigest = 968348900215890993ULL;
 constexpr size_t kPinnedFrequentThreeCount = 85;
-constexpr uint64_t kPinnedFrequentThreeDigest = 927087197040837027ULL;
+constexpr uint64_t kPinnedFrequentThreeDigest = 3304472168011998563ULL;
 
 uint64_t Fnv1a(uint64_t h, uint64_t value) {
   for (int i = 0; i < 8; ++i) {
@@ -497,8 +499,42 @@ std::vector<std::string> Rendered(const std::vector<PatternStats>& stats,
   return out;
 }
 
-TEST(StreamingMinerTest, EqualSupportsKeepFirstSeenOrder) {
+/// Interns predicates `prefix`39 .. `prefix`0, so a predicate's id
+/// order is the reverse of its name order.
+void InternReversed(const std::string& prefix, Dictionary* preds) {
+  for (int k = 39; k >= 0; --k) preds->Intern(prefix + std::to_string(k));
+}
+
+/// The single-edge pattern over `pred`, rendered.
+std::string SingleEdge(const Dictionary& preds, const std::string& pred) {
+  return Pattern::Canonicalize({{0, *preds.Lookup(pred), 1}}, NoLabel)
+      .ToString(preds);
+}
+
+/// `wave`'s predicates (as first seen) rendered as single-edge
+/// patterns in predicate id order — the canonical tie order.
+std::vector<std::string> ByPredicateId(const Dictionary& preds,
+                                       const std::vector<std::string>& wave) {
+  std::map<PredicateId, std::string> by_id;
+  for (const std::string& pred : wave) {
+    by_id[*preds.Lookup(pred)] = SingleEdge(preds, pred);
+  }
+  std::vector<std::string> out;
+  for (const auto& [id, line] : by_id) out.push_back(line);
+  return out;
+}
+
+std::vector<std::string> SingleEdges(const Dictionary& preds,
+                                     const std::vector<std::string>& wave) {
+  std::vector<std::string> out;
+  for (const std::string& pred : wave) out.push_back(SingleEdge(preds, pred));
+  return out;
+}
+
+TEST(StreamingMinerTest, EqualSupportsOrderByCanonicalPattern) {
   PropertyGraph g;
+  InternReversed("p", &g.predicates());
+  InternReversed("q", &g.predicates());
   TemporalWindow w(&g, 40);
   MinerConfig config;
   config.max_edges = 1;
@@ -506,25 +542,25 @@ TEST(StreamingMinerTest, EqualSupportsKeepFirstSeenOrder) {
   StreamingMiner miner(config);
   w.AddListener(&miner);
   // 40 disjoint edges, each with its own predicate, first seen in an
-  // order unrelated to the names: 40 patterns of support 1 -- enough
-  // that an unstable sort would reorder them.
-  auto single_edge = [&g](const std::string& pred) {
-    PredicateId id = *g.predicates().Lookup(pred);
-    return Pattern::Canonicalize({{0, id, 1}}, NoLabel).ToString(
-        g.predicates());
-  };
+  // order unrelated to both names and ids: 40 patterns of support 1.
+  // FrequentPatterns lists them by canonical pattern (predicate id);
+  // churn lists keep first-seen order.
   std::vector<std::string> first_wave;
   for (int i = 0; i < 40; ++i) {
     std::string pred = "p" + std::to_string((i * 17) % 40);
     std::string n = std::to_string(i);
     w.Add(Tr("s" + n, pred, "o" + n, i));
-    first_wave.push_back(single_edge(pred));
+    first_wave.push_back(pred);
   }
-  EXPECT_EQ(Rendered(miner.FrequentPatterns(), g.predicates()), first_wave);
-  EXPECT_EQ(Rendered(miner.ClosedFrequentPatterns(), g.predicates()),
-            first_wave);
+  const Dictionary& preds = g.predicates();
+  std::vector<std::string> first_canonical = ByPredicateId(preds, first_wave);
+  ASSERT_NE(first_canonical, SingleEdges(preds, first_wave));
+  EXPECT_EQ(Rendered(miner.FrequentPatterns(), preds), first_canonical);
+  EXPECT_EQ(Rendered(miner.ClosedFrequentPatterns(), preds),
+            first_canonical);
   auto churn1 = miner.TakeChurn();
-  EXPECT_EQ(Rendered(churn1.became_frequent, g.predicates()), first_wave);
+  EXPECT_EQ(Rendered(churn1.became_frequent, preds),
+            SingleEdges(preds, first_wave));
   EXPECT_TRUE(churn1.became_infrequent.empty());
 
   // A second wave of 40 new predicates expires the whole first wave.
@@ -533,12 +569,42 @@ TEST(StreamingMinerTest, EqualSupportsKeepFirstSeenOrder) {
     std::string pred = "q" + std::to_string((i * 23) % 40);
     std::string n = std::to_string(40 + i);
     w.Add(Tr("s" + n, pred, "o" + n, 40 + i));
-    second_wave.push_back(single_edge(pred));
+    second_wave.push_back(pred);
   }
-  EXPECT_EQ(Rendered(miner.FrequentPatterns(), g.predicates()), second_wave);
+  EXPECT_EQ(Rendered(miner.FrequentPatterns(), preds),
+            ByPredicateId(preds, second_wave));
   auto churn2 = miner.TakeChurn();
-  EXPECT_EQ(Rendered(churn2.became_frequent, g.predicates()), second_wave);
-  EXPECT_EQ(Rendered(churn2.became_infrequent, g.predicates()), first_wave);
+  EXPECT_EQ(Rendered(churn2.became_frequent, preds),
+            SingleEdges(preds, second_wave));
+  EXPECT_EQ(Rendered(churn2.became_infrequent, preds),
+            SingleEdges(preds, first_wave));
+}
+
+TEST(SortBySupportTest, TiesBreakOnEdgesThenVertexLabels) {
+  Pattern a = Pattern::Canonicalize({{1, 4, 2}}, NoLabel);
+  Pattern b = Pattern::Canonicalize({{1, 5, 2}}, NoLabel);
+  Pattern chain = Pattern::Canonicalize({{1, 4, 2}, {2, 4, 3}}, NoLabel);
+  Pattern typed_low = Pattern::Canonicalize(
+      {{1, 4, 2}}, [](uint64_t v) { return static_cast<TypeId>(v); });
+  Pattern typed_high = Pattern::Canonicalize(
+      {{1, 4, 2}}, [](uint64_t v) { return static_cast<TypeId>(v + 1); });
+  std::vector<PatternStats> stats;
+  for (const Pattern* p : {&b, &typed_high, &chain, &a, &typed_low}) {
+    PatternStats s;
+    s.pattern = *p;
+    s.support = 3;
+    stats.push_back(s);
+  }
+  stats[2].support = 4;  // support still ranks first
+  SortBySupport(&stats);
+  ASSERT_EQ(stats.size(), 5u);
+  EXPECT_EQ(stats[0].pattern, chain);
+  // (0, 4, 1) < (0, 5, 1); equal edges fall back to vertex labels,
+  // and untyped (kInvalidType) labels sort after every real type.
+  EXPECT_EQ(stats[1].pattern, typed_low);
+  EXPECT_EQ(stats[2].pattern, typed_high);
+  EXPECT_EQ(stats[3].pattern, a);
+  EXPECT_EQ(stats[4].pattern, b);
 }
 
 // ---------- Result equivalence: streaming == re-enumeration ----------
@@ -720,26 +786,29 @@ TEST(ArabesqueSimTest, ParallelVariantMatchesSerial) {
 }
 
 // 40 disjoint single-edge patterns of support 1, first seen (edge id
-// order) in an order unrelated to their names: enough equal supports
-// that an unstable sort would reorder them.
+// order) in an order unrelated to both their names and their predicate
+// ids; `canonical` is the SortBySupport order.
 struct TiedGraph {
   PropertyGraph graph;
-  std::vector<std::string> first_seen;
+  std::vector<std::string> canonical;
 };
 
 void BuildTiedGraph(TiedGraph* out) {
   PropertyGraph& g = out->graph;
+  InternReversed("p", &g.predicates());
+  std::vector<std::string> first_seen;
   for (int i = 0; i < 40; ++i) {
     std::string n = std::to_string(i);
-    PredicateId p =
-        g.predicates().Intern("p" + std::to_string((i * 17) % 40));
-    g.AddEdge(g.GetOrAddVertex("s" + n), p, g.GetOrAddVertex("o" + n), {});
-    out->first_seen.push_back(
-        Pattern::Canonicalize({{0, p, 1}}, NoLabel).ToString(g.predicates()));
+    std::string pred = "p" + std::to_string((i * 17) % 40);
+    g.AddEdge(g.GetOrAddVertex("s" + n), *g.predicates().Lookup(pred),
+              g.GetOrAddVertex("o" + n), {});
+    first_seen.push_back(pred);
   }
+  out->canonical = ByPredicateId(g.predicates(), first_seen);
+  ASSERT_NE(out->canonical, SingleEdges(g.predicates(), first_seen));
 }
 
-TEST(ArabesqueSimTest, EqualSupportsKeepFirstSeenOrder) {
+TEST(ArabesqueSimTest, EqualSupportsOrderByCanonicalPattern) {
   TiedGraph tied;
   BuildTiedGraph(&tied);
   MinerConfig config;
@@ -747,17 +816,17 @@ TEST(ArabesqueSimTest, EqualSupportsKeepFirstSeenOrder) {
   config.min_support = 1;
   EXPECT_EQ(Rendered(MineArabesqueSim(tied.graph, config),
                      tied.graph.predicates()),
-            tied.first_seen);
+            tied.canonical);
 }
 
-TEST(GspanTest, EqualSupportsKeepFirstSeenOrder) {
+TEST(GspanTest, EqualSupportsOrderByCanonicalPattern) {
   TiedGraph tied;
   BuildTiedGraph(&tied);
   MinerConfig config;
   config.max_edges = 1;
   config.min_support = 1;
   EXPECT_EQ(Rendered(MineGspan(tied.graph, config), tied.graph.predicates()),
-            tied.first_seen);
+            tied.canonical);
 }
 
 TEST(GspanTest, PruningSkipsInfrequentExtensions) {

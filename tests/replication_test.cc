@@ -347,6 +347,9 @@ class ReplicationFixture : public ::testing::Test {
     options.pipeline.lda.iterations = 10;
     options.pipeline.bpr.epochs = 2;
     options.pipeline.miner.min_support = 3;
+    // Small enough that the fixture's batches slide the miner window,
+    // so image equality covers a window that has expired edges.
+    options.pipeline.miner_window_edges = 16;
     options.pipeline.num_threads = 2;
     options.durability.dir = dir;
     options.durability.fsync_policy = FsyncPolicy::kNever;  // speed
@@ -383,6 +386,30 @@ class ReplicationFixture : public ::testing::Test {
     BinaryWriter w;
     nous.graph().SaveBinary(&w);
     return w.Take();
+  }
+
+  static size_t AcceptedTriples(Nous& nous) {
+    ReaderMutexLock lock(nous.kg_mutex());
+    return nous.stats().accepted_triples;
+  }
+
+  /// The served answer to "show patterns", rendered.
+  static std::string ServedPatterns(Nous& nous) {
+    std::shared_ptr<const KgSnapshot> snapshot;
+    auto answer = nous.Ask("show patterns", &snapshot);
+    EXPECT_TRUE(answer.ok()) << answer.status();
+    return answer.ok() ? answer->Render(snapshot->graph()) : std::string();
+  }
+
+  /// Leader and follower hold the same state: the same KG bytes, the
+  /// same full pipeline image (miner window included), and the same
+  /// served patterns.
+  static void ExpectSameState(Nous& leader, Nous& follower) {
+    EXPECT_EQ(GraphBytes(leader), GraphBytes(follower));
+    EXPECT_EQ(leader.pipeline().SaveState(), follower.pipeline().SaveState());
+    std::string patterns = ServedPatterns(leader);
+    EXPECT_NE(patterns.find("support="), std::string::npos) << patterns;
+    EXPECT_EQ(patterns, ServedPatterns(follower));
   }
 
   /// Polls until the follower's durable (seq, kg_version) equals the
@@ -440,7 +467,9 @@ TEST_F(ReplicationFixture, LiveStreamingConvergesBitIdentically) {
     ASSERT_TRUE(leader_nous->IngestBatch(batch).ok());
   }
   ASSERT_TRUE(WaitConverged(*leader_nous, *follower_nous));
-  EXPECT_EQ(GraphBytes(*leader_nous), GraphBytes(*follower_nous));
+  ASSERT_GT(AcceptedTriples(*leader_nous),
+            DurableOptions("").pipeline.miner_window_edges);
+  ExpectSameState(*leader_nous, *follower_nous);
   EXPECT_GE(follower.View().frames_applied, 1u);
 }
 
@@ -482,7 +511,9 @@ TEST_F(ReplicationFixture, CheckpointedAwayHistoryForcesAnImageResync) {
                                FollowOptions(leader.port()));
   ASSERT_TRUE(follower.Start().ok());
   ASSERT_TRUE(WaitConverged(*leader_nous, *follower_nous));
-  EXPECT_EQ(GraphBytes(*leader_nous), GraphBytes(*follower_nous));
+  ASSERT_GT(AcceptedTriples(*leader_nous),
+            DurableOptions("").pipeline.miner_window_edges);
+  ExpectSameState(*leader_nous, *follower_nous);
   EXPECT_GE(follower.View().checkpoints_applied, 1u);
 }
 

@@ -128,8 +128,7 @@ TEST_F(SnapshotTest, SnapshotAnswersMatchLockedAnswers) {
     std::shared_ptr<const KgSnapshot> out;
     auto from_snapshot = nous.Ask(question, &out);
     ReaderMutexLock lock(nous.kg_mutex());
-    QueryEngine locked(&nous.graph(), nous.miner(), options.query,
-                       nous.pipeline().miner_graph());
+    QueryEngine locked(&nous.graph(), nous.miner(), options.query);
     auto from_locked = locked.ExecuteText(question);
     ASSERT_EQ(from_snapshot.ok(), from_locked.ok()) << question;
     if (!from_snapshot.ok()) continue;

@@ -127,7 +127,7 @@ RunResult RunOne(const bench::DroneFixture& fixture,
   // quantiles reported below describe only this run.
   MetricsRegistry::Global().ResetAll();
   Nous::Options options;
-  options.query_cache.enabled = mode.cache;
+  if (!mode.cache) options.query_cache.entries = 0;
   Nous nous(&fixture.kb, options);
   for (size_t i = 0; i < warm_docs && i < fixture.articles.size(); ++i) {
     NOUS_CHECK_OK(nous.Ingest(fixture.articles[i]));

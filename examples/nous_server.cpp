@@ -132,6 +132,7 @@ int main(int argc, char** argv) {
   size_t checkpoint_interval = 8;
   FsyncPolicy fsync_policy = FsyncPolicy::kInterval;
   QueryCacheOptions query_cache;
+  bool no_query_cache = false;
   int replicate_to_port = 0;
   std::string follow_target;  // "host:port"
   uint64_t max_staleness_versions = 0;
@@ -169,7 +170,7 @@ int main(int argc, char** argv) {
       query_cache.entries =
           RequireSize("--query-cache-entries", arg.substr(22), 1, SIZE_MAX);
     } else if (arg == "--no-query-cache") {
-      query_cache.enabled = false;
+      no_query_cache = true;
     } else if (arg == "--slow-query-ms" && i + 1 < argc) {
       SetSlowTraceThresholdMs(RequireDouble("--slow-query-ms", argv[++i]));
     } else if (arg.rfind("--slow-query-ms=", 0) == 0) {
@@ -259,6 +260,8 @@ int main(int argc, char** argv) {
   options.durability.checkpoint_interval_batches = checkpoint_interval;
   options.durability.fsync_policy = fsync_policy;
   options.query_cache = query_cache;
+  // --no-query-cache wins over --query-cache-entries, in either order.
+  if (no_query_cache) options.query_cache.entries = 0;
   Nous nous(&kb, options);
 
   // Handlers go in before the (potentially long) KG build so an early

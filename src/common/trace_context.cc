@@ -1,7 +1,6 @@
 #include "common/trace_context.h"
 
 #include <atomic>
-#include <chrono>
 
 namespace nous {
 namespace {
@@ -29,15 +28,12 @@ uint32_t TraceThreadIndex() {
   return index;
 }
 
-uint64_t TraceNowMicros() {
-  using Clock = std::chrono::steady_clock;
-  // First call fixes the epoch; function-local static init is
-  // thread-safe, so all threads agree on it.
-  static const Clock::time_point epoch = Clock::now();
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                            epoch)
-          .count());
+std::chrono::steady_clock::time_point TraceEpoch() {
+  // Function-local static init is thread-safe, so all threads agree on
+  // the epoch.
+  static const std::chrono::steady_clock::time_point epoch =
+      std::chrono::steady_clock::now();
+  return epoch;
 }
 
 }  // namespace nous

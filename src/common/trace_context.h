@@ -1,6 +1,7 @@
 #ifndef NOUS_COMMON_TRACE_CONTEXT_H_
 #define NOUS_COMMON_TRACE_CONTEXT_H_
 
+#include <chrono>
 #include <cstdint>
 
 namespace nous {
@@ -39,10 +40,10 @@ uint64_t NextTraceId();
 /// compactly in trace viewers; std::thread::id is not an integer.
 uint32_t TraceThreadIndex();
 
-/// Microseconds since an arbitrary process-local steady epoch. All span
-/// timestamps share this epoch, so exported traces are internally
-/// consistent (monotonic, immune to wall-clock steps).
-uint64_t TraceNowMicros();
+/// Arbitrary process-local steady epoch, fixed by the first call. All
+/// span timestamps are microseconds since it, so exported traces are
+/// internally consistent (monotonic, immune to wall-clock steps).
+std::chrono::steady_clock::time_point TraceEpoch();
 
 /// RAII: installs `context` as the calling thread's current trace
 /// context and restores the previous one on destruction. ThreadPool

@@ -1,8 +1,5 @@
 #include "core/nous.h"
 
-#include <algorithm>
-#include <cstdlib>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -13,36 +10,10 @@
 
 namespace nous {
 
-namespace {
-
-/// One past the highest N among the batch's "adhoc_N" article ids
-/// (what IngestText assigns), 0 when there are none. Replay raises the
-/// pipeline's ad-hoc counter to it so new ids never collide with ones
-/// the crashed (or leader) instance already handed out.
-size_t AdhocFloor(const std::vector<Article>& batch) {
-  constexpr std::string_view kPrefix = "adhoc_";
-  size_t floor = 0;
-  for (const Article& article : batch) {
-    const std::string& id = article.id;
-    if (id.size() <= kPrefix.size() ||
-        std::string_view(id).substr(0, kPrefix.size()) != kPrefix) {
-      continue;
-    }
-    const char* digits = id.c_str() + kPrefix.size();
-    char* end = nullptr;
-    unsigned long long n = std::strtoull(digits, &end, 10);
-    if (end == digits || *end != '\0') continue;
-    floor = std::max(floor, static_cast<size_t>(n) + 1);
-  }
-  return floor;
-}
-
-}  // namespace
-
 Nous::Nous(const CuratedKb* kb, Options options)
     : options_(std::move(options)), pipeline_(kb, options_.pipeline) {
   NOUS_CHECK(options_.shards == 1);
-  if (options_.query_cache.enabled && options_.query_cache.entries > 0) {
+  if (options_.query_cache.entries > 0) {
     cache_ = std::make_unique<QueryCache>(options_.query_cache.entries);
   }
 }
@@ -79,7 +50,6 @@ Result<Nous::RecoveryStats> Nous::Recover() {
     NOUS_ASSIGN_OR_RETURN(std::vector<Article> batch,
                           DecodeArticleBatch(record.payload));
     pipeline_.IngestBatch(batch);
-    pipeline_.EnsureAdhocCounterAtLeast(AdhocFloor(batch));
     last_seq = record.seq;
     ++stats.replayed_batches;
     stats.replayed_articles += batch.size();
@@ -251,7 +221,6 @@ Status Nous::ApplyReplicatedBatch(uint64_t seq, const std::string& payload,
     NOUS_ASSIGN_OR_RETURN(uint64_t logged, durability_->LogBatch(payload));
     (void)logged;
     pipeline_.IngestBatch(batch);
-    pipeline_.EnsureAdhocCounterAtLeast(AdhocFloor(batch));
     const uint64_t kgv = PublishCommitLocked(seq);
     if (listener_ != nullptr) listener_->OnCommit(seq, payload, kgv);
     if (expected_kg_version != 0 && kgv != expected_kg_version) {

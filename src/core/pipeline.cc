@@ -1,11 +1,12 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <cstdlib>
+#include <string_view>
 #include <thread>
 
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "common/timer.h"
 #include "linker/context.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -14,8 +15,10 @@ namespace nous {
 
 namespace {
 
-/// Registry instruments for every Figure-1 stage, resolved once and
+/// Registry counters for every Figure-1 stage, resolved once and
 /// cached (see DESIGN.md "Observability" for the naming convention).
+/// Stage latencies are not here: each stage is one NOUS_SPAN_VAR, whose
+/// End() feeds both its histogram and the PipelineStats field.
 struct PipelineMetrics {
   Counter* documents;
   Counter* sentences;
@@ -30,11 +33,22 @@ struct PipelineMetrics {
   Counter* deduped;
   Counter* retractions;
   Gauge* window_edges;
-  LatencyHistogram* extraction_latency;
-  LatencyHistogram* linking_latency;
-  LatencyHistogram* mapping_latency;
-  LatencyHistogram* confidence_latency;
 };
+
+/// One past N for an "adhoc_N" article id (what
+/// KgPipeline::ReserveAdhocId hands out), 0 for any other id.
+size_t AdhocFloor(const std::string& id) {
+  constexpr std::string_view kPrefix = "adhoc_";
+  if (id.size() <= kPrefix.size() ||
+      std::string_view(id).substr(0, kPrefix.size()) != kPrefix) {
+    return 0;
+  }
+  const char* digits = id.c_str() + kPrefix.size();
+  char* end = nullptr;
+  unsigned long long n = std::strtoull(digits, &end, 10);
+  if (end == digits || *end != '\0') return 0;
+  return static_cast<size_t>(n) + 1;
+}
 
 const PipelineMetrics& Metrics() {
   static PipelineMetrics metrics = [] {
@@ -69,18 +83,6 @@ const PipelineMetrics& Metrics() {
                                  "Edges weakened by negated reports");
     m.window_edges = r.GetGauge("nous_mining_window_edges",
                                 "Live edges in the miner's sliding window");
-    m.extraction_latency = r.GetHistogram(
-        "nous_extraction_latency_seconds",
-        "Latency of the extraction stage in seconds");
-    m.linking_latency = r.GetHistogram(
-        "nous_linking_latency_seconds",
-        "Latency of the linking stage in seconds");
-    m.mapping_latency = r.GetHistogram(
-        "nous_mapping_latency_seconds",
-        "Latency of the mapping stage in seconds");
-    m.confidence_latency = r.GetHistogram(
-        "nous_confidence_latency_seconds",
-        "Latency of the confidence-scoring stage in seconds");
     return m;
   }();
   return metrics;
@@ -187,8 +189,10 @@ void KgPipeline::LoadCuratedKb() {
   }
   BootstrapMinerWindowLocked();
   if (config_.enable_link_prediction && !accepted_ids_.empty()) {
+    NOUS_SPAN_VAR(span, "embed_refresh");
     bpr_.Train(accepted_ids_, graph_.NumVertices(),
                graph_.predicates().size());
+    stats_.refresh_seconds += span.End();
   }
 }
 
@@ -250,6 +254,16 @@ void KgPipeline::IngestBatch(const Article* articles, size_t count) {
     WriterMutexLock lock(kg_mutex_);
     for (size_t i = 0; i < count; ++i) {
       CommitDocument(articles[i], std::move(docs[i]));
+      // An ingested "adhoc_N" raises the ad-hoc counter past N, whether
+      // it came from ReserveAdhocId, a caller, WAL replay or a leader,
+      // so live, recovered and follower images agree and no later
+      // ReserveAdhocId hands N out again.
+      const size_t floor = AdhocFloor(articles[i].id);
+      size_t current = adhoc_counter_.load(std::memory_order_relaxed);
+      while (current < floor &&
+             !adhoc_counter_.compare_exchange_weak(
+                 current, floor, std::memory_order_relaxed)) {
+      }
     }
     // One bump per batch (the WAL commit unit), so recovery replay
     // reproduces the exact version of the uncrashed run.
@@ -262,24 +276,20 @@ KgPipeline::ExtractedDoc KgPipeline::ExtractDocument(
     const Article& article) const {
   // ---- 1. Extraction (OpenIE + SRL dating). ----
   // Reads only the immutable lexicon/NER/SRL models plus thread-safe
-  // metrics, so batch ingest runs it from pool threads.
+  // metrics, so batch ingest runs it from pool threads; there the span
+  // parents under the submitting ingest_batch span via the ThreadPool's
+  // TraceContext propagation.
+  NOUS_SPAN_VAR(span, "extraction");
   const PipelineMetrics& metrics = Metrics();
-  // Null histogram: the stage observes nous_extraction_latency_seconds
-  // manually below, so the span only feeds the trace buffer. It runs
-  // on pool threads and parents under the submitting ingest_batch span
-  // via the ThreadPool's TraceContext propagation.
-  TraceSpan span("extraction", nullptr);
-  WallTimer timer;
   ExtractedDoc doc;
   doc.frames =
       srl_.Extract(article.text, article.date, &doc.num_sentences);
   if (!doc.frames.empty()) {
     doc.doc_bag = BuildDocumentBag(article.text, lexicon_);
   }
-  doc.extract_seconds = timer.ElapsedSeconds();
+  doc.extract_seconds = span.End();
   metrics.sentences->Increment(doc.num_sentences);
   metrics.raw_triples->Increment(doc.frames.size());
-  metrics.extraction_latency->Observe(doc.extract_seconds);
   return doc;
 }
 
@@ -287,7 +297,6 @@ void KgPipeline::CommitDocument(const Article& article,
                                 ExtractedDoc&& doc) {
   NOUS_SPAN("pipeline_ingest");
   const PipelineMetrics& metrics = Metrics();
-  WallTimer timer;
   ++stats_.documents;
   metrics.documents->Increment();
   stats_.extractions += doc.frames.size();
@@ -297,7 +306,7 @@ void KgPipeline::CommitDocument(const Article& article,
   const TermBag& doc_bag = doc.doc_bag;
 
   // ---- 2. Joint entity linking over the document's mentions. ----
-  timer.Restart();
+  NOUS_SPAN_VAR(link_span, "linking");
   std::vector<std::string> surfaces;
   std::vector<EntityType> types;
   std::unordered_map<std::string, size_t> surface_index;
@@ -330,9 +339,7 @@ void KgPipeline::CommitDocument(const Article& article,
       metrics.linked->Increment();
     }
   }
-  double link_seconds = timer.ElapsedSeconds();
-  stats_.link_seconds += link_seconds;
-  metrics.linking_latency->Observe(link_seconds);
+  stats_.link_seconds += link_span.End();
 
   SourceId source_id = graph_.sources().Intern(article.source);
   for (const SrlFrame& frame : frames) {
@@ -368,7 +375,7 @@ void KgPipeline::CommitDocument(const Article& article,
     // Map with the current model first; this document's own KB
     // alignment only informs *future* mappings, and a lone
     // co-occurrence stays below the mapper's evidence threshold.
-    timer.Restart();
+    NOUS_SPAN_VAR(map_span, "mapping");
     MappingDecision mapping =
         mapper_.Map(ex.relation, VertexTypeName(s), VertexTypeName(o));
     auto pair_it = curated_pairs_.find({s, o});
@@ -392,18 +399,14 @@ void KgPipeline::CommitDocument(const Article& article,
     } else {
       ++stats_.dropped_unmapped;
       metrics.unmapped_dropped->Increment();
-      double map_seconds = timer.ElapsedSeconds();
-      stats_.map_seconds += map_seconds;
-      metrics.mapping_latency->Observe(map_seconds);
+      stats_.map_seconds += map_span.End();
       continue;
     }
     PredicateId p = graph_.predicates().Intern(predicate_name);
-    double map_seconds = timer.ElapsedSeconds();
-    stats_.map_seconds += map_seconds;
-    metrics.mapping_latency->Observe(map_seconds);
+    stats_.map_seconds += map_span.End();
 
     // ---- 4. Confidence via link prediction (§3.4). ----
-    timer.Restart();
+    NOUS_SPAN_VAR(score_span, "confidence");
     double confidence = ex.confidence;
     if (mapping.mapped) confidence *= (0.7 + 0.3 * mapping.score);
     if (config_.enable_link_prediction && p < graph_.predicates().size()) {
@@ -417,9 +420,7 @@ void KgPipeline::CommitDocument(const Article& article,
       confidence *= (0.6 + 0.4 * trust_.RelativeTrust(source_id));
     }
     confidence = std::clamp(confidence, 0.0, 1.0);
-    double score_seconds = timer.ElapsedSeconds();
-    stats_.score_seconds += score_seconds;
-    metrics.confidence_latency->Observe(score_seconds);
+    stats_.score_seconds += score_span.End();
     if (confidence < config_.min_accept_confidence) {
       ++stats_.dropped_low_confidence;
       metrics.rejected->Increment();
@@ -469,9 +470,9 @@ void KgPipeline::CommitDocument(const Article& article,
     // lowers a KG edge's confidence, which the window does not hold,
     // so it leaves the window unchanged.
     if (config_.enable_mining) {
-      WallTimer mine_timer;
+      NOUS_SPAN_VAR(mine_span, "mining");
       window_->Push(AddWindowEdgeLocked(s, p, o, ts, /*curated=*/false));
-      stats_.mine_seconds += mine_timer.ElapsedSeconds();
+      stats_.mine_seconds += mine_span.End();
       metrics.window_edges->Set(static_cast<double>(window_->size()));
     }
   }
@@ -711,19 +712,11 @@ Status KgPipeline::LoadLegacyWindowLocked(BinaryReader* reader) {
   return Status::Ok();
 }
 
-void KgPipeline::EnsureAdhocCounterAtLeast(size_t value) {
-  size_t current = adhoc_counter_.load(std::memory_order_relaxed);
-  while (current < value &&
-         !adhoc_counter_.compare_exchange_weak(current, value,
-                                               std::memory_order_relaxed)) {
-  }
-}
-
 void KgPipeline::RefreshBpr(size_t epochs) {
-  WallTimer timer;
+  NOUS_SPAN_VAR(span, "embed_refresh");
   bpr_.TrainIncremental(accepted_ids_, graph_.NumVertices(),
                         graph_.predicates().size(), epochs);
-  stats_.refresh_seconds += timer.ElapsedSeconds();
+  stats_.refresh_seconds += span.End();
 }
 
 void KgPipeline::Finalize() {

@@ -117,6 +117,7 @@ class KgPipeline {
   /// per-document), then link -> map -> score -> update commits
   /// sequentially in array order under one write-lock acquisition, so
   /// the fused KG is the same for any batching of the same articles.
+  /// An article with id "adhoc_N" raises the ad-hoc counter past N.
   void IngestBatch(const Article* articles, size_t count)
       EXCLUDES(kg_mutex_);
   void IngestBatch(const std::vector<Article>& articles)
@@ -153,11 +154,6 @@ class KgPipeline {
   /// After a successful load, ingesting the same articles produces a
   /// fused KG bit-identical to the uncheckpointed run.
   Status LoadState(std::string_view payload) EXCLUDES(kg_mutex_);
-
-  /// Raises the ad-hoc article-id counter to at least `value` (used
-  /// after WAL replay so future ReserveAdhocId ids cannot collide with
-  /// replayed "adhoc_N" ids).
-  void EnsureAdhocCounterAtLeast(size_t value);
 
   /// Reader/writer lock over the fused KG, miner state, and models.
   /// IngestBatch/Finalize acquire it exclusively; concurrent readers
@@ -327,7 +323,7 @@ class KgPipeline {
   std::atomic<std::shared_ptr<const RenderedPatternSet>> rendered_patterns_;
   /// Ids for ad-hoc IngestText articles; atomic so concurrent HTTP
   /// ingest callers get distinct ids without taking the write lock
-  /// early.
+  /// early. IngestBatch raises it past every "adhoc_N" it commits.
   std::atomic<size_t> adhoc_counter_{0};
   PipelineStats stats_ GUARDED_BY(kg_mutex_);
 };

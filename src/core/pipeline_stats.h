@@ -25,13 +25,20 @@ struct PipelineStats {
   size_t retractions = 0;
   /// Wall-clock stage timings of this process; never persisted
   /// (KgPipeline::SaveState), so they restart at zero after a load.
-  double extract_seconds = 0;
-  double link_seconds = 0;
-  double map_seconds = 0;
-  /// Per-triple confidence scoring only; periodic BPR retraining is
-  /// refresh_seconds.
+  /// Each is the sum of its stage span's End() readings, the same
+  /// readings its nous_<stage>_latency_seconds histogram observes
+  /// (DESIGN.md §5.7 "One clock for ingest").
+  double extract_seconds = 0;  // span "extraction"
+  double link_seconds = 0;     // span "linking"
+  double map_seconds = 0;      // span "mapping"
+  /// Per-triple confidence scoring only (span "confidence"); BPR
+  /// training is refresh_seconds.
   double score_seconds = 0;
+  /// Span "embed_refresh": the curated bootstrap's Train plus every
+  /// periodic and Finalize refresh.
   double refresh_seconds = 0;
+  /// Span "mining": window insert plus notify and expiry per accepted
+  /// triple (the curated bootstrap is not timed).
   double mine_seconds = 0;
 
   std::string ToString() const;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace nous {
 
@@ -180,7 +179,6 @@ void BprModel::RunEpochsBlocked(const std::vector<IdTriple>& triples,
 void BprModel::RunEpochs(const std::vector<IdTriple>& triples,
                          size_t epochs) {
   if (triples.empty() || num_entities_ < 2) return;
-  NOUS_SPAN("embed_refresh");
   static Counter* refreshes = MetricsRegistry::Global().GetCounter(
       "nous_embed_refresh_total", "BPR training passes (full or refresh)");
   static Counter* refresh_epochs = MetricsRegistry::Global().GetCounter(

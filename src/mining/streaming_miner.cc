@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace nous {
 
@@ -65,7 +64,6 @@ StreamingMiner::StreamingMiner(MinerConfig config) : config_(config) {
 }
 
 void StreamingMiner::OnEdgeAdded(const PropertyGraph& graph, EdgeId edge) {
-  NOUS_SPAN("mining");
   ++generation_;
   // Every connected subset containing the new edge; all other edges in
   // the window are older (smaller ids), so older_only enumeration

@@ -56,6 +56,13 @@ void LogSlowTrace(const char* stage, uint64_t trace_id, double seconds) {
                     << breakdown.str();
 }
 
+uint64_t MicrosSince(std::chrono::steady_clock::time_point epoch,
+                     std::chrono::steady_clock::time_point t) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(t - epoch)
+          .count());
+}
+
 }  // namespace
 
 void SetSlowTraceThresholdMs(double ms) {
@@ -80,12 +87,18 @@ TraceSpan::TraceSpan(const char* stage, LatencyHistogram* histogram)
     parent_span_id_ = 0;
   }
   SetCurrentTraceContext(TraceContext{trace_id_, span_id_});
-  start_us_ = TraceNowMicros();
+  // The epoch is fixed before the clock read, so start_ never precedes
+  // it.
+  const Clock::time_point epoch = TraceEpoch();
+  start_ = Clock::now();
+  start_us_ = MicrosSince(epoch, start_);
   NOUS_LOG(Debug) << "span_begin stage=" << stage_;
 }
 
-TraceSpan::~TraceSpan() {
-  double seconds = timer_.ElapsedSeconds();
+double TraceSpan::End() {
+  const Clock::time_point end = Clock::now();
+  ended_ = true;
+  const double seconds = std::chrono::duration<double>(end - start_).count();
   if (histogram_ != nullptr) histogram_->Observe(seconds);
   SpanRecord record;
   record.trace_id = trace_id_;
@@ -94,7 +107,9 @@ TraceSpan::~TraceSpan() {
   record.name = stage_;
   record.thread_index = TraceThreadIndex();
   record.start_us = start_us_;
-  record.duration_us = static_cast<uint64_t>(seconds * 1e6);
+  // Both ends are floored on the same epoch, so a child's recorded
+  // interval always lies inside its parent's.
+  record.duration_us = MicrosSince(TraceEpoch(), end) - start_us_;
   record.attrs = std::move(attrs_);
   TraceBuffer::Global().Append(std::move(record));
   SetCurrentTraceContext(saved_context_);
@@ -106,6 +121,7 @@ TraceSpan::~TraceSpan() {
       LogSlowTrace(stage_, trace_id_, seconds);
     }
   }
+  return seconds;
 }
 
 void TraceSpan::Attr(const char* key, int64_t value) {

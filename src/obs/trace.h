@@ -1,28 +1,33 @@
 #ifndef NOUS_OBS_TRACE_H_
 #define NOUS_OBS_TRACE_H_
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/timer.h"
 #include "common/trace_context.h"
 #include "obs/metrics.h"
 #include "obs/trace_buffer.h"
 
 namespace nous {
 
-/// RAII request-scoped span. On construction it mints a span id and
-/// installs itself as the thread's current trace context (minting a
-/// fresh trace id when none is active, i.e. this is a root span). On
-/// destruction it:
+/// RAII request-scoped span, and the one clock for stage timing. On
+/// construction it mints a span id, installs itself as the thread's
+/// current trace context (minting a fresh trace id when none is active,
+/// i.e. this is a root span), and reads steady_clock once. On End() (or
+/// destruction, if End() was not called) it reads the clock again and
+/// from that one interval:
 ///
-///   - records elapsed seconds into the registry latency histogram
-///     (the PR-1 aggregate path, unchanged),
+///   - records the elapsed seconds into the registry latency histogram,
 ///   - appends a SpanRecord (ids, timing, attributes) to the global
 ///     TraceBuffer for /api/trace export,
 ///   - restores the parent context, and
 ///   - for slow *root* spans, emits the structured slow-query log.
+///
+/// End() returns the same seconds it recorded, so a caller that also
+/// keeps a running total (PipelineStats) adds exactly what the
+/// histogram saw: the histogram's _sum equals the total.
 ///
 /// At debug log level it also emits structured begin/end lines:
 ///
@@ -34,10 +39,16 @@ namespace nous {
 class TraceSpan {
  public:
   /// `stage` must outlive the global TraceBuffer (string literals do);
-  /// `histogram` may be null to trace without the aggregate recording
-  /// (e.g. when the stage already observes its histogram manually).
+  /// `histogram` may be null to trace without the aggregate recording.
   TraceSpan(const char* stage, LatencyHistogram* histogram);
-  ~TraceSpan();
+  ~TraceSpan() {
+    if (!ended_) End();
+  }
+
+  /// Closes the span now (observe, append, restore the parent context)
+  /// and returns the recorded seconds, at the clock's ns resolution.
+  /// Call at most once; the destructor does nothing afterwards.
+  double End();
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
@@ -59,7 +70,9 @@ class TraceSpan {
   void Attr(const char* key, const char* value);
   void Attr(const char* key, const std::string& value);
 
-  double ElapsedSeconds() const { return timer_.ElapsedSeconds(); }
+  double ElapsedSeconds() const {
+    return std::chrono::duration<double>(Clock::now() - start_).count();
+  }
 
   uint64_t trace_id() const { return trace_id_; }
   uint64_t span_id() const { return span_id_; }
@@ -69,14 +82,18 @@ class TraceSpan {
   static constexpr size_t kMaxAttrs = 8;
 
  private:
+  using Clock = std::chrono::steady_clock;
+
   const char* stage_;
   LatencyHistogram* histogram_;
   TraceContext saved_context_;
   uint64_t trace_id_ = 0;
   uint64_t span_id_ = 0;
   uint64_t parent_span_id_ = 0;
+  Clock::time_point start_;
+  /// start_ in microseconds since TraceEpoch().
   uint64_t start_us_ = 0;
-  WallTimer timer_;
+  bool ended_ = false;
   std::vector<SpanAttr> attrs_;
 };
 
@@ -100,7 +117,8 @@ namespace internal {
 /// `nous_<stage>_latency_seconds` and the global TraceBuffer. The
 /// histogram pointer is resolved once per call site (thread-safe
 /// function-local static), so the steady-state cost is two clock
-/// reads, one locked bucket increment, and one striped ring append.
+/// reads, one locked bucket increment, and one striped ring append
+/// (measured cost in DESIGN.md §5.12).
 #define NOUS_SPAN(stage) NOUS_SPAN_VAR(NOUS_OBS_CONCAT(nous_span_, __LINE__), stage)
 
 /// Like NOUS_SPAN but binds the span to a named local, so the caller

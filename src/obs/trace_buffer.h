@@ -33,8 +33,9 @@ struct SpanRecord {
   const char* name = "";
   /// Dense per-thread index (TraceThreadIndex) of the recording thread.
   uint32_t thread_index = 0;
-  /// Microseconds since the process trace epoch (TraceNowMicros).
+  /// Microseconds since the process trace epoch (TraceEpoch), floored.
   uint64_t start_us = 0;
+  /// Floored end minus floored start, so nested intervals stay nested.
   uint64_t duration_us = 0;
   std::vector<SpanAttr> attrs;
 };

@@ -15,8 +15,8 @@ namespace nous {
 /// Serving-layer cache knobs (Nous::Options::query_cache; wired to
 /// --query-cache-entries / --no-query-cache in the demo binaries).
 struct QueryCacheOptions {
-  bool enabled = true;
-  /// Memory bound: max cached answers (strict LRU; 0 disables).
+  /// Memory bound: max cached answers (strict LRU; 0 disables the
+  /// cache).
   size_t entries = 1024;
 };
 

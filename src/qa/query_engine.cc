@@ -62,17 +62,9 @@ std::string Answer::Render(const PropertyGraph& graph) const {
 
 
 QueryEngine::QueryEngine(const PropertyGraph* graph,
-                         const StreamingMiner* miner,
+                         std::span<const RenderedPattern> patterns,
                          QueryEngineConfig config)
-    : graph_(graph), miner_(miner), config_(config) {}
-
-QueryEngine::QueryEngine(
-    const PropertyGraph* graph, const std::vector<RenderedPattern>& patterns,
-    QueryEngineConfig config)
-    : graph_(graph),
-      miner_(nullptr),
-      prerendered_patterns_(&patterns),
-      config_(config) {}
+    : graph_(graph), patterns_(patterns), config_(config) {}
 
 std::vector<RenderedPattern> RenderClosedPatterns(
     const StreamingMiner& miner, const PropertyGraph& graph) {
@@ -86,13 +78,6 @@ std::vector<RenderedPattern> RenderClosedPatterns(
     rendered.push_back(std::move(p));
   }
   return rendered;
-}
-
-std::vector<RenderedPattern> QueryEngine::RenderMinerPatterns()
-    const {
-  if (prerendered_patterns_ != nullptr) return *prerendered_patterns_;
-  if (miner_ == nullptr) return {};
-  return RenderClosedPatterns(*miner_, *graph_);
 }
 
 Result<VertexId> QueryEngine::ResolveEntity(
@@ -200,7 +185,7 @@ Answer QueryEngine::ExecuteTrending() const {
     if (answer.facts.size() >= config_.trending_limit) break;
     answer.facts.push_back(MakeFactLine(e));
   }
-  answer.patterns = RenderMinerPatterns();
+  answer.patterns.assign(patterns_.begin(), patterns_.end());
   return answer;
 }
 
@@ -259,7 +244,7 @@ Result<Answer> QueryEngine::ExecuteRelationship(
 Answer QueryEngine::ExecutePattern() const {
   Answer answer;
   answer.kind = QueryKind::kPattern;
-  answer.patterns = RenderMinerPatterns();
+  answer.patterns.assign(patterns_.begin(), patterns_.end());
   return answer;
 }
 

@@ -1,6 +1,7 @@
 #ifndef NOUS_QA_QUERY_ENGINE_H_
 #define NOUS_QA_QUERY_ENGINE_H_
 
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,8 +35,8 @@ struct RenderedPattern {
 };
 
 /// The miner's closed frequent patterns, in order, rendered with
-/// `graph`'s dictionaries — what snapshots serve and what the locked
-/// engine renders.
+/// `graph`'s dictionaries — what snapshots serve. Call under the
+/// pipeline's reader lock when `miner` and `graph` are live.
 std::vector<RenderedPattern> RenderClosedPatterns(
     const StreamingMiner& miner, const PropertyGraph& graph);
 
@@ -73,22 +74,15 @@ struct QueryEngineConfig {
 };
 
 /// Executes the five query classes against the dynamic KG and the
-/// streaming miner's pattern state. The miner is optional (pattern and
-/// trending-pattern sections are empty without it); its pattern ids
-/// are KG predicate and type ids, rendered with `graph`'s dictionaries.
+/// miner's closed patterns, rendered beforehand (at snapshot publish,
+/// core/snapshot.h, or by RenderClosedPatterns), so everything the
+/// engine reads is immutable. Pass `{}` for no patterns (pattern and
+/// trending-pattern sections are then empty); otherwise `patterns`
+/// must outlive the engine.
 class QueryEngine {
  public:
-  QueryEngine(const PropertyGraph* graph, const StreamingMiner* miner,
-              QueryEngineConfig config = {});
-
-  /// Snapshot-serving variant: patterns were already rendered at
-  /// snapshot publish time (core/snapshot.h), so no miner or window
-  /// graph is needed — everything the engine reads is immutable.
-  /// Taken by reference (not pointer) so the overload never competes
-  /// with the miner variant at nullptr call sites; `patterns` must
-  /// outlive the engine.
   QueryEngine(const PropertyGraph* graph,
-              const std::vector<RenderedPattern>& patterns,
+              std::span<const RenderedPattern> patterns,
               QueryEngineConfig config = {});
 
   Result<Answer> Execute(const Query& query) const;
@@ -105,12 +99,9 @@ class QueryEngine {
 
   Result<VertexId> ResolveEntity(const std::string& name) const;
   FactLine MakeFactLine(EdgeId edge) const;
-  std::vector<RenderedPattern> RenderMinerPatterns() const;
 
   const PropertyGraph* graph_;
-  const StreamingMiner* miner_;  // may be null
-  /// Pre-rendered patterns (snapshot mode); exclusive with miner_.
-  const std::vector<RenderedPattern>* prerendered_patterns_ = nullptr;
+  std::span<const RenderedPattern> patterns_;
   QueryEngineConfig config_;
 };
 

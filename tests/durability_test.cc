@@ -987,6 +987,35 @@ TEST_F(DurabilityPipelineFixture, AdhocIdsNeverCollideAcrossRecovery) {
   EXPECT_EQ(recovered.pipeline().ReserveAdhocId(), "adhoc_2");
 }
 
+TEST_F(DurabilityPipelineFixture, IngestedAdhocIdsMatchAcrossRecovery) {
+  // An article that arrives already named "adhoc_N" (a caller's id, or
+  // one a leader handed out) raises the live ad-hoc counter exactly as
+  // replay does, so the live and recovered images are the same bytes
+  // and the live instance never hands out an id it has ingested.
+  std::string dir = FreshDir("nous_adhoc_ingest");
+  auto articles = MakeArticles();
+  ASSERT_GE(articles.size(), 3u);
+  Article named = articles[0];
+  named.id = "adhoc_41";
+  std::vector<Article> batch = {articles[1], articles[2]};
+  batch[1].id = "adhoc_7";
+  std::string live_image;
+  {
+    Nous durable(&kb_, DurableOptions(dir));
+    ASSERT_TRUE(durable.EnableDurability().ok());
+    ASSERT_TRUE(durable.Ingest(named).ok());
+    ASSERT_TRUE(durable.IngestBatch(batch).ok());
+    live_image = durable.pipeline().SaveState();
+    EXPECT_EQ(durable.pipeline().ReserveAdhocId(), "adhoc_42");
+  }
+  Nous recovered(&kb_, DurableOptions(dir));
+  auto stats = recovered.Recover();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->replayed_batches, 2u);
+  EXPECT_EQ(recovered.pipeline().SaveState(), live_image);
+  EXPECT_EQ(recovered.pipeline().ReserveAdhocId(), "adhoc_42");
+}
+
 TEST_F(DurabilityPipelineFixture, KgVersionSurvivesCrashRecovery) {
   std::string dir = FreshDir("nous_version_recovery");
   auto articles = MakeArticles();

@@ -253,7 +253,7 @@ TEST(QueryParserTest, RejectsUnknownText) {
 
 class EngineFixture : public PathFixture {
  protected:
-  EngineFixture() : engine_(&graph_, nullptr) {}
+  EngineFixture() : engine_(&graph_, {}) {}
   QueryEngine engine_;
 };
 
@@ -388,7 +388,7 @@ TEST(TrendingTest, RisingRankingPrefersEmergingEntities) {
   QueryEngineConfig rising;
   rising.trending_horizon = 100;
   rising.trending_rising = true;
-  QueryEngine rising_engine(&g, nullptr, rising);
+  QueryEngine rising_engine(&g, {}, rising);
   auto answer = rising_engine.ExecuteText("what is trending");
   ASSERT_TRUE(answer.ok());
   ASSERT_FALSE(answer->hot_entities.empty());
@@ -398,7 +398,7 @@ TEST(TrendingTest, RisingRankingPrefersEmergingEntities) {
   QueryEngineConfig raw;
   raw.trending_horizon = 100;
   raw.trending_rising = false;
-  QueryEngine raw_engine(&g, nullptr, raw);
+  QueryEngine raw_engine(&g, {}, raw);
   auto raw_answer = raw_engine.ExecuteText("what is trending");
   ASSERT_TRUE(raw_answer.ok());
   // Raw recent counts put the steady entity first (6 vs 4).
@@ -431,7 +431,7 @@ TEST(TrendingTest, WindowTracksMaxLiveTimestampThroughRemoval) {
 
   QueryEngineConfig config;
   config.trending_horizon = 90;
-  QueryEngine engine(&g, nullptr, config);
+  QueryEngine engine(&g, {}, config);
   auto answer = engine.ExecuteText("what is trending");
   ASSERT_TRUE(answer.ok());
   // Window [910, 1000]: only the newest edge is recent.
@@ -458,7 +458,7 @@ TEST(RenderTest, ExtractedFactWithoutSourceRendersCleanly) {
   VertexId b = g.GetOrAddVertex("Biz");
   EdgeMeta meta;  // no source interned: provenance is unknown
   g.AddEdge(a, p, b, meta);
-  QueryEngine engine(&g, nullptr);
+  QueryEngine engine(&g, {});
   auto answer = engine.ExecuteText("tell me about Acme");
   ASSERT_TRUE(answer.ok());
   ASSERT_EQ(answer->facts.size(), 1u);

@@ -517,6 +517,30 @@ TEST_F(ReplicationFixture, CheckpointedAwayHistoryForcesAnImageResync) {
   EXPECT_GE(follower.View().checkpoints_applied, 1u);
 }
 
+TEST_F(ReplicationFixture, IngestedAdhocIdsConvergeOnFollowers) {
+  // A leader batch carrying an "adhoc_N" id raises the ad-hoc counter
+  // on the leader as it does on the follower that applies the batch,
+  // so their images stay byte-identical and both hand out N+1 next.
+  FaultGuard faults;
+  auto leader_nous = MakeDurableNous(FreshDir("adhoc_leader"));
+  auto follower_nous = MakeDurableNous(FreshDir("adhoc_follower"));
+  ReplicationLeader leader(leader_nous.get(), {});
+  ASSERT_TRUE(leader.Start().ok());
+  ReplicationFollower follower(follower_nous.get(),
+                               FollowOptions(leader.port()));
+  ASSERT_TRUE(follower.Start().ok());
+
+  auto batches = MakeBatches(4);
+  batches[0][1].id = "adhoc_41";
+  for (const auto& batch : batches) {
+    ASSERT_TRUE(leader_nous->IngestBatch(batch).ok());
+  }
+  ASSERT_TRUE(WaitConverged(*leader_nous, *follower_nous));
+  ExpectSameState(*leader_nous, *follower_nous);
+  EXPECT_EQ(leader_nous->pipeline().ReserveAdhocId(), "adhoc_42");
+  EXPECT_EQ(follower_nous->pipeline().ReserveAdhocId(), "adhoc_42");
+}
+
 TEST_F(ReplicationFixture, FinalizePropagatesToFollowers) {
   FaultGuard faults;
   auto leader_nous = MakeDurableNous(FreshDir("fin_leader"));

@@ -115,7 +115,7 @@ TEST_F(SnapshotTest, SnapshotAnswersMatchLockedAnswers) {
   // each query class exactly as an engine run against the live graph
   // and miner under the reader lock.
   Nous::Options options;
-  options.query_cache.enabled = false;
+  options.query_cache.entries = 0;
   Nous nous(&kb_, options);
   for (const Article& a : articles_) NOUS_CHECK_OK(nous.Ingest(a));
   std::shared_ptr<const KgSnapshot> snap = nous.snapshot();
@@ -128,7 +128,9 @@ TEST_F(SnapshotTest, SnapshotAnswersMatchLockedAnswers) {
     std::shared_ptr<const KgSnapshot> out;
     auto from_snapshot = nous.Ask(question, &out);
     ReaderMutexLock lock(nous.kg_mutex());
-    QueryEngine locked(&nous.graph(), nous.miner(), options.query);
+    std::vector<RenderedPattern> patterns =
+        RenderClosedPatterns(*nous.miner(), nous.graph());
+    QueryEngine locked(&nous.graph(), patterns, options.query);
     auto from_locked = locked.ExecuteText(question);
     ASSERT_EQ(from_snapshot.ok(), from_locked.ok()) << question;
     if (!from_snapshot.ok()) continue;
@@ -176,7 +178,7 @@ TEST_F(SnapshotTest, IngestInvalidatesCachedAnswers) {
   // answer.
   Nous cached_nous(&kb_);
   Nous::Options no_cache;
-  no_cache.query_cache.enabled = false;
+  no_cache.query_cache.entries = 0;
   Nous reference(&kb_, no_cache);
   size_t half = articles_.size() / 2;
   for (size_t i = 0; i < half; ++i) {
@@ -232,8 +234,9 @@ TEST_F(SnapshotTest, CacheEvictsLeastRecentlyUsed) {
 }
 
 TEST_F(SnapshotTest, CacheCanBeDisabled) {
+  // Zero entries is the one off switch (nous_server --no-query-cache).
   Nous::Options options;
-  options.query_cache.enabled = false;
+  options.query_cache.entries = 0;
   Nous nous(&kb_, options);
   EXPECT_EQ(nous.query_cache(), nullptr);
   for (size_t i = 0; i < 4; ++i) NOUS_CHECK_OK(nous.Ingest(articles_[i]));

@@ -1,0 +1,164 @@
+// One clock for ingest: each Figure-1 stage is timed once, by its span,
+// so the registry histogram, the trace record and the PipelineStats
+// field all carry the same clock reading.
+
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "common/thread_annotations.h"
+#include "core/pipeline.h"
+#include "corpus/article_generator.h"
+#include "corpus/world_model.h"
+#include "kb/kb_generator.h"
+#include "obs/metrics.h"
+#include "obs/trace_buffer.h"
+
+namespace nous {
+namespace {
+
+constexpr size_t kArticles = 40;
+constexpr size_t kBatch = 8;
+constexpr size_t kRefreshInterval = 10;
+
+class StageTimingTest : public ::testing::Test {
+ protected:
+  StageTimingTest()
+      : world_(WorldModel::BuildDroneWorld(WorldConfig())),
+        kb_(BuildCuratedKb(world_, Ontology::DroneDefault(), Coverage())) {}
+
+  static DroneWorldConfig WorldConfig() {
+    DroneWorldConfig config;
+    config.num_companies = 10;
+    config.num_people = 6;
+    config.num_products = 6;
+    config.num_events = 140;
+    config.seed = 23;
+    return config;
+  }
+  static KbCoverage Coverage() {
+    KbCoverage coverage;
+    coverage.entity_coverage = 0.6;
+    coverage.fact_coverage = 0.9;
+    return coverage;
+  }
+  static PipelineConfig Config() {
+    PipelineConfig config;
+    config.lda.iterations = 10;
+    config.bpr.epochs = 2;
+    config.miner.min_support = 3;
+    config.bpr_refresh_interval = kRefreshInterval;
+    config.num_threads = 2;
+    return config;
+  }
+  std::vector<Article> MakeArticles() {
+    std::vector<Article> articles =
+        ArticleGenerator(&world_, CorpusConfig()).GenerateArticles();
+    EXPECT_GE(articles.size(), kArticles);
+    articles.resize(std::min(articles.size(), kArticles));
+    return articles;
+  }
+
+  static PipelineStats Stats(const KgPipeline& pipeline) {
+    ReaderMutexLock lock(pipeline.kg_mutex());
+    return pipeline.stats();
+  }
+
+  WorldModel world_;
+  CuratedKb kb_;
+};
+
+TEST_F(StageTimingTest, HistogramSumsEqualPipelineStats) {
+  std::vector<Article> articles = MakeArticles();
+  // Documents with at least one extraction reach linking and the
+  // refresh cadence; count them one document at a time on a reference
+  // pipeline.
+  size_t docs_with_frames = 0;
+  {
+    KgPipeline reference(&kb_, Config());
+    for (const Article& article : articles) {
+      const size_t before = Stats(reference).extractions;
+      reference.IngestBatch(&article, 1);
+      if (Stats(reference).extractions > before) ++docs_with_frames;
+    }
+  }
+  ASSERT_GE(docs_with_frames, kRefreshInterval);
+
+  MetricsRegistry::Global().ResetAll();
+  TraceBuffer::Global().Clear();
+  const uint64_t appended_before = TraceBuffer::Global().total_appended();
+  KgPipeline pipeline(&kb_, Config());
+  for (size_t start = 0; start < articles.size(); start += kBatch) {
+    pipeline.IngestBatch(articles.data() + start,
+                         std::min(kBatch, articles.size() - start));
+  }
+  pipeline.Finalize();
+  const PipelineStats stats = Stats(pipeline);
+
+  std::map<std::string, MetricsRegistry::HistogramRow> histograms;
+  for (const auto& row : MetricsRegistry::Global().HistogramRows()) {
+    histograms[row.name] = row;
+  }
+  std::vector<SpanRecord> spans = TraceBuffer::Global().Snapshot();
+  ASSERT_EQ(spans.size(),
+            TraceBuffer::Global().total_appended() - appended_before)
+      << "the trace ring wrapped; shrink the stream";
+  std::map<std::string, size_t> traced;
+  for (const SpanRecord& span : spans) ++traced[span.name];
+
+  struct Stage {
+    const char* name;
+    double seconds;
+    size_t instances;
+  };
+  const Stage stages[] = {
+      {"extraction", stats.extract_seconds, stats.documents},
+      {"linking", stats.link_seconds, docs_with_frames},
+      {"mapping", stats.map_seconds,
+       stats.mapped_triples + stats.unmapped_kept + stats.dropped_unmapped},
+      {"confidence", stats.score_seconds,
+       stats.mapped_triples + stats.unmapped_kept},
+      {"mining", stats.mine_seconds, stats.accepted_triples},
+      // The curated bootstrap's Train, one refresh per interval of
+      // documents that reach stage 7, and Finalize's refresh.
+      {"embed_refresh", stats.refresh_seconds,
+       1 + docs_with_frames / kRefreshInterval + 1},
+  };
+  for (const Stage& stage : stages) {
+    SCOPED_TRACE(stage.name);
+    const auto it =
+        histograms.find("nous_" + std::string(stage.name) + "_latency_seconds");
+    ASSERT_NE(it, histograms.end());
+    const MetricsRegistry::HistogramRow& row = it->second;
+    EXPECT_GT(stage.instances, 0u);
+    EXPECT_GT(stage.seconds, 0.0);
+    EXPECT_EQ(row.count, stage.instances);
+    EXPECT_EQ(traced[stage.name], stage.instances);
+    EXPECT_NEAR(row.sum, stage.seconds, 1e-9 * stage.seconds);
+  }
+
+  // Every traced child interval lies inside its parent's.
+  std::unordered_map<uint64_t, const SpanRecord*> by_id;
+  for (const SpanRecord& span : spans) by_id[span.span_id] = &span;
+  size_t nested = 0;
+  for (const SpanRecord& child : spans) {
+    auto parent_it = by_id.find(child.parent_span_id);
+    if (parent_it == by_id.end()) continue;
+    const SpanRecord& parent = *parent_it->second;
+    ++nested;
+    EXPECT_GE(child.start_us, parent.start_us)
+        << child.name << " in " << parent.name;
+    EXPECT_LE(child.start_us + child.duration_us,
+              parent.start_us + parent.duration_us)
+        << child.name << " in " << parent.name;
+  }
+  EXPECT_GT(nested, stats.documents);
+}
+
+}  // namespace
+}  // namespace nous

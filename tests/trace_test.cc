@@ -85,6 +85,40 @@ TEST(TraceSpanTest, NestedSpanParentsUnderEnclosingSpan) {
   EXPECT_EQ(CurrentTraceContext().span_id, root.span_id());
 }
 
+TEST(TraceSpanTest, EndRecordsOnceAndReturnsTheObservedSeconds) {
+  MetricsRegistry registry;
+  LatencyHistogram* h = registry.GetHistogram("nous_end_latency_seconds");
+  TraceBuffer::Global().Clear();
+  double seconds = -1;
+  uint64_t root_id = 0, span_id = 0;
+  {
+    TraceSpan root("root", nullptr);
+    root_id = root.span_id();
+    {
+      TraceSpan span("trace_test_end", h);
+      span_id = span.span_id();
+      seconds = span.End();
+      // End() already restored the parent context...
+      EXPECT_EQ(CurrentTraceContext().span_id, root_id);
+    }
+    // ...and the destructor neither records nor restores again.
+    EXPECT_EQ(CurrentTraceContext().span_id, root_id);
+  }
+  FixedHistogram snapshot = h->Snapshot();
+  EXPECT_EQ(snapshot.count(), 1u);
+  EXPECT_EQ(snapshot.sum(), seconds);
+  EXPECT_GE(seconds, 0.0);
+  std::vector<SpanRecord> spans = TraceBuffer::Global().Snapshot();
+  ASSERT_EQ(spans.size(), 2u);
+  const SpanRecord& child = spans[0].span_id == span_id ? spans[0] : spans[1];
+  const SpanRecord& parent = spans[0].span_id == root_id ? spans[0] : spans[1];
+  EXPECT_EQ(child.span_id, span_id);
+  EXPECT_EQ(parent.span_id, root_id);
+  EXPECT_GE(child.start_us, parent.start_us);
+  EXPECT_LE(child.start_us + child.duration_us,
+            parent.start_us + parent.duration_us);
+}
+
 TEST(TraceSpanTest, AttrsAreExportedWithKindsAndCapped) {
   TraceBuffer::Global().Clear();
   uint64_t span_id = 0;

@@ -15,6 +15,7 @@ struct MinerMetrics {
   Counter* patterns_demoted;
   Counter* subsets_enumerated;
   Gauge* tracked_patterns;
+  Gauge* quick_patterns;
   Gauge* live_embeddings;
   Gauge* embedding_slots;
   Gauge* pool_bytes;
@@ -35,6 +36,9 @@ const MinerMetrics& Metrics() {
         "Connected edge subsets enumerated for arriving edges");
     m.tracked_patterns = r.GetGauge("nous_mining_tracked_patterns",
                                     "Distinct patterns under maintenance");
+    m.quick_patterns = r.GetGauge(
+        "nous_mining_quick_patterns",
+        "Distinct quick patterns (edge order and labels) cached");
     m.live_embeddings = r.GetGauge("nous_mining_live_embeddings",
                                    "Live embeddings across all patterns");
     m.embedding_slots = r.GetGauge(
@@ -55,16 +59,26 @@ size_t CapacityBytes(const std::vector<T>& v) {
 
 }  // namespace
 
-StreamingMiner::StreamingMiner(MinerConfig config) : config_(config) {
-  // Per-slot edge and vertex counts are u8; a connected pattern of k
-  // edges has at most k + 1 vertices.
+static_assert(sizeof(EdgeId) == sizeof(uint32_t) &&
+              sizeof(VertexId) == sizeof(uint32_t));
+
+StreamingMiner::StreamingMiner(MinerConfig config)
+    : config_(config),
+      // Edge count, 3 words per edge, one label per vertex.
+      quick_key_(4 * config_.max_edges + 2),
+      quick_patterns_(quick_key_.size()),
+      slot_words_(3 * config_.max_edges + 2) {
+  // Quick patterns index local vertices with u8; a connected pattern of
+  // k edges has at most k + 1 vertices.
   NOUS_CHECK(config_.max_edges < std::numeric_limits<uint8_t>::max())
       << "max_edges " << config_.max_edges
-      << " does not fit the slot pools' u8 counts";
+      << " does not fit the quick patterns' u8 vertex indices";
 }
 
 void StreamingMiner::OnEdgeAdded(const PropertyGraph& graph, EdgeId edge) {
   ++generation_;
+  // Every subset below holds only `edge` and older edges.
+  if (edge_index_.size() <= edge) edge_index_.resize(edge + 1);
   // Every connected subset containing the new edge; all other edges in
   // the window are older (smaller ids), so older_only enumeration
   // discovers each subset exactly once across the stream.
@@ -80,14 +94,18 @@ void StreamingMiner::OnEdgeAdded(const PropertyGraph& graph, EdgeId edge) {
 void StreamingMiner::OnEdgeExpiring(const PropertyGraph& /*graph*/,
                                     EdgeId edge) {
   ++generation_;
-  auto it = edge_index_.find(edge);
-  if (it == edge_index_.end()) return;
-  // RemoveEmbedding mutates other edges' index entries but only reads
-  // this one after the move.
-  std::vector<uint32_t> ids = std::move(it->second);
-  edge_index_.erase(it);
-  for (uint32_t id : ids) {
-    if (slot_pattern_[id] != kFreeSlot) RemoveEmbedding(id);
+  if (edge >= edge_index_.size()) return;
+  // Moving the list out releases its storage; RemoveEmbedding unlinks
+  // each embedding from its other edges' lists only.
+  std::vector<uint32_t> ids = std::move(edge_index_[edge]);
+  edge_index_[edge].clear();
+  // The slots are scattered over the pool: fetch a few ahead.
+  constexpr size_t kPrefetchAhead = 8;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (i + kPrefetchAhead < ids.size()) {
+      __builtin_prefetch(Slot(ids[i + kPrefetchAhead]));
+    }
+    RemoveEmbedding(ids[i], edge);
   }
   PublishGauges();
 }
@@ -95,21 +113,44 @@ void StreamingMiner::OnEdgeExpiring(const PropertyGraph& /*graph*/,
 void StreamingMiner::PublishGauges() const {
   const MinerMetrics& m = Metrics();
   m.tracked_patterns->Set(static_cast<double>(patterns_.size()));
+  m.quick_patterns->Set(static_cast<double>(quick_patterns_.size()));
   m.live_embeddings->Set(static_cast<double>(live_embeddings_));
-  m.embedding_slots->Set(static_cast<double>(slot_pattern_.size()));
+  m.embedding_slots->Set(static_cast<double>(num_embedding_slots()));
   m.pool_bytes->Set(static_cast<double>(
-      CapacityBytes(slot_pattern_) + CapacityBytes(slot_num_edges_) +
-      CapacityBytes(slot_num_vertices_) + CapacityBytes(slot_edges_) +
-      CapacityBytes(slot_vertices_) + CapacityBytes(free_slots_)));
+      slot_chunks_.size() * kSlotsPerChunk * slot_words_ * sizeof(uint32_t) +
+      CapacityBytes(free_slots_)));
 }
 
-void StreamingMiner::AddEmbedding(const PropertyGraph& graph,
-                                  const std::vector<EdgeId>& edges) {
+const QuickPatternCache::Value& StreamingMiner::FindQuickPattern(
+    const PropertyGraph& graph, const std::vector<EdgeId>& edges) {
+  // Vertices are numbered as Canonicalizer::Add interns them.
+  local_vertices_.clear();
+  auto local = [this](VertexId v) {
+    for (uint32_t i = 0; i < local_vertices_.size(); ++i) {
+      if (local_vertices_[i] == v) return i;
+    }
+    local_vertices_.push_back(v);
+    return static_cast<uint32_t>(local_vertices_.size() - 1);
+  };
+  uint32_t* key = quick_key_.data();
+  std::fill(quick_key_.begin(), quick_key_.end(), 0);
+  *key++ = static_cast<uint32_t>(edges.size());
+  for (EdgeId e : edges) {
+    const EdgeRecord& rec = graph.Edge(e);
+    *key++ = local(rec.subject);
+    *key++ = rec.predicate;
+    *key++ = local(rec.object);
+  }
+  for (VertexId v : local_vertices_) {
+    *key++ = config_.use_vertex_types ? graph.VertexType(v) : kInvalidType;
+  }
+  const QuickPatternCache::Value* cached =
+      quick_patterns_.Find(quick_key_.data());
+  if (cached != nullptr) return *cached;
+
   CanonicalizeEdgeSet(graph, edges, config_.use_vertex_types,
                       &canonicalizer_);
   const Pattern& p = canonicalizer_.pattern();
-  const std::vector<uint64_t>& assignment =
-      canonicalizer_.position_to_vertex();
   // try_emplace copies the key only when the pattern is new.
   auto [it, inserted] = pattern_index_.try_emplace(
       p, static_cast<uint32_t>(patterns_.size()));
@@ -119,11 +160,27 @@ void StreamingMiner::AddEmbedding(const PropertyGraph& graph,
     entry.position_counts.resize(p.num_vertices());
     patterns_.push_back(std::move(entry));
   }
-  uint32_t pattern_id = it->second;
+  QuickPatternCache::Value quick;
+  quick.pattern_id = it->second;
+  const size_t num_local = local_vertices_.size();
+  for (uint64_t v : canonicalizer_.position_to_vertex()) {
+    uint32_t i = local(static_cast<VertexId>(v));
+    NOUS_CHECK(i < num_local);
+    quick.local_vertex.push_back(static_cast<uint8_t>(i));
+  }
+  NOUS_CHECK(quick.local_vertex.size() == num_local);
+  return quick_patterns_.Insert(quick_key_.data(), std::move(quick));
+}
+
+void StreamingMiner::AddEmbedding(const PropertyGraph& graph,
+                                  const std::vector<EdgeId>& edges) {
+  const QuickPatternCache::Value& quick = FindQuickPattern(graph, edges);
+  const uint32_t pattern_id = quick.pattern_id;
   PatternEntry& entry = patterns_[pattern_id];
   size_t support_before = SupportOfEntry(entry);
-  for (size_t pos = 0; pos < assignment.size(); ++pos) {
-    entry.position_counts[pos][static_cast<VertexId>(assignment[pos])]++;
+  for (size_t pos = 0; pos < quick.local_vertex.size(); ++pos) {
+    entry.position_counts[pos].Increment(
+        local_vertices_[quick.local_vertex[pos]]);
   }
   ++entry.embeddings;
   if (support_before < config_.min_support &&
@@ -131,66 +188,78 @@ void StreamingMiner::AddEmbedding(const PropertyGraph& graph,
     Metrics().patterns_emitted->Increment();
   }
 
-  const size_t edge_stride = config_.max_edges;
-  const size_t vertex_stride = config_.max_edges + 1;
-  NOUS_CHECK(edges.size() <= edge_stride);
-  NOUS_CHECK(assignment.size() <= vertex_stride);
+  NOUS_CHECK(edges.size() <= config_.max_edges);
+  NOUS_CHECK(quick.local_vertex.size() <= config_.max_edges + 1);
   uint32_t id;
   if (!free_slots_.empty()) {
     id = free_slots_.back();
     free_slots_.pop_back();
   } else {
-    id = static_cast<uint32_t>(slot_pattern_.size());
+    id = static_cast<uint32_t>(num_slots_);
     NOUS_CHECK(id != kFreeSlot);
-    slot_pattern_.push_back(kFreeSlot);
-    slot_num_edges_.push_back(0);
-    slot_num_vertices_.push_back(0);
-    slot_edges_.resize(slot_edges_.size() + edge_stride);
-    slot_vertices_.resize(slot_vertices_.size() + vertex_stride);
+    if (num_slots_ % kSlotsPerChunk == 0) {
+      // Pages are touched only as slots are used.
+      slot_chunks_.push_back(std::make_unique_for_overwrite<uint32_t[]>(
+          kSlotsPerChunk * slot_words_));
+    }
+    ++num_slots_;
   }
-  slot_pattern_[id] = pattern_id;
-  slot_num_edges_[id] = static_cast<uint8_t>(edges.size());
-  slot_num_vertices_[id] = static_cast<uint8_t>(assignment.size());
-  std::copy(edges.begin(), edges.end(),
-            slot_edges_.begin() + id * edge_stride);
-  std::transform(assignment.begin(), assignment.end(),
-                 slot_vertices_.begin() + id * vertex_stride,
-                 [](uint64_t v) { return static_cast<VertexId>(v); });
-  for (EdgeId e : edges) edge_index_[e].push_back(id);
+  uint32_t* slot = Slot(id);
+  slot[0] = pattern_id;
+  EdgeId* slot_edges = SlotEdges(slot);
+  uint32_t* list_pos = SlotListPos(slot);
+  for (size_t k = 0; k < edges.size(); ++k) {
+    std::vector<uint32_t>& ids = edge_index_[edges[k]];
+    slot_edges[k] = edges[k];
+    list_pos[k] = static_cast<uint32_t>(ids.size());
+    ids.push_back(id);
+  }
+  VertexId* vertices = SlotVertices(slot);
+  for (size_t pos = 0; pos < quick.local_vertex.size(); ++pos) {
+    vertices[pos] = local_vertices_[quick.local_vertex[pos]];
+  }
   ++live_embeddings_;
   ++created_total_;
 }
 
-void StreamingMiner::RemoveEmbedding(uint32_t embedding_id) {
-  NOUS_CHECK(slot_pattern_[embedding_id] != kFreeSlot);
-  PatternEntry& entry = patterns_[slot_pattern_[embedding_id]];
-  const VertexId* assignment =
-      slot_vertices_.data() + embedding_id * (config_.max_edges + 1);
-  const EdgeId* edges = slot_edges_.data() + embedding_id * config_.max_edges;
+void StreamingMiner::RemoveEmbedding(uint32_t embedding_id,
+                                     EdgeId draining_edge) {
+  uint32_t* slot = Slot(embedding_id);
+  NOUS_CHECK(slot[0] != kFreeSlot);
+  PatternEntry& entry = patterns_[slot[0]];
+  const VertexId* assignment = SlotVertices(slot);
   size_t support_before = SupportOfEntry(entry);
-  for (size_t pos = 0; pos < slot_num_vertices_[embedding_id]; ++pos) {
-    auto it = entry.position_counts[pos].find(assignment[pos]);
-    NOUS_CHECK(it != entry.position_counts[pos].end());
-    if (--it->second == 0) entry.position_counts[pos].erase(it);
+  for (size_t pos = 0; pos < entry.position_counts.size(); ++pos) {
+    NOUS_CHECK(entry.position_counts[pos].Decrement(assignment[pos]));
   }
   --entry.embeddings;
   if (support_before >= config_.min_support &&
       SupportOfEntry(entry) < config_.min_support) {
     Metrics().patterns_demoted->Increment();
   }
-  for (size_t k = 0; k < slot_num_edges_[embedding_id]; ++k) {
-    auto it = edge_index_.find(edges[k]);
-    if (it == edge_index_.end()) continue;  // being drained by expiry
-    auto& ids = it->second;
-    for (size_t i = 0; i < ids.size(); ++i) {
-      if (ids[i] == embedding_id) {
-        ids[i] = ids.back();
-        ids.pop_back();
-        break;
-      }
-    }
+  // Swap-remove from each sibling edge's list, then repoint the moved
+  // embedding's back-pointer for that edge.
+  const EdgeId* edges = SlotEdges(slot);
+  const uint32_t* list_pos = SlotListPos(slot);
+  for (size_t k = 0; k < entry.pattern.num_edges(); ++k) {
+    const EdgeId e = edges[k];
+    if (e == draining_edge) continue;
+    std::vector<uint32_t>& ids = edge_index_[e];
+    const uint32_t at = list_pos[k];
+    NOUS_CHECK(at < ids.size() && ids[at] == embedding_id);
+    const uint32_t moved = ids.back();
+    ids[at] = moved;
+    ids.pop_back();
+    if (moved == embedding_id) continue;
+    uint32_t* moved_slot = Slot(moved);
+    const EdgeId* moved_edges = SlotEdges(moved_slot);
+    const EdgeId* moved_end =
+        moved_edges + patterns_[moved_slot[0]].pattern.num_edges();
+    const EdgeId* found = std::find(moved_edges, moved_end, e);
+    NOUS_CHECK(found != moved_end);
+    SlotListPos(moved_slot)[found - moved_edges] = at;
   }
-  slot_pattern_[embedding_id] = kFreeSlot;
+  slot[0] = kFreeSlot;
   free_slots_.push_back(embedding_id);
   --live_embeddings_;
   ++removed_total_;

@@ -3,13 +3,16 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "graph/temporal_window.h"
 #include "mining/miner_config.h"
+#include "mining/quick_pattern_cache.h"
 #include "mining/subgraph_enum.h"
+#include "mining/vertex_count_table.h"
 
 namespace nous {
 
@@ -19,9 +22,13 @@ namespace nous {
 ///
 /// - On arrival, only subsets containing the new edge are enumerated
 ///   (the new edge always has the maximum id, so each subset is
-///   discovered exactly once) — no global re-enumeration.
+///   discovered exactly once) — no global re-enumeration. Each subset
+///   is matched to its pattern through its quick pattern (Arabesque's
+///   two-level aggregation): only the first subset of each distinct
+///   quick pattern is canonicalized.
 /// - On expiry, a per-edge inverted index removes exactly the dead
-///   embeddings and decrements their pattern counts.
+///   embeddings and decrements their pattern counts, each in O(1)
+///   through the slot's back-pointers into the index.
 /// - Sub-pattern counts are maintained alongside their super-patterns,
 ///   so when a pattern decays below the support threshold its smaller
 ///   frequent structure is immediately reportable — the paper's
@@ -71,9 +78,12 @@ class StreamingMiner : public WindowListener {
   uint64_t generation() const { return generation_; }
 
   size_t num_tracked_patterns() const { return patterns_.size(); }
+  /// Distinct quick patterns cached: at most max_edges! per tracked
+  /// pattern (one per edge order), never evicted.
+  size_t num_quick_patterns() const { return quick_patterns_.size(); }
   size_t num_live_embeddings() const { return live_embeddings_; }
   /// Embedding slots allocated, live plus free.
-  size_t num_embedding_slots() const { return slot_pattern_.size(); }
+  size_t num_embedding_slots() const { return num_slots_; }
   size_t total_embeddings_created() const { return created_total_; }
   size_t total_embeddings_removed() const { return removed_total_; }
   const MinerConfig& config() const { return config_; }
@@ -81,35 +91,73 @@ class StreamingMiner : public WindowListener {
  private:
   struct PatternEntry {
     Pattern pattern;
-    std::vector<std::unordered_map<VertexId, uint32_t>> position_counts;
+    std::vector<VertexCountTable> position_counts;
     size_t embeddings = 0;
   };
 
-  /// slot_pattern_ value of a slot on the free list.
+  /// Pattern word of a slot on the free list.
   static constexpr uint32_t kFreeSlot = std::numeric_limits<uint32_t>::max();
+  /// Slot records per pool chunk (128 KiB at max_edges 2).
+  static constexpr size_t kSlotsPerChunk = 4096;
+
+  /// Slot record `id`: its pattern id word, then max_edges edge ids,
+  /// then per edge the slot's position in that edge's edge_index_
+  /// list, then max_edges + 1 vertex ids (the graph vertex at each
+  /// pattern position). The pattern says how many of each are in use.
+  uint32_t* Slot(uint32_t id) {
+    return slot_chunks_[id / kSlotsPerChunk].get() +
+           (id % kSlotsPerChunk) * slot_words_;
+  }
+  EdgeId* SlotEdges(uint32_t* slot) const { return slot + 1; }
+  uint32_t* SlotListPos(uint32_t* slot) const {
+    return slot + 1 + config_.max_edges;
+  }
+  VertexId* SlotVertices(uint32_t* slot) const {
+    return slot + 1 + 2 * config_.max_edges;
+  }
 
   void AddEmbedding(const PropertyGraph& graph,
                     const std::vector<EdgeId>& edges);
-  void RemoveEmbedding(uint32_t embedding_id);
+  /// Fills local_vertices_ with the subset's vertices in first-
+  /// appearance order and returns its quick pattern, canonicalizing
+  /// (and registering a new pattern) only on a cache miss.
+  ///
+  /// The quick-pattern key is the subset's edge count, its edges in
+  /// emission order as (local src, predicate, local dst) with local
+  /// vertices numbered by first appearance, then each local vertex's
+  /// label (kInvalidType when untyped). Canonicalizer::Run is a pure
+  /// function of exactly this — it interns vertices in the same order
+  /// and breaks ties among edge orderings, never among concrete ids —
+  /// so every subset with the same key has the same pattern and the
+  /// same local vertex at each canonical position.
+  const QuickPatternCache::Value& FindQuickPattern(
+      const PropertyGraph& graph, const std::vector<EdgeId>& edges);
+  /// Frees the slot and unlinks it from the index list of each of its
+  /// edges except `draining_edge`, whose list the caller is consuming.
+  void RemoveEmbedding(uint32_t embedding_id, EdgeId draining_edge);
   size_t SupportOfEntry(const PatternEntry& entry) const;
   void PublishGauges() const;
 
   MinerConfig config_;
-  Pattern::Canonicalizer canonicalizer_;  // AddEmbedding's scratch
+  // Cache-miss scratch, and FindQuickPattern's key and local vertices.
+  Pattern::Canonicalizer canonicalizer_;
+  std::vector<uint32_t> quick_key_;
+  std::vector<VertexId> local_vertices_;
   std::vector<PatternEntry> patterns_;
   std::unordered_map<Pattern, uint32_t, PatternHash> pattern_index_;
-  // Embeddings live in flat slot pools indexed by embedding id: slot i
-  // holds pattern slot_pattern_[i] (kFreeSlot when free), its
-  // slot_num_edges_[i] edges at slot_edges_[i * max_edges] and its
-  // slot_num_vertices_[i] vertex assignment (one graph vertex per
-  // pattern position) at slot_vertices_[i * (max_edges + 1)].
-  std::vector<uint32_t> slot_pattern_;
-  std::vector<uint8_t> slot_num_edges_;
-  std::vector<uint8_t> slot_num_vertices_;
-  std::vector<EdgeId> slot_edges_;
-  std::vector<VertexId> slot_vertices_;
+  QuickPatternCache quick_patterns_;
+  // Embeddings live in a pool of slot records (see Slot()) indexed by
+  // embedding id: one record per embedding keeps an add or a removal to
+  // one or two cache lines of slot data. The pool grows a chunk at a
+  // time, so it never copies itself or holds twice its size mid-growth.
+  size_t slot_words_;
+  size_t num_slots_ = 0;
+  std::vector<std::unique_ptr<uint32_t[]>> slot_chunks_;
   std::vector<uint32_t> free_slots_;
-  std::unordered_map<EdgeId, std::vector<uint32_t>> edge_index_;
+  // Live embedding ids per edge, indexed by EdgeId: one list header
+  // per edge ever pushed, as the window graph keeps one EdgeRecord per
+  // edge.
+  std::vector<std::vector<uint32_t>> edge_index_;
   std::unordered_set<size_t> last_frequent_;  // pattern ids
   uint64_t generation_ = 0;
   size_t live_embeddings_ = 0;

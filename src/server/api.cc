@@ -32,6 +32,7 @@ HttpResponse JsonError(int status, const std::string& message) {
 struct CostReadout {
   Gauge* live_embeddings;
   Gauge* tracked_patterns;
+  Gauge* quick_patterns;
   Counter* subsets_enumerated;
   Counter* linker_candidates;
   Counter* linker_adjacency_scanned;
@@ -43,6 +44,7 @@ const CostReadout& Cost() {
     return CostReadout{
         r.GetGauge("nous_mining_live_embeddings"),
         r.GetGauge("nous_mining_tracked_patterns"),
+        r.GetGauge("nous_mining_quick_patterns"),
         r.GetCounter("nous_mining_subsets_enumerated_total"),
         r.GetCounter("nous_linker_candidates_total"),
         r.GetCounter("nous_linker_adjacency_scanned_total")};
@@ -197,6 +199,8 @@ HttpResponse NousApi::HandleStats() {
   w.Int(static_cast<long long>(cost.live_embeddings->Value()));
   w.Key("mining_tracked_patterns");
   w.Int(static_cast<long long>(cost.tracked_patterns->Value()));
+  w.Key("mining_quick_patterns");
+  w.Int(static_cast<long long>(cost.quick_patterns->Value()));
   w.Key("mining_subsets_enumerated");
   w.Int(static_cast<long long>(cost.subsets_enumerated->Value()));
   w.Key("linker_candidates");

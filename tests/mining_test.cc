@@ -1,10 +1,12 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "graph/graph_generator.h"
@@ -15,6 +17,7 @@
 #include "mining/pattern.h"
 #include "mining/streaming_miner.h"
 #include "mining/subgraph_enum.h"
+#include "mining/vertex_count_table.h"
 #include "obs/metrics.h"
 
 namespace nous {
@@ -735,6 +738,313 @@ TEST(StreamingMinerTest, SlotReuseKeepsPoolBoundedUnderChurn) {
   EXPECT_GT(MetricsRegistry::Global().GetGauge("nous_mining_pool_bytes")
                 ->Value(),
             0.0);
+}
+
+// ---------- Per-position count table ----------
+
+// Applies `v`'s +1/-1 to the table and to an unordered_map reference,
+// then checks size and the counts of every key in `universe`.
+void ApplyAndCompare(VertexId v, bool increment,
+                     const std::vector<VertexId>& universe,
+                     VertexCountTable* table,
+                     std::unordered_map<VertexId, uint32_t>* reference) {
+  if (increment) {
+    table->Increment(v);
+    ++(*reference)[v];
+  } else {
+    auto it = reference->find(v);
+    bool present = it != reference->end();
+    ASSERT_EQ(table->Decrement(v), present) << v;
+    if (present && --it->second == 0) reference->erase(it);
+  }
+  ASSERT_EQ(table->size(), reference->size());
+  for (VertexId u : universe) {
+    auto it = reference->find(u);
+    ASSERT_EQ(table->Count(u), it == reference->end() ? 0u : it->second)
+        << "vertex " << u;
+  }
+}
+
+TEST(VertexCountTableTest, MatchesUnorderedMapUnderRandomChurn) {
+  // A small universe keeps the table dense (long clusters, frequent
+  // 0 <-> 1 transitions); a sparse one spreads ids over 32 bits.
+  for (bool dense : {true, false}) {
+    Rng rng(dense ? 3 : 4);
+    std::vector<VertexId> universe;
+    for (int i = 0; i < 200; ++i) {
+      universe.push_back(dense ? static_cast<VertexId>(i)
+                               : static_cast<VertexId>(rng.Next() >> 33));
+    }
+    VertexCountTable table;
+    std::unordered_map<VertexId, uint32_t> reference;
+    for (int step = 0; step < 20000; ++step) {
+      VertexId v = universe[rng.UniformInt(universe.size())];
+      // Drift between growth and drain phases so the table both grows
+      // and empties out.
+      bool growing = (step / 2500) % 2 == 0;
+      bool increment = rng.UniformInt(100) < (growing ? 65u : 35u);
+      ASSERT_NO_FATAL_FAILURE(
+          ApplyAndCompare(v, increment, universe, &table, &reference));
+    }
+  }
+}
+
+TEST(VertexCountTableTest, ClustersThatWrapSurviveEraseAndReinsert) {
+  // Between 7 and 12 entries the table has 16 slots. Pick keys homed at
+  // the last two slots and the first two, so one probe cluster runs
+  // past the end of the array and wraps to the front.
+  constexpr size_t kCapacity = 16;
+  std::vector<VertexId> keys;
+  for (size_t home : {15ul, 15ul, 15ul, 14ul, 14ul, 0ul, 0ul, 1ul}) {
+    VertexId v = 0;
+    while (VertexCountTable::Home(v, kCapacity) != home ||
+           std::find(keys.begin(), keys.end(), v) != keys.end()) {
+      ++v;
+    }
+    keys.push_back(v);
+  }
+  Rng rng(17);
+  for (int round = 0; round < 300; ++round) {
+    VertexCountTable table;
+    std::unordered_map<VertexId, uint32_t> reference;
+    auto apply = [&](VertexId v, bool increment) {
+      ApplyAndCompare(v, increment, keys, &table, &reference);
+    };
+    std::vector<VertexId> order = keys;
+    std::shuffle(order.begin(), order.end(), rng);
+    for (VertexId v : order) ASSERT_NO_FATAL_FAILURE(apply(v, true));
+    ASSERT_EQ(table.capacity(), kCapacity);
+    // Erase the keys in a random order, re-inserting some right after
+    // their erase (a fresh home probe into the shifted cluster).
+    std::shuffle(order.begin(), order.end(), rng);
+    for (VertexId v : order) {
+      ASSERT_NO_FATAL_FAILURE(apply(v, false));
+      if (rng.UniformInt(3) == 0) {
+        ASSERT_NO_FATAL_FAILURE(apply(v, true));
+        ASSERT_NO_FATAL_FAILURE(
+            apply(order[rng.UniformInt(order.size())], false));
+      }
+    }
+    while (!reference.empty()) {
+      ASSERT_NO_FATAL_FAILURE(apply(reference.begin()->first, false));
+    }
+    EXPECT_EQ(table.size(), 0u);
+    EXPECT_EQ(table.capacity(), kCapacity);
+  }
+}
+
+// ---------- Quick-pattern cache ----------
+
+// The streaming miner without its quick-pattern cache or slot pools:
+// every subset is canonicalized directly, and each embedding's pattern
+// id and vertex assignment sit in a map keyed by its edges. Pattern ids
+// are first-seen, as in StreamingMiner.
+class DirectMiner : public WindowListener {
+ public:
+  explicit DirectMiner(const MinerConfig& config) : config_(config) {}
+
+  void OnEdgeAdded(const PropertyGraph& graph, EdgeId edge) override {
+    EnumerateConnectedSubsets(
+        graph, edge, config_, /*older_only=*/true,
+        [this, &graph](const std::vector<EdgeId>& subset) {
+          CanonicalizeEdgeSet(graph, subset, config_.use_vertex_types,
+                              &canonicalizer_);
+          const Pattern& p = canonicalizer_.pattern();
+          auto [it, inserted] = index_.try_emplace(p, entries_.size());
+          if (inserted) {
+            entries_.push_back({p, {}, 0});
+            entries_.back().counts.resize(p.num_vertices());
+          }
+          Embedding embedding{it->second,
+                              canonicalizer_.position_to_vertex()};
+          Entry& entry = entries_[embedding.pattern_id];
+          for (size_t pos = 0; pos < embedding.vertices.size(); ++pos) {
+            ++entry.counts[pos][embedding.vertices[pos]];
+          }
+          ++entry.embeddings;
+          embeddings_.emplace(subset, std::move(embedding));
+        });
+  }
+
+  void OnEdgeExpiring(const PropertyGraph&, EdgeId edge) override {
+    for (auto it = embeddings_.begin(); it != embeddings_.end();) {
+      const std::vector<EdgeId>& edges = it->first;
+      if (std::find(edges.begin(), edges.end(), edge) == edges.end()) {
+        ++it;
+        continue;
+      }
+      Entry& entry = entries_[it->second.pattern_id];
+      for (size_t pos = 0; pos < it->second.vertices.size(); ++pos) {
+        auto& counts = entry.counts[pos];
+        if (--counts[it->second.vertices[pos]] == 0) {
+          counts.erase(it->second.vertices[pos]);
+        }
+      }
+      --entry.embeddings;
+      it = embeddings_.erase(it);
+    }
+  }
+
+  std::vector<PatternStats> FrequentPatterns() const {
+    std::vector<PatternStats> result;
+    for (const Entry& entry : entries_) {
+      size_t support = Support(entry);
+      if (support >= config_.min_support) {
+        result.push_back({entry.pattern, entry.embeddings, support});
+      }
+    }
+    SortBySupport(&result);
+    return result;
+  }
+
+  // Patterns that crossed min_support since the last call, in pattern
+  // id order (StreamingMiner::TakeChurn's became_frequent).
+  std::vector<Pattern> TakeBecameFrequent() {
+    std::vector<Pattern> became;
+    frequent_.resize(entries_.size(), false);
+    for (size_t id = 0; id < entries_.size(); ++id) {
+      bool now = Support(entries_[id]) >= config_.min_support;
+      if (now && !frequent_[id]) became.push_back(entries_[id].pattern);
+      frequent_[id] = now;
+    }
+    return became;
+  }
+
+  size_t num_tracked_patterns() const { return entries_.size(); }
+
+ private:
+  struct Entry {
+    Pattern pattern;
+    std::vector<std::map<uint64_t, size_t>> counts;
+    size_t embeddings;
+  };
+  struct Embedding {
+    size_t pattern_id;
+    std::vector<uint64_t> vertices;
+  };
+
+  static size_t Support(const Entry& entry) {
+    if (entry.embeddings == 0) return 0;
+    size_t support = entry.counts[0].size();
+    for (const auto& counts : entry.counts) {
+      support = std::min(support, counts.size());
+    }
+    return support;
+  }
+
+  MinerConfig config_;
+  Pattern::Canonicalizer canonicalizer_;
+  std::vector<Entry> entries_;
+  std::unordered_map<Pattern, size_t, PatternHash> index_;
+  std::map<std::vector<EdgeId>, Embedding> embeddings_;
+  std::vector<bool> frequent_;
+};
+
+void ExpectSameStats(const std::vector<PatternStats>& actual,
+                     const std::vector<PatternStats>& expected,
+                     int step) {
+  ASSERT_EQ(actual.size(), expected.size()) << "step " << step;
+  for (size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].pattern, expected[i].pattern) << "step " << step;
+    EXPECT_EQ(actual[i].support, expected[i].support) << "step " << step;
+    EXPECT_EQ(actual[i].embeddings, expected[i].embeddings)
+        << "step " << step;
+  }
+}
+
+TEST(StreamingMinerTest, QuickPatternCacheMatchesDirectCanonicalization) {
+  for (size_t max_edges : {2ul, 3ul}) {
+    for (size_t min_support : {1ul, 3ul}) {
+      PropertyGraph g;
+      TemporalWindow w(&g, 40);
+      MinerConfig config;
+      config.max_edges = max_edges;
+      config.min_support = min_support;
+      config.use_vertex_types = true;
+      StreamingMiner miner(config);
+      DirectMiner direct(config);
+      w.AddListener(&miner);
+      w.AddListener(&direct);
+      Rng rng(max_edges * 10 + min_support);
+      const char* preds[] = {"p", "q", "r"};
+      auto leaf = [&rng] {
+        return "leaf" + std::to_string(rng.UniformInt(25));
+      };
+      for (int step = 0; step < 400; ++step) {
+        TimedTriple t;
+        t.timestamp = step;
+        switch (rng.UniformInt(5)) {
+          case 0:
+          case 1:
+            // The same predicate out of the hub again and again: pairs
+            // of these edges are automorphic 2-edge subsets.
+            t.triple = {"hub", "p", leaf()};
+            break;
+          case 2:
+            t.triple = {leaf(), preds[rng.UniformInt(3)], "hub"};
+            break;
+          case 3:
+            t.triple = {leaf(), preds[rng.UniformInt(3)], leaf()};
+            break;
+          default:
+            t.triple = {"hub", "r", "hub"};  // self-loop
+        }
+        VertexId s = g.GetOrAddVertex(t.triple.subject);
+        VertexId o = g.GetOrAddVertex(t.triple.object);
+        // Leaves carry one of two types from the start; the hub's type
+        // changes mid-stream, so the same structure recurs under new
+        // labels while embeddings under the old ones are still live.
+        for (VertexId v : {s, o}) {
+          if (g.VertexType(v) == kInvalidType) g.SetVertexType(v, v % 2);
+        }
+        if (step == 0) g.SetVertexType(g.GetOrAddVertex("hub"), 7);
+        if (step == 200) g.SetVertexType(g.GetOrAddVertex("hub"), 8);
+        w.Add(t);
+        ExpectSameStats(miner.FrequentPatterns(), direct.FrequentPatterns(),
+                        step);
+        ASSERT_EQ(miner.TakeChurn().became_frequent,
+                  direct.TakeBecameFrequent())
+            << "step " << step;
+        ASSERT_EQ(miner.num_tracked_patterns(),
+                  direct.num_tracked_patterns());
+        if (HasFailure()) return;
+      }
+      // Far fewer quick patterns than subsets: most lookups hit.
+      EXPECT_GT(miner.num_quick_patterns(), 0u);
+      EXPECT_LT(miner.num_quick_patterns(), miner.total_embeddings_created());
+    }
+  }
+}
+
+TEST(StreamingMinerTest, HubOfDegree2000ExpiresToZero) {
+  // Every pair of hub edges is a live 2-edge embedding (~2M at the
+  // peak), and each expiring hub edge drains ~2000 of them: the
+  // back-pointers make each sibling unlink O(1).
+  constexpr int kDegree = 2000;
+  PropertyGraph g;
+  TemporalWindow w(&g, 0);
+  MinerConfig config;
+  config.min_support = 1;
+  StreamingMiner miner(config);
+  w.AddListener(&miner);
+  const char* preds[] = {"p", "q", "r"};
+  for (int i = 0; i < kDegree; ++i) {
+    w.Add(Tr("hub", preds[i % 3], "leaf" + std::to_string(i), i));
+  }
+  const size_t peak = miner.num_live_embeddings();
+  EXPECT_EQ(peak, static_cast<size_t>(kDegree + kDegree * (kDegree - 1) / 2));
+  std::vector<PatternStats> before = miner.FrequentPatterns();
+  ASSERT_FALSE(before.empty());
+
+  EXPECT_EQ(w.ExpireOlderThan(kDegree), static_cast<size_t>(kDegree));
+  EXPECT_EQ(miner.num_live_embeddings(), 0u);
+  EXPECT_EQ(miner.total_embeddings_removed(), peak);
+  EXPECT_TRUE(miner.FrequentPatterns().empty());
+  for (const PatternStats& s : before) {
+    EXPECT_EQ(miner.SupportOf(s.pattern), 0u);
+  }
+  EXPECT_EQ(miner.num_tracked_patterns(), before.size());
+  EXPECT_EQ(miner.num_embedding_slots(), peak);
 }
 
 // ---------- Baselines directly ----------

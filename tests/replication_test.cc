@@ -554,7 +554,13 @@ TEST_F(ReplicationFixture, FinalizePropagatesToFollowers) {
   auto batches = MakeBatches(4);
   for (size_t i = 0; i < batches.size(); ++i) {
     ASSERT_TRUE(leader_nous->IngestBatch(batches[i]).ok());
-    if (i == 1) leader_nous->Finalize();
+    if (i == 1) {
+      leader_nous->Finalize();
+      // The leader coalesces images: a follower that connects late
+      // could receive both Finalize states as one. Converging here
+      // makes each Finalize image one the follower has to apply.
+      ASSERT_TRUE(WaitConverged(*leader_nous, *follower_nous));
+    }
   }
   // Finalize mutates state without a WAL record (training, pattern
   // render) and bumps kg_version; followers get it as a checkpoint

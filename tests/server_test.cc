@@ -217,7 +217,7 @@ TEST_F(ServerFixture, StatsReportMinerCostGauges) {
   std::string response = Get(server_.port(), "/api/stats");
   for (const char* key :
        {"\"mining_live_embeddings\":", "\"mining_tracked_patterns\":",
-        "\"mining_subsets_enumerated\":"}) {
+        "\"mining_quick_patterns\":", "\"mining_subsets_enumerated\":"}) {
     EXPECT_NE(response.find(key), std::string::npos) << key;
   }
   // The fixture's ingest added edges, so the miner enumerated at least
@@ -273,6 +273,8 @@ TEST_F(ServerFixture, MetricsEndpointServesPrometheusExposition) {
   EXPECT_NE(response.find("nous_extraction_triples_total"),
             std::string::npos);
   EXPECT_NE(response.find("nous_mapping_mapped_total"), std::string::npos);
+  EXPECT_NE(response.find("# TYPE nous_mining_quick_patterns gauge"),
+            std::string::npos);
 
   // Latency histograms for the Figure-1 stages, in exposition shape.
   for (const char* stage :

@@ -71,7 +71,8 @@ void RunModelComparison() {
       config.latent_dim = 32;
       BprModel bpr(config);
       WallTimer timer;
-      bpr.Train(train, snapshot.num_entities, snapshot.num_predicates);
+      bpr.Train(train, snapshot.num_entities, snapshot.num_predicates,
+                config.epochs);
       add_row(bpr, timer.ElapsedMillis());
     }
     add_row(CommonNeighborsPredictor(&index), 0);
@@ -96,7 +97,8 @@ void RunDimensionSweep() {
     config.latent_dim = dim;
     BprModel bpr(config);
     WallTimer timer;
-    bpr.Train(train, snapshot.num_entities, snapshot.num_predicates);
+    bpr.Train(train, snapshot.num_entities, snapshot.num_predicates,
+              config.epochs);
     double train_ms = timer.ElapsedMillis();
     RankingMetrics m = EvaluateRanking(bpr, test, snapshot.triples,
                                        snapshot.num_entities);
@@ -113,7 +115,7 @@ void BM_BprScore(benchmark::State& state) {
   config.epochs = 10;
   BprModel bpr(config);
   bpr.Train(snapshot.triples, snapshot.num_entities,
-            snapshot.num_predicates);
+            snapshot.num_predicates, config.epochs);
   size_t i = 0;
   for (auto _ : state) {
     const IdTriple& t = snapshot.triples[i % snapshot.triples.size()];
@@ -129,10 +131,10 @@ void BM_BprTrainEpoch(benchmark::State& state) {
   config.epochs = 0;
   BprModel bpr(config);
   bpr.Train(snapshot.triples, snapshot.num_entities,
-            snapshot.num_predicates);
+            snapshot.num_predicates, config.epochs);
   for (auto _ : state) {
-    bpr.TrainIncremental(snapshot.triples, snapshot.num_entities,
-                         snapshot.num_predicates, 1);
+    bpr.Train(snapshot.triples, snapshot.num_entities,
+              snapshot.num_predicates, 1);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(snapshot.triples.size()));

@@ -26,7 +26,7 @@
 //   paths from <A> to <B>             graph search
 //   :ingest <text...>                 feed a sentence into the pipeline
 //   :checkpoint                       persist state now (durable mode)
-//   :save <path> | :load <path>       serialize / restore the fused KG
+//   :save <path>                      write the fused KG to a file
 //   :stats                            pipeline + graph statistics
 //   :help | :quit
 

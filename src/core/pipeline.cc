@@ -5,6 +5,7 @@
 #include <string_view>
 #include <thread>
 
+#include "common/binary_io.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "linker/context.h"
@@ -118,13 +119,7 @@ KgPipeline::KgPipeline(const CuratedKb* kb, PipelineConfig config)
       linker_(&graph_, config.linker),
       mapper_(&kb->ontology(), config.mapper),
       ds_trainer_(),
-      bpr_([&config] {
-        BprConfig b = config.bpr;
-        // Force block-deterministic SGD so the trained model (and hence
-        // every blended confidence) is independent of num_threads.
-        if (b.sgd_block == 0) b.sgd_block = config.bpr_sgd_block;
-        return b;
-      }()) {
+      bpr_(config.bpr) {
   // No lock here: the object is not yet shared, and the thread-safety
   // analysis treats constructors as NO_THREAD_SAFETY_ANALYSIS.
   size_t threads = config_.num_threads != 0
@@ -185,45 +180,36 @@ void KgPipeline::LoadCuratedKb() {
     meta.curated = true;
     graph_.AddEdge(s, p, o, meta);
     curated_pairs_[{s, o}].push_back(f.predicate);
-    accepted_ids_.push_back(IdTriple{s, p, o});
   }
   BootstrapMinerWindowLocked();
-  if (config_.enable_link_prediction && !accepted_ids_.empty()) {
-    NOUS_SPAN_VAR(span, "embed_refresh");
-    bpr_.Train(accepted_ids_, graph_.NumVertices(),
-               graph_.predicates().size());
-    stats_.refresh_seconds += span.End();
+  if (config_.enable_link_prediction && !kb_->facts().empty()) {
+    RefreshBpr(config_.bpr.epochs);
   }
 }
 
 void KgPipeline::BootstrapMinerWindowLocked() {
   if (!config_.enable_mining) return;
   for (EdgeId e = 0; e < kb_->facts().size(); ++e) {
-    const EdgeRecord& rec = graph_.Edge(e);
     // Direct insertion (not window_->Push): curated facts never expire.
-    miner_->OnEdgeAdded(
-        window_graph_,
-        AddWindowEdgeLocked(rec.subject, rec.predicate, rec.object,
-                            rec.meta.timestamp, /*curated=*/true));
+    miner_->OnEdgeAdded(window_graph_, AddWindowEdgeLocked(e));
   }
 }
 
-EdgeId KgPipeline::AddWindowEdgeLocked(VertexId s, PredicateId p,
-                                       VertexId o, Timestamp timestamp,
-                                       bool curated) {
+EdgeId KgPipeline::AddWindowEdgeLocked(EdgeId e) {
+  const EdgeRecord& rec = graph_.Edge(e);
   // Window vertex v is KG vertex v: KG labels are unique, so adding
   // them in id order gives each the next window id.
   for (VertexId v = static_cast<VertexId>(window_graph_.NumVertices());
        v < graph_.NumVertices(); ++v) {
     NOUS_CHECK(window_graph_.GetOrAddVertex(graph_.VertexLabel(v)) == v);
   }
-  window_graph_.SetVertexType(s, graph_.VertexType(s));
-  window_graph_.SetVertexType(o, graph_.VertexType(o));
+  window_graph_.SetVertexType(rec.subject, graph_.VertexType(rec.subject));
+  window_graph_.SetVertexType(rec.object, graph_.VertexType(rec.object));
   // The window and miner read only the timestamp and curated flag.
   EdgeMeta meta;
-  meta.timestamp = timestamp;
-  meta.curated = curated;
-  return window_graph_.AddEdge(s, p, o, meta);
+  meta.timestamp = rec.meta.timestamp;
+  meta.curated = rec.meta.curated;
+  return window_graph_.AddEdge(rec.subject, rec.predicate, rec.object, meta);
 }
 
 std::string KgPipeline::VertexTypeName(VertexId v) const {
@@ -460,8 +446,7 @@ void KgPipeline::CommitDocument(const Article& article,
     meta.timestamp = ts;
     meta.source = source_id;
     meta.curated = false;
-    graph_.AddEdge(s, p, o, meta);
-    accepted_ids_.push_back(IdTriple{s, p, o});
+    const EdgeId edge = graph_.AddEdge(s, p, o, meta);
     ++stats_.accepted_triples;
     metrics.accepted->Increment();
 
@@ -471,7 +456,7 @@ void KgPipeline::CommitDocument(const Article& article,
     // so it leaves the window unchanged.
     if (config_.enable_mining) {
       NOUS_SPAN_VAR(mine_span, "mining");
-      window_->Push(AddWindowEdgeLocked(s, p, o, ts, /*curated=*/false));
+      window_->Push(AddWindowEdgeLocked(edge));
       stats_.mine_seconds += mine_span.End();
       metrics.window_edges->Set(static_cast<double>(window_->size()));
     }
@@ -492,18 +477,11 @@ std::string KgPipeline::ReserveAdhocId() {
 }
 
 namespace {
-/// SaveState payload version; bump on any layout change.
-/// v2: adds kg_version_ after the curated-KB fingerprint.
-/// v3: drops the five wall-clock stage timings (extract/link/map/
-/// score/mine seconds), so the image is a pure function of the
-/// ingested stream. v2 images still load; their timings are skipped.
-/// v4: window records are KG ids (subject, predicate, object u32 +
-/// timestamp i64) instead of six strings, a timestamp and a
-/// confidence. v2/v3 window records still load, resolved by name.
-constexpr uint32_t kStateVersion = 4;
-constexpr uint32_t kStateVersionStringWindow = 3;
-constexpr uint32_t kStateVersionWithTimings = 2;
-constexpr size_t kWindowRecordBytes = 3 * 4 + 8;
+/// SaveState payload version; bump on any layout change. Only the
+/// current version loads (DESIGN.md §5.10).
+/// v5: drops the accepted-triple and miner-window blocks; both are
+/// derived from the KG's edge list.
+constexpr uint32_t kStateVersion = 5;
 }  // namespace
 
 std::string KgPipeline::SaveState() const {
@@ -522,12 +500,6 @@ std::string KgPipeline::SaveState() const {
   bpr_.SaveBinary(&writer);
   trust_.SaveBinary(&writer);
 
-  writer.U64(accepted_ids_.size());
-  for (const IdTriple& t : accepted_ids_) {
-    writer.U32(t[0]);
-    writer.U32(t[1]);
-    writer.U32(t[2]);
-  }
   writer.U64(docs_since_refresh_);
   writer.U64(adhoc_counter_.load(std::memory_order_relaxed));
 
@@ -543,24 +515,6 @@ std::string KgPipeline::SaveState() const {
   writer.U64(stats_.new_entities);
   writer.U64(stats_.ds_alignments);
   writer.U64(stats_.retractions);
-
-  // Miner window: the streamed (non-curated) edges currently in the
-  // window, oldest first, as KG ids. The miner itself is not
-  // serialized — its pattern state is a function of the window
-  // content and is rebuilt by replaying these through the live insert
-  // path.
-  if (window_ == nullptr) {
-    writer.U64(0);
-  } else {
-    writer.U64(window_->edges().size());
-    for (EdgeId e : window_->edges()) {
-      const EdgeRecord& rec = window_graph_.Edge(e);
-      writer.U32(rec.subject);
-      writer.U32(rec.predicate);
-      writer.U32(rec.object);
-      writer.I64(rec.meta.timestamp);
-    }
-  }
   return writer.Take();
 }
 
@@ -577,8 +531,7 @@ Status KgPipeline::LoadStateLocked(std::string_view payload) {
   BinaryReader reader(payload);
   uint32_t version = 0;
   NOUS_RETURN_IF_ERROR(reader.U32(&version));
-  if (version != kStateVersion && version != kStateVersionStringWindow &&
-      version != kStateVersionWithTimings) {
+  if (version != kStateVersion) {
     return Status::DataLoss("pipeline state version " +
                             std::to_string(version) + " unsupported");
   }
@@ -598,17 +551,6 @@ Status KgPipeline::LoadStateLocked(std::string_view payload) {
   NOUS_RETURN_IF_ERROR(bpr_.LoadBinary(&reader));
   NOUS_RETURN_IF_ERROR(trust_.LoadBinary(&reader));
 
-  uint64_t num_accepted = 0;
-  NOUS_RETURN_IF_ERROR(reader.Count(&num_accepted, 12));
-  accepted_ids_.clear();
-  accepted_ids_.reserve(num_accepted);
-  for (uint64_t i = 0; i < num_accepted; ++i) {
-    IdTriple t;
-    NOUS_RETURN_IF_ERROR(reader.U32(&t[0]));
-    NOUS_RETURN_IF_ERROR(reader.U32(&t[1]));
-    NOUS_RETURN_IF_ERROR(reader.U32(&t[2]));
-    accepted_ids_.push_back(t);
-  }
   uint64_t docs_since = 0, adhoc = 0;
   NOUS_RETURN_IF_ERROR(reader.U64(&docs_since));
   NOUS_RETURN_IF_ERROR(reader.U64(&adhoc));
@@ -629,21 +571,22 @@ Status KgPipeline::LoadStateLocked(std::string_view payload) {
   stats_.new_entities = counts[9];
   stats_.ds_alignments = counts[10];
   stats_.retractions = counts[11];
-  if (version == kStateVersionWithTimings) {
-    for (int i = 0; i < 5; ++i) {
-      double ignored = 0;
-      NOUS_RETURN_IF_ERROR(reader.F64(&ignored));
-    }
+  if (!reader.AtEnd()) {
+    return Status::DataLoss("pipeline state has trailing bytes");
   }
 
   // The window machinery accretes via listeners, so a load onto a
   // warm pipeline (replication resync) must rebuild it from scratch:
   // fresh graph + window + miner, curated base re-seeded, then the
-  // saved stream triples replayed below. The render cache is dropped
-  // too — the new miner restarts its generation counter, so a stale
-  // set could alias a fresh generation.
+  // KG's tail pushed through the live insert path. Every streamed KG
+  // edge entered the window, which expires only by count, so the live
+  // window holds the KG's last miner_window_edges streamed edges. The
+  // render cache is dropped too — the new miner restarts its
+  // generation counter, so a stale set could alias a fresh generation.
   if (config_.enable_mining) {
-    if (graph_.NumEdgeSlots() < kb_->facts().size()) {
+    const size_t curated = kb_->facts().size();
+    const size_t edges = graph_.NumEdgeSlots();
+    if (edges < curated) {
       return Status::DataLoss("pipeline state lacks the curated edges");
     }
     window_graph_ = PropertyGraph();
@@ -653,69 +596,25 @@ Status KgPipeline::LoadStateLocked(std::string_view payload) {
     window_->AddListener(miner_.get());
     BootstrapMinerWindowLocked();
     rendered_patterns_.store(nullptr, std::memory_order_release);
-  }
-
-  if (version == kStateVersion) {
-    uint64_t num_window = 0;
-    NOUS_RETURN_IF_ERROR(reader.Count(&num_window, kWindowRecordBytes));
-    for (uint64_t i = 0; i < num_window; ++i) {
-      uint32_t s = 0, p = 0, o = 0;
-      Timestamp ts = 0;
-      NOUS_RETURN_IF_ERROR(reader.U32(&s));
-      NOUS_RETURN_IF_ERROR(reader.U32(&p));
-      NOUS_RETURN_IF_ERROR(reader.U32(&o));
-      NOUS_RETURN_IF_ERROR(reader.I64(&ts));
-      if (s >= graph_.NumVertices() || o >= graph_.NumVertices() ||
-          p >= graph_.predicates().size()) {
-        return Status::DataLoss("window edge id out of range");
-      }
-      if (window_ == nullptr) continue;  // mining disabled in this config
-      window_->Push(AddWindowEdgeLocked(s, p, o, ts, /*curated=*/false));
+    const size_t w = config_.miner_window_edges;
+    const size_t first =
+        (w == 0 || edges - curated <= w) ? curated : edges - w;
+    for (EdgeId e = static_cast<EdgeId>(first); e < edges; ++e) {
+      window_->Push(AddWindowEdgeLocked(e));
     }
-  } else {
-    NOUS_RETURN_IF_ERROR(LoadLegacyWindowLocked(&reader));
-  }
-  if (!reader.AtEnd()) {
-    return Status::DataLoss("pipeline state has trailing bytes");
-  }
-  return Status::Ok();
-}
-
-Status KgPipeline::LoadLegacyWindowLocked(BinaryReader* reader) {
-  // Per record: subject, predicate and object names, timestamp, source,
-  // confidence, subject and object type names. Only the ids and the
-  // timestamp matter; types come from the KG, as in live ingest.
-  uint64_t num_window = 0;
-  NOUS_RETURN_IF_ERROR(reader->Count(&num_window, 8 * 5 + 8 + 8));
-  for (uint64_t i = 0; i < num_window; ++i) {
-    std::string subject, predicate, object, ignored;
-    Timestamp ts = 0;
-    double confidence = 0;
-    NOUS_RETURN_IF_ERROR(reader->Str(&subject));
-    NOUS_RETURN_IF_ERROR(reader->Str(&predicate));
-    NOUS_RETURN_IF_ERROR(reader->Str(&object));
-    NOUS_RETURN_IF_ERROR(reader->I64(&ts));
-    NOUS_RETURN_IF_ERROR(reader->Str(&ignored));
-    NOUS_RETURN_IF_ERROR(reader->F64(&confidence));
-    NOUS_RETURN_IF_ERROR(reader->Str(&ignored));
-    NOUS_RETURN_IF_ERROR(reader->Str(&ignored));
-    std::optional<VertexId> s = graph_.FindVertex(subject);
-    std::optional<VertexId> o = graph_.FindVertex(object);
-    std::optional<PredicateId> p = graph_.predicates().Lookup(predicate);
-    if (!s || !o || !p) {
-      return Status::DataLoss("window edge (" + subject + ", " + predicate +
-                              ", " + object + ") is not in the KG");
-    }
-    if (window_ == nullptr) continue;  // mining disabled in this config
-    window_->Push(AddWindowEdgeLocked(*s, *p, *o, ts, /*curated=*/false));
   }
   return Status::Ok();
 }
 
 void KgPipeline::RefreshBpr(size_t epochs) {
   NOUS_SPAN_VAR(span, "embed_refresh");
-  bpr_.TrainIncremental(accepted_ids_, graph_.NumVertices(),
-                        graph_.predicates().size(), epochs);
+  std::vector<IdTriple> triples(graph_.NumEdgeSlots());
+  for (EdgeId e = 0; e < triples.size(); ++e) {
+    const EdgeRecord& rec = graph_.Edge(e);
+    triples[e] = IdTriple{rec.subject, rec.predicate, rec.object};
+  }
+  bpr_.Train(triples, graph_.NumVertices(), graph_.predicates().size(),
+             epochs);
   stats_.refresh_seconds += span.End();
 }
 

@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/binary_io.h"
 #include "common/hash.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -37,7 +36,10 @@ struct PipelineConfig {
   OpenIeConfig extraction;
   LinkerConfig linker;
   MapperConfig mapper;
-  BprConfig bpr;
+  /// Block SGD by default (see BprConfig::sgd_block): the block size,
+  /// not num_threads, picks the trained model, and block SGD is what
+  /// lets the refresh use the pool.
+  BprConfig bpr{.sgd_block = 256};
   MinerConfig miner;
   LdaConfig lda;
   /// Sliding-window size (edges) for the streaming miner. The fused KG
@@ -45,8 +47,8 @@ struct PipelineConfig {
   size_t miner_window_edges = 4096;
   bool enable_mining = true;
   bool enable_link_prediction = true;
-  /// Documents between incremental BPR refreshes (0 = only at
-  /// Finalize).
+  /// Documents between BPR refreshes, each a retrain over the whole
+  /// KG (0 = only at Finalize).
   size_t bpr_refresh_interval = 100;
   size_t bpr_refresh_epochs = 2;
   /// Weight of the BPR prior when Finalize() rescores extracted edges
@@ -77,16 +79,12 @@ struct PipelineConfig {
   bool negation_retracts = true;
   /// Confidence multiplier applied to a retracted edge per negation.
   double retraction_factor = 0.5;
-  /// Worker threads for batch ingest extraction and the sharded BPR
+  /// Worker threads for batch ingest extraction and the block-SGD BPR
   /// refresh (0 = hardware_concurrency). The fused KG is identical for
   /// every value: extraction is pure per-document work and fusion
   /// commits in arrival order ("extract in parallel, fuse in order"),
-  /// and BPR runs block-deterministic SGD (see BprConfig::sgd_block).
+  /// and BPR training is thread-count-invariant for any sgd_block.
   size_t num_threads = 0;
-  /// Block size forced onto the BPR trainer when the caller left
-  /// BprConfig::sgd_block at 0; keeps pipeline results independent of
-  /// num_threads.
-  size_t bpr_sgd_block = 256;
 };
 
 /// The NOUS knowledge-graph construction pipeline (§3): curated-KB
@@ -137,22 +135,24 @@ class KgPipeline {
   /// Serializes every piece of mutable state that influences future
   /// ingest — fused KG (bit-exact: ids, edge slots, adjacency order),
   /// linker alias index, mapper evidence, BPR parameters + RNG state,
-  /// source-trust counts, accepted-triple list, refresh cadence,
-  /// ad-hoc id counter, stats counters, and the miner's current window
-  /// edges as KG ids. Holds no wall-clock value (the stage timings
-  /// restart at zero after a load), so the bytes are a pure function of
-  /// the ingested stream. Takes the shared lock. The payload feeds the
-  /// durability checkpointer (DESIGN.md §5.10).
+  /// source-trust counts, refresh cadence, ad-hoc id counter and stats
+  /// counters (layout v5). The KG's edge list is the only stored copy
+  /// of the stream: BPR trains over it and the miner window is its
+  /// tail, so neither is written again. Holds no wall-clock value (the
+  /// stage timings restart at zero after a load), so the bytes are a
+  /// pure function of the ingested stream. Takes the shared lock. The
+  /// payload feeds the durability checkpointer (DESIGN.md §5.10).
   std::string SaveState() const EXCLUDES(kg_mutex_);
 
   /// Restores a SaveState payload. Must be called on a freshly
   /// constructed pipeline with the same CuratedKb and PipelineConfig
   /// that produced the payload (the curated bootstrap is re-derived,
   /// then overwritten by the exact saved state; the miner window is
-  /// rebuilt by replaying the saved window edges through the live
-  /// insert path, so the restored miner serves the same patterns).
-  /// After a successful load, ingesting the same articles produces a
-  /// fused KG bit-identical to the uncheckpointed run.
+  /// rebuilt by replaying the KG's last miner_window_edges streamed
+  /// edges through the live insert path, so the restored miner serves
+  /// the same patterns). Images older than v5 are DataLoss. After a
+  /// successful load, ingesting the same articles produces a fused KG
+  /// bit-identical to the uncheckpointed run.
   Status LoadState(std::string_view payload) EXCLUDES(kg_mutex_);
 
   /// Reader/writer lock over the fused KG, miner state, and models.
@@ -245,20 +245,17 @@ class KgPipeline {
   /// expired). Called from the curated bootstrap and again by
   /// LoadStateLocked after it resets the window machinery.
   void BootstrapMinerWindowLocked() REQUIRES(kg_mutex_);
-  /// Inserts KG edge (s, p, o) into the window graph — the one insert
+  /// Inserts KG edge `e` (endpoints, predicate, timestamp and curated
+  /// flag read from graph_) into the window graph — the one insert
   /// path for curated bootstrap, live ingest and LoadState replay —
   /// and returns its window edge id. Extends the window graph's
   /// vertices to the KG's and copies the endpoints' KG types first.
-  EdgeId AddWindowEdgeLocked(VertexId s, PredicateId p, VertexId o,
-                             Timestamp timestamp, bool curated)
-      REQUIRES(kg_mutex_);
-  /// Reads a v2/v3 image's string window records, resolving labels and
-  /// predicate names against the just-loaded KG, and replays them.
-  Status LoadLegacyWindowLocked(BinaryReader* reader) REQUIRES(kg_mutex_);
+  EdgeId AddWindowEdgeLocked(EdgeId e) REQUIRES(kg_mutex_);
   /// Finalize body (BPR refresh + rescore + LDA), under the writer
   /// lock held by Finalize().
   void FinalizeLocked() REQUIRES(kg_mutex_);
   std::string VertexTypeName(VertexId v) const REQUIRES_SHARED(kg_mutex_);
+  /// Trains BPR for `epochs` over every KG edge, in edge-id order.
   void RefreshBpr(size_t epochs) REQUIRES(kg_mutex_);
   /// Stage 1 (extraction + document bag): reads only immutable models
   /// (lexicon, NER, SRL), safe to run from pool threads with no lock.
@@ -307,7 +304,6 @@ class KgPipeline {
   std::unordered_map<std::pair<VertexId, VertexId>,
                      std::vector<std::string>, PairHash>
       curated_pairs_ GUARDED_BY(kg_mutex_);
-  std::vector<IdTriple> accepted_ids_ GUARDED_BY(kg_mutex_);
   size_t docs_since_refresh_ GUARDED_BY(kg_mutex_) = 0;
   /// See kg_version(); set to 1 by the constructor's curated bootstrap.
   uint64_t kg_version_ GUARDED_BY(kg_mutex_) = 0;

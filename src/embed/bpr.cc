@@ -208,16 +208,10 @@ void BprModel::RunEpochs(const std::vector<IdTriple>& triples,
 }
 
 void BprModel::Train(const std::vector<IdTriple>& triples,
-                     size_t num_entities, size_t num_predicates) {
+                     size_t num_entities, size_t num_predicates,
+                     size_t epochs) {
   EnsureCapacity(num_entities, num_predicates);
-  RunEpochs(triples, config_.epochs);
-}
-
-void BprModel::TrainIncremental(const std::vector<IdTriple>& new_triples,
-                                size_t num_entities, size_t num_predicates,
-                                size_t epochs) {
-  EnsureCapacity(num_entities, num_predicates);
-  RunEpochs(new_triples, epochs);
+  RunEpochs(triples, epochs);
 }
 
 double BprModel::EstimateLoss(const std::vector<IdTriple>& triples,

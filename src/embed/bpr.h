@@ -16,6 +16,8 @@ struct BprConfig {
   size_t latent_dim = 16;
   double learning_rate = 0.05;
   double regularization = 0.01;
+  /// Epochs of a full training pass (the pipeline's curated bootstrap
+  /// and Finalize); Train takes its epoch count from the caller.
   size_t epochs = 30;
   /// Negative objects sampled per positive per epoch.
   size_t negatives_per_positive = 1;
@@ -37,8 +39,8 @@ struct BprConfig {
 /// score(s,p,o) = sigmoid(u_s . (w_p ⊙ v_o) + b_p), with shared entity
 /// embeddings and a per-predicate diagonal interaction. Training
 /// optimizes ln sigmoid(x_pos − x_neg) by SGD over (positive, sampled
-/// negative-object) pairs. Supports incremental refresh as the dynamic
-/// KG grows, and block-deterministic parallel refresh across a
+/// negative-object) pairs. Retraining grows the tables as the dynamic
+/// KG grows, and block-deterministic SGD parallelizes it across a
 /// ThreadPool (BprConfig::sgd_block).
 class BprModel : public LinkPredictor {
  public:
@@ -49,16 +51,12 @@ class BprModel : public LinkPredictor {
   /// detach. The trained model does not depend on the pool.
   void set_pool(ThreadPool* pool) { pool_ = pool; }
 
-  /// Full training pass over a snapshot. Grows parameter tables to
-  /// `num_entities` / `num_predicates` as needed (never shrinks).
+  /// Runs `epochs` SGD passes over `triples`, continuing from the
+  /// current parameters. Grows parameter tables to `num_entities` /
+  /// `num_predicates` as needed (never shrinks), so the same call both
+  /// trains a fresh model and refreshes one as the dynamic KG grows.
   void Train(const std::vector<IdTriple>& triples, size_t num_entities,
-             size_t num_predicates);
-
-  /// Continues training for `epochs` passes over `new_triples` —
-  /// the dynamic-KG refresh path. New ids are grown on demand.
-  void TrainIncremental(const std::vector<IdTriple>& new_triples,
-                        size_t num_entities, size_t num_predicates,
-                        size_t epochs);
+             size_t num_predicates, size_t epochs);
 
   /// Calibrated confidence in (0, 1).
   double Score(uint32_t subject, uint32_t predicate,

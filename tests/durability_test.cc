@@ -607,100 +607,27 @@ TEST_F(DurabilityPipelineFixture,
   }
 }
 
-/// Rewrites a v4 image into the v2 or v3 layout: the version word, for
-/// v2 five wall-clock F64s right after the twelve stats counters, and
-/// the window block as string records (subject, predicate and object
-/// names, timestamp, source, confidence, subject and object type
-/// names) instead of KG ids. A non-empty `first_subject` replaces the
-/// first record's subject name.
-std::string ToLegacyImage(const KgPipeline& pipeline, const std::string& v4,
-                          uint32_t version,
-                          const std::string& first_subject = "") {
-  ReaderMutexLock lock(pipeline.kg_mutex());
-  BinaryWriter counters;
-  const PipelineStats& st = pipeline.stats();
-  for (size_t c : {st.documents, st.extractions, st.accepted_triples,
-                   st.deduped_triples, st.dropped_low_confidence,
-                   st.dropped_unmapped, st.mapped_triples, st.unmapped_kept,
-                   st.linked_to_existing, st.new_entities, st.ds_alignments,
-                   st.retractions}) {
-    counters.U64(c);
-  }
-  const size_t at = v4.find(counters.data());
-  EXPECT_NE(at, std::string::npos);
-  EXPECT_EQ(v4.find(counters.data(), at + 1), std::string::npos);
-  const size_t window_at = at + counters.data().size();
-
-  BinaryWriter tail;
-  if (version == 2) {
-    for (double seconds : {0.5, 1.5, 2.5, 3.5, 4.5}) tail.F64(seconds);
-  }
-  const PropertyGraph& g = pipeline.graph();
-  BinaryReader records(std::string_view(v4).substr(window_at));
-  uint64_t n = 0;
-  EXPECT_TRUE(records.U64(&n).ok());
-  tail.U64(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    uint32_t s = 0, p = 0, o = 0;
-    Timestamp ts = 0;
-    EXPECT_TRUE(records.U32(&s).ok());
-    EXPECT_TRUE(records.U32(&p).ok());
-    EXPECT_TRUE(records.U32(&o).ok());
-    EXPECT_TRUE(records.I64(&ts).ok());
-    tail.Str(i == 0 && !first_subject.empty() ? first_subject
-                                              : g.VertexLabel(s));
-    tail.Str(g.predicates().GetString(p));
-    tail.Str(g.VertexLabel(o));
-    tail.I64(ts);
-    tail.Str("wsj");
-    tail.F64(0.75);
-    tail.Str(g.types().GetString(g.VertexType(s)));
-    tail.Str(g.types().GetString(g.VertexType(o)));
-  }
-  EXPECT_TRUE(records.AtEnd());
-  std::string legacy = v4.substr(0, window_at) + tail.Take();
-  BinaryWriter version_word;
-  version_word.U32(version);
-  legacy.replace(0, version_word.data().size(), version_word.data());
-  return legacy;
-}
-
-TEST_F(DurabilityPipelineFixture, LoadStateAcceptsVersion2ImagesWithTimings) {
+TEST_F(DurabilityPipelineFixture, LoadStateRejectsPreV5Images) {
+  // v2-v4 images carried the accepted-triple and miner-window blocks
+  // that v5 derives from the KG; they no longer load (DESIGN.md §5.10).
   auto articles = MakeArticles();
-  ASSERT_GE(articles.size(), 12u);
-  // A small window, so the saved window has already slid.
-  PipelineConfig config = FastOptions().pipeline;
-  config.miner_window_edges = 8;
-  KgPipeline original(&kb_, config);
-  original.IngestBatch(articles.data(), 12);
-  std::string v4 = original.SaveState();
+  KgPipeline original(&kb_, FastOptions().pipeline);
+  original.IngestBatch(articles.data(), std::min<size_t>(6, articles.size()));
+  const std::string image = original.SaveState();
   {
-    ReaderMutexLock lock(original.kg_mutex());
-    ASSERT_EQ(original.miner_window()->size(), 8u);
-    ASSERT_GT(original.stats().accepted_triples, 8u);
+    KgPipeline probe(&kb_, FastOptions().pipeline);
+    ASSERT_TRUE(probe.LoadState(image).ok());
   }
-
-  for (uint32_t version : {2u, 3u}) {
-    KgPipeline restored(&kb_, config);
-    Status load = restored.LoadState(ToLegacyImage(original, v4, version));
-    ASSERT_TRUE(load.ok()) << "v" << version << ": " << load;
-    // v2 timings were read and discarded, and the string window
-    // records resolved to KG ids: the re-saved image is the original
-    // v4 image, byte for byte.
-    EXPECT_EQ(restored.SaveState(), v4) << "v" << version;
-    {
-      ReaderMutexLock lock(restored.kg_mutex());
-      EXPECT_EQ(restored.stats().extract_seconds, 0.0);
-    }
-    EXPECT_EQ(restored.snapshot()->patterns().size(),
-              original.snapshot()->patterns().size());
+  for (uint32_t version : {2u, 3u, 4u}) {
+    BinaryWriter word;
+    word.U32(version);
+    std::string old = image;
+    old.replace(0, word.data().size(), word.data());
+    KgPipeline probe(&kb_, FastOptions().pipeline);
+    Status load = probe.LoadState(old);
+    EXPECT_EQ(load.code(), StatusCode::kDataLoss) << "v" << version << ": "
+                                                  << load;
   }
-
-  // A legacy record naming an entity the KG lacks is DataLoss.
-  KgPipeline probe(&kb_, config);
-  Status missing = probe.LoadState(
-      ToLegacyImage(original, v4, 3, "No Such Entity Incorporated"));
-  EXPECT_EQ(missing.code(), StatusCode::kDataLoss) << missing;
 }
 
 TEST_F(DurabilityPipelineFixture, LoadStateRejectsAMismatchedCuratedKb) {

@@ -37,7 +37,7 @@ std::vector<IdTriple> CommunityTriples(size_t num_entities,
 TEST(BprTest, ScoreIsCalibratedProbability) {
   BprModel model;
   auto triples = CommunityTriples(40, 4, 1);
-  model.Train(triples, 40, 2);
+  model.Train(triples, 40, 2, model.config().epochs);
   for (const IdTriple& t : triples) {
     double s = model.Score(t[0], t[1], t[2]);
     EXPECT_GT(s, 0.0);
@@ -49,7 +49,7 @@ TEST(BprTest, UnseenIdsScoreNeutral) {
   BprModel model;
   EXPECT_DOUBLE_EQ(model.Score(5, 0, 7), 0.5);
   auto triples = CommunityTriples(20, 3, 2);
-  model.Train(triples, 20, 2);
+  model.Train(triples, 20, 2, model.config().epochs);
   EXPECT_DOUBLE_EQ(model.Score(100, 0, 3), 0.5);
   EXPECT_DOUBLE_EQ(model.Score(3, 9, 4), 0.5);
 }
@@ -62,7 +62,7 @@ TEST(BprTest, LearnsCommunityStructure) {
   auto triples = CommunityTriples(60, 6, 3);
   std::vector<IdTriple> train, test;
   SplitTriples(triples, 0.8, 11, &train, &test);
-  model.Train(train, 60, 2);
+  model.Train(train, 60, 2, model.config().epochs);
 
   // The task ceiling is ~0.75: within-community unobserved objects are
   // structurally positive, so only cross-community corruptions are
@@ -82,9 +82,9 @@ TEST(BprTest, TrainingReducesLoss) {
   config.epochs = 0;  // initialize only
   BprModel model(config);
   auto triples = CommunityTriples(40, 5, 4);
-  model.Train(triples, 40, 2);
+  model.Train(triples, 40, 2, model.config().epochs);
   double loss_before = model.EstimateLoss(triples);
-  model.TrainIncremental(triples, 40, 2, 30);
+  model.Train(triples, 40, 2, 30);
   double loss_after = model.EstimateLoss(triples);
   EXPECT_LT(loss_after, loss_before);
 }
@@ -92,11 +92,11 @@ TEST(BprTest, TrainingReducesLoss) {
 TEST(BprTest, IncrementalGrowthHandlesNewEntities) {
   BprModel model;
   auto triples = CommunityTriples(30, 4, 5);
-  model.Train(triples, 30, 2);
+  model.Train(triples, 30, 2, model.config().epochs);
   EXPECT_EQ(model.num_entities(), 30u);
   // New entities arrive (dynamic KG).
   std::vector<IdTriple> fresh = {{30, 0, 31}, {31, 0, 30}, {32, 1, 30}};
-  model.TrainIncremental(fresh, 33, 2, 5);
+  model.Train(fresh, 33, 2, 5);
   EXPECT_EQ(model.num_entities(), 33u);
   double s = model.Score(30, 0, 31);
   EXPECT_GT(s, 0.0);
@@ -106,8 +106,8 @@ TEST(BprTest, IncrementalGrowthHandlesNewEntities) {
 TEST(BprTest, DeterministicForSameSeed) {
   auto triples = CommunityTriples(30, 4, 6);
   BprModel a, b;
-  a.Train(triples, 30, 2);
-  b.Train(triples, 30, 2);
+  a.Train(triples, 30, 2, a.config().epochs);
+  b.Train(triples, 30, 2, b.config().epochs);
   for (const IdTriple& t : triples) {
     EXPECT_DOUBLE_EQ(a.Score(t[0], t[1], t[2]), b.Score(t[0], t[1], t[2]));
   }
@@ -126,12 +126,12 @@ TEST(BprTest, BlockSgdIsIdenticalForAnyPoolSize) {
   config.sgd_block = 64;
 
   BprModel serial(config);
-  serial.Train(triples, 40, 2);
+  serial.Train(triples, 40, 2, serial.config().epochs);
 
   ThreadPool pool(8);
   BprModel parallel(config);
   parallel.set_pool(&pool);
-  parallel.Train(triples, 40, 2);
+  parallel.Train(triples, 40, 2, parallel.config().epochs);
 
   for (const IdTriple& t : triples) {
     ASSERT_DOUBLE_EQ(serial.Score(t[0], t[1], t[2]),
@@ -148,8 +148,8 @@ TEST(BprTest, BlockSgdWithBlockOneMatchesSequentialSgd) {
   BprConfig block_config = sequential_config;
   block_config.sgd_block = 1;
   BprModel sequential(sequential_config), block(block_config);
-  sequential.Train(triples, 30, 2);
-  block.Train(triples, 30, 2);
+  sequential.Train(triples, 30, 2, sequential.config().epochs);
+  block.Train(triples, 30, 2, block.config().epochs);
   for (const IdTriple& t : triples) {
     ASSERT_DOUBLE_EQ(sequential.Score(t[0], t[1], t[2]),
                      block.Score(t[0], t[1], t[2]));
@@ -168,7 +168,7 @@ TEST(BprTest, BlockSgdAucWithinToleranceOfSequentialTrainer) {
   BprConfig sequential_config;
   sequential_config.epochs = 100;
   BprModel sequential(sequential_config);
-  sequential.Train(train, 60, 2);
+  sequential.Train(train, 60, 2, sequential.config().epochs);
   RankingMetrics sequential_metrics =
       EvaluateRanking(sequential, test, triples, 60);
 
@@ -177,7 +177,7 @@ TEST(BprTest, BlockSgdAucWithinToleranceOfSequentialTrainer) {
   ThreadPool pool(4);
   BprModel block(block_config);
   block.set_pool(&pool);
-  block.Train(train, 60, 2);
+  block.Train(train, 60, 2, block.config().epochs);
   RankingMetrics block_metrics = EvaluateRanking(block, test, triples, 60);
 
   EXPECT_GT(block_metrics.auc, 0.65) << "block AUC " << block_metrics.auc;

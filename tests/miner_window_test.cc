@@ -1,19 +1,19 @@
 // The miner window in the KG's id space (DESIGN.md §5.1, §5.10): window
 // vertex v is KG vertex v, window edges carry KG predicate ids, and the
-// image stores window edges as 20-byte id records. These tests pin the
-// consequences: a restored pipeline serves exactly the live pipeline's
-// patterns, the window mines what the string-keyed window it replaced
-// mined, its graph holds no dictionaries of its own, and corrupt
-// window records are DataLoss, never a crash.
+// image stores no window: LoadState rebuilds it from the KG's tail.
+// These tests pin the consequences: the restored window is the KG's
+// last miner_window_edges streamed edges, a restored pipeline serves
+// exactly the live pipeline's patterns, the window mines what the
+// string-keyed window it replaced mined, and its graph holds no
+// dictionaries of its own.
 
-#include <cstdint>
+#include <algorithm>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/binary_io.h"
 #include "common/status.h"
 #include "core/pipeline.h"
 #include "corpus/article_generator.h"
@@ -28,8 +28,6 @@ namespace {
 
 /// Small enough that the fixture's stream expires most of it.
 constexpr size_t kWindowEdges = 64;
-/// v4 window record: subject, predicate, object (u32) + timestamp (i64).
-constexpr size_t kRecordBytes = 20;
 
 using ServedPattern = std::tuple<std::string, size_t, size_t>;
 
@@ -225,71 +223,39 @@ TEST_P(MinerWindowTest, WindowGraphHoldsKgIdsAndNoDictionaries) {
   }
 }
 
-TEST_P(MinerWindowTest, CorruptWindowRecordsAreDataLoss) {
-  KgPipeline live(&kb_, Config());
-  live.IngestBatch(articles_.data(), articles_.size() / 2);
-  const std::string image = live.SaveState();
-  size_t records = 0;
-  uint32_t num_vertices = 0, num_predicates = 0;
-  {
-    ReaderMutexLock lock(live.kg_mutex());
-    records = live.miner_window()->size();
-    num_vertices = static_cast<uint32_t>(live.graph().NumVertices());
-    num_predicates = static_cast<uint32_t>(live.graph().predicates().size());
-  }
-  ASSERT_EQ(records, kWindowEdges);
-  // The window block is the image's tail: a u64 count, then the records.
-  const size_t block = image.size() - 8 - records * kRecordBytes;
-  {
-    BinaryReader count(std::string_view(image).substr(block));
-    uint64_t n = 0;
-    ASSERT_TRUE(count.U64(&n).ok());
-    ASSERT_EQ(n, records);
-  }
-  auto load = [this](const std::string& bytes) {
-    KgPipeline probe(&kb_, Config());
-    return probe.LoadState(bytes);
-  };
-  ASSERT_TRUE(load(image).ok());
+TEST_P(MinerWindowTest, RestoredWindowIsTheKgTail) {
+  const size_t half = articles_.size() / 2;
+  // Not yet full, full (the stream has slid past it), and unbounded.
+  for (size_t window_edges : {size_t{1} << 20, kWindowEdges, size_t{0}}) {
+    PipelineConfig config = Config();
+    config.miner_window_edges = window_edges;
+    KgPipeline live(&kb_, config);
+    live.IngestBatch(articles_.data(), half);
+    KgPipeline restored(&kb_, config);
+    Status load = restored.LoadState(live.SaveState());
+    ASSERT_TRUE(load.ok()) << load;
 
-  // Out-of-range subject, predicate and object ids, in the first and
-  // the last record.
-  struct Field {
-    size_t offset;
-    uint32_t value;
-  };
-  for (size_t record : {size_t{0}, records - 1}) {
-    for (const Field& f : {Field{0, num_vertices}, Field{4, num_predicates},
-                           Field{8, num_vertices}, Field{0, ~0u},
-                           Field{4, ~0u}, Field{8, ~0u}}) {
-      BinaryWriter value;
-      value.U32(f.value);
-      std::string bad = image;
-      bad.replace(block + 8 + record * kRecordBytes + f.offset, 4,
-                  value.data());
-      Status s = load(bad);
-      EXPECT_EQ(s.code(), StatusCode::kDataLoss)
-          << "record " << record << " offset " << f.offset << ": " << s;
+    ReaderMutexLock lock(restored.kg_mutex());
+    const PropertyGraph& kg = restored.graph();
+    const size_t curated = kb_.facts().size();
+    const size_t streamed = kg.NumEdgeSlots() - curated;
+    ASSERT_GT(streamed, 2 * kWindowEdges);
+    const size_t expected = window_edges == 0
+                                ? streamed
+                                : std::min(window_edges, streamed);
+    const TemporalWindow* window = restored.miner_window();
+    ASSERT_NE(window, nullptr);
+    ASSERT_EQ(window->size(), expected) << "window " << window_edges;
+    const size_t first = kg.NumEdgeSlots() - expected;
+    for (size_t i = 0; i < expected; ++i) {
+      const EdgeRecord& got = window->graph().Edge(window->edges()[i]);
+      const EdgeRecord& want = kg.Edge(static_cast<EdgeId>(first + i));
+      EXPECT_EQ(got.subject, want.subject) << "edge " << i;
+      EXPECT_EQ(got.predicate, want.predicate) << "edge " << i;
+      EXPECT_EQ(got.object, want.object) << "edge " << i;
+      EXPECT_EQ(got.meta.timestamp, want.meta.timestamp) << "edge " << i;
+      EXPECT_FALSE(got.meta.curated) << "edge " << i;
     }
-  }
-  // Records cut short: the count no longer fits the bytes left.
-  for (size_t cut : {size_t{1}, size_t{7}, kRecordBytes - 1, kRecordBytes,
-                     kRecordBytes + 1, records * kRecordBytes - 1,
-                     records * kRecordBytes}) {
-    Status s = load(image.substr(0, image.size() - cut));
-    EXPECT_EQ(s.code(), StatusCode::kDataLoss) << "cut " << cut << ": " << s;
-  }
-  // A count beyond the records present.
-  {
-    BinaryWriter count;
-    count.U64(records + 1);
-    std::string bad = image;
-    bad.replace(block, 8, count.data());
-    EXPECT_EQ(load(bad).code(), StatusCode::kDataLoss);
-  }
-  // The count word itself cut short is a failed read, not a crash.
-  for (size_t keep = 0; keep < 8; ++keep) {
-    EXPECT_FALSE(load(image.substr(0, block + keep)).ok()) << keep;
   }
 }
 

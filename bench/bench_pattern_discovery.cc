@@ -148,7 +148,7 @@ void RunContinuousQueries() {
     for (size_t i = 0; i < stream.size(); ++i) {
       window.Add(stream[i]);
       if (i % 150 == 0) {
-        matches = MatchPattern(graph, star).size();
+        matches = MatchPattern(window, star).size();
       }
     }
     double ms = timer.ElapsedMillis();

@@ -103,7 +103,7 @@ void ApplyDelta(PropertyGraph* g, size_t num_vertices, size_t round,
   }
   for (size_t i = 0; i < kDeltaRescores; ++i) {
     g->SetEdgeConfidence(
-        static_cast<EdgeId>(rng->Below(g->NumEdgeSlots())),
+        static_cast<EdgeId>(rng->Below(g->NumEdges())),
         (rng->Below(100)) / 100.0);
   }
   for (size_t i = 0; i < kDeltaVertices; ++i) {

@@ -106,10 +106,10 @@ void RunWindowSweep(bool small) {
       if (i >= window_size && (i % slide) == 0) {
         ++slides;
         WallTimer t1;
-        auto arabesque = MineArabesqueSim(graph, config);
+        auto arabesque = MineArabesqueSim(window, config);
         arabesque_seconds += t1.ElapsedSeconds();
         WallTimer t2;
-        auto gspan = MineGspan(graph, config);
+        auto gspan = MineGspan(window, config);
         gspan_seconds += t2.ElapsedSeconds();
         frequent_count = miner.FrequentPatterns().size();
         if (!ResultsMatch(miner, arabesque, gspan, graph.predicates())) {
@@ -165,7 +165,7 @@ void RunMinsupSweep() {
       if (i >= 4000 && (i % slide) == 0) {
         ++slides;
         WallTimer t1;
-        auto result = MineArabesqueSim(graph, config);
+        auto result = MineArabesqueSim(window, config);
         arabesque_seconds += t1.ElapsedSeconds();
         frequent = result.size();
       }
@@ -213,10 +213,10 @@ void RunPatternSizeSweep(bool small) {
       if (i >= window_size && (i % slide) == 0) {
         ++slides;
         WallTimer t1;
-        auto arabesque = MineArabesqueSim(graph, config);
+        auto arabesque = MineArabesqueSim(window, config);
         arabesque_seconds += t1.ElapsedSeconds();
         WallTimer t2;
-        auto gspan = MineGspan(graph, config);
+        auto gspan = MineGspan(window, config);
         gspan_seconds += t2.ElapsedSeconds();
         if (!ResultsMatch(miner, arabesque, gspan, graph.predicates())) {
           all_match = false;

@@ -1,6 +1,7 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <string_view>
 #include <thread>
@@ -131,12 +132,6 @@ KgPipeline::KgPipeline(const CuratedKb* kb, PipelineConfig config)
   }
   bpr_.set_pool(pool_.get());
   mapper_.LoadDefaultSeeds();
-  if (config_.enable_mining) {
-    window_ = std::make_unique<TemporalWindow>(&window_graph_,
-                                               config_.miner_window_edges);
-    miner_ = std::make_unique<StreamingMiner>(config_.miner);
-    window_->AddListener(miner_.get());
-  }
   LoadCuratedKb();
   kg_version_ = 1;  // the curated bootstrap is the first KG version
   PublishSnapshot();
@@ -166,8 +161,8 @@ void KgPipeline::LoadCuratedKb() {
       if (words.size() >= 2) ner_.AddFirstName(words[0]);
     }
   }
-  // Facts: curated edges in the fused KG and the miner window graph
-  // (never expired there — inserted directly, not via the window).
+  // Facts: curated edges, the KG's first edges and the miner window's
+  // pinned prefix (never expired).
   SourceId kb_source = graph_.sources().Intern("curated_kb");
   for (const KbFact& f : kb_->facts()) {
     VertexId s = kb_vertex[f.subject];
@@ -181,35 +176,25 @@ void KgPipeline::LoadCuratedKb() {
     graph_.AddEdge(s, p, o, meta);
     curated_pairs_[{s, o}].push_back(f.predicate);
   }
-  BootstrapMinerWindowLocked();
+  ResetMinerWindowLocked(static_cast<EdgeId>(graph_.NumEdges()));
   if (config_.enable_link_prediction && !kb_->facts().empty()) {
     RefreshBpr(config_.bpr.epochs);
   }
 }
 
-void KgPipeline::BootstrapMinerWindowLocked() {
+void KgPipeline::ResetMinerWindowLocked(EdgeId stream_begin) {
   if (!config_.enable_mining) return;
-  for (EdgeId e = 0; e < kb_->facts().size(); ++e) {
-    // Direct insertion (not window_->Push): curated facts never expire.
-    miner_->OnEdgeAdded(window_graph_, AddWindowEdgeLocked(e));
-  }
-}
-
-EdgeId KgPipeline::AddWindowEdgeLocked(EdgeId e) {
-  const EdgeRecord& rec = graph_.Edge(e);
-  // Window vertex v is KG vertex v: KG labels are unique, so adding
-  // them in id order gives each the next window id.
-  for (VertexId v = static_cast<VertexId>(window_graph_.NumVertices());
-       v < graph_.NumVertices(); ++v) {
-    NOUS_CHECK(window_graph_.GetOrAddVertex(graph_.VertexLabel(v)) == v);
-  }
-  window_graph_.SetVertexType(rec.subject, graph_.VertexType(rec.subject));
-  window_graph_.SetVertexType(rec.object, graph_.VertexType(rec.object));
-  // The window and miner read only the timestamp and curated flag.
-  EdgeMeta meta;
-  meta.timestamp = rec.meta.timestamp;
-  meta.curated = rec.meta.curated;
-  return window_graph_.AddEdge(rec.subject, rec.predicate, rec.object, meta);
+  const EdgeId curated = static_cast<EdgeId>(kb_->facts().size());
+  miner_ = std::make_unique<StreamingMiner>(config_.miner);
+  window_ = std::make_unique<TemporalWindow>(
+      &graph_, config_.miner_window_edges, curated, stream_begin);
+  window_->AddListener(miner_.get());
+  // A fresh miner restarts its generation, which a cached render could
+  // alias.
+  rendered_patterns_.store(nullptr, std::memory_order_release);
+  // Announced, not pushed: pinned edges never expire.
+  for (EdgeId e = 0; e < curated; ++e) miner_->OnEdgeAdded(*window_, e);
+  for (EdgeId e = stream_begin; e < graph_.NumEdges(); ++e) window_->Push(e);
 }
 
 std::string KgPipeline::VertexTypeName(VertexId v) const {
@@ -451,12 +436,12 @@ void KgPipeline::CommitDocument(const Article& article,
     metrics.accepted->Increment();
 
     // ---- 6. Stream the fact into the miner's sliding window. ----
-    // Only new KG edges enter the window. A retraction (above) only
-    // lowers a KG edge's confidence, which the window does not hold,
-    // so it leaves the window unchanged.
+    // Every new KG edge enters the window, in id order. A retraction
+    // (above) only lowers a KG edge's confidence, which mining does not
+    // read, so it leaves the window unchanged.
     if (config_.enable_mining) {
       NOUS_SPAN_VAR(mine_span, "mining");
-      window_->Push(AddWindowEdgeLocked(edge));
+      window_->Push(edge);
       stats_.mine_seconds += mine_span.End();
       metrics.window_edges->Set(static_cast<double>(window_->size()));
     }
@@ -482,6 +467,16 @@ namespace {
 /// v5: drops the accepted-triple and miner-window blocks; both are
 /// derived from the KG's edge list.
 constexpr uint32_t kStateVersion = 5;
+
+/// The stats counters an image carries, in image order.
+template <typename Stats>
+auto ImageCounters(Stats& s) {
+  return std::array{&s.documents, &s.extractions, &s.accepted_triples,
+                    &s.deduped_triples, &s.dropped_low_confidence,
+                    &s.dropped_unmapped, &s.mapped_triples,
+                    &s.unmapped_kept, &s.linked_to_existing,
+                    &s.new_entities, &s.ds_alignments, &s.retractions};
+}
 }  // namespace
 
 std::string KgPipeline::SaveState() const {
@@ -503,18 +498,7 @@ std::string KgPipeline::SaveState() const {
   writer.U64(docs_since_refresh_);
   writer.U64(adhoc_counter_.load(std::memory_order_relaxed));
 
-  writer.U64(stats_.documents);
-  writer.U64(stats_.extractions);
-  writer.U64(stats_.accepted_triples);
-  writer.U64(stats_.deduped_triples);
-  writer.U64(stats_.dropped_low_confidence);
-  writer.U64(stats_.dropped_unmapped);
-  writer.U64(stats_.mapped_triples);
-  writer.U64(stats_.unmapped_kept);
-  writer.U64(stats_.linked_to_existing);
-  writer.U64(stats_.new_entities);
-  writer.U64(stats_.ds_alignments);
-  writer.U64(stats_.retractions);
+  for (const size_t* counter : ImageCounters(stats_)) writer.U64(*counter);
   return writer.Take();
 }
 
@@ -528,6 +512,8 @@ Status KgPipeline::LoadState(std::string_view payload) {
 }
 
 Status KgPipeline::LoadStateLocked(std::string_view payload) {
+  // Parse into locals and swap in only once the whole image has parsed,
+  // so a malformed image leaves the pipeline as it was.
   BinaryReader reader(payload);
   uint32_t version = 0;
   NOUS_RETURN_IF_ERROR(reader.U32(&version));
@@ -535,7 +521,7 @@ Status KgPipeline::LoadStateLocked(std::string_view payload) {
     return Status::DataLoss("pipeline state version " +
                             std::to_string(version) + " unsupported");
   }
-  uint64_t kb_entities = 0, kb_facts = 0;
+  uint64_t kb_entities = 0, kb_facts = 0, kg_version = 0;
   NOUS_RETURN_IF_ERROR(reader.U64(&kb_entities));
   NOUS_RETURN_IF_ERROR(reader.U64(&kb_facts));
   if (kb_entities != kb_->entities().size() ||
@@ -543,72 +529,61 @@ Status KgPipeline::LoadStateLocked(std::string_view payload) {
     return Status::FailedPrecondition(
         "pipeline state was checkpointed against a different curated KB");
   }
-  NOUS_RETURN_IF_ERROR(reader.U64(&kg_version_));
+  NOUS_RETURN_IF_ERROR(reader.U64(&kg_version));
 
-  NOUS_RETURN_IF_ERROR(graph_.LoadBinary(&reader));
-  NOUS_RETURN_IF_ERROR(linker_.LoadBinary(&reader));
-  NOUS_RETURN_IF_ERROR(mapper_.LoadBinary(&reader));
-  NOUS_RETURN_IF_ERROR(bpr_.LoadBinary(&reader));
-  NOUS_RETURN_IF_ERROR(trust_.LoadBinary(&reader));
+  PropertyGraph graph;
+  NOUS_RETURN_IF_ERROR(graph.LoadBinary(&reader));
+  if (graph.NumEdges() < kb_facts) {
+    return Status::DataLoss("pipeline state lacks the curated edges");
+  }
+  // The linker is bound to graph_, which `graph` replaces below.
+  EntityLinker linker(&graph_, config_.linker);
+  NOUS_RETURN_IF_ERROR(linker.LoadBinary(&reader));
+  PredicateMapper mapper = mapper_;  // keeps the seeds; evidence reloads
+  NOUS_RETURN_IF_ERROR(mapper.LoadBinary(&reader));
+  BprModel bpr(config_.bpr);
+  bpr.set_pool(pool_.get());
+  NOUS_RETURN_IF_ERROR(bpr.LoadBinary(&reader));
+  SourceTrustTracker trust = trust_;  // keeps the priors; counts reload
+  NOUS_RETURN_IF_ERROR(trust.LoadBinary(&reader));
 
   uint64_t docs_since = 0, adhoc = 0;
   NOUS_RETURN_IF_ERROR(reader.U64(&docs_since));
   NOUS_RETURN_IF_ERROR(reader.U64(&adhoc));
-  docs_since_refresh_ = docs_since;
-  adhoc_counter_.store(adhoc, std::memory_order_relaxed);
-
-  uint64_t counts[12];
-  for (uint64_t& c : counts) NOUS_RETURN_IF_ERROR(reader.U64(&c));
-  stats_.documents = counts[0];
-  stats_.extractions = counts[1];
-  stats_.accepted_triples = counts[2];
-  stats_.deduped_triples = counts[3];
-  stats_.dropped_low_confidence = counts[4];
-  stats_.dropped_unmapped = counts[5];
-  stats_.mapped_triples = counts[6];
-  stats_.unmapped_kept = counts[7];
-  stats_.linked_to_existing = counts[8];
-  stats_.new_entities = counts[9];
-  stats_.ds_alignments = counts[10];
-  stats_.retractions = counts[11];
+  PipelineStats stats = stats_;  // keeps this process's stage timings
+  for (size_t* counter : ImageCounters(stats)) {
+    uint64_t count = 0;
+    NOUS_RETURN_IF_ERROR(reader.U64(&count));
+    *counter = count;
+  }
   if (!reader.AtEnd()) {
     return Status::DataLoss("pipeline state has trailing bytes");
   }
 
-  // The window machinery accretes via listeners, so a load onto a
-  // warm pipeline (replication resync) must rebuild it from scratch:
-  // fresh graph + window + miner, curated base re-seeded, then the
-  // KG's tail pushed through the live insert path. Every streamed KG
-  // edge entered the window, which expires only by count, so the live
-  // window holds the KG's last miner_window_edges streamed edges. The
-  // render cache is dropped too — the new miner restarts its
-  // generation counter, so a stale set could alias a fresh generation.
-  if (config_.enable_mining) {
-    const size_t curated = kb_->facts().size();
-    const size_t edges = graph_.NumEdgeSlots();
-    if (edges < curated) {
-      return Status::DataLoss("pipeline state lacks the curated edges");
-    }
-    window_graph_ = PropertyGraph();
-    miner_ = std::make_unique<StreamingMiner>(config_.miner);
-    window_ = std::make_unique<TemporalWindow>(&window_graph_,
-                                               config_.miner_window_edges);
-    window_->AddListener(miner_.get());
-    BootstrapMinerWindowLocked();
-    rendered_patterns_.store(nullptr, std::memory_order_release);
-    const size_t w = config_.miner_window_edges;
-    const size_t first =
-        (w == 0 || edges - curated <= w) ? curated : edges - w;
-    for (EdgeId e = static_cast<EdgeId>(first); e < edges; ++e) {
-      window_->Push(AddWindowEdgeLocked(e));
-    }
-  }
+  kg_version_ = kg_version;
+  graph_ = std::move(graph);
+  linker_ = std::move(linker);
+  mapper_ = std::move(mapper);
+  bpr_ = std::move(bpr);
+  trust_ = std::move(trust);
+  docs_since_refresh_ = docs_since;
+  adhoc_counter_.store(adhoc, std::memory_order_relaxed);
+  stats_ = stats;
+
+  // The image holds no miner: every streamed KG edge entered the
+  // window, which expires only by count, so the live window is the
+  // KG's last miner_window_edges streamed edges. Replay them.
+  const size_t edges = graph_.NumEdges();
+  const size_t w = config_.miner_window_edges;
+  const size_t first =
+      (w == 0 || edges - kb_facts <= w) ? kb_facts : edges - w;
+  ResetMinerWindowLocked(static_cast<EdgeId>(first));
   return Status::Ok();
 }
 
 void KgPipeline::RefreshBpr(size_t epochs) {
   NOUS_SPAN_VAR(span, "embed_refresh");
-  std::vector<IdTriple> triples(graph_.NumEdgeSlots());
+  std::vector<IdTriple> triples(graph_.NumEdges());
   for (EdgeId e = 0; e < triples.size(); ++e) {
     const EdgeRecord& rec = graph_.Edge(e);
     triples[e] = IdTriple{rec.subject, rec.predicate, rec.object};

@@ -144,13 +144,14 @@ class KgPipeline {
   /// payload feeds the durability checkpointer (DESIGN.md §5.10).
   std::string SaveState() const EXCLUDES(kg_mutex_);
 
-  /// Restores a SaveState payload. Must be called on a freshly
-  /// constructed pipeline with the same CuratedKb and PipelineConfig
-  /// that produced the payload (the curated bootstrap is re-derived,
-  /// then overwritten by the exact saved state; the miner window is
-  /// rebuilt by replaying the KG's last miner_window_edges streamed
-  /// edges through the live insert path, so the restored miner serves
-  /// the same patterns). Images older than v5 are DataLoss. After a
+  /// Restores a SaveState payload onto a pipeline built with the same
+  /// CuratedKb and PipelineConfig that produced it (fresh, or warm as
+  /// in a replication resync). The saved state replaces the current
+  /// one; the miner window is rebuilt by replaying the KG's last
+  /// miner_window_edges streamed edges through the live insert path,
+  /// so the restored miner serves the same patterns. Atomic: the whole
+  /// image is parsed before anything is replaced, so on any error the
+  /// pipeline is unchanged. Images older than v5 are DataLoss. After a
   /// successful load, ingesting the same articles produces a fused KG
   /// bit-identical to the uncheckpointed run.
   Status LoadState(std::string_view payload) EXCLUDES(kg_mutex_);
@@ -181,8 +182,7 @@ class KgPipeline {
   const StreamingMiner* miner() const REQUIRES_SHARED(kg_mutex_) {
     return miner_.get();
   }
-  /// The miner's sliding window, null with mining off. Its graph is in
-  /// the KG's id space (see window_graph_).
+  /// The miner's sliding window over graph(), null with mining off.
   const TemporalWindow* miner_window() const REQUIRES_SHARED(kg_mutex_) {
     return window_.get();
   }
@@ -240,17 +240,10 @@ class KgPipeline {
   };
 
   void LoadCuratedKb() REQUIRES(kg_mutex_);
-  /// Seeds the miner window graph with the curated facts, the KG's
-  /// first kb_->facts().size() edges (direct insertion, never
-  /// expired). Called from the curated bootstrap and again by
-  /// LoadStateLocked after it resets the window machinery.
-  void BootstrapMinerWindowLocked() REQUIRES(kg_mutex_);
-  /// Inserts KG edge `e` (endpoints, predicate, timestamp and curated
-  /// flag read from graph_) into the window graph — the one insert
-  /// path for curated bootstrap, live ingest and LoadState replay —
-  /// and returns its window edge id. Extends the window graph's
-  /// vertices to the KG's and copies the endpoints' KG types first.
-  EdgeId AddWindowEdgeLocked(EdgeId e) REQUIRES(kg_mutex_);
+  /// Builds a fresh miner and a window over graph_ pinning the curated
+  /// facts (its first kb_->facts().size() edges), announces those to
+  /// the miner, and pushes KG edges [stream_begin, E) into the window.
+  void ResetMinerWindowLocked(EdgeId stream_begin) REQUIRES(kg_mutex_);
   /// Finalize body (BPR refresh + rescore + LDA), under the writer
   /// lock held by Finalize().
   void FinalizeLocked() REQUIRES(kg_mutex_);
@@ -277,13 +270,8 @@ class KgPipeline {
   std::unique_ptr<ThreadPool> pool_;  // lint: unguarded(see above)
 
   PropertyGraph graph_ GUARDED_BY(kg_mutex_);  // the fused KG
-  /// The miner's sliding window (curated base + recent stream) in the
-  /// KG's id space: window vertex v is KG vertex v, and edges and
-  /// vertex types carry KG PredicateIds and TypeIds, so patterns render
-  /// through graph_'s dictionaries. Its own predicate, type and source
-  /// dictionaries stay empty; it holds vertex labels only because
-  /// PropertyGraph creates vertices by label.
-  PropertyGraph window_graph_ GUARDED_BY(kg_mutex_);
+  /// The miner's sliding window: curated facts pinned plus the newest
+  /// streamed edges, as a range of graph_'s edge ids.
   std::unique_ptr<TemporalWindow> window_ GUARDED_BY(kg_mutex_);
   std::unique_ptr<StreamingMiner> miner_ GUARDED_BY(kg_mutex_);
 

@@ -8,7 +8,7 @@
 
 namespace nous {
 
-/// Weakly connected components over live edges. Returns the component
+/// Weakly connected components over all edges. Returns the component
 /// id per vertex (dense ids, 0-based); isolated vertices get their own
 /// component. `num_components` (optional) receives the count.
 std::vector<uint32_t> WeaklyConnectedComponents(
@@ -21,7 +21,7 @@ struct PageRankConfig {
   double tolerance = 1e-8;
 };
 
-/// PageRank by power iteration over live edges (dangling mass
+/// PageRank by power iteration over all edges (dangling mass
 /// redistributed uniformly). An entity-importance signal for ranking
 /// and for the demo's quality dashboards.
 std::vector<double> PageRank(const PropertyGraph& graph,

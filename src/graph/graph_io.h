@@ -11,9 +11,9 @@
 namespace nous {
 
 /// Serializes the graph to a line-oriented, tab-separated text format
-/// (full fidelity: vertices with types/bags/topics, live edges with
-/// confidence, timestamp, source, curated flag). Dead edge slots are
-/// not persisted; loading compacts edge ids.
+/// (full fidelity: vertices with types/bags/topics, edges with
+/// confidence, timestamp, source, curated flag), edges in id order so
+/// loading reproduces their ids.
 ///
 /// Format (fields are tab-separated; labels must not contain tabs or
 /// newlines, which the writer rejects):

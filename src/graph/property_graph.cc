@@ -47,7 +47,6 @@ PropertyGraph PropertyGraph::Clone() const {
   copy.edges_ = edges_;
   copy.out_ = out_;
   copy.in_ = in_;
-  copy.num_live_edges_ = num_live_edges_;
   copy.folded_labels_ = folded_labels_;
   copy.out_by_pred_ = out_by_pred_;
   copy.in_by_pred_ = in_by_pred_;
@@ -146,7 +145,7 @@ EdgeId PropertyGraph::AddEdge(VertexId subject, PredicateId predicate,
   assert(subject < vertices_.size());
   assert(object < vertices_.size());
   EdgeId e = static_cast<EdgeId>(edges_.size());
-  edges_.PushBack(EdgeRecord{subject, object, predicate, meta, true});
+  edges_.PushBack(EdgeRecord{subject, object, predicate, meta});
   out_.Mutable(subject).push_back(AdjEntry{predicate, object, e});
   in_.Mutable(object).push_back(AdjEntry{predicate, subject, e});
   out_by_pred_.Mutable(subject)[predicate].push_back(
@@ -154,7 +153,6 @@ EdgeId PropertyGraph::AddEdge(VertexId subject, PredicateId predicate,
   in_by_pred_.Mutable(object)[predicate].push_back(
       AdjEntry{predicate, subject, e});
   max_edge_timestamp_ = std::max(max_edge_timestamp_, meta.timestamp);
-  ++num_live_edges_;
   return e;
 }
 
@@ -169,43 +167,6 @@ EdgeId PropertyGraph::AddTriple(const TimedTriple& t) {
       t.source.empty() ? kInvalidSource : sources_.Intern(t.source);
   meta.curated = false;
   return AddEdge(s, p, o, meta);
-}
-
-Status PropertyGraph::RemoveEdge(EdgeId e) {
-  if (e >= edges_.size() || !edges_[e].alive) {
-    return Status::NotFound(StrFormat("edge %u is not live", e));
-  }
-  EdgeRecord& rec = edges_.Mutable(e);
-  auto erase_from = [e](std::vector<AdjEntry>& adj) {
-    for (size_t i = 0; i < adj.size(); ++i) {
-      if (adj[i].edge == e) {
-        adj[i] = adj.back();
-        adj.pop_back();
-        return;
-      }
-    }
-    assert(false && "adjacency entry missing for live edge");
-  };
-  erase_from(out_.Mutable(rec.subject));
-  erase_from(in_.Mutable(rec.object));
-  erase_from(out_by_pred_.Mutable(rec.subject)[rec.predicate]);
-  erase_from(in_by_pred_.Mutable(rec.object)[rec.predicate]);
-  rec.alive = false;
-  --num_live_edges_;
-  if (rec.meta.timestamp == max_edge_timestamp_ &&
-      max_edge_timestamp_ != 0) {
-    // The max holder may have just died; rescan live edges (rare —
-    // removal itself is already O(degree)).
-    max_edge_timestamp_ = 0;
-    for (size_t i = 0; i < edges_.size(); ++i) {
-      const EdgeRecord& other = edges_[i];
-      if (other.alive) {
-        max_edge_timestamp_ =
-            std::max(max_edge_timestamp_, other.meta.timestamp);
-      }
-    }
-  }
-  return Status::Ok();
 }
 
 std::optional<EdgeId> PropertyGraph::FindEdge(VertexId subject,
@@ -256,9 +217,7 @@ const std::vector<AdjEntry>& PropertyGraph::InEdgesWithPredicate(
 
 void PropertyGraph::ForEachEdge(
     const std::function<void(EdgeId, const EdgeRecord&)>& fn) const {
-  for (EdgeId e = 0; e < edges_.size(); ++e) {
-    if (edges_[e].alive) fn(e, edges_[e]);
-  }
+  for (EdgeId e = 0; e < edges_.size(); ++e) fn(e, edges_[e]);
 }
 
 namespace {
@@ -276,20 +235,25 @@ void SaveAdjacency(BinaryWriter* writer,
   }
 }
 
-Status LoadAdjacency(BinaryReader* reader, size_t num_vertices,
-                     CowVec<std::vector<AdjEntry>>* adj) {
-  adj->Assign(num_vertices);
-  for (size_t v = 0; v < num_vertices; ++v) {
+/// Reads one stored adjacency array, which must equal `expected` — the
+/// lists the edge records imply — entry for entry.
+Status VerifyAdjacency(BinaryReader* reader,
+                       const CowVec<std::vector<AdjEntry>>& expected) {
+  const Status mismatch =
+      Status::DataLoss("graph checkpoint: adjacency mismatch");
+  for (size_t v = 0; v < expected.size(); ++v) {
     uint64_t count = 0;
     NOUS_RETURN_IF_ERROR(reader->Count(&count, 12));
-    std::vector<AdjEntry>& entries = adj->Mutable(v);
-    entries.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      AdjEntry a;
-      NOUS_RETURN_IF_ERROR(reader->U32(&a.predicate));
-      NOUS_RETURN_IF_ERROR(reader->U32(&a.neighbor));
-      NOUS_RETURN_IF_ERROR(reader->U32(&a.edge));
-      entries.push_back(a);
+    if (count != expected[v].size()) return mismatch;
+    for (const AdjEntry& want : expected[v]) {
+      AdjEntry got;
+      NOUS_RETURN_IF_ERROR(reader->U32(&got.predicate));
+      NOUS_RETURN_IF_ERROR(reader->U32(&got.neighbor));
+      NOUS_RETURN_IF_ERROR(reader->U32(&got.edge));
+      if (got.predicate != want.predicate || got.neighbor != want.neighbor ||
+          got.edge != want.edge) {
+        return mismatch;
+      }
     }
   }
   return Status::Ok();
@@ -349,15 +313,16 @@ void PropertyGraph::SaveBinary(BinaryWriter* writer) const {
     writer->I64(rec.meta.timestamp);
     writer->U32(rec.meta.source);
     writer->U8(rec.meta.curated ? 1 : 0);
-    writer->U8(rec.alive ? 1 : 0);
+    // The former live flag: every edge is live. Kept so the layout,
+    // and so every image, stays byte-identical.
+    writer->U8(1);
   }
 
-  // Adjacency is stored explicitly (not rebuilt from edge slots): its
-  // order encodes the full add/remove history, which a slot replay
-  // cannot reproduce after RemoveEdge's swap-with-back compaction.
+  // The adjacency arrays are implied by the edge records, but stay in
+  // the layout (LoadBinary checks them), as does the live edge count.
   SaveAdjacency(writer, out_);
   SaveAdjacency(writer, in_);
-  writer->U64(num_live_edges_);
+  writer->U64(edges_.size());
 }
 
 Status PropertyGraph::LoadBinary(BinaryReader* reader) {
@@ -392,6 +357,8 @@ Status PropertyGraph::LoadBinary(BinaryReader* reader) {
   uint64_t num_edges = 0;
   NOUS_RETURN_IF_ERROR(reader->Count(&num_edges, 4 * 3 + 8 + 8 + 4 + 2));
   edges_.Assign(num_edges);
+  out_.Assign(num_vertices);
+  in_.Assign(num_vertices);
   for (size_t e = 0; e < num_edges; ++e) {
     EdgeRecord& rec = edges_.Mutable(e);
     NOUS_RETURN_IF_ERROR(reader->U32(&rec.subject));
@@ -400,22 +367,29 @@ Status PropertyGraph::LoadBinary(BinaryReader* reader) {
     NOUS_RETURN_IF_ERROR(reader->F64(&rec.meta.confidence));
     NOUS_RETURN_IF_ERROR(reader->I64(&rec.meta.timestamp));
     NOUS_RETURN_IF_ERROR(reader->U32(&rec.meta.source));
-    uint8_t curated = 0, alive = 0;
+    uint8_t curated = 0, live = 0;
     NOUS_RETURN_IF_ERROR(reader->U8(&curated));
-    NOUS_RETURN_IF_ERROR(reader->U8(&alive));
+    NOUS_RETURN_IF_ERROR(reader->U8(&live));
     rec.meta.curated = curated != 0;
-    rec.alive = alive != 0;
+    if (live != 1) {
+      return Status::DataLoss("graph checkpoint: removed edge");
+    }
     if (rec.subject >= num_vertices || rec.object >= num_vertices ||
         rec.predicate >= predicates_.size()) {
       return Status::DataLoss("graph checkpoint: edge id out of range");
     }
+    const EdgeId id = static_cast<EdgeId>(e);
+    out_.Mutable(rec.subject).push_back({rec.predicate, rec.object, id});
+    in_.Mutable(rec.object).push_back({rec.predicate, rec.subject, id});
   }
 
-  NOUS_RETURN_IF_ERROR(LoadAdjacency(reader, num_vertices, &out_));
-  NOUS_RETURN_IF_ERROR(LoadAdjacency(reader, num_vertices, &in_));
-  uint64_t live = 0;
-  NOUS_RETURN_IF_ERROR(reader->U64(&live));
-  num_live_edges_ = live;
+  NOUS_RETURN_IF_ERROR(VerifyAdjacency(reader, out_));
+  NOUS_RETURN_IF_ERROR(VerifyAdjacency(reader, in_));
+  uint64_t live_edges = 0;
+  NOUS_RETURN_IF_ERROR(reader->U64(&live_edges));
+  if (live_edges != num_edges) {
+    return Status::DataLoss("graph checkpoint: live edge count mismatch");
+  }
   RebuildDerivedIndexes();
   return Status::Ok();
 }
@@ -440,11 +414,8 @@ void PropertyGraph::RebuildDerivedIndexes() {
   }
   max_edge_timestamp_ = 0;
   for (size_t e = 0; e < edges_.size(); ++e) {
-    const EdgeRecord& rec = edges_[e];
-    if (rec.alive) {
-      max_edge_timestamp_ =
-          std::max(max_edge_timestamp_, rec.meta.timestamp);
-    }
+    max_edge_timestamp_ =
+        std::max(max_edge_timestamp_, edges_[e].meta.timestamp);
   }
 }
 

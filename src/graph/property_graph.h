@@ -23,14 +23,13 @@ struct AdjEntry {
   EdgeId edge;
 };
 
-/// Stored edge state; `alive` is cleared on removal so edge ids stay
-/// stable for provenance references.
+/// Stored edge state. Edges are never removed, so an edge id names
+/// the same fact for the graph's lifetime.
 struct EdgeRecord {
   VertexId subject = kInvalidVertex;
   VertexId object = kInvalidVertex;
   PredicateId predicate = kInvalidPredicate;
   EdgeMeta meta;
-  bool alive = false;
 };
 
 /// Per-vertex properties mirroring the paper's GraphX usage: a type, a
@@ -48,7 +47,10 @@ struct VertexRecord {
 /// Spark/GraphX distributed property graph (see DESIGN.md §2).
 ///
 /// Edges carry confidence, timestamp, source, and curated/extracted
-/// provenance; removal is O(degree) and keeps edge ids stable.
+/// provenance. The graph is append-only: AddEdge is the only edge
+/// writer, so edge ids are dense (0 … NumEdges() − 1) and every
+/// adjacency list is in ascending edge-id order. A TemporalWindow
+/// reads a sliding window as a range of those ids (DESIGN.md §5.1).
 ///
 /// All storage — primary state and derived read indexes alike — lives
 /// in copy-on-write chunked containers (CowVec / CowIdIndex, DESIGN.md
@@ -113,11 +115,7 @@ class PropertyGraph {
   /// point for generators and tests.
   EdgeId AddTriple(const TimedTriple& t);
 
-  /// Removes the edge from both adjacency lists and marks it dead.
-  /// Fails with NotFound if the id is invalid or already removed.
-  Status RemoveEdge(EdgeId e);
-
-  /// First live edge matching (subject, predicate, object), if any.
+  /// First edge matching (subject, predicate, object), if any.
   std::optional<EdgeId> FindEdge(VertexId subject, PredicateId predicate,
                                  VertexId object) const;
 
@@ -126,7 +124,7 @@ class PropertyGraph {
     return FindEdge(subject, predicate, object).has_value();
   }
 
-  /// Edge record for a live or dead edge id; `e` must be < NumEdgeSlots().
+  /// Edge record for `e`, which must be < NumEdges().
   const EdgeRecord& Edge(EdgeId e) const;
 
   /// Mutable confidence update (link-prediction rescoring).
@@ -135,7 +133,7 @@ class PropertyGraph {
   const std::vector<AdjEntry>& OutEdges(VertexId v) const;
   const std::vector<AdjEntry>& InEdges(VertexId v) const;
 
-  /// Live out-/in-edges of `v` whose predicate is exactly `p`, in
+  /// Out-/in-edges of `v` whose predicate is exactly `p`, in
   /// insertion order. Constrained path search expands only these
   /// instead of filtering the full adjacency list.
   const std::vector<AdjEntry>& OutEdgesWithPredicate(VertexId v,
@@ -146,17 +144,13 @@ class PropertyGraph {
   size_t OutDegree(VertexId v) const { return OutEdges(v).size(); }
   size_t InDegree(VertexId v) const { return InEdges(v).size(); }
 
-  /// Largest timestamp among live edges (0 with no edges; never
-  /// negative). Maintained incrementally by AddEdge/RemoveEdge so
-  /// trending queries need no full edge scan.
+  /// Largest edge timestamp (0 with no edges; never negative).
+  /// Maintained by AddEdge so trending queries need no full edge scan.
   Timestamp MaxEdgeTimestamp() const { return max_edge_timestamp_; }
 
-  /// Number of live edges.
-  size_t NumEdges() const { return num_live_edges_; }
-  /// Total edge slots ever allocated (live + removed).
-  size_t NumEdgeSlots() const { return edges_.size(); }
+  size_t NumEdges() const { return edges_.size(); }
 
-  /// Invokes fn(edge_id, record) for every live edge.
+  /// Invokes fn(edge_id, record) for every edge, in id order.
   void ForEachEdge(
       const std::function<void(EdgeId, const EdgeRecord&)>& fn) const;
 
@@ -187,16 +181,17 @@ class PropertyGraph {
 
   /// Writes the complete graph state — all five dictionaries in id
   /// order, every vertex record (bags emitted sorted by TermId), every
-  /// edge slot including dead ones, and both adjacency arrays — so a
-  /// LoadBinary round trip reproduces the graph exactly: identical
-  /// ids, identical slot layout, identical adjacency order. The byte
-  /// stream is independent of chunk sharing state: a Clone() and a
-  /// deep copy serialize identically.
+  /// edge record, and both adjacency arrays — so a LoadBinary round
+  /// trip reproduces the graph exactly. The byte stream is
+  /// independent of chunk sharing state: a Clone() and a deep copy
+  /// serialize identically.
   void SaveBinary(BinaryWriter* writer) const;
 
-  /// Restores a SaveBinary payload, replacing current contents.
-  /// Malformed input reports an error and may leave the graph
-  /// partially loaded; callers discard the instance on failure.
+  /// Restores a SaveBinary payload, replacing current contents. Every
+  /// stored adjacency list must equal the ascending-id list the edge
+  /// records imply (DataLoss otherwise), so out-of-range ids never
+  /// load. Malformed input may leave the graph partially loaded;
+  /// callers discard the instance on failure.
   Status LoadBinary(BinaryReader* reader);
 
  private:
@@ -221,7 +216,6 @@ class PropertyGraph {
   CowVec<EdgeRecord> edges_;
   CowVec<std::vector<AdjEntry>> out_;
   CowVec<std::vector<AdjEntry>> in_;
-  size_t num_live_edges_ = 0;
 
   // Derived read-side indexes (never serialized; see SaveBinary).
   /// Case-folded label index; every vertex is inserted in id order, so

@@ -6,20 +6,29 @@
 
 namespace nous {
 
-TemporalWindow::TemporalWindow(PropertyGraph* graph, size_t max_edges)
-    : graph_(graph), max_edges_(max_edges) {}
+TemporalWindow::TemporalWindow(PropertyGraph* graph, size_t max_edges,
+                               EdgeId num_pinned, EdgeId stream_begin)
+    : graph_(graph),
+      max_edges_(max_edges),
+      num_pinned_(num_pinned),
+      stream_begin_(stream_begin),
+      stream_end_(stream_begin) {
+  NOUS_CHECK(num_pinned <= stream_begin && num_pinned <= graph->NumEdges());
+}
 
 EdgeId TemporalWindow::Push(EdgeId edge) {
-  window_.push_back(edge);
-  for (WindowListener* l : listeners_) l->OnEdgeAdded(*graph_, edge);
-  while (max_edges_ != 0 && window_.size() > max_edges_) ExpireOldest();
+  NOUS_CHECK(edge == stream_end_ && edge < graph_->NumEdges())
+      << "window push of edge " << edge << ", expected " << stream_end_;
+  ++stream_end_;
+  for (WindowListener* l : listeners_) l->OnEdgeAdded(*this, edge);
+  while (max_edges_ != 0 && size() > max_edges_) ExpireOldest();
   return edge;
 }
 
 size_t TemporalWindow::ExpireOlderThan(Timestamp horizon) {
   size_t expired = 0;
-  while (!window_.empty() &&
-         graph_->Edge(window_.front()).meta.timestamp < horizon) {
+  while (size() != 0 &&
+         graph_->Edge(stream_begin_).meta.timestamp < horizon) {
     ExpireOldest();
     ++expired;
   }
@@ -27,11 +36,8 @@ size_t TemporalWindow::ExpireOlderThan(Timestamp horizon) {
 }
 
 void TemporalWindow::ExpireOldest() {
-  EdgeId e = window_.front();
-  window_.pop_front();
-  for (WindowListener* l : listeners_) l->OnEdgeExpiring(*graph_, e);
-  Status s = graph_->RemoveEdge(e);
-  NOUS_CHECK(s.ok()) << "window expiry: " << s.ToString();
+  for (WindowListener* l : listeners_) l->OnEdgeExpiring(*this, stream_begin_);
+  ++stream_begin_;
 }
 
 void TemporalWindow::AddListener(WindowListener* listener) {
@@ -42,16 +48,6 @@ void TemporalWindow::RemoveListener(WindowListener* listener) {
   listeners_.erase(
       std::remove(listeners_.begin(), listeners_.end(), listener),
       listeners_.end());
-}
-
-Timestamp TemporalWindow::OldestTimestamp() const {
-  if (window_.empty()) return 0;
-  return graph_->Edge(window_.front()).meta.timestamp;
-}
-
-Timestamp TemporalWindow::NewestTimestamp() const {
-  if (window_.empty()) return 0;
-  return graph_->Edge(window_.back()).meta.timestamp;
 }
 
 }  // namespace nous

@@ -1,7 +1,7 @@
 #ifndef NOUS_GRAPH_TEMPORAL_WINDOW_H_
 #define NOUS_GRAPH_TEMPORAL_WINDOW_H_
 
-#include <deque>
+#include <algorithm>
 #include <vector>
 
 #include "graph/property_graph.h"
@@ -9,37 +9,49 @@
 
 namespace nous {
 
+class TemporalWindow;
+
 /// Observer of window mutations. The streaming miner (§3.5) subscribes
 /// to maintain pattern counts incrementally instead of re-enumerating.
 class WindowListener {
  public:
   virtual ~WindowListener() = default;
-  /// Called after the edge is live in the graph.
-  virtual void OnEdgeAdded(const PropertyGraph& graph, EdgeId edge) = 0;
-  /// Called before the edge is removed from the graph; the record and
-  /// adjacency are still intact at call time.
-  virtual void OnEdgeExpiring(const PropertyGraph& graph, EdgeId edge) = 0;
+  /// Called after the edge has entered the window.
+  virtual void OnEdgeAdded(const TemporalWindow& window, EdgeId edge) = 0;
+  /// Called before the edge leaves the window; it is still in the
+  /// window at call time.
+  virtual void OnEdgeExpiring(const TemporalWindow& window, EdgeId edge) = 0;
 };
 
-/// Sliding window over the triple stream (§3.5): retains the most
-/// recent edges in insertion order, expiring the oldest either by count
-/// (`max_edges`) or by timestamp horizon. The wrapped graph holds the
-/// union of the curated KB (never expired; inserted directly into the
-/// graph) and the windowed extracted stream. Expiry reads only the
-/// edges' timestamps.
+/// Sliding window over the triple stream (§3.5): a view of an
+/// append-only PropertyGraph holding the pinned prefix [0,
+/// num_pinned()) — in NOUS the curated facts, never expired — plus the
+/// stream range [stream_begin(), stream_end()). Push admits the graph's
+/// next edge; expiry, by count (`max_edges`) or by timestamp horizon,
+/// advances stream_begin(). Adjacency lists are in ascending edge-id
+/// order, so reading a vertex's in-window adjacency costs O(log degree
+/// + window degree) and the window keeps no per-edge state.
 ///
 /// Concurrency: externally synchronized, like the listeners it
-/// notifies. KgPipeline mutates it (and the wrapped window graph)
-/// only under the exclusive side of `kg_mutex()` (`window_` is
-/// GUARDED_BY in pipeline.h).
+/// notifies. KgPipeline mutates it only under the exclusive side of
+/// `kg_mutex()` (`window_` is GUARDED_BY in pipeline.h).
 class TemporalWindow {
  public:
-  /// `max_edges` == 0 disables count-based expiry.
-  TemporalWindow(PropertyGraph* graph, size_t max_edges);
+  /// Pins every edge `graph` holds now; the stream starts at the next
+  /// edge it adds. `max_edges` == 0 disables count-based expiry.
+  TemporalWindow(PropertyGraph* graph, size_t max_edges)
+      : TemporalWindow(graph, max_edges,
+                       static_cast<EdgeId>(graph->NumEdges()),
+                       static_cast<EdgeId>(graph->NumEdges())) {}
 
-  /// Makes `edge`, already live in graph(), the newest windowed edge:
-  /// notifies the listeners, then expires by count if needed. Returns
-  /// `edge`.
+  /// Pins the graph's first `num_pinned` edges; the next Push must be
+  /// edge `stream_begin` (>= num_pinned).
+  TemporalWindow(PropertyGraph* graph, size_t max_edges, EdgeId num_pinned,
+                 EdgeId stream_begin);
+
+  /// Makes `edge` — graph edge stream_end(), already added — the newest
+  /// windowed edge: notifies the listeners, then expires by count if
+  /// needed. Returns `edge`.
   EdgeId Push(EdgeId edge);
 
   /// Inserts `triple` into graph() by label and pushes it (for tests
@@ -48,31 +60,63 @@ class TemporalWindow {
     return Push(graph_->AddTriple(triple));
   }
 
-  /// Expires every windowed edge with timestamp < `horizon`.
+  /// Expires every streamed edge with timestamp < `horizon`.
   size_t ExpireOlderThan(Timestamp horizon);
 
   void AddListener(WindowListener* listener);
   void RemoveListener(WindowListener* listener);
 
-  size_t size() const { return window_.size(); }
-  size_t max_edges() const { return max_edges_; }
+  /// Streamed edges in the window (the pinned prefix not counted).
+  size_t size() const { return stream_end_ - stream_begin_; }
+  /// Every edge in the window, pinned and streamed.
+  size_t NumEdges() const { return num_pinned_ + size(); }
+  EdgeId num_pinned() const { return num_pinned_; }
+  EdgeId stream_begin() const { return stream_begin_; }
+  EdgeId stream_end() const { return stream_end_; }
 
-  /// Oldest retained timestamp; 0 when empty.
-  Timestamp OldestTimestamp() const;
-  Timestamp NewestTimestamp() const;
+  bool Contains(EdgeId e) const {
+    return e < num_pinned_ || (e >= stream_begin_ && e < stream_end_);
+  }
+  /// Dense index in [0, NumEdges()) of an in-window edge, until the
+  /// window next changes.
+  size_t Position(EdgeId e) const {
+    return e < num_pinned_ ? e : num_pinned_ + (e - stream_begin_);
+  }
 
   PropertyGraph& graph() { return *graph_; }
   const PropertyGraph& graph() const { return *graph_; }
+  const EdgeRecord& Edge(EdgeId e) const { return graph_->Edge(e); }
 
-  /// Edge ids currently in the window, oldest first.
-  const std::deque<EdgeId>& edges() const { return window_; }
+  /// Calls fn(entry) for each entry of `adjacency` — graph()'s out- or
+  /// in-list of a vertex — whose edge is in the window: the pinned run,
+  /// then the stream run, each in ascending edge-id order.
+  template <typename Fn>
+  void ForEachInWindow(const std::vector<AdjEntry>& adjacency,
+                       Fn&& fn) const {
+    auto by_edge = [](const AdjEntry& a, EdgeId id) { return a.edge < id; };
+    auto it = adjacency.begin();
+    for (; it != adjacency.end() && it->edge < num_pinned_; ++it) fn(*it);
+    it = std::lower_bound(it, adjacency.end(), stream_begin_, by_edge);
+    for (; it != adjacency.end() && it->edge < stream_end_; ++it) fn(*it);
+  }
+
+  /// Calls fn(edge_id, record) for every in-window edge, in id order.
+  template <typename Fn>
+  void ForEachEdge(Fn&& fn) const {
+    for (EdgeId e = 0; e < num_pinned_; ++e) fn(e, graph_->Edge(e));
+    for (EdgeId e = stream_begin_; e < stream_end_; ++e) {
+      fn(e, graph_->Edge(e));
+    }
+  }
 
  private:
   void ExpireOldest();
 
   PropertyGraph* graph_;  // not owned
   size_t max_edges_;
-  std::deque<EdgeId> window_;
+  EdgeId num_pinned_;
+  EdgeId stream_begin_;
+  EdgeId stream_end_;
   std::vector<WindowListener*> listeners_;
 };
 

@@ -6,13 +6,13 @@
 
 namespace nous {
 
-std::vector<PatternStats> MineArabesqueSim(const PropertyGraph& graph,
+std::vector<PatternStats> MineArabesqueSim(const TemporalWindow& window,
                                            const MinerConfig& config,
                                            size_t* total_embeddings) {
-  SupportCounter counter(&graph, config.use_vertex_types);
-  graph.ForEachEdge([&](EdgeId anchor, const EdgeRecord&) {
+  SupportCounter counter(&window.graph(), config.use_vertex_types);
+  window.ForEachEdge([&](EdgeId anchor, const EdgeRecord&) {
     EnumerateConnectedSubsets(
-        graph, anchor, config, /*older_only=*/true,
+        window, anchor, config, /*older_only=*/true,
         [&counter](const std::vector<EdgeId>& subset) {
           counter.AddEmbedding(subset);
         });
@@ -24,13 +24,14 @@ std::vector<PatternStats> MineArabesqueSim(const PropertyGraph& graph,
 }
 
 std::vector<PatternStats> MineArabesqueSimParallel(
-    const PropertyGraph& graph, const MinerConfig& config,
+    const TemporalWindow& window, const MinerConfig& config,
     ThreadPool* pool, size_t* total_embeddings) {
   if (pool == nullptr || pool->num_threads() <= 1) {
-    return MineArabesqueSim(graph, config, total_embeddings);
+    return MineArabesqueSim(window, config, total_embeddings);
   }
+  const PropertyGraph& graph = window.graph();
   std::vector<EdgeId> anchors;
-  graph.ForEachEdge(
+  window.ForEachEdge(
       [&anchors](EdgeId e, const EdgeRecord&) { anchors.push_back(e); });
   const size_t shards = pool->num_threads();
   std::vector<std::unique_ptr<SupportCounter>> counters;
@@ -40,11 +41,11 @@ std::vector<PatternStats> MineArabesqueSimParallel(
         &graph, config.use_vertex_types));
   }
   for (size_t s = 0; s < shards; ++s) {
-    pool->Submit([s, shards, &anchors, &graph, &config, &counters] {
+    pool->Submit([s, shards, &anchors, &window, &config, &counters] {
       SupportCounter* counter = counters[s].get();
       for (size_t i = s; i < anchors.size(); i += shards) {
         EnumerateConnectedSubsets(
-            graph, anchors[i], config, /*older_only=*/true,
+            window, anchors[i], config, /*older_only=*/true,
             [counter](const std::vector<EdgeId>& subset) {
               counter->AddEmbedding(subset);
             });

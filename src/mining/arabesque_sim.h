@@ -4,14 +4,14 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "graph/property_graph.h"
+#include "graph/temporal_window.h"
 #include "mining/miner_config.h"
 
 namespace nous {
 
 /// Arabesque-style baseline (§3.5's comparison system): an
 /// embedding-centric miner that enumerates EVERY connected embedding
-/// up to max_edges in the current window graph and aggregates pattern
+/// up to max_edges in the current window and aggregates pattern
 /// counts afterwards — no frequency pruning during enumeration and no
 /// state carried between windows. Each window slide pays the full
 /// re-enumeration cost; the NOUS streaming miner's speedup claim is
@@ -20,7 +20,7 @@ namespace nous {
 /// Returns patterns with support >= config.min_support, in
 /// SortBySupport order. `total_embeddings`, when non-null, receives
 /// the number of embeddings enumerated (the work measure).
-std::vector<PatternStats> MineArabesqueSim(const PropertyGraph& graph,
+std::vector<PatternStats> MineArabesqueSim(const TemporalWindow& window,
                                            const MinerConfig& config,
                                            size_t* total_embeddings = nullptr);
 
@@ -29,7 +29,7 @@ std::vector<PatternStats> MineArabesqueSim(const PropertyGraph& graph,
 /// single-node analogue of Arabesque's distributed embedding
 /// exploration. Results are identical to the serial variant.
 std::vector<PatternStats> MineArabesqueSimParallel(
-    const PropertyGraph& graph, const MinerConfig& config,
+    const TemporalWindow& window, const MinerConfig& config,
     ThreadPool* pool, size_t* total_embeddings = nullptr);
 
 }  // namespace nous

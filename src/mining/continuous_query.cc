@@ -17,9 +17,9 @@ int ContinuousPatternDetector::RegisterPattern(Pattern pattern,
   return static_cast<int>(queries_.size()) - 1;
 }
 
-void ContinuousPatternDetector::OnEdgeAdded(const PropertyGraph& graph,
+void ContinuousPatternDetector::OnEdgeAdded(const TemporalWindow& window,
                                             EdgeId edge) {
-  const EdgeRecord& rec = graph.Edge(edge);
+  const EdgeRecord& rec = window.Edge(edge);
   for (size_t q = 0; q < queries_.size(); ++q) {
     Registered& reg = queries_[q];
     // Automorphic assignments over the same edge set fire once.
@@ -32,7 +32,7 @@ void ContinuousPatternDetector::OnEdgeAdded(const PropertyGraph& graph,
       options.pin_edge = edge;
       options.max_edge_id = edge;  // other edges strictly older
       for (PatternMatch& match :
-           MatchPattern(graph, reg.pattern, options)) {
+           MatchPattern(window, reg.pattern, options)) {
         std::vector<EdgeId> sorted = match.edges;
         std::sort(sorted.begin(), sorted.end());
         if (!seen_edge_sets.insert(sorted).second) continue;
@@ -63,7 +63,7 @@ void ContinuousPatternDetector::OnEdgeAdded(const PropertyGraph& graph,
 }
 
 void ContinuousPatternDetector::OnEdgeExpiring(
-    const PropertyGraph& /*graph*/, EdgeId edge) {
+    const TemporalWindow& /*window*/, EdgeId edge) {
   auto it = edge_index_.find(edge);
   if (it == edge_index_.end()) return;
   std::vector<size_t> slots = std::move(it->second);

@@ -37,8 +37,8 @@ class ContinuousPatternDetector : public WindowListener {
   int RegisterPattern(Pattern pattern, Callback callback = nullptr);
 
   // WindowListener:
-  void OnEdgeAdded(const PropertyGraph& graph, EdgeId edge) override;
-  void OnEdgeExpiring(const PropertyGraph& graph, EdgeId edge) override;
+  void OnEdgeAdded(const TemporalWindow& window, EdgeId edge) override;
+  void OnEdgeExpiring(const TemporalWindow& window, EdgeId edge) override;
 
   /// Matches currently alive in the window, per query.
   std::vector<PatternMatch> ActiveMatches(int query_id) const;

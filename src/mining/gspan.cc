@@ -57,14 +57,15 @@ void Accumulate(const PropertyGraph& graph, const MinerConfig& config,
 
 }  // namespace
 
-std::vector<PatternStats> MineGspan(const PropertyGraph& graph,
+std::vector<PatternStats> MineGspan(const TemporalWindow& window,
                                     const MinerConfig& config,
                                     size_t* total_embeddings) {
+  const PropertyGraph& graph = window.graph();
   size_t total = 0;
   Pattern::Canonicalizer canonicalizer;
-  // Level 1: every live edge.
+  // Level 1: every in-window edge.
   Level level;
-  graph.ForEachEdge([&](EdgeId e, const EdgeRecord&) {
+  window.ForEachEdge([&](EdgeId e, const EdgeRecord&) {
     Accumulate(graph, config, {e}, &canonicalizer, &level, &total);
   });
 
@@ -88,7 +89,7 @@ std::vector<PatternStats> MineGspan(const PropertyGraph& graph,
     for (const LevelEntry& entry : level.entries) {
       if (entry.Support() < config.min_support) continue;  // prune
       for (const std::vector<EdgeId>& emb : entry.embeddings) {
-        // Extend by any adjacent live edge.
+        // Extend by any adjacent in-window edge.
         for (EdgeId in_set : emb) {
           const EdgeRecord& rec = graph.Edge(in_set);
           for (VertexId v : {rec.subject, rec.object}) {
@@ -103,8 +104,9 @@ std::vector<PatternStats> MineGspan(const PropertyGraph& graph,
               Accumulate(graph, config, grown, &canonicalizer, &next,
                          &total);
             };
-            for (const AdjEntry& a : graph.OutEdges(v)) try_extend(a.edge);
-            for (const AdjEntry& a : graph.InEdges(v)) try_extend(a.edge);
+            auto extend = [&](const AdjEntry& a) { try_extend(a.edge); };
+            window.ForEachInWindow(graph.OutEdges(v), extend);
+            window.ForEachInWindow(graph.InEdges(v), extend);
           }
         }
       }

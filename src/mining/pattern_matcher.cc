@@ -13,11 +13,11 @@ namespace {
 /// Search plan: pattern edge indices reordered so the first edge has
 /// the rarest predicate and every subsequent edge touches an already
 /// bound variable.
-std::vector<size_t> PlanOrder(const PropertyGraph& graph,
+std::vector<size_t> PlanOrder(const TemporalWindow& window,
                               const Pattern& pattern,
                               int pin_pattern_edge) {
   std::unordered_map<PredicateId, size_t> frequency;
-  graph.ForEachEdge([&frequency](EdgeId, const EdgeRecord& rec) {
+  window.ForEachEdge([&frequency](EdgeId, const EdgeRecord& rec) {
     ++frequency[rec.predicate];
   });
   auto freq_of = [&frequency](PredicateId p) -> size_t {
@@ -60,12 +60,12 @@ std::vector<size_t> PlanOrder(const PropertyGraph& graph,
 
 class Matcher {
  public:
-  Matcher(const PropertyGraph& graph, const Pattern& pattern,
+  Matcher(const TemporalWindow& window, const Pattern& pattern,
           const MatchOptions& options)
-      : graph_(graph),
+      : window_(window),
         pattern_(pattern),
         options_(options),
-        order_(PlanOrder(graph, pattern, options.pin_pattern_edge)),
+        order_(PlanOrder(window, pattern, options.pin_pattern_edge)),
         assignment_(pattern.num_vertices(), kInvalidVertex),
         match_edges_(pattern.num_edges(), kInvalidEdge) {}
 
@@ -82,7 +82,7 @@ class Matcher {
   bool VertexOk(int var, VertexId v) const {
     TypeId label = pattern_.vertex_labels()[var];
     if (options_.use_vertex_types && label != kInvalidType &&
-        graph_.VertexType(v) != label) {
+        window_.graph().VertexType(v) != label) {
       return false;
     }
     // Injectivity across variables.
@@ -151,30 +151,30 @@ class Matcher {
     // Pinned edge: exactly one candidate.
     if (options_.pin_pattern_edge >= 0 &&
         order_[step] == static_cast<size_t>(options_.pin_pattern_edge)) {
-      const EdgeRecord& rec = graph_.Edge(options_.pin_edge);
-      if (rec.alive && rec.predicate == pe.pred) {
+      if (!window_.Contains(options_.pin_edge)) return;
+      const EdgeRecord& rec = window_.Edge(options_.pin_edge);
+      if (rec.predicate == pe.pred) {
         TryBindAndRecurse(step, options_.pin_edge, rec.subject,
                           rec.object);
       }
       return;
     }
+    const PropertyGraph& graph = window_.graph();
     VertexId bound_s = assignment_[pe.src];
     VertexId bound_d = assignment_[pe.dst];
     if (bound_s != kInvalidVertex) {
-      for (const AdjEntry& a : graph_.OutEdges(bound_s)) {
-        if (Done()) return;
-        if (a.predicate != pe.pred || !CandidateOk(a.edge)) continue;
+      window_.ForEachInWindow(graph.OutEdges(bound_s), [&](const AdjEntry& a) {
+        if (Done() || a.predicate != pe.pred || !CandidateOk(a.edge)) return;
         TryBindAndRecurse(step, a.edge, bound_s, a.neighbor);
-      }
+      });
     } else if (bound_d != kInvalidVertex) {
-      for (const AdjEntry& a : graph_.InEdges(bound_d)) {
-        if (Done()) return;
-        if (a.predicate != pe.pred || !CandidateOk(a.edge)) continue;
+      window_.ForEachInWindow(graph.InEdges(bound_d), [&](const AdjEntry& a) {
+        if (Done() || a.predicate != pe.pred || !CandidateOk(a.edge)) return;
         TryBindAndRecurse(step, a.edge, a.neighbor, bound_d);
-      }
+      });
     } else {
-      // Seed edge: scan all live edges with the predicate.
-      graph_.ForEachEdge([&](EdgeId e, const EdgeRecord& rec) {
+      // Seed edge: scan all in-window edges with the predicate.
+      window_.ForEachEdge([&](EdgeId e, const EdgeRecord& rec) {
         if (Done()) return;
         if (rec.predicate != pe.pred || !CandidateOk(e)) return;
         TryBindAndRecurse(step, e, rec.subject, rec.object);
@@ -182,7 +182,7 @@ class Matcher {
     }
   }
 
-  const PropertyGraph& graph_;
+  const TemporalWindow& window_;
   const Pattern& pattern_;
   const MatchOptions& options_;
   std::vector<size_t> order_;
@@ -193,17 +193,11 @@ class Matcher {
 
 }  // namespace
 
-std::vector<PatternMatch> MatchPattern(const PropertyGraph& graph,
+std::vector<PatternMatch> MatchPattern(const TemporalWindow& window,
                                        const Pattern& pattern,
                                        const MatchOptions& options) {
   if (pattern.num_edges() == 0) return {};
-  return Matcher(graph, pattern, options).Run();
-}
-
-size_t CountPatternMatches(const PropertyGraph& graph,
-                           const Pattern& pattern,
-                           const MatchOptions& options) {
-  return MatchPattern(graph, pattern, options).size();
+  return Matcher(window, pattern, options).Run();
 }
 
 }  // namespace nous

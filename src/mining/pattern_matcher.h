@@ -4,12 +4,12 @@
 #include <cstddef>
 #include <vector>
 
-#include "graph/property_graph.h"
+#include "graph/temporal_window.h"
 #include "mining/pattern.h"
 
 namespace nous {
 
-/// One concrete occurrence of a pattern in a graph.
+/// One concrete occurrence of a pattern in a window.
 struct PatternMatch {
   /// Graph vertex per pattern variable position.
   std::vector<VertexId> vertices;
@@ -36,19 +36,15 @@ struct MatchOptions {
   EdgeId max_edge_id = kInvalidEdge;
 };
 
-/// Finds embeddings of `pattern` in `graph` by backtracking search,
-/// seeding from the pattern edge whose predicate is rarest in the
-/// graph — the selectivity-based ordering of the authors' continuous
-/// pattern detection line of work (Choudhury et al., EDBT 2015, cited
-/// as [4]). Complete up to `limit`.
-std::vector<PatternMatch> MatchPattern(const PropertyGraph& graph,
+/// Finds embeddings of `pattern` among the window's edges by
+/// backtracking search, seeding from the pattern edge whose predicate
+/// is rarest in the window — the selectivity-based ordering of the
+/// authors' continuous pattern detection line of work (Choudhury et
+/// al., EDBT 2015, cited as [4]). Complete up to `limit`. To match on
+/// a whole graph, wrap it in a window that pins all of its edges.
+std::vector<PatternMatch> MatchPattern(const TemporalWindow& window,
                                        const Pattern& pattern,
                                        const MatchOptions& options = {});
-
-/// Count-only variant (still bounded by options.limit when non-zero).
-size_t CountPatternMatches(const PropertyGraph& graph,
-                           const Pattern& pattern,
-                           const MatchOptions& options = {});
 
 }  // namespace nous
 

@@ -75,15 +75,26 @@ StreamingMiner::StreamingMiner(MinerConfig config)
       << " does not fit the quick patterns' u8 vertex indices";
 }
 
-void StreamingMiner::OnEdgeAdded(const PropertyGraph& graph, EdgeId edge) {
+void StreamingMiner::OnEdgeAdded(const TemporalWindow& window,
+                                 EdgeId edge) {
   ++generation_;
-  // Every subset below holds only `edge` and older edges.
-  if (edge_index_.size() <= edge) edge_index_.resize(edge + 1);
+  // Every pinned edge gets a list, announced to the miner or not: an
+  // unannounced one still extends the subsets of later edges.
+  if (pinned_index_.size() < window.num_pinned()) {
+    pinned_index_.resize(window.num_pinned());
+  }
+  if (edge >= window.num_pinned()) {
+    // Lists from the window's oldest streamed edge on: a miner attached
+    // mid-stream also indexes embeddings of edges it was not told of.
+    if (stream_index_.empty()) stream_index_base_ = window.stream_begin();
+    stream_index_.resize(edge + 1 - stream_index_base_);
+  }
+  const PropertyGraph& graph = window.graph();
   // Every connected subset containing the new edge; all other edges in
   // the window are older (smaller ids), so older_only enumeration
   // discovers each subset exactly once across the stream.
   size_t subsets = EnumerateConnectedSubsets(
-      graph, edge, config_, /*older_only=*/true,
+      window, edge, config_, /*older_only=*/true,
       [this, &graph](const std::vector<EdgeId>& subset) {
         AddEmbedding(graph, subset);
       });
@@ -91,14 +102,17 @@ void StreamingMiner::OnEdgeAdded(const PropertyGraph& graph, EdgeId edge) {
   PublishGauges();
 }
 
-void StreamingMiner::OnEdgeExpiring(const PropertyGraph& /*graph*/,
+void StreamingMiner::OnEdgeExpiring(const TemporalWindow& /*window*/,
                                     EdgeId edge) {
   ++generation_;
-  if (edge >= edge_index_.size()) return;
+  // Streamed edges expire oldest first; one that left before the miner
+  // saw any edge has no list.
+  if (stream_index_.empty() || edge != stream_index_base_) return;
   // Moving the list out releases its storage; RemoveEmbedding unlinks
   // each embedding from its other edges' lists only.
-  std::vector<uint32_t> ids = std::move(edge_index_[edge]);
-  edge_index_[edge].clear();
+  std::vector<uint32_t> ids = std::move(stream_index_.front());
+  stream_index_.pop_front();
+  ++stream_index_base_;
   // The slots are scattered over the pool: fetch a few ahead.
   constexpr size_t kPrefetchAhead = 8;
   for (size_t i = 0; i < ids.size(); ++i) {
@@ -209,7 +223,7 @@ void StreamingMiner::AddEmbedding(const PropertyGraph& graph,
   EdgeId* slot_edges = SlotEdges(slot);
   uint32_t* list_pos = SlotListPos(slot);
   for (size_t k = 0; k < edges.size(); ++k) {
-    std::vector<uint32_t>& ids = edge_index_[edges[k]];
+    std::vector<uint32_t>& ids = IndexList(edges[k]);
     slot_edges[k] = edges[k];
     list_pos[k] = static_cast<uint32_t>(ids.size());
     ids.push_back(id);
@@ -244,7 +258,7 @@ void StreamingMiner::RemoveEmbedding(uint32_t embedding_id,
   for (size_t k = 0; k < entry.pattern.num_edges(); ++k) {
     const EdgeId e = edges[k];
     if (e == draining_edge) continue;
-    std::vector<uint32_t>& ids = edge_index_[e];
+    std::vector<uint32_t>& ids = IndexList(e);
     const uint32_t at = list_pos[k];
     NOUS_CHECK(at < ids.size() && ids[at] == embedding_id);
     const uint32_t moved = ids.back();

@@ -2,6 +2,7 @@
 #define NOUS_MINING_STREAMING_MINER_H_
 
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <memory>
 #include <unordered_map>
@@ -49,8 +50,8 @@ class StreamingMiner : public WindowListener {
   explicit StreamingMiner(MinerConfig config);
 
   // WindowListener:
-  void OnEdgeAdded(const PropertyGraph& graph, EdgeId edge) override;
-  void OnEdgeExpiring(const PropertyGraph& graph, EdgeId edge) override;
+  void OnEdgeAdded(const TemporalWindow& window, EdgeId edge) override;
+  void OnEdgeExpiring(const TemporalWindow& window, EdgeId edge) override;
 
   /// Patterns with support >= min_support, in SortBySupport order.
   std::vector<PatternStats> FrequentPatterns() const;
@@ -101,9 +102,9 @@ class StreamingMiner : public WindowListener {
   static constexpr size_t kSlotsPerChunk = 4096;
 
   /// Slot record `id`: its pattern id word, then max_edges edge ids,
-  /// then per edge the slot's position in that edge's edge_index_
-  /// list, then max_edges + 1 vertex ids (the graph vertex at each
-  /// pattern position). The pattern says how many of each are in use.
+  /// then per edge the slot's position in that edge's IndexList, then
+  /// max_edges + 1 vertex ids (the graph vertex at each pattern
+  /// position). The pattern says how many of each are in use.
   uint32_t* Slot(uint32_t id) {
     return slot_chunks_[id / kSlotsPerChunk].get() +
            (id % kSlotsPerChunk) * slot_words_;
@@ -135,6 +136,11 @@ class StreamingMiner : public WindowListener {
   /// Frees the slot and unlinks it from the index list of each of its
   /// edges except `draining_edge`, whose list the caller is consuming.
   void RemoveEmbedding(uint32_t embedding_id, EdgeId draining_edge);
+  /// Live embedding ids of in-window edge `e`.
+  std::vector<uint32_t>& IndexList(EdgeId e) {
+    return e < pinned_index_.size() ? pinned_index_[e]
+                                    : stream_index_[e - stream_index_base_];
+  }
   size_t SupportOfEntry(const PatternEntry& entry) const;
   void PublishGauges() const;
 
@@ -154,10 +160,12 @@ class StreamingMiner : public WindowListener {
   size_t num_slots_ = 0;
   std::vector<std::unique_ptr<uint32_t[]>> slot_chunks_;
   std::vector<uint32_t> free_slots_;
-  // Live embedding ids per edge, indexed by EdgeId: one list header
-  // per edge ever pushed, as the window graph keeps one EdgeRecord per
-  // edge.
-  std::vector<std::vector<uint32_t>> edge_index_;
+  // Live embedding ids per in-window edge (see IndexList): one list
+  // per pinned edge, then one per streamed edge from stream_index_base_
+  // on. Expiry pops the oldest, so only window edges have a list.
+  std::vector<std::vector<uint32_t>> pinned_index_;
+  std::deque<std::vector<uint32_t>> stream_index_;
+  EdgeId stream_index_base_ = 0;
   std::unordered_set<size_t> last_frequent_;  // pattern ids
   uint64_t generation_ = 0;
   size_t live_embeddings_ = 0;

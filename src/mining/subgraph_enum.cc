@@ -3,25 +3,26 @@
 #include <algorithm>
 #include <set>
 
+#include "common/logging.h"
 #include "common/stamp_set.h"
 
 namespace nous {
 
 namespace {
 
-/// "Already collected" marks for extension dedup, indexed by EdgeId.
-/// One per thread, so MineArabesqueSimParallel's workers never share
-/// marks. A mark set lives only while one subset's extensions are
+/// "Already collected" marks for extension dedup, indexed by window
+/// position. One per thread, so MineArabesqueSimParallel's workers
+/// never share marks. A mark set lives only while one subset's extensions are
 /// collected, before any callback runs, so a callback that enumerates
 /// again on the same thread is safe.
 thread_local StampSet t_edge_marks;
 
 class SubsetEnumerator {
  public:
-  SubsetEnumerator(const PropertyGraph& graph, EdgeId anchor,
+  SubsetEnumerator(const TemporalWindow& window, EdgeId anchor,
                    const MinerConfig& config, bool older_only,
                    const std::function<void(const std::vector<EdgeId>&)>& fn)
-      : graph_(graph),
+      : window_(window),
         anchor_(anchor),
         config_(config),
         older_only_(older_only),
@@ -62,26 +63,27 @@ class SubsetEnumerator {
     return true;
   }
 
-  /// Live edges adjacent to any endpoint of current_, outside it, in
-  /// first-encounter order.
+  /// In-window edges adjacent to any endpoint of current_, outside it,
+  /// in first-encounter order.
   void CollectExtensions(std::vector<EdgeId>* out) {
     out->clear();
-    marks_.Reset(graph_.NumEdgeSlots());
-    for (EdgeId e : current_) marks_.Insert(e);
-    auto consider = [this, out](EdgeId e) {
-      if (older_only_ && e >= anchor_) return;
-      if (marks_.Insert(e)) out->push_back(e);
+    marks_.Reset(window_.NumEdges());
+    for (EdgeId e : current_) marks_.Insert(window_.Position(e));
+    auto consider = [this, out](const AdjEntry& a) {
+      if (older_only_ && a.edge >= anchor_) return;
+      if (marks_.Insert(window_.Position(a.edge))) out->push_back(a.edge);
     };
+    const PropertyGraph& graph = window_.graph();
     for (EdgeId in_set : current_) {
-      const EdgeRecord& rec = graph_.Edge(in_set);
+      const EdgeRecord& rec = graph.Edge(in_set);
       for (VertexId v : {rec.subject, rec.object}) {
-        for (const AdjEntry& a : graph_.OutEdges(v)) consider(a.edge);
-        for (const AdjEntry& a : graph_.InEdges(v)) consider(a.edge);
+        window_.ForEachInWindow(graph.OutEdges(v), consider);
+        window_.ForEachInWindow(graph.InEdges(v), consider);
       }
     }
   }
 
-  const PropertyGraph& graph_;
+  const TemporalWindow& window_;
   const EdgeId anchor_;
   const MinerConfig& config_;
   const bool older_only_;
@@ -97,10 +99,12 @@ class SubsetEnumerator {
 }  // namespace
 
 size_t EnumerateConnectedSubsets(
-    const PropertyGraph& graph, EdgeId anchor, const MinerConfig& config,
+    const TemporalWindow& window, EdgeId anchor, const MinerConfig& config,
     bool older_only,
     const std::function<void(const std::vector<EdgeId>&)>& fn) {
-  return SubsetEnumerator(graph, anchor, config, older_only, fn).Run();
+  NOUS_CHECK(window.Contains(anchor)) << "anchor " << anchor
+                                      << " is outside the window";
+  return SubsetEnumerator(window, anchor, config, older_only, fn).Run();
 }
 
 void CanonicalizeEdgeSet(const PropertyGraph& graph,

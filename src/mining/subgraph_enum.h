@@ -4,25 +4,25 @@
 #include <functional>
 #include <vector>
 
-#include "graph/property_graph.h"
+#include "graph/temporal_window.h"
 #include "mining/miner_config.h"
 
 namespace nous {
 
-/// Enumerates every connected live-edge subset of size in [1,
+/// Enumerates every connected subset of in-window edges of size in [1,
 /// max_edges] containing `anchor`, optionally restricted to edges with
 /// id < anchor. The callback receives each subset once (sorted edge
 /// ids). Returns the number of subsets visited (callback count), which
 /// is also capped at config.max_subsets_per_edge.
 ///
 /// Cost is linear in the adjacency scanned: candidate extensions are
-/// deduplicated with per-thread epoch marks indexed by EdgeId (O(edge
-/// slots) scratch, reused across calls), and only subsets of three or
-/// more edges — the only ones reachable along two growth orders — go
+/// deduplicated with per-thread epoch marks indexed by window position
+/// (O(window) scratch, reused across calls), and only subsets of three
+/// or more edges — the only ones reachable along two growth orders — go
 /// through a seen-set. Emission order is fixed (depth-first, each
-/// subset's extensions in adjacency order of its members in growth
-/// order). Pattern ids, and so TakeChurn's list order, follow it;
-/// SortBySupport's result order does not.
+/// subset's extensions in window adjacency order of its members in
+/// growth order). Pattern ids, and so TakeChurn's list order, follow
+/// it; SortBySupport's result order does not.
 ///
 /// The `older_only` restriction gives exactly-once global enumeration:
 /// every connected subset has a unique maximum edge id, so enumerating
@@ -30,7 +30,7 @@ namespace nous {
 /// miner, where the new edge is always the maximum) covers each subset
 /// exactly once.
 size_t EnumerateConnectedSubsets(
-    const PropertyGraph& graph, EdgeId anchor, const MinerConfig& config,
+    const TemporalWindow& window, EdgeId anchor, const MinerConfig& config,
     bool older_only,
     const std::function<void(const std::vector<EdgeId>&)>& fn);
 

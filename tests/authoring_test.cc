@@ -171,7 +171,7 @@ TEST(PerformanceGuardTest, StreamingMinerNotSlowerThanReEnumeration) {
     if (i >= 2000 && i % 200 == 0) {
       ++slides;
       WallTimer t2;
-      MineArabesqueSim(graph, mc);
+      MineArabesqueSim(window, mc);
       baseline_seconds += t2.ElapsedSeconds();
     }
   }

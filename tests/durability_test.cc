@@ -667,6 +667,47 @@ TEST_F(DurabilityPipelineFixture, LoadStateRejectsTruncatedPayloads) {
   EXPECT_FALSE(probe.LoadState(payload + "trailing").ok());
 }
 
+// LoadState parses the whole image before it replaces anything, so a
+// resync that fails halfway leaves the warm pipeline exactly as it was.
+TEST_F(DurabilityPipelineFixture, FailedLoadStateLeavesThePipelineUnchanged) {
+  auto articles = MakeArticles();
+  ASSERT_GE(articles.size(), 12u);
+  const size_t third = articles.size() / 3;
+  KgPipeline foreign(&kb_, FastOptions().pipeline);
+  foreign.IngestBatch(articles.data(), 2 * third);
+  const std::string image = foreign.SaveState();
+  const std::string_view cut =
+      std::string_view(image).substr(0, image.size() / 2);
+
+  KgPipeline warm(&kb_, FastOptions().pipeline);
+  KgPipeline twin(&kb_, FastOptions().pipeline);
+  warm.IngestBatch(articles.data(), third);
+  twin.IngestBatch(articles.data(), third);
+  auto version = [](const KgPipeline& p) {
+    ReaderMutexLock lock(p.kg_mutex());
+    return p.kg_version();
+  };
+  const std::string before = warm.SaveState();
+  const uint64_t version_before = version(warm);
+  EXPECT_EQ(warm.LoadState(cut).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(warm.SaveState(), before);
+  EXPECT_EQ(version(warm), version_before);
+
+  // Ingest goes on as if the bad image had never arrived.
+  warm.IngestBatch(articles.data() + third, articles.size() - third);
+  twin.IngestBatch(articles.data() + third, articles.size() - third);
+  EXPECT_EQ(warm.SaveState(), twin.SaveState());
+  EXPECT_EQ(version(warm), version(twin));
+  std::vector<std::string> warm_patterns, twin_patterns;
+  for (const RenderedPattern& p : warm.snapshot()->patterns()) {
+    warm_patterns.push_back(p.description);
+  }
+  for (const RenderedPattern& p : twin.snapshot()->patterns()) {
+    twin_patterns.push_back(p.description);
+  }
+  EXPECT_EQ(warm_patterns, twin_patterns);
+}
+
 TEST_F(DurabilityPipelineFixture, RecoverGuardsAgainstMisuse) {
   // No durability directory configured.
   Nous plain(&kb_, FastOptions());

@@ -38,20 +38,6 @@ TEST(ComponentsTest, EmptyGraph) {
   EXPECT_EQ(count, 0u);
 }
 
-TEST(ComponentsTest, RemovedEdgeSplitsComponent) {
-  PropertyGraph g;
-  VertexId a = g.GetOrAddVertex("a");
-  VertexId b = g.GetOrAddVertex("b");
-  PredicateId p = g.predicates().Intern("p");
-  EdgeId e = g.AddEdge(a, p, b, {});
-  size_t count = 0;
-  WeaklyConnectedComponents(g, &count);
-  EXPECT_EQ(count, 1u);
-  ASSERT_TRUE(g.RemoveEdge(e).ok());
-  WeaklyConnectedComponents(g, &count);
-  EXPECT_EQ(count, 2u);
-}
-
 // ---------- PageRank ----------
 
 TEST(PageRankTest, SumsToOneAndFavorsSinks) {

@@ -72,22 +72,6 @@ TEST(GraphIoTest, RoundTripPreservesEverything) {
   EXPECT_TRUE(g.Edge(*hq_edge).meta.curated);
 }
 
-TEST(GraphIoTest, DeadEdgesNotPersisted) {
-  PropertyGraph g = MakeSampleGraph();
-  // Remove the first live edge.
-  EdgeId victim = kInvalidEdge;
-  g.ForEachEdge([&victim](EdgeId e, const EdgeRecord&) {
-    if (victim == kInvalidEdge) victim = e;
-  });
-  ASSERT_TRUE(g.RemoveEdge(victim).ok());
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveGraph(g, buffer).ok());
-  auto loaded = LoadGraph(buffer);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ((*loaded)->NumEdges(), g.NumEdges());
-  EXPECT_EQ((*loaded)->NumEdgeSlots(), g.NumEdges());  // compacted
-}
-
 TEST(GraphIoTest, RejectsTabInLabel) {
   PropertyGraph g;
   g.GetOrAddVertex("bad\tlabel");

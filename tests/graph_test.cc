@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
@@ -100,7 +101,6 @@ TEST(PropertyGraphTest, AddEdgeUpdatesAdjacency) {
   EXPECT_EQ(rec.object, o);
   EXPECT_DOUBLE_EQ(rec.meta.confidence, 0.8);
   EXPECT_EQ(rec.meta.timestamp, 5);
-  EXPECT_TRUE(rec.alive);
 }
 
 TEST(PropertyGraphTest, ParallelEdgesAllowed) {
@@ -112,22 +112,6 @@ TEST(PropertyGraphTest, ParallelEdgesAllowed) {
   g.AddEdge(s, p, o, {});
   EXPECT_EQ(g.NumEdges(), 2u);
   EXPECT_EQ(g.OutDegree(s), 2u);
-}
-
-TEST(PropertyGraphTest, RemoveEdge) {
-  PropertyGraph g;
-  VertexId s = g.GetOrAddVertex("a");
-  VertexId o = g.GetOrAddVertex("b");
-  PredicateId p = g.predicates().Intern("p");
-  EdgeId e = g.AddEdge(s, p, o, {});
-  ASSERT_TRUE(g.RemoveEdge(e).ok());
-  EXPECT_EQ(g.NumEdges(), 0u);
-  EXPECT_EQ(g.OutDegree(s), 0u);
-  EXPECT_EQ(g.InDegree(o), 0u);
-  EXPECT_FALSE(g.Edge(e).alive);
-  // Double-remove fails cleanly.
-  EXPECT_EQ(g.RemoveEdge(e).code(), StatusCode::kNotFound);
-  EXPECT_EQ(g.RemoveEdge(9999).code(), StatusCode::kNotFound);
 }
 
 TEST(PropertyGraphTest, FindEdgeMatchesTripleExactly) {
@@ -214,52 +198,141 @@ TEST(PropertyGraphTest, LoadBinaryRejectsOutOfRangeEdgeIds) {
   EXPECT_TRUE(loaded.LoadBinary(&reader).ok());
 }
 
-TEST(PropertyGraphTest, ForEachEdgeSkipsDead) {
+TEST(PropertyGraphTest, LoadBinaryRejectsRemovedEdges) {
+  PropertyGraph g;
+  EdgeMeta meta;
+  meta.confidence = 0.123456789;  // a byte pattern the image holds once
+  g.AddEdge(g.GetOrAddVertex("a"), g.predicates().Intern("p"),
+            g.GetOrAddVertex("b"), meta);
+  BinaryWriter writer;
+  g.SaveBinary(&writer);
+  std::string bytes = writer.Take();
+  BinaryWriter confidence;
+  confidence.F64(meta.confidence);
+  const size_t at = bytes.find(confidence.data());
+  ASSERT_NE(at, std::string::npos);
+  // Confidence, timestamp (8 B), source (4 B), curated flag, then the
+  // live flag, which an append-only graph always writes as 1.
+  const size_t live = at + 8 + 8 + 4 + 1;
+  ASSERT_EQ(bytes[live], 1);
+  bytes[live] = 0;
+  PropertyGraph loaded;
+  BinaryReader reader(bytes);
+  EXPECT_EQ(loaded.LoadBinary(&reader).code(), StatusCode::kDataLoss);
+}
+
+/// A graph image with two out-edges from vertex 0 (edges 0 and 1), and
+/// the offset of vertex 0's first out-adjacency entry in it.
+struct AdjacencyImage {
+  std::string bytes;
+  size_t first_entry = 0;
+};
+
+AdjacencyImage TwoOutEdgeImage() {
   PropertyGraph g;
   VertexId a = g.GetOrAddVertex("a");
-  VertexId b = g.GetOrAddVertex("b");
   PredicateId p = g.predicates().Intern("p");
-  EdgeId e1 = g.AddEdge(a, p, b, {});
-  g.AddEdge(b, p, a, {});
-  ASSERT_TRUE(g.RemoveEdge(e1).ok());
-  size_t count = 0;
-  g.ForEachEdge([&](EdgeId, const EdgeRecord&) { ++count; });
-  EXPECT_EQ(count, 1u);
+  g.AddEdge(a, p, g.GetOrAddVertex("b"), {});
+  g.AddEdge(a, p, g.GetOrAddVertex("c"), {});
+  BinaryWriter writer;
+  g.SaveBinary(&writer);
+  AdjacencyImage image;
+  image.bytes = writer.Take();
+  // The image ends with the out- and in-adjacency arrays (per vertex a
+  // u64 count, then 12-byte entries) and the u64 edge count.
+  size_t tail = 8;
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    tail += 2 * 8 + 12 * (g.OutDegree(v) + g.InDegree(v));
+  }
+  image.first_entry = image.bytes.size() - tail + 8;
+  return image;
+}
+
+StatusCode LoadCode(const std::string& bytes) {
+  PropertyGraph loaded;
+  BinaryReader reader(bytes);
+  return loaded.LoadBinary(&reader).code();
+}
+
+TEST(PropertyGraphTest, LoadBinaryRejectsAdjacencyOutsideTheGraph) {
+  const AdjacencyImage image = TwoOutEdgeImage();
+  ASSERT_EQ(LoadCode(image.bytes), StatusCode::kOk);
+  // An entry is predicate, neighbor, edge (u32 each).
+  BinaryWriter far;
+  far.U32(1000000);
+  for (size_t field : {4u, 8u}) {
+    std::string bad = image.bytes;
+    bad.replace(image.first_entry + field, 4, far.data());
+    EXPECT_EQ(LoadCode(bad), StatusCode::kDataLoss) << "field " << field;
+  }
+}
+
+TEST(PropertyGraphTest, LoadBinaryRejectsReorderedAdjacency) {
+  const AdjacencyImage image = TwoOutEdgeImage();
+  std::string swapped = image.bytes;
+  const size_t first = image.first_entry;
+  std::swap_ranges(swapped.begin() + first, swapped.begin() + first + 12,
+                   swapped.begin() + first + 12);
+  ASSERT_NE(swapped, image.bytes);
+  EXPECT_EQ(LoadCode(swapped), StatusCode::kDataLoss);
 }
 
 class GraphChurnTest : public ::testing::TestWithParam<uint64_t> {};
 
+// Random adds and random expiry (by count and by horizon) through a
+// window over a graph with a pinned prefix: the graph's adjacency stays
+// in ascending id order, and the window's adjacency view holds exactly
+// the in-window edges, in that order.
 TEST_P(GraphChurnTest, AdjacencyConsistentUnderRandomChurn) {
   Rng rng(GetParam());
   PropertyGraph g;
   for (int i = 0; i < 20; ++i) g.GetOrAddVertex(StrFormat("v%d", i));
   PredicateId p = g.predicates().Intern("p");
-  std::vector<EdgeId> live;
+  auto random_vertex = [&rng] {
+    return static_cast<VertexId>(rng.UniformInt(20));
+  };
+  for (int i = 0; i < 15; ++i) {
+    g.AddEdge(random_vertex(), p, random_vertex(), {});
+  }
+  TemporalWindow w(&g, 1 + rng.UniformInt(300));
+  ASSERT_EQ(w.num_pinned(), 15u);
   for (int step = 0; step < 2000; ++step) {
-    if (live.empty() || rng.Bernoulli(0.6)) {
-      VertexId s = static_cast<VertexId>(rng.UniformInt(20));
-      VertexId o = static_cast<VertexId>(rng.UniformInt(20));
-      live.push_back(g.AddEdge(s, p, o, {}));
-    } else {
-      size_t idx = rng.UniformInt(live.size());
-      ASSERT_TRUE(g.RemoveEdge(live[idx]).ok());
-      live[idx] = live.back();
-      live.pop_back();
+    EdgeMeta meta;
+    meta.timestamp = step;
+    w.Push(g.AddEdge(random_vertex(), p, random_vertex(), meta));
+    if (rng.Bernoulli(0.05)) {
+      w.ExpireOlderThan(step - static_cast<Timestamp>(rng.UniformInt(100)));
     }
   }
-  EXPECT_EQ(g.NumEdges(), live.size());
-  // Out-adjacency must exactly mirror live edge records.
+  std::vector<EdgeId> in_window;
+  w.ForEachEdge([&](EdgeId e, const EdgeRecord&) { in_window.push_back(e); });
+  ASSERT_EQ(in_window.size(), w.NumEdges());
   size_t adjacency_total = 0;
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    for (const AdjEntry& a : g.OutEdges(v)) {
+    std::vector<EdgeId> want;
+    const std::vector<AdjEntry>& out = g.OutEdges(v);
+    // Append-only: ascending edge ids.
+    ASSERT_TRUE(std::is_sorted(
+        out.begin(), out.end(),
+        [](const AdjEntry& x, const AdjEntry& y) { return x.edge < y.edge; }));
+    for (const AdjEntry& a : out) {
+      if (w.Contains(a.edge)) want.push_back(a.edge);
+    }
+    std::vector<EdgeId> got;
+    w.ForEachInWindow(g.OutEdges(v), [&](const AdjEntry& a) {
       const EdgeRecord& rec = g.Edge(a.edge);
-      EXPECT_TRUE(rec.alive);
       EXPECT_EQ(rec.subject, v);
       EXPECT_EQ(rec.object, a.neighbor);
-      ++adjacency_total;
-    }
+      got.push_back(a.edge);
+    });
+    EXPECT_EQ(got, want) << "vertex " << v;
+    w.ForEachInWindow(g.InEdges(v), [&](const AdjEntry& a) {
+      EXPECT_TRUE(w.Contains(a.edge));
+      EXPECT_EQ(g.Edge(a.edge).object, v);
+    });
+    adjacency_total += got.size();
   }
-  EXPECT_EQ(adjacency_total, live.size());
+  EXPECT_EQ(adjacency_total, w.NumEdges());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GraphChurnTest,
@@ -282,9 +355,11 @@ TEST(TemporalWindowTest, CountBasedExpiry) {
     w.Add(MakeTriple(StrFormat("s%d", i), "o", i));
   }
   EXPECT_EQ(w.size(), 3u);
-  EXPECT_EQ(g.NumEdges(), 3u);
-  EXPECT_EQ(w.OldestTimestamp(), 2);
-  EXPECT_EQ(w.NewestTimestamp(), 4);
+  EXPECT_EQ(w.NumEdges(), 3u);
+  EXPECT_EQ(g.NumEdges(), 5u);  // the graph keeps every edge
+  EXPECT_EQ(w.stream_begin(), 2u);
+  EXPECT_EQ(g.Edge(w.stream_begin()).meta.timestamp, 2);
+  EXPECT_EQ(g.Edge(w.stream_end() - 1).meta.timestamp, 4);
 }
 
 TEST(TemporalWindowTest, TimestampExpiry) {
@@ -293,8 +368,8 @@ TEST(TemporalWindowTest, TimestampExpiry) {
   for (int i = 0; i < 10; ++i) w.Add(MakeTriple("a", "b", i));
   EXPECT_EQ(w.ExpireOlderThan(7), 7u);
   EXPECT_EQ(w.size(), 3u);
-  EXPECT_EQ(g.NumEdges(), 3u);
-  EXPECT_EQ(w.OldestTimestamp(), 7);
+  EXPECT_EQ(g.NumEdges(), 10u);
+  EXPECT_EQ(g.Edge(w.stream_begin()).meta.timestamp, 7);
 }
 
 TEST(TemporalWindowTest, WindowSizeOne) {
@@ -303,17 +378,19 @@ TEST(TemporalWindowTest, WindowSizeOne) {
   w.Add(MakeTriple("a", "b", 1));
   w.Add(MakeTriple("c", "d", 2));
   EXPECT_EQ(w.size(), 1u);
-  EXPECT_EQ(g.NumEdges(), 1u);
+  EXPECT_FALSE(w.Contains(0));
+  EXPECT_TRUE(w.Contains(1));
 }
 
 class RecordingListener : public WindowListener {
  public:
-  void OnEdgeAdded(const PropertyGraph&, EdgeId e) override {
+  void OnEdgeAdded(const TemporalWindow& w, EdgeId e) override {
+    EXPECT_TRUE(w.Contains(e));
     added.push_back(e);
   }
-  void OnEdgeExpiring(const PropertyGraph& g, EdgeId e) override {
-    // The edge must still be intact when the listener fires.
-    EXPECT_TRUE(g.Edge(e).alive);
+  void OnEdgeExpiring(const TemporalWindow& w, EdgeId e) override {
+    // The edge must still be in the window when the listener fires.
+    EXPECT_TRUE(w.Contains(e));
     expired.push_back(e);
   }
   std::vector<EdgeId> added;
@@ -348,11 +425,12 @@ TEST_P(WindowInvariantTest, LiveEdgesAlwaysMatchWindowContents) {
                      StrFormat("o%llu", static_cast<unsigned long long>(
                                             rng.UniformInt(30))),
                      i));
-    ASSERT_EQ(g.NumEdges(), w.size());
+    ASSERT_EQ(w.NumEdges(), w.size());  // nothing pinned
     ASSERT_LE(w.size(), GetParam());
+    ASSERT_EQ(w.stream_end(), g.NumEdges());
     // Window ids are strictly increasing in timestamp order.
     Timestamp prev = -1;
-    for (EdgeId e : w.edges()) {
+    for (EdgeId e = w.stream_begin(); e < w.stream_end(); ++e) {
       Timestamp ts = g.Edge(e).meta.timestamp;
       ASSERT_GE(ts, prev);
       prev = ts;

@@ -267,9 +267,9 @@ double RandomHalfWeight(Rng* rng) {
   return 0.5 * static_cast<double>(rng->UniformRange(1, 6));
 }
 
-/// A random KG with multi-edges, case-colliding terms, removed edges,
-/// vertices on both sides of the 64-entry neighbor cap, and one hub
-/// of degree >= 300 (vertex 0).
+/// A random KG with multi-edges, case-colliding terms, vertices on
+/// both sides of the 64-entry neighbor cap, and one hub of degree
+/// >= 300 (vertex 0).
 void BuildRandomKg(uint64_t seed, PropertyGraph* g) {
   Rng rng(seed);
   const size_t num_vertices = 160;
@@ -290,11 +290,8 @@ void BuildRandomKg(uint64_t seed, PropertyGraph* g) {
   };
   auto add = [&](VertexId s, VertexId o) {
     PredicateId p = predicates[rng.UniformInt(predicates.size())];
-    EdgeId e = g->AddEdge(s, p, o, {});
+    g->AddEdge(s, p, o, {});
     if (rng.Bernoulli(0.15)) g->AddEdge(s, p, o, {});  // multi-edge
-    if (rng.Bernoulli(0.1)) {
-      ASSERT_TRUE(g->RemoveEdge(e).ok());
-    }
   };
   for (int i = 0; i < 340; ++i) {
     VertexId other = random_vertex();

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <memory>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -29,15 +30,17 @@ class MatcherFixture : public ::testing::Test {
     g_.AddEdge(b_, q_, c_, {});
     g_.AddEdge(a_, p_, d_, {});
     g_.AddEdge(d_, q_, c_, {});
+    all_ = std::make_unique<TemporalWindow>(&g_, 0);
   }
   PropertyGraph g_;
+  std::unique_ptr<TemporalWindow> all_;  // pins all of g_'s edges
   VertexId a_, b_, c_, d_;
   PredicateId p_, q_;
 };
 
 TEST_F(MatcherFixture, SingleEdgePatternFindsAllEdges) {
   Pattern pattern = Pattern::Canonicalize({{0, p_, 1}}, NoLabel);
-  auto matches = MatchPattern(g_, pattern);
+  auto matches = MatchPattern(*all_, pattern);
   EXPECT_EQ(matches.size(), 2u);  // (a,b) and (a,d)
   for (const PatternMatch& m : matches) {
     EXPECT_EQ(m.vertices.size(), 2u);
@@ -49,7 +52,7 @@ TEST_F(MatcherFixture, SingleEdgePatternFindsAllEdges) {
 TEST_F(MatcherFixture, ChainPatternMatchesBothChains) {
   Pattern chain =
       Pattern::Canonicalize({{0, p_, 1}, {1, q_, 2}}, NoLabel);
-  auto matches = MatchPattern(g_, chain);
+  auto matches = MatchPattern(*all_, chain);
   // a-p->b-q->c and a-p->d-q->c.
   ASSERT_EQ(matches.size(), 2u);
   std::set<VertexId> mids;
@@ -66,15 +69,14 @@ TEST_F(MatcherFixture, ChainPatternMatchesBothChains) {
 TEST_F(MatcherFixture, NoMatchesForAbsentPredicatePattern) {
   PredicateId r = g_.predicates().Intern("r");
   Pattern pattern = Pattern::Canonicalize({{0, r, 1}}, NoLabel);
-  EXPECT_TRUE(MatchPattern(g_, pattern).empty());
+  EXPECT_TRUE(MatchPattern(*all_, pattern).empty());
 }
 
 TEST_F(MatcherFixture, LimitStopsEarly) {
   Pattern pattern = Pattern::Canonicalize({{0, p_, 1}}, NoLabel);
   MatchOptions options;
   options.limit = 1;
-  EXPECT_EQ(MatchPattern(g_, pattern, options).size(), 1u);
-  EXPECT_EQ(CountPatternMatches(g_, pattern, options), 1u);
+  EXPECT_EQ(MatchPattern(*all_, pattern, options).size(), 1u);
 }
 
 TEST_F(MatcherFixture, TypeConstraintsFilter) {
@@ -90,7 +92,7 @@ TEST_F(MatcherFixture, TypeConstraintsFilter) {
   Pattern typed = Pattern::Canonicalize({{0, p_, 1}}, label);
   MatchOptions options;
   options.use_vertex_types = true;
-  auto matches = MatchPattern(g_, typed, options);
+  auto matches = MatchPattern(*all_, typed, options);
   ASSERT_EQ(matches.size(), 1u);
   EXPECT_TRUE(std::count(matches[0].vertices.begin(),
                          matches[0].vertices.end(), b_) == 1);
@@ -99,7 +101,7 @@ TEST_F(MatcherFixture, TypeConstraintsFilter) {
 TEST_F(MatcherFixture, InjectivityRejectsVertexReuse) {
   // Pattern (?0)-p->(?1), (?0)-p->(?2) requires distinct ?1 != ?2.
   Pattern star = Pattern::Canonicalize({{0, p_, 1}, {0, p_, 2}}, NoLabel);
-  auto matches = MatchPattern(g_, star);
+  auto matches = MatchPattern(*all_, star);
   // Assignments: (a; b,d) and (a; d,b) — automorphic pair, but never
   // (a; b,b).
   EXPECT_EQ(matches.size(), 2u);
@@ -119,7 +121,7 @@ TEST_F(MatcherFixture, PinRestrictsToEdge) {
   MatchOptions options;
   options.pin_pattern_edge = q_position;
   options.pin_edge = *dq;
-  auto matches = MatchPattern(g_, chain, options);
+  auto matches = MatchPattern(*all_, chain, options);
   ASSERT_EQ(matches.size(), 1u);
   EXPECT_NE(std::find(matches[0].vertices.begin(),
                       matches[0].vertices.end(), d_),
@@ -139,6 +141,7 @@ TEST_P(MatcherEquivalenceTest, AgreesWithEnumeration) {
   config.seed = GetParam();
   PropertyGraph g;
   for (const TimedTriple& t : GenerateStream(config)) g.AddTriple(t);
+  TemporalWindow all(&g, 0);
 
   // Target pattern: 2-edge chain with the two most common predicates.
   Pattern chain = Pattern::Canonicalize({{0, 0, 1}, {1, 1, 2}}, NoLabel);
@@ -148,9 +151,9 @@ TEST_P(MatcherEquivalenceTest, AgreesWithEnumeration) {
   MinerConfig mc;
   mc.max_edges = 2;
   Pattern::Canonicalizer canonicalizer;
-  g.ForEachEdge([&](EdgeId anchor, const EdgeRecord&) {
+  all.ForEachEdge([&](EdgeId anchor, const EdgeRecord&) {
     EnumerateConnectedSubsets(
-        g, anchor, mc, /*older_only=*/true,
+        all, anchor, mc, /*older_only=*/true,
         [&](const std::vector<EdgeId>& subset) {
           if (subset.size() != 2) return;
           CanonicalizeEdgeSet(g, subset, false, &canonicalizer);
@@ -161,7 +164,7 @@ TEST_P(MatcherEquivalenceTest, AgreesWithEnumeration) {
   });
 
   std::set<std::vector<EdgeId>> found;
-  for (const PatternMatch& m : MatchPattern(g, chain)) {
+  for (const PatternMatch& m : MatchPattern(all, chain)) {
     std::vector<EdgeId> sorted = m.edges;
     std::sort(sorted.begin(), sorted.end());
     found.insert(sorted);
@@ -267,7 +270,7 @@ TEST(ContinuousQueryTest, MatchAgreesWithBatchMatcher) {
       active.insert(sorted);
     }
     std::set<std::vector<EdgeId>> batch;
-    for (const PatternMatch& m : MatchPattern(g, chain)) {
+    for (const PatternMatch& m : MatchPattern(w, chain)) {
       std::vector<EdgeId> sorted = m.edges;
       std::sort(sorted.begin(), sorted.end());
       batch.insert(sorted);

@@ -1,11 +1,10 @@
-// The miner window in the KG's id space (DESIGN.md §5.1, §5.10): window
-// vertex v is KG vertex v, window edges carry KG predicate ids, and the
-// image stores no window: LoadState rebuilds it from the KG's tail.
-// These tests pin the consequences: the restored window is the KG's
-// last miner_window_edges streamed edges, a restored pipeline serves
-// exactly the live pipeline's patterns, the window mines what the
-// string-keyed window it replaced mined, and its graph holds no
-// dictionaries of its own.
+// The miner window as a range of KG edge ids (DESIGN.md §5.1, §5.10):
+// window edge e is KG edge e, and the image stores no window: LoadState
+// rebuilds it from the KG's tail. These tests pin the consequences: the
+// restored window is the KG's last miner_window_edges streamed edges,
+// with the live window's ids, a restored pipeline serves exactly the
+// live pipeline's patterns, the window mines what a separate
+// string-keyed window mines, and its graph is the KG itself.
 
 #include <algorithm>
 #include <string>
@@ -109,9 +108,9 @@ TEST_P(MinerWindowTest, RestoredPipelineServesTheLivePatterns) {
 
 /// The window as it was before it shared the KG's id space: a separate
 /// string-keyed graph with its own dictionaries, fed by label. Curated
-/// facts (the KG's first `num_curated` edges) go in directly and never
+/// facts (the KG's first `num_curated` edges) are pinned and never
 /// expire; every later KG edge — each one a triple the pipeline
-/// accepted, in acceptance order — streams through a TemporalWindow.
+/// accepted, in acceptance order — streams through the window.
 /// Returns the oracle's frequent patterns mapped to KG predicate and
 /// type ids by name and re-canonicalized; `raw_supports` receives the
 /// unmapped (support, embeddings) sequence.
@@ -119,33 +118,31 @@ std::vector<PatternStats> StringWindowOracle(
     const PropertyGraph& kg, size_t num_curated, const PipelineConfig& config,
     std::vector<std::pair<size_t, size_t>>* raw_supports) {
   PropertyGraph g;
-  StreamingMiner miner(config.miner);
-  TemporalWindow window(&g, config.miner_window_edges);
-  window.AddListener(&miner);
   auto type_name = [&kg](VertexId v) {
     TypeId t = kg.VertexType(v);
     return t == kInvalidType ? std::string() : kg.types().GetString(t);
   };
-  for (EdgeId e = 0; e < kg.NumEdgeSlots(); ++e) {
+  // Copies KG edge `e` into `g` by label.
+  auto copy_edge = [&](EdgeId e) {
     const EdgeRecord& rec = kg.Edge(e);
-    TimedTriple t;
-    t.triple.subject = kg.VertexLabel(rec.subject);
-    t.triple.predicate = kg.predicates().GetString(rec.predicate);
-    t.triple.object = kg.VertexLabel(rec.object);
-    t.timestamp = rec.meta.timestamp;
-    VertexId s = g.GetOrAddVertex(t.triple.subject);
-    VertexId o = g.GetOrAddVertex(t.triple.object);
+    VertexId s = g.GetOrAddVertex(kg.VertexLabel(rec.subject));
+    VertexId o = g.GetOrAddVertex(kg.VertexLabel(rec.object));
     g.SetVertexType(s, g.types().Intern(type_name(rec.subject)));
     g.SetVertexType(o, g.types().Intern(type_name(rec.object)));
-    if (e < num_curated) {
-      EdgeMeta meta;
-      meta.timestamp = t.timestamp;
-      meta.curated = true;
-      miner.OnEdgeAdded(
-          g, g.AddEdge(s, g.predicates().Intern(t.triple.predicate), o, meta));
-    } else {
-      window.Add(t);
-    }
+    EdgeMeta meta;
+    meta.timestamp = rec.meta.timestamp;
+    meta.curated = e < num_curated;
+    PredicateId p =
+        g.predicates().Intern(kg.predicates().GetString(rec.predicate));
+    return g.AddEdge(s, p, o, meta);
+  };
+  for (EdgeId e = 0; e < num_curated; ++e) copy_edge(e);
+  StreamingMiner miner(config.miner);
+  TemporalWindow window(&g, config.miner_window_edges);
+  window.AddListener(&miner);
+  for (EdgeId e = 0; e < num_curated; ++e) miner.OnEdgeAdded(window, e);
+  for (EdgeId e = static_cast<EdgeId>(num_curated); e < kg.NumEdges(); ++e) {
+    window.Push(copy_edge(e));
   }
   std::vector<PatternStats> mapped;
   for (const PatternStats& stats : miner.FrequentPatterns()) {
@@ -201,26 +198,25 @@ TEST_P(MinerWindowTest, WindowGraphHoldsKgIdsAndNoDictionaries) {
   const PropertyGraph& kg = pipeline.graph();
   const TemporalWindow* window = pipeline.miner_window();
   ASSERT_NE(window, nullptr);
-  const PropertyGraph& wg = window->graph();
-  EXPECT_EQ(wg.predicates().size(), 0u);
-  EXPECT_EQ(wg.types().size(), 0u);
-  EXPECT_EQ(wg.sources().size(), 0u);
-  EXPECT_EQ(wg.terms().size(), 0u);
-  ASSERT_LE(wg.NumVertices(), kg.NumVertices());
-  for (VertexId v = 0; v < wg.NumVertices(); ++v) {
-    EXPECT_EQ(wg.VertexLabel(v), kg.VertexLabel(v));
-    EXPECT_EQ(wg.VertexType(v), kg.VertexType(v));
-  }
-  // Curated facts plus a full window of streamed KG edges.
+  // The window is a view of the KG, not a second graph.
+  EXPECT_EQ(&window->graph(), &kg);
+  // Curated facts pinned, plus a full window of the newest streamed
+  // KG edges.
+  const size_t curated = kb_.facts().size();
+  EXPECT_EQ(window->num_pinned(), curated);
   EXPECT_EQ(window->size(), kWindowEdges);
-  EXPECT_EQ(wg.NumEdges(), kb_.facts().size() + kWindowEdges);
-  for (EdgeId e : window->edges()) {
-    const EdgeRecord& rec = wg.Edge(e);
-    auto kg_edge = kg.FindEdge(rec.subject, rec.predicate, rec.object);
-    ASSERT_TRUE(kg_edge.has_value());
-    EXPECT_FALSE(kg.Edge(*kg_edge).meta.curated);
-    EXPECT_EQ(kg.Edge(*kg_edge).meta.timestamp, rec.meta.timestamp);
+  EXPECT_EQ(window->NumEdges(), curated + kWindowEdges);
+  EXPECT_EQ(window->stream_end(), kg.NumEdges());
+  for (EdgeId e = 0; e < kg.NumEdges(); ++e) {
+    EXPECT_EQ(kg.Edge(e).meta.curated, e < curated) << "edge " << e;
   }
+}
+
+/// The window's edge ids, pinned first, then the stream range.
+std::vector<EdgeId> WindowEdgeIds(const TemporalWindow& window) {
+  std::vector<EdgeId> ids;
+  window.ForEachEdge([&ids](EdgeId e, const EdgeRecord&) { ids.push_back(e); });
+  return ids;
 }
 
 TEST_P(MinerWindowTest, RestoredWindowIsTheKgTail) {
@@ -235,10 +231,15 @@ TEST_P(MinerWindowTest, RestoredWindowIsTheKgTail) {
     Status load = restored.LoadState(live.SaveState());
     ASSERT_TRUE(load.ok()) << load;
 
+    std::vector<EdgeId> live_ids;
+    {
+      ReaderMutexLock live_lock(live.kg_mutex());
+      live_ids = WindowEdgeIds(*live.miner_window());
+    }
     ReaderMutexLock lock(restored.kg_mutex());
     const PropertyGraph& kg = restored.graph();
     const size_t curated = kb_.facts().size();
-    const size_t streamed = kg.NumEdgeSlots() - curated;
+    const size_t streamed = kg.NumEdges() - curated;
     ASSERT_GT(streamed, 2 * kWindowEdges);
     const size_t expected = window_edges == 0
                                 ? streamed
@@ -246,9 +247,11 @@ TEST_P(MinerWindowTest, RestoredWindowIsTheKgTail) {
     const TemporalWindow* window = restored.miner_window();
     ASSERT_NE(window, nullptr);
     ASSERT_EQ(window->size(), expected) << "window " << window_edges;
-    const size_t first = kg.NumEdgeSlots() - expected;
+    // Window edge e is KG edge e, restored as live.
+    EXPECT_EQ(WindowEdgeIds(*window), live_ids) << "window " << window_edges;
+    const size_t first = kg.NumEdges() - expected;
     for (size_t i = 0; i < expected; ++i) {
-      const EdgeRecord& got = window->graph().Edge(window->edges()[i]);
+      const EdgeRecord& got = window->Edge(window->stream_begin() + i);
       const EdgeRecord& want = kg.Edge(static_cast<EdgeId>(first + i));
       EXPECT_EQ(got.subject, want.subject) << "edge " << i;
       EXPECT_EQ(got.predicate, want.predicate) << "edge " << i;

@@ -123,10 +123,11 @@ TEST(SubgraphEnumTest, EnumeratesSubsetsContainingAnchor) {
   EdgeId e0 = g.AddEdge(a, p, b, {});
   EdgeId e1 = g.AddEdge(b, p, c, {});
   EdgeId e2 = g.AddEdge(a, p, c, {});
+  TemporalWindow all(&g, 0);
   MinerConfig config;
   config.max_edges = 3;
   std::vector<std::vector<EdgeId>> found;
-  EnumerateConnectedSubsets(g, e2, config, /*older_only=*/true,
+  EnumerateConnectedSubsets(all, e2, config, /*older_only=*/true,
                             [&](const std::vector<EdgeId>& s) {
                               found.push_back(s);
                             });
@@ -147,10 +148,11 @@ TEST(SubgraphEnumTest, OlderOnlySkipsNewerEdges) {
   PredicateId p = g.predicates().Intern("p");
   EdgeId e0 = g.AddEdge(a, p, b, {});
   g.AddEdge(b, p, c, {});  // newer than anchor
+  TemporalWindow all(&g, 0);
   MinerConfig config;
   config.max_edges = 2;
   size_t count = 0;
-  EnumerateConnectedSubsets(g, e0, config, true,
+  EnumerateConnectedSubsets(all, e0, config, true,
                             [&](const std::vector<EdgeId>&) { ++count; });
   EXPECT_EQ(count, 1u);  // only {e0}
 }
@@ -237,13 +239,13 @@ void BuildHubGraph(HubGraph* out) {
   }
 }
 
-std::vector<std::vector<EdgeId>> Emitted(const PropertyGraph& g,
+std::vector<std::vector<EdgeId>> Emitted(const TemporalWindow& window,
                                          EdgeId anchor,
                                          const MinerConfig& config,
                                          size_t* visited = nullptr) {
   std::vector<std::vector<EdgeId>> sequence;
   size_t n = EnumerateConnectedSubsets(
-      g, anchor, config, /*older_only=*/true,
+      window, anchor, config, /*older_only=*/true,
       [&sequence](const std::vector<EdgeId>& s) { sequence.push_back(s); });
   if (visited != nullptr) *visited = n;
   return sequence;
@@ -253,16 +255,16 @@ TEST(SubgraphEnumTest, HubEmissionOrderIsPinned) {
   HubGraph hub;
   BuildHubGraph(&hub);
   ASSERT_GE(hub.hub_degree, 200u);
-  const PropertyGraph& g = hub.graph;
+  TemporalWindow all(&hub.graph, 0);
   MinerConfig config;
 
   config.max_edges = 2;
-  auto two = Emitted(g, hub.newest_hub_edge, config);
+  auto two = Emitted(all, hub.newest_hub_edge, config);
   EXPECT_EQ(two.size(), kPinnedTwoEdgeCount);
   EXPECT_EQ(SequenceDigest(two), kPinnedTwoEdgeDigest);
 
   config.max_edges = 3;
-  auto three = Emitted(g, hub.newest_hub_edge, config);
+  auto three = Emitted(all, hub.newest_hub_edge, config);
   EXPECT_EQ(three.size(), kPinnedThreeEdgeCount);
   EXPECT_EQ(SequenceDigest(three), kPinnedThreeEdgeDigest);
   // Growing max_edges only appends deeper subsets: the 2-edge run is
@@ -274,22 +276,23 @@ TEST(SubgraphEnumTest, HubEmissionOrderIsPinned) {
   EXPECT_EQ(shallow, two);
 
   // A non-hub anchor (the newest edge overall) as well.
-  EdgeId newest = static_cast<EdgeId>(g.NumEdgeSlots() - 1);
-  EXPECT_EQ(SequenceDigest(Emitted(g, newest, config)),
+  EdgeId newest = static_cast<EdgeId>(all.NumEdges() - 1);
+  EXPECT_EQ(SequenceDigest(Emitted(all, newest, config)),
             kPinnedNewestEdgeDigest);
 }
 
 TEST(SubgraphEnumTest, SubsetCapStopsAtExactlyTheCap) {
   HubGraph hub;
   BuildHubGraph(&hub);
+  TemporalWindow all(&hub.graph, 0);
   MinerConfig config;
   config.max_edges = 3;
-  auto full = Emitted(hub.graph, hub.newest_hub_edge, config);
+  auto full = Emitted(all, hub.newest_hub_edge, config);
   ASSERT_GT(full.size(), 1000u);
   for (size_t cap : {1ul, 2ul, 3ul, 250ul, 1000ul}) {
     config.max_subsets_per_edge = cap;
     size_t visited = 0;
-    auto capped = Emitted(hub.graph, hub.newest_hub_edge, config, &visited);
+    auto capped = Emitted(all, hub.newest_hub_edge, config, &visited);
     EXPECT_EQ(visited, cap);
     ASSERT_EQ(capped.size(), cap);
     // The cap truncates the uncapped sequence; it does not reorder it.
@@ -650,8 +653,8 @@ TEST_P(MinerEquivalenceTest, StreamingMatchesBothBaselines) {
   for (const TimedTriple& t : GenerateStream(sc)) w.Add(t);
 
   auto streaming = ToMap(miner.FrequentPatterns(), g.predicates());
-  auto arabesque = ToMap(MineArabesqueSim(g, config), g.predicates());
-  auto gspan = ToMap(MineGspan(g, config), g.predicates());
+  auto arabesque = ToMap(MineArabesqueSim(w, config), g.predicates());
+  auto gspan = ToMap(MineGspan(w, config), g.predicates());
   EXPECT_EQ(streaming, arabesque);
   EXPECT_EQ(streaming, gspan);
   EXPECT_FALSE(streaming.empty());
@@ -679,7 +682,7 @@ TEST(MinerEquivalenceTest, EquivalenceAfterFullExpiry) {
   sc.num_predicates = 3;
   for (const TimedTriple& t : GenerateStream(sc)) w.Add(t);
   auto streaming = ToMap(miner.FrequentPatterns(), g.predicates());
-  auto arabesque = ToMap(MineArabesqueSim(g, config), g.predicates());
+  auto arabesque = ToMap(MineArabesqueSim(w, config), g.predicates());
   EXPECT_EQ(streaming, arabesque);
   EXPECT_EQ(miner.num_live_embeddings(),
             miner.total_embeddings_created() -
@@ -692,10 +695,10 @@ TEST(MinerEquivalenceTest, EquivalenceAfterFullExpiry) {
 class LiveHighWater : public WindowListener {
  public:
   explicit LiveHighWater(const StreamingMiner* miner) : miner_(miner) {}
-  void OnEdgeAdded(const PropertyGraph&, EdgeId) override {
+  void OnEdgeAdded(const TemporalWindow&, EdgeId) override {
     peak = std::max(peak, miner_->num_live_embeddings());
   }
-  void OnEdgeExpiring(const PropertyGraph&, EdgeId) override {}
+  void OnEdgeExpiring(const TemporalWindow&, EdgeId) override {}
   size_t peak = 0;
 
  private:
@@ -722,7 +725,7 @@ TEST(StreamingMinerTest, SlotReuseKeepsPoolBoundedUnderChurn) {
     ASSERT_LE(miner.num_embedding_slots(), high_water.peak);
   }
   auto streaming = ToMap(miner.FrequentPatterns(), g.predicates());
-  auto arabesque = ToMap(MineArabesqueSim(g, config), g.predicates());
+  auto arabesque = ToMap(MineArabesqueSim(w, config), g.predicates());
   EXPECT_EQ(streaming, arabesque);
   EXPECT_FALSE(streaming.empty());
   EXPECT_EQ(miner.num_live_embeddings(),
@@ -843,9 +846,10 @@ class DirectMiner : public WindowListener {
  public:
   explicit DirectMiner(const MinerConfig& config) : config_(config) {}
 
-  void OnEdgeAdded(const PropertyGraph& graph, EdgeId edge) override {
+  void OnEdgeAdded(const TemporalWindow& window, EdgeId edge) override {
+    const PropertyGraph& graph = window.graph();
     EnumerateConnectedSubsets(
-        graph, edge, config_, /*older_only=*/true,
+        window, edge, config_, /*older_only=*/true,
         [this, &graph](const std::vector<EdgeId>& subset) {
           CanonicalizeEdgeSet(graph, subset, config_.use_vertex_types,
                               &canonicalizer_);
@@ -866,7 +870,7 @@ class DirectMiner : public WindowListener {
         });
   }
 
-  void OnEdgeExpiring(const PropertyGraph&, EdgeId edge) override {
+  void OnEdgeExpiring(const TemporalWindow&, EdgeId edge) override {
     for (auto it = embeddings_.begin(); it != embeddings_.end();) {
       const std::vector<EdgeId>& edges = it->first;
       if (std::find(edges.begin(), edges.end(), edge) == edges.end()) {
@@ -1047,6 +1051,27 @@ TEST(StreamingMinerTest, HubOfDegree2000ExpiresToZero) {
   EXPECT_EQ(miner.num_embedding_slots(), peak);
 }
 
+TEST(StreamingMinerTest, MinerAttachedMidStreamDrainsToZero) {
+  PropertyGraph g;
+  TemporalWindow w(&g, 20);
+  StreamConfig sc;
+  sc.num_edges = 80;
+  sc.num_entities = 10;
+  sc.num_predicates = 2;
+  std::vector<TimedTriple> stream = GenerateStream(sc);
+  for (size_t i = 0; i < 30; ++i) w.Add(stream[i]);
+  MinerConfig config;
+  config.min_support = 1;
+  StreamingMiner miner(config);
+  w.AddListener(&miner);  // 20 edges already in the window
+  for (size_t i = 30; i < stream.size(); ++i) w.Add(stream[i]);
+  EXPECT_GT(miner.num_live_embeddings(), 0u);
+  EXPECT_EQ(w.ExpireOlderThan(stream.back().timestamp + 1), 20u);
+  EXPECT_EQ(miner.num_live_embeddings(), 0u);
+  EXPECT_EQ(miner.total_embeddings_removed(),
+            miner.total_embeddings_created());
+}
+
 // ---------- Baselines directly ----------
 
 TEST(ArabesqueSimTest, CountsEmbeddingsOnStaticGraph) {
@@ -1057,11 +1082,12 @@ TEST(ArabesqueSimTest, CountsEmbeddingsOnStaticGraph) {
   PredicateId p = g.predicates().Intern("p");
   g.AddEdge(a, p, b, {});
   g.AddEdge(b, p, c, {});
+  TemporalWindow all(&g, 0);
   MinerConfig config;
   config.max_edges = 2;
   config.min_support = 1;
   size_t embeddings = 0;
-  auto results = MineArabesqueSim(g, config, &embeddings);
+  auto results = MineArabesqueSim(all, config, &embeddings);
   // 2 single-edge embeddings + 1 chain embedding.
   EXPECT_EQ(embeddings, 3u);
   // Patterns: single edge (support 2), chain (support 1).
@@ -1078,19 +1104,20 @@ TEST(ArabesqueSimTest, ParallelVariantMatchesSerial) {
   sc.seed = 9;
   PropertyGraph g;
   for (const TimedTriple& t : GenerateStream(sc)) g.AddTriple(t);
+  TemporalWindow all(&g, 0);
   MinerConfig config;
   config.max_edges = 2;
   config.min_support = 4;
   size_t serial_embeddings = 0, parallel_embeddings = 0;
-  auto serial = MineArabesqueSim(g, config, &serial_embeddings);
+  auto serial = MineArabesqueSim(all, config, &serial_embeddings);
   ThreadPool pool(4);
   auto parallel =
-      MineArabesqueSimParallel(g, config, &pool, &parallel_embeddings);
+      MineArabesqueSimParallel(all, config, &pool, &parallel_embeddings);
   EXPECT_EQ(serial_embeddings, parallel_embeddings);
   EXPECT_EQ(ToMap(serial, g.predicates()),
             ToMap(parallel, g.predicates()));
   // Null pool falls back to the serial path.
-  auto fallback = MineArabesqueSimParallel(g, config, nullptr);
+  auto fallback = MineArabesqueSimParallel(all, config, nullptr);
   EXPECT_EQ(ToMap(serial, g.predicates()),
             ToMap(fallback, g.predicates()));
 }
@@ -1124,8 +1151,8 @@ TEST(ArabesqueSimTest, EqualSupportsOrderByCanonicalPattern) {
   MinerConfig config;
   config.max_edges = 1;
   config.min_support = 1;
-  EXPECT_EQ(Rendered(MineArabesqueSim(tied.graph, config),
-                     tied.graph.predicates()),
+  TemporalWindow all(&tied.graph, 0);
+  EXPECT_EQ(Rendered(MineArabesqueSim(all, config), tied.graph.predicates()),
             tied.canonical);
 }
 
@@ -1135,7 +1162,8 @@ TEST(GspanTest, EqualSupportsOrderByCanonicalPattern) {
   MinerConfig config;
   config.max_edges = 1;
   config.min_support = 1;
-  EXPECT_EQ(Rendered(MineGspan(tied.graph, config), tied.graph.predicates()),
+  TemporalWindow all(&tied.graph, 0);
+  EXPECT_EQ(Rendered(MineGspan(all, config), tied.graph.predicates()),
             tied.canonical);
 }
 
@@ -1155,12 +1183,13 @@ TEST(GspanTest, PruningSkipsInfrequentExtensions) {
     VertexId o = g.GetOrAddVertex("o" + std::to_string(i));
     g.AddEdge(s, common, o, {});
   }
+  TemporalWindow all(&g, 0);
   MinerConfig config;
   config.max_edges = 2;
   config.min_support = 3;
   size_t gspan_embeddings = 0, arabesque_embeddings = 0;
-  auto gspan_result = MineGspan(g, config, &gspan_embeddings);
-  auto arab_result = MineArabesqueSim(g, config, &arabesque_embeddings);
+  auto gspan_result = MineGspan(all, config, &gspan_embeddings);
+  auto arab_result = MineArabesqueSim(all, config, &arabesque_embeddings);
   EXPECT_EQ(ToMap(gspan_result, g.predicates()),
             ToMap(arab_result, g.predicates()));
   // gSpan materializes fewer embeddings thanks to pruning.

@@ -405,50 +405,6 @@ TEST(TrendingTest, RisingRankingPrefersEmergingEntities) {
   EXPECT_EQ(raw_answer->hot_entities[0].first, "Steady Corp");
 }
 
-// Pins the single-pass `newest` computation: trending must anchor its
-// recency window on the maximum live-edge timestamp, maintained
-// incrementally by AddEdge and re-derived by RemoveEdge when the
-// current maximum dies.
-TEST(TrendingTest, WindowTracksMaxLiveTimestampThroughRemoval) {
-  PropertyGraph g;
-  PredicateId p = g.predicates().Intern("mentions");
-  VertexId old_corp = g.GetOrAddVertex("Old Corp");
-  VertexId new_corp = g.GetOrAddVertex("New Corp");
-  auto add = [&](VertexId v, Timestamp ts, int i) {
-    EdgeMeta meta;
-    meta.timestamp = ts;
-    meta.source = g.sources().Intern("feed");
-    g.AddEdge(v, p,
-              g.GetOrAddVertex("partner" + std::to_string(ts) +
-                               std::to_string(i)),
-              meta);
-    return g.NumEdges() - 1;
-  };
-  add(old_corp, 100, 0);
-  add(old_corp, 100, 1);
-  EdgeId newest_edge = add(new_corp, 1000, 0);
-  ASSERT_EQ(g.MaxEdgeTimestamp(), 1000);
-
-  QueryEngineConfig config;
-  config.trending_horizon = 90;
-  QueryEngine engine(&g, {}, config);
-  auto answer = engine.ExecuteText("what is trending");
-  ASSERT_TRUE(answer.ok());
-  // Window [910, 1000]: only the newest edge is recent.
-  ASSERT_EQ(answer->facts.size(), 1u);
-  EXPECT_EQ(answer->facts[0].subject, "New Corp");
-
-  // Removing the maximum-timestamp edge re-anchors the window.
-  ASSERT_TRUE(g.RemoveEdge(newest_edge).ok());
-  EXPECT_EQ(g.MaxEdgeTimestamp(), 100);
-  auto after = engine.ExecuteText("what is trending");
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->facts.size(), 2u);
-  for (const FactLine& f : after->facts) {
-    EXPECT_EQ(f.subject, "Old Corp");
-  }
-}
-
 // ---------- Rendering ----------
 
 TEST(RenderTest, ExtractedFactWithoutSourceRendersCleanly) {

@@ -7,6 +7,7 @@
 #include "common/thread_annotations.h"
 #include "durability/wal_codec.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace nous {
 
@@ -42,17 +43,23 @@ Result<Nous::RecoveryStats> Nous::Recover() {
   stats.dropped_wal_bytes = recovered.dropped_bytes;
   uint64_t last_seq = 0;
   if (recovered.has_checkpoint) {
+    NOUS_SPAN("load_state");
     NOUS_RETURN_IF_ERROR(pipeline_.LoadState(recovered.checkpoint.state));
     stats.restored_checkpoint = true;
     last_seq = recovered.checkpoint.last_applied_seq;
   }
-  for (const WalRecord& record : recovered.replay) {
-    NOUS_ASSIGN_OR_RETURN(std::vector<Article> batch,
-                          DecodeArticleBatch(record.payload));
-    pipeline_.IngestBatch(batch);
-    last_seq = record.seq;
-    ++stats.replayed_batches;
-    stats.replayed_articles += batch.size();
+  {
+    NOUS_SPAN_VAR(replay_span, "wal_replay");
+    for (const WalRecord& record : recovered.replay) {
+      NOUS_ASSIGN_OR_RETURN(std::vector<Article> batch,
+                            DecodeArticleBatch(record.payload));
+      pipeline_.IngestBatch(batch);
+      last_seq = record.seq;
+      ++stats.replayed_batches;
+      stats.replayed_articles += batch.size();
+    }
+    replay_span.Attr("batches", stats.replayed_batches);
+    replay_span.Attr("articles", stats.replayed_articles);
   }
   NOUS_RETURN_IF_ERROR(manager->OpenWal(last_seq));
   stats.last_seq = last_seq;

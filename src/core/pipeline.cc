@@ -195,6 +195,7 @@ void KgPipeline::ResetMinerWindowLocked(EdgeId stream_begin) {
   // Announced, not pushed: pinned edges never expire.
   for (EdgeId e = 0; e < curated; ++e) miner_->OnEdgeAdded(*window_, e);
   for (EdgeId e = stream_begin; e < graph_.NumEdges(); ++e) window_->Push(e);
+  Metrics().window_edges->Set(static_cast<double>(window_->size()));
 }
 
 std::string KgPipeline::VertexTypeName(VertexId v) const {

@@ -20,8 +20,6 @@ struct MinerConfig {
   /// Label pattern vertices with their KG types (typed patterns, as in
   /// the paper's Figure 7) instead of structure-only mining.
   bool use_vertex_types = false;
-  /// Safety cap on subsets explored per arriving edge (hub guard).
-  size_t max_subsets_per_edge = 100000;
 };
 
 /// A reported pattern with its counts.

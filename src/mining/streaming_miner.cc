@@ -1,6 +1,7 @@
 #include "mining/streaming_miner.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 
 #include "common/logging.h"
@@ -17,8 +18,6 @@ struct MinerMetrics {
   Gauge* tracked_patterns;
   Gauge* quick_patterns;
   Gauge* live_embeddings;
-  Gauge* embedding_slots;
-  Gauge* pool_bytes;
 };
 
 const MinerMetrics& Metrics() {
@@ -41,33 +40,18 @@ const MinerMetrics& Metrics() {
         "Distinct quick patterns (edge order and labels) cached");
     m.live_embeddings = r.GetGauge("nous_mining_live_embeddings",
                                    "Live embeddings across all patterns");
-    m.embedding_slots = r.GetGauge(
-        "nous_mining_embedding_slots",
-        "Embedding slots allocated (live plus free)");
-    m.pool_bytes = r.GetGauge(
-        "nous_mining_pool_bytes",
-        "Capacity bytes of the embedding slot pools and free list");
     return m;
   }();
   return metrics;
 }
 
-template <typename T>
-size_t CapacityBytes(const std::vector<T>& v) {
-  return v.capacity() * sizeof(T);
-}
-
 }  // namespace
-
-static_assert(sizeof(EdgeId) == sizeof(uint32_t) &&
-              sizeof(VertexId) == sizeof(uint32_t));
 
 StreamingMiner::StreamingMiner(MinerConfig config)
     : config_(config),
       // Edge count, 3 words per edge, one label per vertex.
       quick_key_(4 * config_.max_edges + 2),
-      quick_patterns_(quick_key_.size()),
-      slot_words_(3 * config_.max_edges + 2) {
+      quick_patterns_(quick_key_.size()) {
   // Quick patterns index local vertices with u8; a connected pattern of
   // k edges has at most k + 1 vertices.
   NOUS_CHECK(config_.max_edges < std::numeric_limits<uint8_t>::max())
@@ -78,18 +62,16 @@ StreamingMiner::StreamingMiner(MinerConfig config)
 void StreamingMiner::OnEdgeAdded(const TemporalWindow& window,
                                  EdgeId edge) {
   ++generation_;
-  // Every pinned edge gets a list, announced to the miner or not: an
-  // unannounced one still extends the subsets of later edges.
-  if (pinned_index_.size() < window.num_pinned()) {
-    pinned_index_.resize(window.num_pinned());
-  }
-  if (edge >= window.num_pinned()) {
-    // Lists from the window's oldest streamed edge on: a miner attached
-    // mid-stream also indexes embeddings of edges it was not told of.
-    if (stream_index_.empty()) stream_index_base_ = window.stream_begin();
-    stream_index_.resize(edge + 1 - stream_index_base_);
+  if (edge >= window.num_pinned() && first_stream_edge_ == kInvalidEdge) {
+    first_stream_edge_ = edge;
   }
   const PropertyGraph& graph = window.graph();
+  if (config_.use_vertex_types) {
+    for (VertexId v = static_cast<VertexId>(read_type_.size());
+         v < graph.NumVertices(); ++v) {
+      read_type_.push_back(graph.VertexType(v));
+    }
+  }
   // Every connected subset containing the new edge; all other edges in
   // the window are older (smaller ids), so older_only enumeration
   // discovers each subset exactly once across the stream.
@@ -102,25 +84,22 @@ void StreamingMiner::OnEdgeAdded(const TemporalWindow& window,
   PublishGauges();
 }
 
-void StreamingMiner::OnEdgeExpiring(const TemporalWindow& /*window*/,
+void StreamingMiner::OnEdgeExpiring(const TemporalWindow& window,
                                     EdgeId edge) {
   ++generation_;
-  // Streamed edges expire oldest first; one that left before the miner
-  // saw any edge has no list.
-  if (stream_index_.empty() || edge != stream_index_base_) return;
-  // Moving the list out releases its storage; RemoveEmbedding unlinks
-  // each embedding from its other edges' lists only.
-  std::vector<uint32_t> ids = std::move(stream_index_.front());
-  stream_index_.pop_front();
-  ++stream_index_base_;
-  // The slots are scattered over the pool: fetch a few ahead.
-  constexpr size_t kPrefetchAhead = 8;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (i + kPrefetchAhead < ids.size()) {
-      __builtin_prefetch(Slot(ids[i + kPrefetchAhead]));
-    }
-    RemoveEmbedding(ids[i], edge);
-  }
+  // `edge` is the oldest streamed edge, so every window subset holding
+  // it has only in-window edges that were in the window when its newest
+  // edge arrived: the live embeddings of `edge` are exactly the subsets
+  // whose newest edge the miner was told of. Subsets of a miner attached
+  // mid-stream that end before its first edge were never counted; those
+  // of the expiring edge with a newer, announced edge were.
+  const PropertyGraph& graph = window.graph();
+  EnumerateConnectedSubsets(
+      window, edge, config_, /*older_only=*/false,
+      [this, &graph](const std::vector<EdgeId>& subset) {
+        if (subset.back() < first_stream_edge_) return;
+        RemoveEmbedding(graph, subset);
+      });
   PublishGauges();
 }
 
@@ -129,14 +108,41 @@ void StreamingMiner::PublishGauges() const {
   m.tracked_patterns->Set(static_cast<double>(patterns_.size()));
   m.quick_patterns->Set(static_cast<double>(quick_patterns_.size()));
   m.live_embeddings->Set(static_cast<double>(live_embeddings_));
-  m.embedding_slots->Set(static_cast<double>(num_embedding_slots()));
-  m.pool_bytes->Set(static_cast<double>(
-      slot_chunks_.size() * kSlotsPerChunk * slot_words_ * sizeof(uint32_t) +
-      CapacityBytes(free_slots_)));
 }
 
-const QuickPatternCache::Value& StreamingMiner::FindQuickPattern(
-    const PropertyGraph& graph, const std::vector<EdgeId>& edges) {
+TypeId StreamingMiner::ReadType(const PropertyGraph& graph, VertexId v,
+                                EdgeId anchor) {
+  const TypeId type = graph.VertexType(v);
+  TypeId& last = read_type_[v];
+  if (type != last) {
+    std::vector<Retype>& log = retypes_[v];
+    if (log.empty()) log.push_back({0, last});
+    NOUS_CHECK(log.back().anchor < anchor)
+        << "vertex " << v << " retyped on arrival of edge " << anchor
+        << " after edge " << log.back().anchor;
+    log.push_back({anchor, type});
+    last = type;
+  }
+  return type;
+}
+
+TypeId StreamingMiner::TypeAsOf(VertexId v, EdgeId anchor) const {
+  if (!retypes_.empty()) {
+    auto it = retypes_.find(v);
+    if (it != retypes_.end()) {
+      const std::vector<Retype>& log = it->second;
+      auto after = std::upper_bound(
+          log.begin(), log.end(), anchor,
+          [](EdgeId a, const Retype& r) { return a < r.anchor; });
+      return std::prev(after)->type;
+    }
+  }
+  return read_type_[v];
+}
+
+void StreamingMiner::BuildQuickKey(const PropertyGraph& graph,
+                                   const std::vector<EdgeId>& edges,
+                                   bool arriving) {
   // Vertices are numbered as Canonicalizer::Add interns them.
   local_vertices_.clear();
   auto local = [this](VertexId v) {
@@ -155,9 +161,19 @@ const QuickPatternCache::Value& StreamingMiner::FindQuickPattern(
     *key++ = rec.predicate;
     *key++ = local(rec.object);
   }
+  const EdgeId newest = edges.back();
   for (VertexId v : local_vertices_) {
-    *key++ = config_.use_vertex_types ? graph.VertexType(v) : kInvalidType;
+    TypeId type = kInvalidType;
+    if (config_.use_vertex_types) {
+      type = arriving ? ReadType(graph, v, newest) : TypeAsOf(v, newest);
+    }
+    *key++ = type;
   }
+}
+
+const QuickPatternCache::Value& StreamingMiner::FindQuickPattern(
+    const PropertyGraph& graph, const std::vector<EdgeId>& edges) {
+  BuildQuickKey(graph, edges, /*arriving=*/true);
   const QuickPatternCache::Value* cached =
       quick_patterns_.Find(quick_key_.data());
   if (cached != nullptr) return *cached;
@@ -178,9 +194,11 @@ const QuickPatternCache::Value& StreamingMiner::FindQuickPattern(
   quick.pattern_id = it->second;
   const size_t num_local = local_vertices_.size();
   for (uint64_t v : canonicalizer_.position_to_vertex()) {
-    uint32_t i = local(static_cast<VertexId>(v));
-    NOUS_CHECK(i < num_local);
-    quick.local_vertex.push_back(static_cast<uint8_t>(i));
+    auto found = std::find(local_vertices_.begin(), local_vertices_.end(),
+                           static_cast<VertexId>(v));
+    NOUS_CHECK(found != local_vertices_.end());
+    quick.local_vertex.push_back(
+        static_cast<uint8_t>(found - local_vertices_.begin()));
   }
   NOUS_CHECK(quick.local_vertex.size() == num_local);
   return quick_patterns_.Insert(quick_key_.data(), std::move(quick));
@@ -189,8 +207,7 @@ const QuickPatternCache::Value& StreamingMiner::FindQuickPattern(
 void StreamingMiner::AddEmbedding(const PropertyGraph& graph,
                                   const std::vector<EdgeId>& edges) {
   const QuickPatternCache::Value& quick = FindQuickPattern(graph, edges);
-  const uint32_t pattern_id = quick.pattern_id;
-  PatternEntry& entry = patterns_[pattern_id];
+  PatternEntry& entry = patterns_[quick.pattern_id];
   size_t support_before = SupportOfEntry(entry);
   for (size_t pos = 0; pos < quick.local_vertex.size(); ++pos) {
     entry.position_counts[pos].Increment(
@@ -201,80 +218,30 @@ void StreamingMiner::AddEmbedding(const PropertyGraph& graph,
       SupportOfEntry(entry) >= config_.min_support) {
     Metrics().patterns_emitted->Increment();
   }
-
-  NOUS_CHECK(edges.size() <= config_.max_edges);
-  NOUS_CHECK(quick.local_vertex.size() <= config_.max_edges + 1);
-  uint32_t id;
-  if (!free_slots_.empty()) {
-    id = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    id = static_cast<uint32_t>(num_slots_);
-    NOUS_CHECK(id != kFreeSlot);
-    if (num_slots_ % kSlotsPerChunk == 0) {
-      // Pages are touched only as slots are used.
-      slot_chunks_.push_back(std::make_unique_for_overwrite<uint32_t[]>(
-          kSlotsPerChunk * slot_words_));
-    }
-    ++num_slots_;
-  }
-  uint32_t* slot = Slot(id);
-  slot[0] = pattern_id;
-  EdgeId* slot_edges = SlotEdges(slot);
-  uint32_t* list_pos = SlotListPos(slot);
-  for (size_t k = 0; k < edges.size(); ++k) {
-    std::vector<uint32_t>& ids = IndexList(edges[k]);
-    slot_edges[k] = edges[k];
-    list_pos[k] = static_cast<uint32_t>(ids.size());
-    ids.push_back(id);
-  }
-  VertexId* vertices = SlotVertices(slot);
-  for (size_t pos = 0; pos < quick.local_vertex.size(); ++pos) {
-    vertices[pos] = local_vertices_[quick.local_vertex[pos]];
-  }
   ++live_embeddings_;
   ++created_total_;
 }
 
-void StreamingMiner::RemoveEmbedding(uint32_t embedding_id,
-                                     EdgeId draining_edge) {
-  uint32_t* slot = Slot(embedding_id);
-  NOUS_CHECK(slot[0] != kFreeSlot);
-  PatternEntry& entry = patterns_[slot[0]];
-  const VertexId* assignment = SlotVertices(slot);
+void StreamingMiner::RemoveEmbedding(const PropertyGraph& graph,
+                                     const std::vector<EdgeId>& edges) {
+  BuildQuickKey(graph, edges, /*arriving=*/false);
+  // Every live subset was keyed on arrival, and the cache never evicts.
+  const QuickPatternCache::Value* quick =
+      quick_patterns_.Find(quick_key_.data());
+  NOUS_CHECK(quick != nullptr)
+      << "expiring subset of " << edges.size() << " edges ending at edge "
+      << edges.back() << " has no cached quick pattern";
+  PatternEntry& entry = patterns_[quick->pattern_id];
   size_t support_before = SupportOfEntry(entry);
-  for (size_t pos = 0; pos < entry.position_counts.size(); ++pos) {
-    NOUS_CHECK(entry.position_counts[pos].Decrement(assignment[pos]));
+  for (size_t pos = 0; pos < quick->local_vertex.size(); ++pos) {
+    NOUS_CHECK(entry.position_counts[pos].Decrement(
+        local_vertices_[quick->local_vertex[pos]]));
   }
   --entry.embeddings;
   if (support_before >= config_.min_support &&
       SupportOfEntry(entry) < config_.min_support) {
     Metrics().patterns_demoted->Increment();
   }
-  // Swap-remove from each sibling edge's list, then repoint the moved
-  // embedding's back-pointer for that edge.
-  const EdgeId* edges = SlotEdges(slot);
-  const uint32_t* list_pos = SlotListPos(slot);
-  for (size_t k = 0; k < entry.pattern.num_edges(); ++k) {
-    const EdgeId e = edges[k];
-    if (e == draining_edge) continue;
-    std::vector<uint32_t>& ids = IndexList(e);
-    const uint32_t at = list_pos[k];
-    NOUS_CHECK(at < ids.size() && ids[at] == embedding_id);
-    const uint32_t moved = ids.back();
-    ids[at] = moved;
-    ids.pop_back();
-    if (moved == embedding_id) continue;
-    uint32_t* moved_slot = Slot(moved);
-    const EdgeId* moved_edges = SlotEdges(moved_slot);
-    const EdgeId* moved_end =
-        moved_edges + patterns_[moved_slot[0]].pattern.num_edges();
-    const EdgeId* found = std::find(moved_edges, moved_end, e);
-    NOUS_CHECK(found != moved_end);
-    SlotListPos(moved_slot)[found - moved_edges] = at;
-  }
-  slot[0] = kFreeSlot;
-  free_slots_.push_back(embedding_id);
   --live_embeddings_;
   ++removed_total_;
 }

@@ -2,9 +2,6 @@
 #define NOUS_MINING_STREAMING_MINER_H_
 
 #include <cstdint>
-#include <deque>
-#include <limits>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -18,8 +15,8 @@
 namespace nous {
 
 /// NOUS's streaming frequent graph miner (§3.5): subscribes to a
-/// TemporalWindow and maintains, fully incrementally, the embeddings
-/// and MNI supports of every connected pattern up to max_edges.
+/// TemporalWindow and maintains, fully incrementally, the embedding
+/// counts and MNI supports of every connected pattern up to max_edges.
 ///
 /// - On arrival, only subsets containing the new edge are enumerated
 ///   (the new edge always has the maximum id, so each subset is
@@ -27,9 +24,12 @@ namespace nous {
 ///   is matched to its pattern through its quick pattern (Arabesque's
 ///   two-level aggregation): only the first subset of each distinct
 ///   quick pattern is canonicalized.
-/// - On expiry, a per-edge inverted index removes exactly the dead
-///   embeddings and decrements their pattern counts, each in O(1)
-///   through the slot's back-pointers into the index.
+/// - On expiry, the dead embeddings are re-derived rather than stored:
+///   the expiring edge is the oldest streamed edge, so the live
+///   embeddings containing it are exactly the window's connected
+///   subsets containing it whose newest edge the miner was told of.
+///   Each is re-enumerated and decremented through its quick pattern,
+///   keyed with the vertex types read when it arrived.
 /// - Sub-pattern counts are maintained alongside their super-patterns,
 ///   so when a pattern decays below the support threshold its smaller
 ///   frequent structure is immediately reportable — the paper's
@@ -83,8 +83,6 @@ class StreamingMiner : public WindowListener {
   /// pattern (one per edge order), never evicted.
   size_t num_quick_patterns() const { return quick_patterns_.size(); }
   size_t num_live_embeddings() const { return live_embeddings_; }
-  /// Embedding slots allocated, live plus free.
-  size_t num_embedding_slots() const { return num_slots_; }
   size_t total_embeddings_created() const { return created_total_; }
   size_t total_embeddings_removed() const { return removed_total_; }
   const MinerConfig& config() const { return config_; }
@@ -96,76 +94,66 @@ class StreamingMiner : public WindowListener {
     size_t embeddings = 0;
   };
 
-  /// Pattern word of a slot on the free list.
-  static constexpr uint32_t kFreeSlot = std::numeric_limits<uint32_t>::max();
-  /// Slot records per pool chunk (128 KiB at max_edges 2).
-  static constexpr size_t kSlotsPerChunk = 4096;
+  /// A change of a vertex's type as the miner read it: `type` from
+  /// the arrival of edge `anchor` on.
+  struct Retype {
+    EdgeId anchor;
+    TypeId type;
+  };
 
-  /// Slot record `id`: its pattern id word, then max_edges edge ids,
-  /// then per edge the slot's position in that edge's IndexList, then
-  /// max_edges + 1 vertex ids (the graph vertex at each pattern
-  /// position). The pattern says how many of each are in use.
-  uint32_t* Slot(uint32_t id) {
-    return slot_chunks_[id / kSlotsPerChunk].get() +
-           (id % kSlotsPerChunk) * slot_words_;
-  }
-  EdgeId* SlotEdges(uint32_t* slot) const { return slot + 1; }
-  uint32_t* SlotListPos(uint32_t* slot) const {
-    return slot + 1 + config_.max_edges;
-  }
-  VertexId* SlotVertices(uint32_t* slot) const {
-    return slot + 1 + 2 * config_.max_edges;
-  }
-
+  /// Counts a subset that arrived with its newest edge.
   void AddEmbedding(const PropertyGraph& graph,
                     const std::vector<EdgeId>& edges);
-  /// Fills local_vertices_ with the subset's vertices in first-
-  /// appearance order and returns its quick pattern, canonicalizing
-  /// (and registering a new pattern) only on a cache miss.
+  /// Uncounts a live subset: AddEmbedding's updates, reversed.
+  void RemoveEmbedding(const PropertyGraph& graph,
+                       const std::vector<EdgeId>& edges);
+  /// Fills quick_key_ and local_vertices_ (the subset's vertices in
+  /// first-appearance order) for `edges`.
   ///
   /// The quick-pattern key is the subset's edge count, its edges in
-  /// emission order as (local src, predicate, local dst) with local
-  /// vertices numbered by first appearance, then each local vertex's
-  /// label (kInvalidType when untyped). Canonicalizer::Run is a pure
-  /// function of exactly this — it interns vertices in the same order
-  /// and breaks ties among edge orderings, never among concrete ids —
-  /// so every subset with the same key has the same pattern and the
-  /// same local vertex at each canonical position.
+  /// emission (ascending id) order as (local src, predicate, local dst)
+  /// with local vertices numbered by first appearance, then each local
+  /// vertex's label (kInvalidType when untyped). Canonicalizer::Run is
+  /// a pure function of exactly this — it interns vertices in the same
+  /// order and breaks ties among edge orderings, never among concrete
+  /// ids — so every subset with the same key has the same pattern and
+  /// the same local vertex at each canonical position.
+  ///
+  /// Labels are the types as of the arrival of the subset's newest
+  /// edge: read from the graph (and recorded) when `arriving`, else
+  /// looked up in what was recorded then.
+  void BuildQuickKey(const PropertyGraph& graph,
+                     const std::vector<EdgeId>& edges, bool arriving);
+  /// Keys an arriving subset and returns its quick pattern,
+  /// canonicalizing (and registering a new pattern) only on a cache
+  /// miss.
   const QuickPatternCache::Value& FindQuickPattern(
       const PropertyGraph& graph, const std::vector<EdgeId>& edges);
-  /// Frees the slot and unlinks it from the index list of each of its
-  /// edges except `draining_edge`, whose list the caller is consuming.
-  void RemoveEmbedding(uint32_t embedding_id, EdgeId draining_edge);
-  /// Live embedding ids of in-window edge `e`.
-  std::vector<uint32_t>& IndexList(EdgeId e) {
-    return e < pinned_index_.size() ? pinned_index_[e]
-                                    : stream_index_[e - stream_index_base_];
-  }
+  /// `v`'s type now, read on the arrival of edge `anchor`; a type that
+  /// differs from the previous read is appended to v's retype log.
+  TypeId ReadType(const PropertyGraph& graph, VertexId v, EdgeId anchor);
+  /// `v`'s type as read on the arrival of edge `anchor`.
+  TypeId TypeAsOf(VertexId v, EdgeId anchor) const;
   size_t SupportOfEntry(const PatternEntry& entry) const;
   void PublishGauges() const;
 
   MinerConfig config_;
-  // Cache-miss scratch, and FindQuickPattern's key and local vertices.
+  // Cache-miss scratch, and BuildQuickKey's key and local vertices.
   Pattern::Canonicalizer canonicalizer_;
   std::vector<uint32_t> quick_key_;
   std::vector<VertexId> local_vertices_;
   std::vector<PatternEntry> patterns_;
   std::unordered_map<Pattern, uint32_t, PatternHash> pattern_index_;
   QuickPatternCache quick_patterns_;
-  // Embeddings live in a pool of slot records (see Slot()) indexed by
-  // embedding id: one record per embedding keeps an add or a removal to
-  // one or two cache lines of slot data. The pool grows a chunk at a
-  // time, so it never copies itself or holds twice its size mid-growth.
-  size_t slot_words_;
-  size_t num_slots_ = 0;
-  std::vector<std::unique_ptr<uint32_t[]>> slot_chunks_;
-  std::vector<uint32_t> free_slots_;
-  // Live embedding ids per in-window edge (see IndexList): one list
-  // per pinned edge, then one per streamed edge from stream_index_base_
-  // on. Expiry pops the oldest, so only window edges have a list.
-  std::vector<std::vector<uint32_t>> pinned_index_;
-  std::deque<std::vector<uint32_t>> stream_index_;
-  EdgeId stream_index_base_ = 0;
+  // The first streamed edge announced to the miner: subsets with an
+  // older newest edge were never counted.
+  EdgeId first_stream_edge_ = kInvalidEdge;
+  // Per vertex, its type as last read on an arrival (or as of the
+  // arrival that first found it in the graph); a vertex read under a
+  // new type gets a log in retypes_, from anchor 0 on, in anchor order.
+  // Only with use_vertex_types.
+  std::vector<TypeId> read_type_;
+  std::unordered_map<VertexId, std::vector<Retype>> retypes_;
   std::unordered_set<size_t> last_frequent_;  // pattern ids
   uint64_t generation_ = 0;
   size_t live_embeddings_ = 0;

@@ -41,26 +41,23 @@ class SubsetEnumerator {
 
  private:
   /// Emits current_ unless already seen, then grows it by each of its
-  /// extensions in turn. False once the subset cap is reached.
-  bool Grow() {
+  /// extensions in turn.
+  void Grow() {
     sorted_.assign(current_.begin(), current_.end());
     std::sort(sorted_.begin(), sorted_.end());
     // {anchor} is grown once and {anchor, e} once per distinct
     // extension e, so only larger subsets can repeat.
-    if (sorted_.size() >= 3 && !seen_.insert(sorted_).second) return true;
+    if (sorted_.size() >= 3 && !seen_.insert(sorted_).second) return;
     ++visited_;
     fn_(sorted_);
-    if (visited_ >= config_.max_subsets_per_edge) return false;
-    if (current_.size() >= config_.max_edges) return true;
+    if (current_.size() >= config_.max_edges) return;
     std::vector<EdgeId>& extensions = extensions_[current_.size()];
     CollectExtensions(&extensions);
     for (EdgeId ext : extensions) {
       current_.push_back(ext);
-      bool keep_going = Grow();
+      Grow();
       current_.pop_back();
-      if (!keep_going) return false;
     }
-    return true;
   }
 
   /// In-window edges adjacent to any endpoint of current_, outside it,

@@ -12,8 +12,7 @@ namespace nous {
 /// Enumerates every connected subset of in-window edges of size in [1,
 /// max_edges] containing `anchor`, optionally restricted to edges with
 /// id < anchor. The callback receives each subset once (sorted edge
-/// ids). Returns the number of subsets visited (callback count), which
-/// is also capped at config.max_subsets_per_edge.
+/// ids). Returns the number of subsets visited (callback count).
 ///
 /// Cost is linear in the adjacency scanned: candidate extensions are
 /// deduplicated with per-thread epoch marks indexed by window position

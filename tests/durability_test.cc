@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -32,6 +33,8 @@
 #include "durability/wal.h"
 #include "durability/wal_codec.h"
 #include "kb/kb_generator.h"
+#include "obs/metrics.h"
+#include "obs/trace_buffer.h"
 
 namespace nous {
 namespace {
@@ -801,6 +804,48 @@ TEST_F(DurabilityPipelineFixture, CheckpointPlusWalReplayRecovers) {
   recovered.Finalize();
   reference.Finalize();
   EXPECT_EQ(Dump(recovered), Dump(reference));
+}
+
+TEST_F(DurabilityPipelineFixture, RecoverSpansLoadStateAndWalReplayOnce) {
+  std::string dir = FreshDir("nous_recover_spans");
+  auto articles = MakeArticles();
+  auto batches = MakeBatches(articles, 3);
+  ASSERT_EQ(batches.size(), 3u);
+  {
+    Nous durable(&kb_, DurableOptions(dir));
+    ASSERT_TRUE(durable.EnableDurability().ok());
+    ASSERT_TRUE(durable.IngestBatch(batches[0]).ok());
+    ASSERT_TRUE(durable.Checkpoint().ok());
+    ASSERT_TRUE(durable.IngestBatch(batches[1]).ok());
+    ASSERT_TRUE(durable.IngestBatch(batches[2]).ok());
+  }
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  auto observed = [&registry](const char* name) {
+    return registry.GetHistogram(name)->Snapshot().count();
+  };
+  const uint64_t loads = observed("nous_load_state_latency_seconds");
+  const uint64_t replays = observed("nous_wal_replay_latency_seconds");
+  TraceBuffer::Global().Clear();
+
+  Nous recovered(&kb_, DurableOptions(dir));
+  auto stats = recovered.Recover();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  ASSERT_TRUE(stats->restored_checkpoint);
+  ASSERT_EQ(stats->replayed_batches, 2u);
+  EXPECT_EQ(observed("nous_load_state_latency_seconds"), loads + 1);
+  EXPECT_EQ(observed("nous_wal_replay_latency_seconds"), replays + 1);
+
+  // The replay span carries what it replayed.
+  std::vector<SpanRecord> spans = TraceBuffer::Global().Snapshot();
+  auto replay = std::find_if(
+      spans.begin(), spans.end(),
+      [](const SpanRecord& span) { return std::string(span.name) == "wal_replay"; });
+  ASSERT_NE(replay, spans.end());
+  std::map<std::string, int64_t> attrs;
+  for (const SpanAttr& attr : replay->attrs) attrs[attr.key] = attr.int_value;
+  EXPECT_EQ(attrs["batches"], 2);
+  EXPECT_EQ(attrs["articles"],
+            static_cast<int64_t>(stats->replayed_articles));
 }
 
 TEST_F(DurabilityPipelineFixture,

@@ -21,6 +21,7 @@
 #include "kb/kb_generator.h"
 #include "mining/pattern.h"
 #include "mining/streaming_miner.h"
+#include "obs/metrics.h"
 
 namespace nous {
 namespace {
@@ -260,6 +261,21 @@ TEST_P(MinerWindowTest, RestoredWindowIsTheKgTail) {
       EXPECT_FALSE(got.meta.curated) << "edge " << i;
     }
   }
+}
+
+TEST_P(MinerWindowTest, WindowGaugeIsSetByLoadState) {
+  KgPipeline live(&kb_, Config());
+  live.IngestBatch(articles_.data(), articles_.size() / 2);
+  const std::string image = live.SaveState();
+  Gauge* gauge = MetricsRegistry::Global().GetGauge("nous_mining_window_edges");
+  gauge->Set(-1);
+  KgPipeline restored(&kb_, Config());
+  Status load = restored.LoadState(image);
+  ASSERT_TRUE(load.ok()) << load;
+  ReaderMutexLock lock(restored.kg_mutex());
+  ASSERT_EQ(restored.miner_window()->size(), kWindowEdges);
+  EXPECT_EQ(gauge->Value(),
+            static_cast<double>(restored.miner_window()->size()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Mining, MinerWindowTest, ::testing::Bool(),

@@ -467,7 +467,9 @@ namespace {
 /// current version loads (DESIGN.md §5.10).
 /// v5: drops the accepted-triple and miner-window blocks; both are
 /// derived from the KG's edge list.
-constexpr uint32_t kStateVersion = 5;
+/// v6: the graph block holds edge records only; adjacency is rebuilt
+/// from them on load.
+constexpr uint32_t kStateVersion = 6;
 
 /// The stats counters an image carries, in image order.
 template <typename Stats>
@@ -506,7 +508,13 @@ std::string KgPipeline::SaveState() const {
 Status KgPipeline::LoadState(std::string_view payload) {
   {
     WriterMutexLock lock(kg_mutex_);
-    NOUS_RETURN_IF_ERROR(LoadStateLocked(payload));
+    Status status = LoadStateLocked(payload);
+    // A payload that ends early is a damaged image like any other, so
+    // the code does not depend on which block the cut falls in.
+    if (status.code() == StatusCode::kOutOfRange) {
+      return Status::DataLoss(status.message());
+    }
+    NOUS_RETURN_IF_ERROR(status);
   }
   PublishSnapshot();
   return Status::Ok();

@@ -133,15 +133,16 @@ class KgPipeline {
   void Finalize() EXCLUDES(kg_mutex_);
 
   /// Serializes every piece of mutable state that influences future
-  /// ingest — fused KG (bit-exact: ids, edge slots, adjacency order),
-  /// linker alias index, mapper evidence, BPR parameters + RNG state,
-  /// source-trust counts, refresh cadence, ad-hoc id counter and stats
-  /// counters (layout v5). The KG's edge list is the only stored copy
-  /// of the stream: BPR trains over it and the miner window is its
-  /// tail, so neither is written again. Holds no wall-clock value (the
-  /// stage timings restart at zero after a load), so the bytes are a
-  /// pure function of the ingested stream. Takes the shared lock. The
-  /// payload feeds the durability checkpointer (DESIGN.md §5.10).
+  /// ingest — fused KG (bit-exact: ids and edge records; adjacency is
+  /// rebuilt from the records), linker alias index, mapper evidence,
+  /// BPR parameters + RNG state, source-trust counts, refresh cadence,
+  /// ad-hoc id counter and stats counters (layout v6). The KG's edge
+  /// list is the only stored copy of the stream: BPR trains over it
+  /// and the miner window is its tail, so neither is written again.
+  /// Holds no wall-clock value (the stage timings restart at zero
+  /// after a load), so the bytes are a pure function of the ingested
+  /// stream. Takes the shared lock. The payload feeds the durability
+  /// checkpointer (DESIGN.md §5.10).
   std::string SaveState() const EXCLUDES(kg_mutex_);
 
   /// Restores a SaveState payload onto a pipeline built with the same
@@ -151,7 +152,9 @@ class KgPipeline {
   /// miner_window_edges streamed edges through the live insert path,
   /// so the restored miner serves the same patterns. Atomic: the whole
   /// image is parsed before anything is replaced, so on any error the
-  /// pipeline is unchanged. Images older than v5 are DataLoss. After a
+  /// pipeline is unchanged. A malformed image (truncated, trailing
+  /// bytes, ids out of range) is DataLoss, as are images older than
+  /// v6; one from another curated KB is FailedPrecondition. After a
   /// successful load, ingesting the same articles produces a fused KG
   /// bit-identical to the uncheckpointed run.
   Status LoadState(std::string_view payload) EXCLUDES(kg_mutex_);

@@ -9,10 +9,8 @@ namespace nous {
 
 namespace {
 
-// Shared empty containers so accessors on out-of-range vertices (never
-// expected; guarded by asserts) and default topic lookups stay cheap.
+// Shared empty topic vector so default topic lookups stay cheap.
 const std::vector<double> kEmptyTopics;
-const std::vector<AdjEntry> kEmptyAdjacency;
 
 // Deep-byte estimators for the COW chunk caches; same formulas the old
 // monolithic ApproxMemoryBytes used, now attributed per chunk.
@@ -23,15 +21,6 @@ size_t VertexDeepBytes(const VertexRecord& v) {
 
 size_t AdjDeepBytes(const std::vector<AdjEntry>& adj) {
   return adj.capacity() * sizeof(AdjEntry);
-}
-
-size_t ByPredDeepBytes(
-    const std::unordered_map<PredicateId, std::vector<AdjEntry>>& per_pred) {
-  size_t bytes = 0;
-  for (const auto& [pred, entries] : per_pred) {
-    bytes += sizeof(pred) + entries.capacity() * sizeof(AdjEntry);
-  }
-  return bytes;
 }
 
 }  // namespace
@@ -48,8 +37,6 @@ PropertyGraph PropertyGraph::Clone() const {
   copy.out_ = out_;
   copy.in_ = in_;
   copy.folded_labels_ = folded_labels_;
-  copy.out_by_pred_ = out_by_pred_;
-  copy.in_by_pred_ = in_by_pred_;
   copy.max_edge_timestamp_ = max_edge_timestamp_;
   return copy;
 }
@@ -65,8 +52,6 @@ void PropertyGraph::Detach() {
   out_.Detach();
   in_.Detach();
   folded_labels_.Detach();
-  out_by_pred_.Detach();
-  in_by_pred_.Detach();
 }
 
 uint64_t PropertyGraph::FoldedHashOf(VertexId v) const {
@@ -79,8 +64,6 @@ VertexId PropertyGraph::GetOrAddVertex(std::string_view label) {
     vertices_.Resize(id + 1);
     out_.Resize(id + 1);
     in_.Resize(id + 1);
-    out_by_pred_.Resize(id + 1);
-    in_by_pred_.Resize(id + 1);
     // Every vertex is indexed; insertion in ascending id order means
     // lookups among labels that collide after folding find the lowest
     // id — the vertex a forward linear scan would have found.
@@ -148,10 +131,6 @@ EdgeId PropertyGraph::AddEdge(VertexId subject, PredicateId predicate,
   edges_.PushBack(EdgeRecord{subject, object, predicate, meta});
   out_.Mutable(subject).push_back(AdjEntry{predicate, object, e});
   in_.Mutable(object).push_back(AdjEntry{predicate, subject, e});
-  out_by_pred_.Mutable(subject)[predicate].push_back(
-      AdjEntry{predicate, object, e});
-  in_by_pred_.Mutable(object)[predicate].push_back(
-      AdjEntry{predicate, subject, e});
   max_edge_timestamp_ = std::max(max_edge_timestamp_, meta.timestamp);
   return e;
 }
@@ -172,9 +151,16 @@ EdgeId PropertyGraph::AddTriple(const TimedTriple& t) {
 std::optional<EdgeId> PropertyGraph::FindEdge(VertexId subject,
                                               PredicateId predicate,
                                               VertexId object) const {
-  if (subject >= out_.size()) return std::nullopt;
-  for (const AdjEntry& a : out_[subject]) {
-    if (a.predicate == predicate && a.neighbor == object) return a.edge;
+  if (subject >= out_.size() || object >= in_.size()) return std::nullopt;
+  // out_[subject] and in_[object] both list exactly the (subject, ·,
+  // object) edges in ascending id order, so the shorter side finds the
+  // same first match.
+  const std::vector<AdjEntry>& out = out_[subject];
+  const std::vector<AdjEntry>& in = in_[object];
+  const bool scan_out = out.size() <= in.size();
+  const VertexId other = scan_out ? object : subject;
+  for (const AdjEntry& a : scan_out ? out : in) {
+    if (a.predicate == predicate && a.neighbor == other) return a.edge;
   }
   return std::nullopt;
 }
@@ -199,67 +185,10 @@ const std::vector<AdjEntry>& PropertyGraph::InEdges(VertexId v) const {
   return in_[v];
 }
 
-const std::vector<AdjEntry>& PropertyGraph::OutEdgesWithPredicate(
-    VertexId v, PredicateId p) const {
-  assert(v < out_by_pred_.size());
-  const auto& per_pred = out_by_pred_[v];
-  auto it = per_pred.find(p);
-  return it == per_pred.end() ? kEmptyAdjacency : it->second;
-}
-
-const std::vector<AdjEntry>& PropertyGraph::InEdgesWithPredicate(
-    VertexId v, PredicateId p) const {
-  assert(v < in_by_pred_.size());
-  const auto& per_pred = in_by_pred_[v];
-  auto it = per_pred.find(p);
-  return it == per_pred.end() ? kEmptyAdjacency : it->second;
-}
-
 void PropertyGraph::ForEachEdge(
     const std::function<void(EdgeId, const EdgeRecord&)>& fn) const {
   for (EdgeId e = 0; e < edges_.size(); ++e) fn(e, edges_[e]);
 }
-
-namespace {
-
-void SaveAdjacency(BinaryWriter* writer,
-                   const CowVec<std::vector<AdjEntry>>& adj) {
-  for (size_t v = 0; v < adj.size(); ++v) {
-    const std::vector<AdjEntry>& entries = adj[v];
-    writer->U64(entries.size());
-    for (const AdjEntry& a : entries) {
-      writer->U32(a.predicate);
-      writer->U32(a.neighbor);
-      writer->U32(a.edge);
-    }
-  }
-}
-
-/// Reads one stored adjacency array, which must equal `expected` — the
-/// lists the edge records imply — entry for entry.
-Status VerifyAdjacency(BinaryReader* reader,
-                       const CowVec<std::vector<AdjEntry>>& expected) {
-  const Status mismatch =
-      Status::DataLoss("graph checkpoint: adjacency mismatch");
-  for (size_t v = 0; v < expected.size(); ++v) {
-    uint64_t count = 0;
-    NOUS_RETURN_IF_ERROR(reader->Count(&count, 12));
-    if (count != expected[v].size()) return mismatch;
-    for (const AdjEntry& want : expected[v]) {
-      AdjEntry got;
-      NOUS_RETURN_IF_ERROR(reader->U32(&got.predicate));
-      NOUS_RETURN_IF_ERROR(reader->U32(&got.neighbor));
-      NOUS_RETURN_IF_ERROR(reader->U32(&got.edge));
-      if (got.predicate != want.predicate || got.neighbor != want.neighbor ||
-          got.edge != want.edge) {
-        return mismatch;
-      }
-    }
-  }
-  return Status::Ok();
-}
-
-}  // namespace
 
 CowFootprint PropertyGraph::Footprint() const {
   CowFootprint fp;
@@ -273,8 +202,6 @@ CowFootprint PropertyGraph::Footprint() const {
   out_.AddFootprint(&fp, AdjDeepBytes);
   in_.AddFootprint(&fp, AdjDeepBytes);
   folded_labels_.AddFootprint(&fp);
-  out_by_pred_.AddFootprint(&fp, ByPredDeepBytes);
-  in_by_pred_.AddFootprint(&fp, ByPredDeepBytes);
   return fp;
 }
 
@@ -313,16 +240,7 @@ void PropertyGraph::SaveBinary(BinaryWriter* writer) const {
     writer->I64(rec.meta.timestamp);
     writer->U32(rec.meta.source);
     writer->U8(rec.meta.curated ? 1 : 0);
-    // The former live flag: every edge is live. Kept so the layout,
-    // and so every image, stays byte-identical.
-    writer->U8(1);
   }
-
-  // The adjacency arrays are implied by the edge records, but stay in
-  // the layout (LoadBinary checks them), as does the live edge count.
-  SaveAdjacency(writer, out_);
-  SaveAdjacency(writer, in_);
-  writer->U64(edges_.size());
 }
 
 Status PropertyGraph::LoadBinary(BinaryReader* reader) {
@@ -355,7 +273,7 @@ Status PropertyGraph::LoadBinary(BinaryReader* reader) {
   }
 
   uint64_t num_edges = 0;
-  NOUS_RETURN_IF_ERROR(reader->Count(&num_edges, 4 * 3 + 8 + 8 + 4 + 2));
+  NOUS_RETURN_IF_ERROR(reader->Count(&num_edges, 4 * 3 + 8 + 8 + 4 + 1));
   edges_.Assign(num_edges);
   out_.Assign(num_vertices);
   in_.Assign(num_vertices);
@@ -367,13 +285,9 @@ Status PropertyGraph::LoadBinary(BinaryReader* reader) {
     NOUS_RETURN_IF_ERROR(reader->F64(&rec.meta.confidence));
     NOUS_RETURN_IF_ERROR(reader->I64(&rec.meta.timestamp));
     NOUS_RETURN_IF_ERROR(reader->U32(&rec.meta.source));
-    uint8_t curated = 0, live = 0;
+    uint8_t curated = 0;
     NOUS_RETURN_IF_ERROR(reader->U8(&curated));
-    NOUS_RETURN_IF_ERROR(reader->U8(&live));
     rec.meta.curated = curated != 0;
-    if (live != 1) {
-      return Status::DataLoss("graph checkpoint: removed edge");
-    }
     if (rec.subject >= num_vertices || rec.object >= num_vertices ||
         rec.predicate >= predicates_.size()) {
       return Status::DataLoss("graph checkpoint: edge id out of range");
@@ -383,13 +297,6 @@ Status PropertyGraph::LoadBinary(BinaryReader* reader) {
     in_.Mutable(rec.object).push_back({rec.predicate, rec.subject, id});
   }
 
-  NOUS_RETURN_IF_ERROR(VerifyAdjacency(reader, out_));
-  NOUS_RETURN_IF_ERROR(VerifyAdjacency(reader, in_));
-  uint64_t live_edges = 0;
-  NOUS_RETURN_IF_ERROR(reader->U64(&live_edges));
-  if (live_edges != num_edges) {
-    return Status::DataLoss("graph checkpoint: live edge count mismatch");
-  }
   RebuildDerivedIndexes();
   return Status::Ok();
 }
@@ -399,18 +306,6 @@ void PropertyGraph::RebuildDerivedIndexes() {
   for (VertexId v = 0; v < vertices_.size(); ++v) {
     folded_labels_.Insert(FoldedHashOf(v), v,
                           [this](VertexId w) { return FoldedHashOf(w); });
-  }
-  out_by_pred_.Assign(vertices_.size());
-  in_by_pred_.Assign(vertices_.size());
-  for (VertexId v = 0; v < vertices_.size(); ++v) {
-    if (!out_[v].empty()) {
-      auto& per_pred = out_by_pred_.Mutable(v);
-      for (const AdjEntry& a : out_[v]) per_pred[a.predicate].push_back(a);
-    }
-    if (!in_[v].empty()) {
-      auto& per_pred = in_by_pred_.Mutable(v);
-      for (const AdjEntry& a : in_[v]) per_pred[a.predicate].push_back(a);
-    }
   }
   max_edge_timestamp_ = 0;
   for (size_t e = 0; e < edges_.size(); ++e) {

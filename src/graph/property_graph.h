@@ -48,9 +48,11 @@ struct VertexRecord {
 ///
 /// Edges carry confidence, timestamp, source, and curated/extracted
 /// provenance. The graph is append-only: AddEdge is the only edge
-/// writer, so edge ids are dense (0 … NumEdges() − 1) and every
-/// adjacency list is in ascending edge-id order. A TemporalWindow
-/// reads a sliding window as a range of those ids (DESIGN.md §5.1).
+/// writer, so edge ids are dense (0 … NumEdges() − 1). The edge
+/// records are the data; the per-vertex out- and in-lists are the one
+/// adjacency, derived from them in ascending edge-id order (the
+/// checkpoint image holds only the records). A TemporalWindow reads a
+/// sliding window as a range of those ids (DESIGN.md §5.1).
 ///
 /// All storage — primary state and derived read indexes alike — lives
 /// in copy-on-write chunked containers (CowVec / CowIdIndex, DESIGN.md
@@ -115,7 +117,9 @@ class PropertyGraph {
   /// point for generators and tests.
   EdgeId AddTriple(const TimedTriple& t);
 
-  /// First edge matching (subject, predicate, object), if any.
+  /// Lowest-id edge matching (subject, predicate, object), if any;
+  /// scans the shorter of the subject's out-list and the object's
+  /// in-list.
   std::optional<EdgeId> FindEdge(VertexId subject, PredicateId predicate,
                                  VertexId object) const;
 
@@ -132,14 +136,6 @@ class PropertyGraph {
 
   const std::vector<AdjEntry>& OutEdges(VertexId v) const;
   const std::vector<AdjEntry>& InEdges(VertexId v) const;
-
-  /// Out-/in-edges of `v` whose predicate is exactly `p`, in
-  /// insertion order. Constrained path search expands only these
-  /// instead of filtering the full adjacency list.
-  const std::vector<AdjEntry>& OutEdgesWithPredicate(VertexId v,
-                                                     PredicateId p) const;
-  const std::vector<AdjEntry>& InEdgesWithPredicate(VertexId v,
-                                                    PredicateId p) const;
 
   size_t OutDegree(VertexId v) const { return OutEdges(v).size(); }
   size_t InDegree(VertexId v) const { return InEdges(v).size(); }
@@ -179,25 +175,26 @@ class PropertyGraph {
 
   // ---- Checkpoint serialization ----
 
-  /// Writes the complete graph state — all five dictionaries in id
-  /// order, every vertex record (bags emitted sorted by TermId), every
-  /// edge record, and both adjacency arrays — so a LoadBinary round
-  /// trip reproduces the graph exactly. The byte stream is
-  /// independent of chunk sharing state: a Clone() and a deep copy
-  /// serialize identically.
+  /// Writes the complete primary state — all five dictionaries in id
+  /// order, every vertex record (bags emitted sorted by TermId) and
+  /// every edge record in id order — so a LoadBinary round trip
+  /// reproduces the graph exactly. Adjacency is not written: the edge
+  /// records imply it. The byte stream is independent of chunk sharing
+  /// state: a Clone() and a deep copy serialize identically.
   void SaveBinary(BinaryWriter* writer) const;
 
-  /// Restores a SaveBinary payload, replacing current contents. Every
-  /// stored adjacency list must equal the ascending-id list the edge
-  /// records imply (DataLoss otherwise), so out-of-range ids never
-  /// load. Malformed input may leave the graph partially loaded;
-  /// callers discard the instance on failure.
+  /// Restores a SaveBinary payload, replacing current contents, and
+  /// rebuilds adjacency and the derived indexes from the records. An
+  /// edge record whose endpoints or predicate are out of range is
+  /// DataLoss, so out-of-range ids never load. Malformed input may
+  /// leave the graph partially loaded; callers discard the instance on
+  /// failure.
   Status LoadBinary(BinaryReader* reader);
 
  private:
-  /// Rebuilds every derived index (folded labels, predicate
-  /// partitions, max timestamp) from the primary state; LoadBinary
-  /// calls it because checkpoints only store the primary state.
+  /// Rebuilds the derived indexes (folded labels, max timestamp) from
+  /// the primary state; LoadBinary calls it because checkpoints only
+  /// store the primary state.
   void RebuildDerivedIndexes();
 
   static uint64_t FoldedHash(const std::string& folded) {
@@ -214,6 +211,8 @@ class PropertyGraph {
 
   CowVec<VertexRecord> vertices_;
   CowVec<EdgeRecord> edges_;
+  // The one adjacency, derived from edges_ (AddEdge appends, LoadBinary
+  // rebuilds it): per-vertex out- and in-lists in ascending edge id.
   CowVec<std::vector<AdjEntry>> out_;
   CowVec<std::vector<AdjEntry>> in_;
 
@@ -221,9 +220,6 @@ class PropertyGraph {
   /// Case-folded label index; every vertex is inserted in id order, so
   /// lookups find the lowest id among folding collisions.
   CowIdIndex folded_labels_;
-  /// Per-vertex adjacency partitioned by predicate; mirrors out_/in_.
-  CowVec<std::unordered_map<PredicateId, std::vector<AdjEntry>>> out_by_pred_;
-  CowVec<std::unordered_map<PredicateId, std::vector<AdjEntry>>> in_by_pred_;
   Timestamp max_edge_timestamp_ = 0;
 };
 

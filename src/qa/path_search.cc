@@ -72,8 +72,9 @@ std::vector<PathResult> PathSearch::FindPaths(
 
   // With a final-edge constraint (the default constraint mode), only
   // edges carrying the constrained predicate can close a path — so
-  // completions are found by scanning just that predicate's adjacency
-  // partition, and the general expansion below skips the target.
+  // completions are found by a closing scan of the tail's adjacency
+  // for such edges into the target, and the general expansion below
+  // skips the target.
   const bool final_edge_constraint =
       relationship != kInvalidPredicate && !config_.constraint_anywhere;
 
@@ -104,7 +105,9 @@ std::vector<PathResult> PathSearch::FindPaths(
       if (final_edge_constraint) {
         auto close_with = [&](const std::vector<AdjEntry>& adj) {
           for (const AdjEntry& a : adj) {
-            if (a.neighbor != target) continue;
+            if (a.neighbor != target || a.predicate != relationship) {
+              continue;
+            }
             if (graph_->Edge(a.edge).meta.confidence <
                 config_.min_edge_confidence) {
               continue;  // untrusted fact
@@ -112,8 +115,8 @@ std::vector<PathResult> PathSearch::FindPaths(
             emit_complete(a);
           }
         };
-        close_with(graph_->OutEdgesWithPredicate(tail, relationship));
-        close_with(graph_->InEdgesWithPredicate(tail, relationship));
+        close_with(graph_->OutEdges(tail));
+        close_with(graph_->InEdges(tail));
       }
 
       size_t expanded = 0;
@@ -122,7 +125,7 @@ std::vector<PathResult> PathSearch::FindPaths(
           if (expanded >= config_.max_expansion) return;
           VertexId next = a.neighbor;
           if (final_edge_constraint && next == target) {
-            continue;  // completions handled via the partition above
+            continue;  // completions handled by the closing scan above
           }
           if (std::find(path.vertices.begin(), path.vertices.end(),
                         next) != path.vertices.end()) {

@@ -180,11 +180,20 @@ struct OpMixer {
   }
 };
 
-// Derived indexes are not serialized, so SaveBinary equality alone
-// does not pin them; probe them explicitly. Per-predicate partitions
-// compare positionally: the graph is append-only, so every copy —
-// clone, deep copy or LoadBinary rebuild — lists them in ascending
-// edge-id order.
+// Derived state is not serialized, so SaveBinary equality alone does
+// not pin it; probe it explicitly. Adjacency lists compare
+// positionally: the graph is append-only, so every copy — clone, deep
+// copy or LoadBinary rebuild — lists them in ascending edge-id order.
+void ExpectAdjacencyEqual(const std::vector<AdjEntry>& a,
+                          const std::vector<AdjEntry>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].edge, b[i].edge);
+    EXPECT_EQ(a[i].neighbor, b[i].neighbor);
+    EXPECT_EQ(a[i].predicate, b[i].predicate);
+  }
+}
+
 void ExpectDerivedIndexesEqual(const PropertyGraph& a,
                                const PropertyGraph& b) {
   ASSERT_EQ(a.NumVertices(), b.NumVertices());
@@ -194,22 +203,8 @@ void ExpectDerivedIndexesEqual(const PropertyGraph& a,
     for (char& c : folded) c = static_cast<char>(tolower(c));
     EXPECT_EQ(a.FindVertexFolded(folded), b.FindVertexFolded(folded))
         << "folded lookup diverged for " << folded;
-    for (PredicateId p = 0; p < a.predicates().size(); ++p) {
-      const std::vector<AdjEntry>& ea = a.OutEdgesWithPredicate(v, p);
-      const std::vector<AdjEntry>& eb = b.OutEdgesWithPredicate(v, p);
-      ASSERT_EQ(ea.size(), eb.size());
-      for (size_t i = 0; i < ea.size(); ++i) {
-        EXPECT_EQ(ea[i].edge, eb[i].edge);
-        EXPECT_EQ(ea[i].neighbor, eb[i].neighbor);
-        EXPECT_EQ(ea[i].predicate, eb[i].predicate);
-      }
-      const std::vector<AdjEntry>& ia = a.InEdgesWithPredicate(v, p);
-      const std::vector<AdjEntry>& ib = b.InEdgesWithPredicate(v, p);
-      ASSERT_EQ(ia.size(), ib.size());
-      for (size_t i = 0; i < ia.size(); ++i) {
-        EXPECT_EQ(ia[i].edge, ib[i].edge);
-      }
-    }
+    ExpectAdjacencyEqual(a.OutEdges(v), b.OutEdges(v));
+    ExpectAdjacencyEqual(a.InEdges(v), b.InEdges(v));
   }
 }
 

@@ -610,9 +610,11 @@ TEST_F(DurabilityPipelineFixture,
   }
 }
 
-TEST_F(DurabilityPipelineFixture, LoadStateRejectsPreV5Images) {
+TEST_F(DurabilityPipelineFixture, LoadStateRejectsPreV6Images) {
   // v2-v4 images carried the accepted-triple and miner-window blocks
-  // that v5 derives from the KG; they no longer load (DESIGN.md §5.10).
+  // that v5 derives from the KG, and v2-v5 graph blocks carried the
+  // adjacency arrays that v6 rebuilds from the edge records; they no
+  // longer load (DESIGN.md §5.10).
   auto articles = MakeArticles();
   KgPipeline original(&kb_, FastOptions().pipeline);
   original.IngestBatch(articles.data(), std::min<size_t>(6, articles.size()));
@@ -621,7 +623,7 @@ TEST_F(DurabilityPipelineFixture, LoadStateRejectsPreV5Images) {
     KgPipeline probe(&kb_, FastOptions().pipeline);
     ASSERT_TRUE(probe.LoadState(image).ok());
   }
-  for (uint32_t version : {2u, 3u, 4u}) {
+  for (uint32_t version : {2u, 3u, 4u, 5u}) {
     BinaryWriter word;
     word.U32(version);
     std::string old = image;
@@ -664,10 +666,11 @@ TEST_F(DurabilityPipelineFixture, LoadStateRejectsTruncatedPayloads) {
     if (cut >= payload.size()) continue;
     KgPipeline probe(&kb_, FastOptions().pipeline);
     Status load = probe.LoadState(std::string_view(payload).substr(0, cut));
-    EXPECT_FALSE(load.ok()) << "cut=" << cut;
+    EXPECT_EQ(load.code(), StatusCode::kDataLoss) << "cut=" << cut;
   }
   KgPipeline probe(&kb_, FastOptions().pipeline);
-  EXPECT_FALSE(probe.LoadState(payload + "trailing").ok());
+  EXPECT_EQ(probe.LoadState(payload + "trailing").code(),
+            StatusCode::kDataLoss);
 }
 
 // LoadState parses the whole image before it replaces anything, so a

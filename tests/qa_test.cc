@@ -502,11 +502,11 @@ TEST_F(PathFixture, ConstraintAnywhereHonorsConfidenceFloor) {
   }
 }
 
-// The final-edge constraint uses the per-predicate adjacency
-// partitions; a predicate that never closes into the target yields
-// nothing, and the engine-level fallback (see
-// UnknownPredicateConstraintFallsBack) re-runs unconstrained.
-TEST_F(PathFixture, FinalEdgeConstraintUsesPredicatePartitions) {
+// Under the final-edge constraint only an edge of the constrained
+// predicate closes a path into the target; a predicate that never
+// closes into the target yields nothing, and the engine-level fallback
+// (see UnknownPredicateConstraintFallsBack) re-runs unconstrained.
+TEST_F(PathFixture, FinalEdgeConstraintClosesOnlyThroughThePredicate) {
   PathSearchConfig config;
   config.top_k = 10;
   PathSearch search(&graph_, config);
@@ -519,6 +519,64 @@ TEST_F(PathFixture, FinalEdgeConstraintUsesPredicatePartitions) {
   // A predicate with no edge into dst cannot close any path.
   PredicateId unused = graph_.predicates().Intern("unused_pred");
   EXPECT_TRUE(search.FindPaths(src_, dst_, unused).empty());
+}
+
+// The closing step of final-edge-constrained search: from tail t, every
+// `via` edge between t and the target z closes a path, in either
+// direction and including parallel edges, while t<->z edges of another
+// predicate and `via` edges to other vertices do not.
+//
+//   e0 a -rel-> t      e4 t -via-> z      e8 o1 -via-> t
+//   e1 t -rel-> z      e5 z -via-> t      e9 t -via-> o2
+//   e2 t -via-> z      e6 t -rel-> z
+//   e3 z -rel-> t      e7 t -via-> o1
+TEST(PathClosingTest, ClosesThroughEveryViaEdgeBetweenTailAndTarget) {
+  PropertyGraph g;
+  auto add_vertex = [&](const std::string& name,
+                        std::vector<double> topics) {
+    VertexId v = g.GetOrAddVertex(name);
+    g.SetVertexTopics(v, std::move(topics));
+    return v;
+  };
+  VertexId a = add_vertex("a", {0.6, 0.4});
+  VertexId t = add_vertex("t", {0.7, 0.3});
+  VertexId z = add_vertex("z", {0.8, 0.2});
+  VertexId o1 = add_vertex("o1", {0.5, 0.5});
+  VertexId o2 = add_vertex("o2", {0.4, 0.6});
+  PredicateId rel = g.predicates().Intern("rel");
+  PredicateId via = g.predicates().Intern("via");
+  int next_source = 0;
+  auto connect = [&](VertexId s, PredicateId p, VertexId o) {
+    EdgeMeta meta;
+    meta.source = g.sources().Intern("s" + std::to_string(next_source++));
+    g.AddEdge(s, p, o, meta);
+  };
+  connect(a, rel, t);
+  connect(t, rel, z);
+  connect(t, via, z);
+  connect(z, rel, t);
+  connect(t, via, z);
+  connect(z, via, t);
+  connect(t, rel, z);
+  connect(t, via, o1);
+  connect(o1, via, t);
+  connect(t, via, o2);
+
+  PathSearchConfig config;
+  config.top_k = 10;
+  PathSearch search(&g, config);
+  const std::vector<PathResult> paths = search.FindPaths(a, z, via);
+  const std::vector<VertexId> vertices = {a, t, z};
+  const std::vector<std::vector<EdgeId>> edges = {{0, 2}, {0, 4}, {0, 5}};
+  const std::vector<std::vector<SourceId>> sources = {
+      {0, 2}, {0, 4}, {0, 5}};
+  ASSERT_EQ(paths.size(), edges.size());
+  for (size_t i = 0; i < paths.size(); ++i) {
+    EXPECT_EQ(paths[i].vertices, vertices) << i;
+    EXPECT_EQ(paths[i].edges, edges[i]) << i;
+    EXPECT_EQ(paths[i].sources, sources[i]) << i;
+    EXPECT_DOUBLE_EQ(paths[i].coherence, ComputePathCoherence(g, vertices));
+  }
 }
 
 }  // namespace

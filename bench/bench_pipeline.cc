@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/binary_io.h"
 #include "common/fault_injection.h"
 #include "common/random.h"
 #include "common/string_util.h"
@@ -135,11 +136,13 @@ void RunThroughput() {
 
 /// Parallel-ingest sweep: the same 400-event corpus at 1..N pipeline
 /// threads. Ingestion goes through Nous::IngestStream (batched
-/// IngestBatch), so extraction fans out while fusion stays ordered —
-/// the resulting KG must be identical at every thread count, which the
-/// sweep asserts. Results land in BENCH_pipeline.json (written by
-/// main, which appends the group-commit sweep to the same object).
-void RunParallelIngest(size_t max_threads, JsonWriter* out) {
+/// IngestBatch), so extraction fans out while fusion stays ordered,
+/// and Finalize() fits BPR and LDA side by side. The finalized KG
+/// image must be byte-identical at every thread count; returns false
+/// (after printing the table) when one differs from the 1-thread run.
+/// Results land in BENCH_pipeline.json (written by main, which appends
+/// the group-commit sweep to the same object).
+bool RunParallelIngest(size_t max_threads, JsonWriter* out) {
   bench::PrintHeader(
       "E8b: parallel ingest speedup",
       "§4 scalability ('scales gracefully with stream rate')",
@@ -158,7 +161,7 @@ void RunParallelIngest(size_t max_threads, JsonWriter* out) {
 
   TablePrinter table({"threads", "seconds", "docs/s", "speedup",
                       "extract s", "link s", "map s", "score s",
-                      "refresh s", "mine s"});
+                      "refresh s", "mine s", "finalize s"});
   JsonWriter& json = *out;
   json.Key("bench");
   json.String("pipeline_parallel_ingest");
@@ -172,7 +175,8 @@ void RunParallelIngest(size_t max_threads, JsonWriter* out) {
   json.BeginArray();
 
   double serial_seconds = 0;
-  size_t baseline_vertices = 0, baseline_edges = 0;
+  std::string serial_image;
+  std::vector<size_t> diverged;
   for (size_t threads : sweep) {
     // Reset per run so the publish quantiles below describe this
     // thread count only.
@@ -185,18 +189,22 @@ void RunParallelIngest(size_t max_threads, JsonWriter* out) {
     NOUS_CHECK_OK(nous.IngestStream(&stream, /*finalize=*/false));
     double seconds = timer.ElapsedSeconds();
     if (threads == sweep.front()) serial_seconds = seconds;
-    const PipelineStats& ps = nous.stats();
-    size_t vertices = nous.graph().NumVertices();
-    size_t edges = nous.graph().NumEdges();
+    const PipelineStats ps = nous.stats();  // ingest only
+    WallTimer finalize_timer;
+    nous.Finalize();
+    const double finalize_seconds = finalize_timer.ElapsedSeconds();
+    size_t vertices = 0, edges = 0;
+    BinaryWriter image;
+    {
+      ReaderMutexLock lock(nous.kg_mutex());
+      vertices = nous.graph().NumVertices();
+      edges = nous.graph().NumEdges();
+      nous.graph().SaveBinary(&image);
+    }
     if (threads == sweep.front()) {
-      baseline_vertices = vertices;
-      baseline_edges = edges;
-    } else if (vertices != baseline_vertices ||
-               edges != baseline_edges) {
-      std::cout << "WARNING: KG diverged at " << threads
-                << " threads (" << vertices << "v/" << edges
-                << "e vs " << baseline_vertices << "v/"
-                << baseline_edges << "e)\n";
+      serial_image = image.data();
+    } else if (image.data() != serial_image) {
+      diverged.push_back(threads);
     }
     double docs_per_sec =
         static_cast<double>(ps.documents) / std::max(seconds, 1e-9);
@@ -211,7 +219,8 @@ void RunParallelIngest(size_t max_threads, JsonWriter* out) {
          TablePrinter::Num(ps.map_seconds, 2),
          TablePrinter::Num(ps.score_seconds, 2),
          TablePrinter::Num(ps.refresh_seconds, 2),
-         TablePrinter::Num(ps.mine_seconds, 2)});
+         TablePrinter::Num(ps.mine_seconds, 2),
+         TablePrinter::Num(finalize_seconds, 2)});
     json.BeginObject();
     json.Key("threads");
     json.Int(static_cast<long long>(threads));
@@ -233,6 +242,8 @@ void RunParallelIngest(size_t max_threads, JsonWriter* out) {
     json.Number(ps.refresh_seconds);
     json.Key("mine_seconds");
     json.Number(ps.mine_seconds);
+    json.Key("finalize_seconds");
+    json.Number(finalize_seconds);
     json.Key("vertices");
     json.Int(static_cast<long long>(vertices));
     json.Key("edges");
@@ -253,8 +264,15 @@ void RunParallelIngest(size_t max_threads, JsonWriter* out) {
   json.Key("peak_rss_bytes");
   json.Int(static_cast<long long>(PeakRssBytes()));
   table.Print(std::cout);
-  std::cout << "\nKG identical across thread counts: extraction "
-               "parallel, fusion ordered\n";
+  for (size_t threads : diverged) {
+    std::cout << "ERROR: finalized KG image at " << threads
+              << " threads differs from the 1-thread image\n";
+  }
+  if (!diverged.empty()) return false;
+  std::cout << "\nFinalized KG image identical across thread counts ("
+            << serial_image.size() << " bytes): extraction parallel, "
+            << "fusion ordered, Finalize's fits side by side\n";
+  return true;
 }
 
 /// A scratch durability directory with no stale WAL/checkpoint files
@@ -492,7 +510,7 @@ int main(int argc, char** argv) {
   }
   nous::JsonWriter json;
   json.BeginObject();
-  nous::RunParallelIngest(max_threads, &json);
+  if (!nous::RunParallelIngest(max_threads, &json)) return 1;
   nous::RunGroupCommit(&json);
   json.EndObject();
   {

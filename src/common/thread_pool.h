@@ -42,9 +42,9 @@ class WaitGroup {
 };
 
 /// Fixed-size worker pool. Stands in for the distributed workers of the
-/// paper's Spark deployment: ingest extraction, the BPR trainer, the
-/// streaming-miner baseline, and the HTTP server all shard work across
-/// pool threads.
+/// paper's Spark deployment: ingest extraction, Finalize's BPR and LDA
+/// fits, the streaming-miner baseline, and the HTTP server all shard
+/// work across pool threads.
 ///
 /// Concurrency contract: Submit() and ParallelFor() may be called from
 /// any number of threads at once. ParallelFor tracks its own batch with

@@ -35,6 +35,7 @@ struct PipelineMetrics {
   Counter* deduped;
   Counter* retractions;
   Gauge* window_edges;
+  Gauge* refresh_edges;
 };
 
 /// One past N for an "adhoc_N" article id (what
@@ -85,6 +86,9 @@ const PipelineMetrics& Metrics() {
                                  "Edges weakened by negated reports");
     m.window_edges = r.GetGauge("nous_mining_window_edges",
                                 "Live edges in the miner's sliding window");
+    m.refresh_edges = r.GetGauge(
+        "nous_embed_refresh_edges",
+        "Triples trained by the last BPR refresh (every KG edge)");
     return m;
   }();
   return metrics;
@@ -130,7 +134,6 @@ KgPipeline::KgPipeline(const CuratedKb* kb, PipelineConfig config)
   if (threads > 1) {
     pool_ = std::make_unique<ThreadPool>(threads);
   }
-  bpr_.set_pool(pool_.get());
   mapper_.LoadDefaultSeeds();
   LoadCuratedKb();
   kg_version_ = 1;  // the curated bootstrap is the first KG version
@@ -551,7 +554,6 @@ Status KgPipeline::LoadStateLocked(std::string_view payload) {
   PredicateMapper mapper = mapper_;  // keeps the seeds; evidence reloads
   NOUS_RETURN_IF_ERROR(mapper.LoadBinary(&reader));
   BprModel bpr(config_.bpr);
-  bpr.set_pool(pool_.get());
   NOUS_RETURN_IF_ERROR(bpr.LoadBinary(&reader));
   SourceTrustTracker trust = trust_;  // keeps the priors; counts reload
   NOUS_RETURN_IF_ERROR(trust.LoadBinary(&reader));
@@ -599,6 +601,7 @@ void KgPipeline::RefreshBpr(size_t epochs) {
   }
   bpr_.Train(triples, graph_.NumVertices(), graph_.predicates().size(),
              epochs);
+  Metrics().refresh_edges->Set(static_cast<double>(triples.size()));
   stats_.refresh_seconds += span.End();
 }
 
@@ -612,12 +615,34 @@ void KgPipeline::Finalize() {
 }
 
 void KgPipeline::FinalizeLocked() {
-  if (config_.enable_link_prediction) {
-    RefreshBpr(config_.bpr.epochs);
+  NOUS_SPAN("finalize");
+  // The BPR retrain and the LDA fit only read graph_ until the join,
+  // and neither reads what the other writes, so they run side by side.
+  // ParallelFor's caller drains items itself, so this progresses even
+  // when every worker is busy with another caller's extraction. The
+  // items run under the WriterMutexLock held by Finalize(), which the
+  // thread-safety analysis cannot see inside a lambda body.
+  const bool train = config_.enable_link_prediction;
+  VertexTopicAssignments fitted;
+  auto fit = [this, train, &fitted](size_t item) NO_THREAD_SAFETY_ANALYSIS {
+    if (item == 0) {
+      if (train) RefreshBpr(config_.bpr.epochs);
+      return;
+    }
+    // Fit in src/topic (pure), apply below: SetVertexTopics is a KG
+    // write and stays inside the pipeline funnel (nous-layering).
+    NOUS_SPAN("topic_fit");
+    fitted = FitVertexTopics(graph_, config_.lda);
+  };
+  if (pool_ != nullptr) {
+    pool_->ParallelFor(2, fit);
+  } else {
+    fit(0);
+    fit(1);
+  }
+  if (train) {
     // Rescore extracted edges with the final model (dynamic-KG
-    // confidence maintenance). The thread-safety analysis cannot see
-    // held capabilities inside a lambda body, so the rescore callback
-    // opts out; it runs strictly under the WriterMutexLock above.
+    // confidence maintenance).
     const double w = config_.bpr_rescore_weight;
     graph_.ForEachEdge(
         [this, w](EdgeId e, const EdgeRecord& rec) NO_THREAD_SAFETY_ANALYSIS {
@@ -628,9 +653,6 @@ void KgPipeline::FinalizeLocked() {
           graph_.SetEdgeConfidence(e, std::clamp(rescored, 0.0, 1.0));
         });
   }
-  // Fit in src/topic (pure), apply here: SetVertexTopics is a KG
-  // write and stays inside the pipeline funnel (nous-layering).
-  VertexTopicAssignments fitted = FitVertexTopics(graph_, config_.lda);
   for (size_t i = 0; i < fitted.vertices.size(); ++i) {
     graph_.SetVertexTopics(fitted.vertices[i], std::move(fitted.topics[i]));
   }

@@ -36,9 +36,9 @@ struct PipelineConfig {
   OpenIeConfig extraction;
   LinkerConfig linker;
   MapperConfig mapper;
-  /// Block SGD by default (see BprConfig::sgd_block): the block size,
-  /// not num_threads, picks the trained model, and block SGD is what
-  /// lets the refresh use the pool.
+  /// Block SGD by default (see BprConfig::sgd_block): the block size
+  /// picks the trained model. Training is serial; Finalize runs it
+  /// beside the LDA fit.
   BprConfig bpr{.sgd_block = 256};
   MinerConfig miner;
   LdaConfig lda;
@@ -79,11 +79,12 @@ struct PipelineConfig {
   bool negation_retracts = true;
   /// Confidence multiplier applied to a retracted edge per negation.
   double retraction_factor = 0.5;
-  /// Worker threads for batch ingest extraction and the block-SGD BPR
-  /// refresh (0 = hardware_concurrency). The fused KG is identical for
+  /// Worker threads for batch ingest extraction and Finalize's two
+  /// fits (0 = hardware_concurrency). The fused KG is identical for
   /// every value: extraction is pure per-document work and fusion
   /// commits in arrival order ("extract in parallel, fuse in order"),
-  /// and BPR training is thread-count-invariant for any sgd_block.
+  /// and Finalize's BPR retrain and LDA fit each run serially on one
+  /// thread, side by side, reading only the KG until both finish.
   size_t num_threads = 0;
 };
 
@@ -128,8 +129,10 @@ class KgPipeline {
   /// under its final id — before handing it to IngestBatch.
   std::string ReserveAdhocId();
 
-  /// Fits LDA topics over the fused KG and runs a final BPR refresh.
-  /// Call once after the stream (or periodically).
+  /// Runs a final BPR refresh and fits LDA topics over the fused KG,
+  /// the two side by side on the pool, then rescores the extracted
+  /// edges and applies the topics. Call once after the stream (or
+  /// periodically).
   void Finalize() EXCLUDES(kg_mutex_);
 
   /// Serializes every piece of mutable state that influences future
@@ -171,7 +174,7 @@ class KgPipeline {
     return kg_mutex_;
   }
 
-  /// Worker pool shared by extraction and the BPR refresh; null when
+  /// Worker pool shared by extraction and Finalize's fits; null when
   /// the pipeline resolved to one thread. The pool itself is
   /// internally synchronized; the pointer is immutable after
   /// construction.
@@ -247,8 +250,8 @@ class KgPipeline {
   /// facts (its first kb_->facts().size() edges), announces those to
   /// the miner, and pushes KG edges [stream_begin, E) into the window.
   void ResetMinerWindowLocked(EdgeId stream_begin) REQUIRES(kg_mutex_);
-  /// Finalize body (BPR refresh + rescore + LDA), under the writer
-  /// lock held by Finalize().
+  /// Finalize body (BPR refresh beside the LDA fit, then rescore and
+  /// topic apply), under the writer lock held by Finalize().
   void FinalizeLocked() REQUIRES(kg_mutex_);
   std::string VertexTypeName(VertexId v) const REQUIRES_SHARED(kg_mutex_);
   /// Trains BPR for `epochs` over every KG edge, in edge-id order.

@@ -139,9 +139,8 @@ void BprModel::RunEpochsBlocked(const std::vector<IdTriple>& triples,
   std::vector<double> grads;
   for (size_t epoch = 0; epoch < epochs; ++epoch) {
     rng_.Shuffle(&order);
-    // Presample negatives serially, consuming rng_ in the same
-    // shuffled order as the sequential path — the sample stream is
-    // thread-count independent by construction.
+    // Presample negatives, consuming rng_ in the same shuffled order
+    // as the sequential path.
     samples.clear();
     for (size_t idx : order) {
       const IdTriple& t = triples[idx];
@@ -157,17 +156,10 @@ void BprModel::RunEpochsBlocked(const std::vector<IdTriple>& triples,
     for (size_t start = 0; start < samples.size(); start += block) {
       const size_t count = std::min(block, samples.size() - start);
       grads.resize(count * 4 * d);
-      // Gradient computation reads parameters frozen for the whole
-      // block (the apply phase below is the only writer), so the
-      // ParallelFor is race-free and the grads buffer is identical
-      // regardless of how many threads fill it.
-      auto compute = [this, &samples, &grads, start, d](size_t i) {
+      // Every gradient reads the parameters frozen at the block start;
+      // the apply loop below is the only writer.
+      for (size_t i = 0; i < count; ++i) {
         ComputeGradient(samples[start + i], &grads[i * 4 * d]);
-      };
-      if (pool_ != nullptr && count > 1) {
-        pool_->ParallelFor(count, compute);
-      } else {
-        for (size_t i = 0; i < count; ++i) compute(i);
       }
       for (size_t i = 0; i < count; ++i) {
         ApplyGradient(samples[start + i], &grads[i * 4 * d]);

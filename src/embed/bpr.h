@@ -7,7 +7,6 @@
 #include "common/binary_io.h"
 #include "common/random.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "embed/link_predictor.h"
 
 namespace nous {
@@ -23,14 +22,12 @@ struct BprConfig {
   size_t negatives_per_positive = 1;
   uint64_t seed = 31;
   /// SGD scheduling. 0 = classic sequential SGD (every update sees all
-  /// preceding ones — the seed behavior). >0 = deterministic block
-  /// SGD: gradients for `sgd_block` consecutive samples are computed
-  /// against parameters frozen at the block start (in parallel when a
-  /// pool is attached via set_pool), then applied in sample order.
-  /// The result is bit-identical for any pool size including none —
-  /// only the block size changes the trained model, never the thread
-  /// count. See DESIGN.md "Threading model" for why this was chosen
-  /// over hogwild.
+  /// preceding ones — the seed behavior). >0 = block SGD: gradients for
+  /// `sgd_block` consecutive samples are computed against parameters
+  /// frozen at the block start, then applied in sample order. The
+  /// block size picks the trained model (the pipeline's is 256);
+  /// training is serial either way, so no thread count enters it.
+  /// See DESIGN.md "Threading model" for why it does not use a pool.
   size_t sgd_block = 0;
 };
 
@@ -40,16 +37,10 @@ struct BprConfig {
 /// embeddings and a per-predicate diagonal interaction. Training
 /// optimizes ln sigmoid(x_pos − x_neg) by SGD over (positive, sampled
 /// negative-object) pairs. Retraining grows the tables as the dynamic
-/// KG grows, and block-deterministic SGD parallelizes it across a
-/// ThreadPool (BprConfig::sgd_block).
+/// KG grows (BprConfig::sgd_block picks sequential or block SGD).
 class BprModel : public LinkPredictor {
  public:
   explicit BprModel(BprConfig config = {});
-
-  /// Attaches a worker pool used to parallelize block SGD (only
-  /// meaningful with config.sgd_block > 0). Not owned; pass null to
-  /// detach. The trained model does not depend on the pool.
-  void set_pool(ThreadPool* pool) { pool_ = pool; }
 
   /// Runs `epochs` SGD passes over `triples`, continuing from the
   /// current parameters. Grows parameter tables to `num_entities` /
@@ -73,7 +64,7 @@ class BprModel : public LinkPredictor {
 
   /// Checkpoint serialization: parameter tables bit-exact plus the
   /// RNG state, so a restored model continues the exact same SGD
-  /// trajectory (negative sampling included). Config and pool are
+  /// trajectory (negative sampling included). The config is
   /// reconstructed by the caller and must match the saved dimensions.
   void SaveBinary(BinaryWriter* writer) const;
   Status LoadBinary(BinaryReader* reader);
@@ -97,7 +88,6 @@ class BprModel : public LinkPredictor {
 
   BprConfig config_;
   Rng rng_;
-  ThreadPool* pool_ = nullptr;  // not owned
   size_t num_entities_ = 0;
   size_t num_predicates_ = 0;
   /// Row-major [entity][dim] subject and object tables.

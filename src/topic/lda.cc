@@ -8,6 +8,8 @@ namespace nous {
 
 LdaModel::LdaModel(LdaConfig config) : config_(config) {
   NOUS_CHECK(config_.num_topics > 0);
+  // Token topic assignments are stored as uint8_t.
+  NOUS_CHECK(config_.num_topics <= 256);
 }
 
 void LdaModel::Fit(const std::vector<std::vector<uint32_t>>& docs,

@@ -9,6 +9,7 @@
 namespace nous {
 
 struct LdaConfig {
+  /// In [1, 256]: token topic assignments are stored as uint8_t.
   size_t num_topics = 10;
   /// Dirichlet hyperparameters: document-topic (alpha), topic-term
   /// (beta).

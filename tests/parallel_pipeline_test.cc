@@ -160,6 +160,24 @@ TEST_F(ParallelPipelineFixture, SaveStateBytesMatchAcrossRunsAndThreadCounts) {
   EXPECT_EQ(image(4), first);
 }
 
+TEST_F(ParallelPipelineFixture,
+       FinalizedSaveStateBytesMatchAcrossThreadCounts) {
+  // Finalize fits BPR and LDA side by side on the pool. The image holds
+  // the rescored edge confidences, the vertex topics and the BPR
+  // parameters, so the fits must not depend on the thread count.
+  auto articles = MakeArticles();
+  auto image = [&](size_t threads) {
+    Nous nous(&kb_, FastOptions(threads));
+    NOUS_CHECK_OK(nous.IngestBatch(articles));
+    nous.Finalize();
+    return nous.pipeline().SaveState();
+  };
+  const std::string first = image(1);
+  EXPECT_EQ(image(2), first);
+  EXPECT_EQ(image(4), first);
+  EXPECT_EQ(image(8), first);
+}
+
 TEST_F(ParallelPipelineFixture, QueriesRunSafelyDuringIngest) {
   // Readers (Ask, ComputeStats) hold the shared lock while a writer
   // thread streams documents in. The test is a smoke check for the

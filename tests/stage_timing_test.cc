@@ -160,5 +160,58 @@ TEST_F(StageTimingTest, HistogramSumsEqualPipelineStats) {
   EXPECT_GT(nested, stats.documents);
 }
 
+TEST_F(StageTimingTest, FinalizeNestsBothFitsUnderOneSpan) {
+  // Finalize runs the BPR retrain and the LDA fit side by side on the
+  // pool; both spans parent under the one finalize span, on whichever
+  // thread ran them.
+  std::vector<Article> articles = MakeArticles();
+  KgPipeline pipeline(&kb_, Config());
+  pipeline.IngestBatch(articles.data(), articles.size());
+  MetricsRegistry::Global().ResetAll();
+  TraceBuffer::Global().Clear();
+  pipeline.Finalize();
+
+  std::vector<SpanRecord> spans = TraceBuffer::Global().Snapshot();
+  const SpanRecord* finalize = nullptr;
+  for (const SpanRecord& span : spans) {
+    if (std::string(span.name) == "finalize") {
+      ASSERT_EQ(finalize, nullptr) << "two finalize spans";
+      finalize = &span;
+    }
+  }
+  ASSERT_NE(finalize, nullptr);
+  std::map<std::string, MetricsRegistry::HistogramRow> histograms;
+  for (const auto& row : MetricsRegistry::Global().HistogramRows()) {
+    histograms[row.name] = row;
+  }
+  for (const char* stage : {"finalize", "embed_refresh", "topic_fit"}) {
+    SCOPED_TRACE(stage);
+    const auto it =
+        histograms.find("nous_" + std::string(stage) + "_latency_seconds");
+    ASSERT_NE(it, histograms.end());
+    EXPECT_EQ(it->second.count, 1u);
+  }
+  for (const char* stage : {"embed_refresh", "topic_fit"}) {
+    SCOPED_TRACE(stage);
+    size_t found = 0;
+    for (const SpanRecord& span : spans) {
+      if (std::string(span.name) != stage) continue;
+      ++found;
+      EXPECT_EQ(span.trace_id, finalize->trace_id);
+      EXPECT_EQ(span.parent_span_id, finalize->span_id);
+      EXPECT_GE(span.start_us, finalize->start_us);
+      EXPECT_LE(span.start_us + span.duration_us,
+                finalize->start_us + finalize->duration_us);
+    }
+    EXPECT_EQ(found, 1u);
+  }
+  // The refresh trains on every KG edge.
+  ReaderMutexLock lock(pipeline.kg_mutex());
+  EXPECT_EQ(MetricsRegistry::Global()
+                .GetGauge("nous_embed_refresh_edges")
+                ->Value(),
+            static_cast<double>(pipeline.graph().NumEdges()));
+}
+
 }  // namespace
 }  // namespace nous

@@ -140,6 +140,15 @@ TEST(LdaTest, DeterministicPerSeed) {
   }
 }
 
+TEST(LdaDeathTest, MoreThan256TopicsIsFatal) {
+  // Token topic assignments are uint8_t: topic 256 would alias topic 0.
+  LdaConfig config;
+  config.num_topics = 256;
+  EXPECT_EQ(LdaModel(config).num_topics(), 256u);
+  config.num_topics = 257;
+  EXPECT_DEATH(LdaModel{config}, "num_topics <= 256");
+}
+
 // ---------- Vertex corpus ----------
 
 TEST(DocTermTest, BuildsCorpusFromVertexBags) {

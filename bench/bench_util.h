@@ -3,6 +3,7 @@
 
 #include <iostream>
 #include <string>
+#include <utility>
 
 #include "corpus/article_generator.h"
 #include "corpus/document_stream.h"
@@ -22,19 +23,14 @@ struct DroneFixture {
   std::vector<Article> articles;
 };
 
-inline DroneFixture MakeDroneFixture(size_t num_events,
-                                     uint64_t seed = 17,
+/// A fixture over any drone world (e.g. a scaled-up one whose many
+/// more distinct events render a longer stream).
+inline DroneFixture MakeDroneFixture(const DroneWorldConfig& world_config,
                                      double entity_coverage = 0.6,
                                      CorpusConfig corpus_config = {}) {
   DroneFixture fixture{WorldModel(), CuratedKb(Ontology::DroneDefault()),
                        {}};
-  DroneWorldConfig wc;
-  wc.num_companies = 30;
-  wc.num_people = 20;
-  wc.num_products = 15;
-  wc.num_events = num_events;
-  wc.seed = seed;
-  fixture.world = WorldModel::BuildDroneWorld(wc);
+  fixture.world = WorldModel::BuildDroneWorld(world_config);
   KbCoverage coverage;
   coverage.entity_coverage = entity_coverage;
   fixture.kb =
@@ -42,6 +38,20 @@ inline DroneFixture MakeDroneFixture(size_t num_events,
   fixture.articles =
       ArticleGenerator(&fixture.world, corpus_config).GenerateArticles();
   return fixture;
+}
+
+/// The standard drone world (30 companies, 20 people, 15 products).
+inline DroneFixture MakeDroneFixture(size_t num_events,
+                                     uint64_t seed = 17,
+                                     double entity_coverage = 0.6,
+                                     CorpusConfig corpus_config = {}) {
+  DroneWorldConfig wc;
+  wc.num_companies = 30;
+  wc.num_people = 20;
+  wc.num_products = 15;
+  wc.num_events = num_events;
+  wc.seed = seed;
+  return MakeDroneFixture(wc, entity_coverage, std::move(corpus_config));
 }
 
 /// Quantiles of one registry latency histogram, in microseconds.

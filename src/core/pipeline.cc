@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstdlib>
+#include <optional>
 #include <string_view>
 #include <thread>
 
 #include "common/binary_io.h"
+#include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "linker/context.h"
@@ -34,6 +37,7 @@ struct PipelineMetrics {
   Counter* accepted;
   Counter* deduped;
   Counter* retractions;
+  Counter* inline_extractions;
   Gauge* window_edges;
   Gauge* refresh_edges;
 };
@@ -84,6 +88,10 @@ const PipelineMetrics& Metrics() {
                              "Repeated reports merged into existing edges");
     m.retractions = r.GetCounter("nous_pipeline_retractions_total",
                                  "Edges weakened by negated reports");
+    m.inline_extractions = r.GetCounter(
+        "nous_ingest_inline_extractions_total",
+        "Documents the committing thread extracted itself (no pool "
+        "helper had claimed them)");
     m.window_edges = r.GetGauge("nous_mining_window_edges",
                                 "Live edges in the miner's sliding window");
     m.refresh_edges = r.GetGauge(
@@ -207,28 +215,80 @@ std::string KgPipeline::VertexTypeName(VertexId v) const {
   return graph_.types().GetString(t);
 }
 
+/// One batch's extraction hand-off: pool helpers and the committing
+/// thread claim documents in arrival order from `cursor`, and each
+/// extractor publishes docs[i] with a release store to published[i]
+/// that the committer acquires. Held by shared_ptr, as ParallelFor
+/// holds its state: a helper dequeued after IngestBatch returned still
+/// owns it, finds the cursor past the end, and reads nothing else.
+struct KgPipeline::ExtractionBatch {
+  ExtractionBatch(const Article* batch_articles, size_t count)
+      : articles(batch_articles), docs(count), published(count) {}
+
+  /// Claims the next unextracted document; false once none remain.
+  bool Claim(size_t* index) {
+    *index = cursor.fetch_add(1, std::memory_order_relaxed);
+    return *index < docs.size();
+  }
+  void Publish(size_t index, ExtractedDoc&& doc) {
+    docs[index] = std::move(doc);
+    published[index].store(1, std::memory_order_release);
+    published[index].notify_one();
+  }
+
+  const Article* const articles;
+  std::vector<ExtractedDoc> docs;
+  std::vector<std::atomic<uint32_t>> published;  // 1 once docs[i] is set
+  std::atomic<size_t> cursor{0};
+};
+
 void KgPipeline::IngestBatch(const Article* articles, size_t count) {
   if (count == 0) return;
   NOUS_SPAN_VAR(span, "ingest_batch");
   span.Attr("batch_size", count);
-  // Stage 1 fans out across the pool (pure per-document work); the
-  // commit loop below fuses in arrival order under one write-lock
-  // acquisition, so the KG is bit-identical to serial ingest for any
-  // thread count.
-  std::vector<ExtractedDoc> docs(count);
-  if (pool_ != nullptr && count > 1) {
-    pool_->ParallelFor(count, [this, articles, &docs](size_t i) {
-      docs[i] = ExtractDocument(articles[i]);
+  // Extraction runs ahead of the commit loop: pool helpers extract
+  // documents in arrival order while this thread commits them in that
+  // order, waiting for a document only when a helper still holds it
+  // and no unclaimed one remains for this thread to extract itself. A
+  // late or absent pool therefore costs no more than serial ingest,
+  // and since extraction is pure and commit order fixed, the KG is
+  // bit-identical for any thread count. Helpers touch `this` (the
+  // immutable extraction models) only after claiming a document, which
+  // the loop below commits before returning.
+  auto batch = std::make_shared<ExtractionBatch>(articles, count);
+  const size_t helpers =
+      pool_ == nullptr ? 0 : std::min(pool_->num_threads(), count - 1);
+  for (size_t h = 0; h < helpers; ++h) {
+    pool_->Submit([this, batch] {
+      for (size_t i = 0; batch->Claim(&i);) {
+        batch->Publish(i, ExtractDocument(batch->articles[i]));
+      }
     });
-  } else {
-    for (size_t i = 0; i < count; ++i) {
-      docs[i] = ExtractDocument(articles[i]);
-    }
   }
   {
+    // This thread's own extractions run inside the writer section, and
+    // that blocks no reader that could otherwise run: every other
+    // kg_mutex_ reader is on this ingest thread (PublishSnapshot, and
+    // SaveState through Checkpoint) or serialized with it by
+    // Nous::ingest_mutex_ (Recover, CaptureReplicationImage). Queries
+    // read published snapshots and take no lock.
     WriterMutexLock lock(kg_mutex_);
+    const PipelineMetrics& metrics = Metrics();
     for (size_t i = 0; i < count; ++i) {
-      CommitDocument(articles[i], std::move(docs[i]));
+      while (batch->published[i].load(std::memory_order_acquire) == 0) {
+        size_t claimed = 0;
+        if (batch->Claim(&claimed)) {
+          batch->Publish(claimed, ExtractDocument(articles[claimed]));
+          ++stats_.inline_extractions;
+          metrics.inline_extractions->Increment();
+        } else {
+          // A helper holds document i and nothing is left to extract.
+          NOUS_SPAN_VAR(wait_span, "extract_wait");
+          batch->published[i].wait(0, std::memory_order_acquire);
+          stats_.extract_wait_seconds += wait_span.End();
+        }
+      }
+      CommitDocument(articles[i], std::move(batch->docs[i]));
       // An ingested "adhoc_N" raises the ad-hoc counter past N, whether
       // it came from ReserveAdhocId, a caller, WAL replay or a leader,
       // so live, recovered and follower images agree and no later
@@ -253,8 +313,14 @@ KgPipeline::ExtractedDoc KgPipeline::ExtractDocument(
   // Reads only the immutable lexicon/NER/SRL models plus thread-safe
   // metrics, so batch ingest runs it from pool threads; there the span
   // parents under the submitting ingest_batch span via the ThreadPool's
-  // TraceContext propagation.
+  // TraceContext propagation. The "ingest_extract" fault point (delay
+  // only) stretches one document's extraction for scheduling tests.
   NOUS_SPAN_VAR(span, "extraction");
+  if (std::optional<Fault> fault =
+          FaultInjector::Global().Hit("ingest_extract");
+      fault.has_value() && fault->kind == FaultKind::kDelay) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(fault->arg));
+  }
   const PipelineMetrics& metrics = Metrics();
   ExtractedDoc doc;
   doc.frames =

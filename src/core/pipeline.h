@@ -80,9 +80,10 @@ struct PipelineConfig {
   /// Confidence multiplier applied to a retracted edge per negation.
   double retraction_factor = 0.5;
   /// Worker threads for batch ingest extraction and Finalize's two
-  /// fits (0 = hardware_concurrency). The fused KG is identical for
-  /// every value: extraction is pure per-document work and fusion
-  /// commits in arrival order ("extract in parallel, fuse in order"),
+  /// fits (0 = hardware_concurrency); above 1 the pipeline owns a pool
+  /// of this many, beside the ingesting thread. The fused KG is
+  /// identical for every value: extraction is pure per-document work
+  /// that helpers run ahead of a commit loop fusing in arrival order,
   /// and Finalize's BPR retrain and LDA fit each run serially on one
   /// thread, side by side, reading only the KG until both finish.
   size_t num_threads = 0;
@@ -94,13 +95,13 @@ struct PipelineConfig {
 /// sliding window fed with the same extracted stream plus the curated
 /// base (mining "both structures", §3.5).
 ///
-/// Threading model (DESIGN.md "Threading model"): the pure extraction
-/// stage fans out across a worker pool (IngestBatch); everything that
-/// mutates shared state — linking, mapping, scoring, KG/miner-window
-/// updates, BPR refresh — commits sequentially in arrival order under
-/// the exclusive side of kg_mutex(), so the fused graph is
-/// bit-identical to serial ingest. Readers (query serving, stats) take
-/// the shared side.
+/// Threading model (DESIGN.md "Threading model"): pool helpers run the
+/// pure extraction stage ahead of the commit loop (IngestBatch);
+/// everything that mutates shared state — linking, mapping, scoring,
+/// KG/miner-window updates, BPR refresh — commits sequentially in
+/// arrival order under the exclusive side of kg_mutex(), so the fused
+/// graph is bit-identical to serial ingest. Readers (query serving,
+/// stats) take the shared side.
 class KgPipeline {
  public:
   /// Copies the curated KB's contents into the KG. `kb` must outlive
@@ -112,10 +113,12 @@ class KgPipeline {
 
   /// Ingests a batch: extraction, joint linking, predicate mapping,
   /// confidence scoring, KG + miner-window update, distant
-  /// supervision. Extraction runs across the pool (pure,
-  /// per-document), then link -> map -> score -> update commits
-  /// sequentially in array order under one write-lock acquisition, so
-  /// the fused KG is the same for any batching of the same articles.
+  /// supervision. Pool helpers extract documents (pure, per-document)
+  /// in array order while this thread commits link -> map -> score ->
+  /// update in array order under one write-lock acquisition, taking
+  /// each document as soon as it is extracted and extracting any
+  /// document no helper has claimed itself. The fused KG is the same
+  /// for any batching of the same articles and any thread count.
   /// An article with id "adhoc_N" raises the ad-hoc counter past N.
   void IngestBatch(const Article* articles, size_t count)
       EXCLUDES(kg_mutex_);
@@ -174,7 +177,7 @@ class KgPipeline {
     return kg_mutex_;
   }
 
-  /// Worker pool shared by extraction and Finalize's fits; null when
+  /// Worker pool shared by extraction helpers and Finalize's fits; null when
   /// the pipeline resolved to one thread. The pool itself is
   /// internally synchronized; the pointer is immutable after
   /// construction.
@@ -256,6 +259,9 @@ class KgPipeline {
   std::string VertexTypeName(VertexId v) const REQUIRES_SHARED(kg_mutex_);
   /// Trains BPR for `epochs` over every KG edge, in edge-id order.
   void RefreshBpr(size_t epochs) REQUIRES(kg_mutex_);
+  /// IngestBatch's shared extraction state (defined in pipeline.cc).
+  struct ExtractionBatch;
+
   /// Stage 1 (extraction + document bag): reads only immutable models
   /// (lexicon, NER, SRL), safe to run from pool threads with no lock.
   ExtractedDoc ExtractDocument(const Article& article) const;

@@ -40,6 +40,14 @@ struct PipelineStats {
   /// Span "mining": window insert plus notify and expiry per accepted
   /// triple (the curated bootstrap is not timed).
   double mine_seconds = 0;
+  /// Span "extract_wait": the committing thread waiting for a pool
+  /// helper to finish the next document in arrival order.
+  double extract_wait_seconds = 0;
+  /// Documents the committing thread extracted itself because no pool
+  /// helper had claimed them (all of them without a pool). Like the
+  /// timings it describes this process's scheduling and is never
+  /// persisted.
+  size_t inline_extractions = 0;
 
   std::string ToString() const;
 };

@@ -89,36 +89,54 @@ std::vector<EntityLinker::ScoredCandidate> EntityLinker::ScoreCandidates(
   return scored;
 }
 
+uint64_t EntityLinker::AbsorbNeighbors(VertexId vertex) {
+  if (neighbors_.size() <= vertex) neighbors_.resize(graph_->NumVertices());
+  NeighborSet& set = neighbors_[vertex];
+  const std::vector<AdjEntry>& out = graph_->OutEdges(vertex);
+  const std::vector<AdjEntry>& in = graph_->InEdges(vertex);
+  const uint64_t scanned = (out.size() - set.out_seen) +
+                           (in.size() - set.in_seen);
+  // New neighbors go after the known (sorted) ones, then merge in.
+  const auto known = static_cast<std::ptrdiff_t>(set.ids.size());
+  auto absorb = [&set, known](const std::vector<AdjEntry>& adj,
+                              size_t from) {
+    for (size_t i = from; i < adj.size(); ++i) {
+      const VertexId v = adj[i].neighbor;
+      if (!std::binary_search(set.ids.begin(), set.ids.begin() + known, v)) {
+        set.ids.push_back(v);
+      }
+    }
+  };
+  absorb(out, set.out_seen);
+  absorb(in, set.in_seen);
+  set.out_seen = out.size();
+  set.in_seen = in.size();
+  if (set.ids.size() > static_cast<size_t>(known)) {
+    std::sort(set.ids.begin() + known, set.ids.end());
+    std::inplace_merge(set.ids.begin(), set.ids.begin() + known,
+                       set.ids.end());
+    set.ids.erase(std::unique(set.ids.begin(), set.ids.end()),
+                  set.ids.end());
+  }
+  return scanned;
+}
+
+const std::vector<VertexId>& EntityLinker::Neighbors(VertexId vertex) {
+  AbsorbNeighbors(vertex);
+  return neighbors_[vertex].ids;
+}
+
 uint64_t EntityLinker::CollectNeighbors(
     const std::vector<std::vector<ScoredCandidate>>& candidates) {
   const size_t num_vertices = graph_->NumVertices();
-  if (neighbor_span_.size() < num_vertices) {
-    neighbor_span_.resize(num_vertices);
+  if (inverse_log_degree_.size() < num_vertices) {
     inverse_log_degree_.resize(num_vertices);
   }
-  has_neighbors_.Reset(num_vertices);
   has_inverse_log_degree_.Reset(num_vertices);
-  neighbor_ids_.clear();
   relatedness_memo_.clear();
   uint64_t scanned = 0;
   for (const auto& list : candidates) {
-    for (const ScoredCandidate& c : list) {
-      if (!has_neighbors_.Insert(c.vertex)) continue;
-      const size_t begin = neighbor_ids_.size();
-      neighbor_mark_.Reset(num_vertices);
-      for (const std::vector<AdjEntry>* adj :
-           {&graph_->OutEdges(c.vertex), &graph_->InEdges(c.vertex)}) {
-        for (const AdjEntry& a : *adj) {
-          if (neighbor_mark_.Insert(a.neighbor)) {
-            neighbor_ids_.push_back(a.neighbor);
-          }
-        }
-        scanned += adj->size();
-      }
-      std::sort(neighbor_ids_.begin() + begin, neighbor_ids_.end());
-      neighbor_span_[c.vertex] = {static_cast<uint32_t>(begin),
-                                  static_cast<uint32_t>(neighbor_ids_.size())};
-    }
+    for (const ScoredCandidate& c : list) scanned += AbsorbNeighbors(c.vertex);
   }
   return scanned;
 }
@@ -136,14 +154,11 @@ double EntityLinker::Relatedness(VertexId a, VertexId b) {
                        std::max(a, b);
   auto [memo, inserted] = relatedness_memo_.try_emplace(key, 0.0);
   if (!inserted) return memo->second;
-  const auto [a_begin, a_end] = neighbor_span_[a];
-  const auto [b_begin, b_end] = neighbor_span_[b];
-  const size_t a_size = a_end - a_begin, b_size = b_end - b_begin;
-  if (a_size == 0 || b_size == 0) return 0.0;  // memo holds 0.0
-  const VertexId* x = neighbor_ids_.data() + a_begin;
-  const VertexId* x_end = neighbor_ids_.data() + a_end;
-  const VertexId* y = neighbor_ids_.data() + b_begin;
-  const VertexId* y_end = neighbor_ids_.data() + b_end;
+  const std::vector<VertexId>& a_ids = neighbors_[a].ids;
+  const std::vector<VertexId>& b_ids = neighbors_[b].ids;
+  if (a_ids.empty() || b_ids.empty()) return 0.0;  // memo holds 0.0
+  auto x = a_ids.begin(), x_end = a_ids.end();
+  auto y = b_ids.begin(), y_end = b_ids.end();
   double score = 0;
   while (x != x_end && y != y_end) {
     if (*x < *y) {
@@ -164,7 +179,8 @@ double EntityLinker::Relatedness(VertexId a, VertexId b) {
       ++y;
     }
   }
-  memo->second = score / static_cast<double>(std::min(a_size, b_size));
+  memo->second =
+      score / static_cast<double>(std::min(a_ids.size(), b_ids.size()));
   return memo->second;
 }
 
@@ -330,8 +346,10 @@ Status EntityLinker::LoadBinary(BinaryReader* reader) {
   NOUS_RETURN_IF_ERROR(reader->U64(&created));
   num_created_ = created;
   // The graph was reloaded with this state, so the derived word lists
-  // may describe vertices and terms that no longer exist.
+  // and neighbor sets may describe vertices and terms that no longer
+  // exist.
   context_.Clear();
+  neighbors_.clear();
   return Status::Ok();
 }
 

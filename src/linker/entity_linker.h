@@ -78,6 +78,11 @@ class EntityLinker {
   std::vector<std::pair<VertexId, double>> CandidatesFor(
       std::string_view surface) const;
 
+  /// Distinct KG neighbors of `vertex` (out and in), ascending, as the
+  /// coherence stage reads them; first absorbs the adjacency entries
+  /// appended since the last read. Exposed for tests and diagnostics.
+  const std::vector<VertexId>& Neighbors(VertexId vertex);
+
   size_t num_created() const { return num_created_; }
 
   /// Checkpoint serialization of the alias index (surfaces in sorted
@@ -98,9 +103,22 @@ class EntityLinker {
   /// on context_ (best first, capped at max_candidates).
   std::vector<ScoredCandidate> ScoreCandidates(const std::string& surface);
 
-  /// Appends each distinct candidate's sorted distinct KG neighbors to
-  /// neighbor_ids_ and records its span, for the coherence stage.
-  /// Returns the adjacency entries read.
+  /// A vertex's distinct KG neighbors, ascending, and how many of its
+  /// out- and in-entries they cover. The KG is append-only, so entries
+  /// past those counts are the only ones a later read must absorb.
+  struct NeighborSet {
+    std::vector<VertexId> ids;
+    size_t out_seen = 0;
+    size_t in_seen = 0;
+  };
+
+  /// Brings `vertex`'s neighbor set up to date with its adjacency;
+  /// returns the adjacency entries read.
+  uint64_t AbsorbNeighbors(VertexId vertex);
+
+  /// Brings every candidate's neighbor set up to date for the
+  /// coherence stage and resets the per-document memos. Returns the
+  /// adjacency entries read.
   uint64_t CollectNeighbors(
       const std::vector<std::vector<ScoredCandidate>>& candidates);
 
@@ -118,12 +136,10 @@ class EntityLinker {
   double max_prior_ = 1.0;
   size_t num_created_ = 0;
 
-  // ---- Derived per-document working state (never serialized). ----
+  // ---- Derived state (never serialized; LoadBinary clears it). ----
   ContextScorer context_;
-  StampSet has_neighbors_;  // VertexId: neighbor span built this document
-  StampSet neighbor_mark_;  // VertexId: neighbor seen for this candidate
-  std::vector<std::pair<uint32_t, uint32_t>> neighbor_span_;  // VertexId
-  std::vector<VertexId> neighbor_ids_;
+  std::vector<NeighborSet> neighbors_;  // VertexId
+  // Per-document working state.
   StampSet has_inverse_log_degree_;  // VertexId: memoized this document
   std::vector<double> inverse_log_degree_;  // VertexId
   // Relatedness of (min, max) candidate pairs, this document.

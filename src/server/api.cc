@@ -207,6 +207,12 @@ HttpResponse NousApi::HandleStats() {
   w.Int(static_cast<long long>(cost.linker_candidates->Value()));
   w.Key("linker_adjacency_scanned");
   w.Int(static_cast<long long>(cost.linker_adjacency_scanned->Value()));
+  // Whether the extraction pool kept ahead of the commit loop: documents
+  // the committer extracted itself, and its time waiting for helpers.
+  w.Key("ingest_inline_extractions");
+  w.Int(static_cast<long long>(ps.inline_extractions));
+  w.Key("ingest_extract_wait_seconds");
+  w.Number(ps.extract_wait_seconds);
   // Serving-tier basics, so operators need not scrape /api/metrics.
   w.Key("kg_version");
   w.Int(static_cast<long long>(kg_version));

@@ -170,12 +170,19 @@ OpenIeExtractor::OpenIeExtractor(const Lexicon* lexicon, const Ner* ner,
 std::vector<RawExtraction> OpenIeExtractor::ExtractFromText(
     const std::string& text) const {
   std::vector<std::vector<Token>> sentences;
-  std::vector<std::vector<EntityMention>> mentions;
   for (const std::string& sent : SplitSentences(text)) {
-    std::vector<Token> tokens = Tokenize(sent);
-    tagger_.Tag(&tokens);
+    sentences.push_back(Tokenize(sent));
+    tagger_.Tag(&sentences.back());
+  }
+  return ExtractFromSentences(sentences);
+}
+
+std::vector<RawExtraction> OpenIeExtractor::ExtractFromSentences(
+    const std::vector<std::vector<Token>>& sentences) const {
+  std::vector<std::vector<EntityMention>> mentions;
+  mentions.reserve(sentences.size());
+  for (const std::vector<Token>& tokens : sentences) {
     mentions.push_back(ner_->FindMentions(tokens));
-    sentences.push_back(std::move(tokens));
   }
   std::vector<std::vector<EntityMention>> extra(sentences.size());
   if (config_.use_coref) {

@@ -71,7 +71,12 @@ class OpenIeExtractor {
   /// then per-sentence extraction.
   std::vector<RawExtraction> ExtractFromText(const std::string& text) const;
 
-  /// Single prepared sentence (used by tests and by the SRL wrapper).
+  /// The same from already split, tokenized and POS-tagged sentences
+  /// (what SrlExtractor has in hand), so the text is tagged once.
+  std::vector<RawExtraction> ExtractFromSentences(
+      const std::vector<std::vector<Token>>& sentences) const;
+
+  /// Single prepared sentence (used by tests and ExtractFromSentences).
   /// `extra_mentions` carries coref-resolved pronouns for the sentence.
   std::vector<RawExtraction> ExtractFromSentence(
       const std::vector<Token>& tokens,

@@ -12,12 +12,15 @@ SrlExtractor::SrlExtractor(const Lexicon* lexicon, const Ner* ner,
 std::vector<SrlFrame> SrlExtractor::Extract(const std::string& text,
                                             const Date& document_date,
                                             size_t* num_sentences) const {
-  // Per-sentence dates, found once; extractions then join by index.
+  // Sentences are tagged once, for both the dates and OpenIE; the
+  // per-sentence dates are found once and extractions join by index.
+  std::vector<std::vector<Token>> sentences;
   std::vector<std::optional<Date>> sentence_dates;
   PosTagger tagger(lexicon_);
   for (const std::string& sent : SplitSentences(text)) {
-    std::vector<Token> tokens = Tokenize(sent);
-    tagger.Tag(&tokens);
+    sentences.push_back(Tokenize(sent));
+    tagger.Tag(&sentences.back());
+    const std::vector<Token>& tokens = sentences.back();
     std::optional<Date> found;
     for (size_t i = 0; i < tokens.size(); ++i) {
       size_t consumed = 0;
@@ -30,7 +33,7 @@ std::vector<SrlFrame> SrlExtractor::Extract(const std::string& text,
   }
   if (num_sentences != nullptr) *num_sentences = sentence_dates.size();
   std::vector<SrlFrame> frames;
-  for (RawExtraction& ex : openie_.ExtractFromText(text)) {
+  for (RawExtraction& ex : openie_.ExtractFromSentences(sentences)) {
     SrlFrame frame;
     if (ex.sentence_index < sentence_dates.size() &&
         sentence_dates[ex.sentence_index].has_value()) {

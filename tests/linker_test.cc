@@ -596,5 +596,77 @@ TEST(LinkerRecoveryTest, RestoredLinkerMatchesLiveLinker) {
   }
 }
 
+/// Every distinct out- and in-neighbor of `v`, ascending, by a full
+/// scan of its adjacency.
+std::vector<VertexId> ScannedNeighbors(const PropertyGraph& g, VertexId v) {
+  std::vector<VertexId> ids;
+  for (const AdjEntry& a : g.OutEdges(v)) ids.push_back(a.neighbor);
+  for (const AdjEntry& a : g.InEdges(v)) ids.push_back(a.neighbor);
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
+}
+
+/// Checks every candidate of every surface `doc` mentions against the
+/// full-scan oracle.
+void ExpectNeighborSetsMatchScan(const PropertyGraph& g, EntityLinker* linker,
+                                 const HubStream::Doc& doc, int index) {
+  for (const std::string& surface : doc.surfaces) {
+    for (const auto& [vertex, prior] : linker->CandidatesFor(surface)) {
+      EXPECT_EQ(linker->Neighbors(vertex), ScannedNeighbors(g, vertex))
+          << "doc " << index << " candidate " << vertex;
+    }
+  }
+}
+
+TEST(LinkerNeighborSetTest, IncrementalSetsMatchFullScan) {
+  // The linker absorbs only adjacency appended since a candidate's last
+  // read; the sets must equal a full scan of the current KG, on the
+  // live linker mid-stream (the hub's set is read by one document and
+  // grown by the next) and on one restored by LoadBinary, which starts
+  // cold and then grows the same way.
+  PropertyGraph live_graph;
+  EntityLinker live(&live_graph);
+  HubStream::BuildKg(&live_graph, &live);
+  const int split = HubStream::kDocs / 2;
+  for (int i = 0; i < split; ++i) {
+    HubStream::Doc doc = HubStream::MakeDoc(i);
+    std::vector<LinkDecision> decisions =
+        live.LinkMentions(doc.surfaces, doc.types, doc.bag);
+    HubStream::Apply(&live_graph, doc, decisions);
+    ExpectNeighborSetsMatchScan(live_graph, &live, doc, i);
+  }
+  BinaryWriter writer;
+  live_graph.SaveBinary(&writer);
+  live.SaveBinary(&writer);
+  PropertyGraph restored_graph;
+  EntityLinker restored(&restored_graph);
+  BinaryReader reader(writer.data());
+  ASSERT_TRUE(restored_graph.LoadBinary(&reader).ok());
+  ASSERT_TRUE(restored.LoadBinary(&reader).ok());
+  for (int i = split; i < HubStream::kDocs; ++i) {
+    HubStream::Doc doc = HubStream::MakeDoc(i);
+    HubStream::Apply(&restored_graph, doc,
+                     restored.LinkMentions(doc.surfaces, doc.types, doc.bag));
+    ExpectNeighborSetsMatchScan(restored_graph, &restored, doc, i);
+  }
+
+  // LoadBinary drops sets built against the graph it replaces: a linker
+  // that read a larger graph's hub reloads onto a smaller one.
+  PropertyGraph small_graph;
+  EntityLinker reused(&small_graph);
+  HubStream::BuildKg(&small_graph, &reused);
+  ASSERT_FALSE(reused.Neighbors(0).empty());
+  BinaryWriter small;
+  PropertyGraph empty_graph;
+  empty_graph.GetOrAddVertex("Drone Hub");
+  empty_graph.SaveBinary(&small);
+  reused.SaveBinary(&small);
+  BinaryReader small_reader(small.data());
+  ASSERT_TRUE(small_graph.LoadBinary(&small_reader).ok());
+  ASSERT_TRUE(reused.LoadBinary(&small_reader).ok());
+  EXPECT_TRUE(reused.Neighbors(0).empty());
+}
+
 }  // namespace
 }  // namespace nous

@@ -4,6 +4,8 @@
 // ingesting (the shared/exclusive kg_mutex contract).
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -17,7 +19,9 @@
 #include "corpus/document_stream.h"
 #include "corpus/world_model.h"
 #include "kb/kb_generator.h"
+#include "common/fault_injection.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 
 namespace nous {
 namespace {
@@ -92,6 +96,31 @@ class ParallelPipelineFixture : public ::testing::Test {
     EXPECT_EQ(a.new_entities, b.new_entities);
     EXPECT_EQ(a.ds_alignments, b.ds_alignments);
     EXPECT_EQ(a.retractions, b.retractions);
+  }
+
+  /// SaveState bytes of a 1-thread pipeline that ingested `articles`
+  /// as one batch.
+  std::string SerialImage(const std::vector<Article>& articles) {
+    Nous nous(&kb_, FastOptions(1));
+    nous.pipeline().IngestBatch(articles);
+    return nous.pipeline().SaveState();
+  }
+
+  static PipelineStats Stats(const Nous& nous) {
+    ReaderMutexLock lock(nous.kg_mutex());
+    return nous.stats();
+  }
+
+  /// Occupies every worker of `pool` until the returned promise is set:
+  /// tasks submitted later (an IngestBatch's extraction helpers) queue
+  /// behind the blockers and run only after the release.
+  static std::promise<void> BlockPool(ThreadPool* pool) {
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    for (size_t w = 0; w < pool->num_threads(); ++w) {
+      pool->Submit([released] { released.wait(); });
+    }
+    return release;
   }
 
   WorldModel world_;
@@ -176,6 +205,84 @@ TEST_F(ParallelPipelineFixture,
   EXPECT_EQ(image(2), first);
   EXPECT_EQ(image(4), first);
   EXPECT_EQ(image(8), first);
+}
+
+TEST_F(ParallelPipelineFixture, CommitterExtractsEverythingWhenHelpersNeverRun) {
+  // A pool whose workers are all busy for the whole batch: the
+  // committing thread extracts every document itself, in order, and
+  // the image is the 1-thread one.
+  auto articles = MakeArticles();
+  Nous nous(&kb_, FastOptions(4));
+  std::promise<void> release = BlockPool(nous.pipeline().pool());
+  nous.pipeline().IngestBatch(articles);
+  EXPECT_EQ(Stats(nous).inline_extractions, articles.size());
+  EXPECT_EQ(Stats(nous).extract_wait_seconds, 0.0);
+  EXPECT_EQ(nous.pipeline().SaveState(), SerialImage(articles));
+  release.set_value();
+  nous.pipeline().pool()->Wait();
+}
+
+TEST_F(ParallelPipelineFixture, HelpersRunAfterTheBatchReturnedTouchNothing) {
+  // The batch's helpers are dequeued only after IngestBatch returned
+  // and its articles were freed: they must find nothing to claim and
+  // read neither the articles nor the pipeline (ASan and TSan check
+  // the accesses; the image checks the state).
+  const std::vector<Article> articles = MakeArticles();
+  Nous nous(&kb_, FastOptions(4));
+  std::promise<void> release = BlockPool(nous.pipeline().pool());
+  {
+    std::vector<Article> batch(articles.begin(),
+                               articles.begin() + articles.size() / 2);
+    nous.pipeline().IngestBatch(batch);
+  }
+  const std::string image = nous.pipeline().SaveState();
+  release.set_value();
+  nous.pipeline().pool()->Wait();
+  EXPECT_EQ(nous.pipeline().SaveState(), image);
+  // The pool serves the next batch as usual.
+  nous.pipeline().IngestBatch(articles.data() + articles.size() / 2,
+                              articles.size() - articles.size() / 2);
+  Nous reference(&kb_, FastOptions(1));
+  reference.pipeline().IngestBatch(articles.data(), articles.size() / 2);
+  reference.pipeline().IngestBatch(articles.data() + articles.size() / 2,
+                                   articles.size() - articles.size() / 2);
+  EXPECT_EQ(nous.pipeline().SaveState(), reference.pipeline().SaveState());
+}
+
+TEST_F(ParallelPipelineFixture, CommitterWaitsForASlowHelperThenKeepsOrder) {
+  // The committer stalls in the first document while the pool is
+  // still blocked, so the next extraction to start is a helper's; that
+  // one stalls longer. The committer commits its own document, extracts
+  // whatever is unclaimed, then waits for the helper's document and
+  // commits the rest in arrival order.
+  auto articles = MakeArticles();
+  ASSERT_GE(articles.size(), 8u);
+  articles.resize(8);
+  const std::string serial = SerialImage(articles);
+
+  FaultInjector& faults = FaultInjector::Global();
+  faults.Reset();
+  faults.Arm("ingest_extract", FaultKind::kDelay, 1, /*sticky=*/false,
+             /*arg=*/100);
+  Nous nous(&kb_, FastOptions(2));
+  std::promise<void> release = BlockPool(nous.pipeline().pool());
+  std::thread ingest([&] { nous.pipeline().IngestBatch(articles); });
+  // Hit 1 is the committer's (no helper can run yet); once it sleeps,
+  // arm hit 2 and let the helpers in.
+  while (faults.HitCount("ingest_extract") < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  faults.Arm("ingest_extract", FaultKind::kDelay, 2, /*sticky=*/false,
+             /*arg=*/400);
+  release.set_value();
+  ingest.join();
+  faults.Reset();
+
+  const PipelineStats stats = Stats(nous);
+  EXPECT_EQ(stats.documents, articles.size());
+  EXPECT_LT(stats.inline_extractions, articles.size());
+  EXPECT_GT(stats.extract_wait_seconds, 0.0);
+  EXPECT_EQ(nous.pipeline().SaveState(), serial);
 }
 
 TEST_F(ParallelPipelineFixture, QueriesRunSafelyDuringIngest) {

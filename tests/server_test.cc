@@ -239,6 +239,18 @@ TEST_F(ServerFixture, StatsReportLinkerCostCounters) {
             std::string::npos);
 }
 
+TEST_F(ServerFixture, StatsReportIngestOverlap) {
+  std::string response = Get(server_.port(), "/api/stats");
+  EXPECT_NE(response.find("\"ingest_extract_wait_seconds\":"),
+            std::string::npos);
+  // The fixture's one-document batch has no helpers: the committer
+  // extracted it itself.
+  EXPECT_NE(response.find("\"ingest_inline_extractions\":"),
+            std::string::npos);
+  EXPECT_EQ(response.find("\"ingest_inline_extractions\":0,"),
+            std::string::npos);
+}
+
 TEST_F(ServerFixture, StatsReportLatencyQuantilesPerStage) {
   std::string response = Get(server_.port(), "/api/stats");
   EXPECT_NE(response.find("\"latency\":{"), std::string::npos);

@@ -142,6 +142,29 @@ TEST_F(StageTimingTest, HistogramSumsEqualPipelineStats) {
     EXPECT_NEAR(row.sum, stage.seconds, 1e-9 * stage.seconds);
   }
 
+  // Extraction runs on pool helpers and on the committing thread, yet
+  // each document's span is summed once into the stats, and the traced
+  // extraction intervals (whole microseconds) add up to the same total.
+  uint64_t extraction_us = 0;
+  for (const SpanRecord& span : spans) {
+    if (std::string(span.name) == "extraction") {
+      extraction_us += span.duration_us;
+    }
+  }
+  EXPECT_NEAR(static_cast<double>(extraction_us) * 1e-6,
+              stats.extract_seconds, 1e-6 * (stats.documents + 1));
+  EXPECT_LE(stats.inline_extractions, stats.documents);
+  // How often the committer waits for a helper depends on the
+  // schedule, but the histogram, the trace and the stats field agree.
+  {
+    SCOPED_TRACE("extract_wait");
+    const auto it = histograms.find("nous_extract_wait_latency_seconds");
+    const bool waited = it != histograms.end() && it->second.count > 0;
+    EXPECT_EQ(traced["extract_wait"], waited ? it->second.count : 0u);
+    EXPECT_NEAR(waited ? it->second.sum : 0.0, stats.extract_wait_seconds,
+                1e-9 * stats.extract_wait_seconds);
+  }
+
   // Every traced child interval lies inside its parent's.
   std::unordered_map<uint64_t, const SpanRecord*> by_id;
   for (const SpanRecord& span : spans) by_id[span.span_id] = &span;

@@ -37,6 +37,33 @@
 namespace nous {
 namespace {
 
+/// Waits until the mining stage has mined every committed batch, so a
+/// timer stopped after it and the stats read after it include mining.
+void DrainMining(const Nous& nous) {
+  ReaderMutexLock lock(nous.kg_mutex());
+  (void)nous.miner();
+}
+
+/// Wall time of fixed work on two threads at once over the same work on
+/// one: ~1 when the host gives the process two CPUs in parallel, ~2
+/// when it runs the threads one after the other. E8b prints it beside
+/// each speedup, which follows the parallel CPU the host happens to
+/// give as much as the code.
+double SpinRatio() {
+  auto spin = [] {
+    volatile uint64_t x = 0;
+    for (uint64_t i = 0; i < 50'000'000; ++i) x = x + i;
+  };
+  WallTimer one;
+  spin();
+  const double one_thread = one.ElapsedSeconds();
+  WallTimer two;
+  std::thread a(spin), b(spin);
+  a.join();
+  b.join();
+  return two.ElapsedSeconds() / std::max(one_thread, 1e-9);
+}
+
 void RunThroughput() {
   bench::PrintHeader(
       "E8: end-to-end pipeline",
@@ -81,11 +108,13 @@ void RunThroughput() {
     WallTimer timer;
     for (size_t i = 0; i < fixture.articles.size(); ++i) {
       if (i == q4_start) {
+        DrainMining(nous);
         at_q4 = nous.stats();
         subsets_at_q4 = subsets_enumerated->Value();
       }
       NOUS_CHECK_OK(nous.Ingest(fixture.articles[i]));
     }
+    DrainMining(nous);
     double ingest_seconds = timer.ElapsedSeconds();
     const PipelineStats& ps = nous.stats();
     double stage_total = ps.extract_seconds + ps.link_seconds +
@@ -144,9 +173,11 @@ constexpr size_t kParallelIngestEvents = 20000;
 /// world three times the standard one's size (90 companies, 60 people,
 /// 45 products), whose many distinct events make a stream that takes
 /// over a second at 1 thread, so the sweep measures scaling rather than
-/// fixed costs. "inline" counts the documents the committing thread
+/// fixed costs. Each run's time ends when the mining stage has mined
+/// the last batch. "inline" counts the documents the committing thread
 /// extracted itself and "wait s" its time waiting for a helper: a
-/// pool that starts late shows up there. The finalized KG image must
+/// pool that starts late shows up there. "spin 2t" is SpinRatio(),
+/// taken right after the run. The finalized KG image must
 /// be byte-identical at every thread count; returns false (after
 /// printing the table) when one differs from the 1-thread run. Results
 /// land in BENCH_pipeline.json (written by main, which appends the
@@ -175,7 +206,8 @@ bool RunParallelIngest(size_t max_threads, JsonWriter* out) {
   auto fixture = bench::MakeDroneFixture(world, 0.6, corpus_config);
 
   TablePrinter table({"threads", "seconds", "docs/s", "speedup",
-                      "inline", "wait s", "extract s", "link s", "map s",
+                      "spin 2t", "inline", "wait s", "extract s", "link s",
+                      "map s",
                       "score s", "refresh s", "mine s", "finalize s"});
   JsonWriter& json = *out;
   json.Key("bench");
@@ -202,7 +234,9 @@ bool RunParallelIngest(size_t max_threads, JsonWriter* out) {
     DocumentStream stream(fixture.articles);
     WallTimer timer;
     NOUS_CHECK_OK(nous.IngestStream(&stream, /*finalize=*/false));
+    DrainMining(nous);
     double seconds = timer.ElapsedSeconds();
+    const double spin_ratio = SpinRatio();
     if (threads == sweep.front()) serial_seconds = seconds;
     const PipelineStats ps = nous.stats();  // ingest only
     WallTimer finalize_timer;
@@ -229,6 +263,7 @@ bool RunParallelIngest(size_t max_threads, JsonWriter* out) {
          TablePrinter::Num(seconds, 2),
          TablePrinter::Num(docs_per_sec, 1),
          TablePrinter::Num(speedup, 2),
+         TablePrinter::Num(spin_ratio, 2),
          TablePrinter::Int(static_cast<long long>(ps.inline_extractions)),
          TablePrinter::Num(ps.extract_wait_seconds, 3),
          TablePrinter::Num(ps.extract_seconds, 2),
@@ -247,6 +282,8 @@ bool RunParallelIngest(size_t max_threads, JsonWriter* out) {
     json.Number(docs_per_sec);
     json.Key("speedup_vs_1_thread");
     json.Number(speedup);
+    json.Key("spin_ratio_2_threads");
+    json.Number(spin_ratio);
     json.Key("inline_extractions");
     json.Int(static_cast<long long>(ps.inline_extractions));
     json.Key("extract_wait_seconds");

@@ -281,7 +281,13 @@ Result<Answer> Nous::ExecuteOnSnapshot(
     Answer cached;
     if (cache_->Lookup(key, snap->version(), &cached)) return cached;
   }
-  QueryEngine engine(&snap->graph(), snap->patterns(), options_.query);
+  // Only answers that read the miner's patterns wait for the mining
+  // stage to finish this version.
+  QueryEngine engine(&snap->graph(),
+                     ReadsPatterns(query.kind)
+                         ? std::span<const RenderedPattern>(snap->patterns())
+                         : std::span<const RenderedPattern>(),
+                     options_.query);
   NOUS_ASSIGN_OR_RETURN(Answer answer, engine.Execute(query));
   if (cache_ != nullptr) cache_->Insert(key, snap->version(), answer);
   return answer;

@@ -219,12 +219,15 @@ class Nous {
   uint64_t kg_version() const REQUIRES_SHARED(kg_mutex()) {
     return pipeline_.kg_version();
   }
-  const PipelineStats& stats() const REQUIRES_SHARED(kg_mutex()) {
+  /// See KgPipeline::stats() (by value: it merges the mining stage's
+  /// counters).
+  PipelineStats stats() const REQUIRES_SHARED(kg_mutex()) {
     return pipeline_.stats();
   }
   /// Walks the latest published snapshot (no lock).
   GraphStats ComputeStats() const;
   KgPipeline& pipeline() { return pipeline_; }
+  /// See KgPipeline::miner() (waits until the mining stage is idle).
   const StreamingMiner* miner() const REQUIRES_SHARED(kg_mutex()) {
     return pipeline_.miner();
   }

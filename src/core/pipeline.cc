@@ -38,9 +38,13 @@ struct PipelineMetrics {
   Counter* deduped;
   Counter* retractions;
   Counter* inline_extractions;
-  Gauge* window_edges;
   Gauge* refresh_edges;
 };
+
+/// IngestBatch waits for the mining stage only while this many jobs
+/// wait to start: the stage may fall that far (plus the running job)
+/// behind, so the clones it holds stay few.
+constexpr size_t kMaxQueuedMiningJobs = 2;
 
 /// One past N for an "adhoc_N" article id (what
 /// KgPipeline::ReserveAdhocId hands out), 0 for any other id.
@@ -92,8 +96,6 @@ const PipelineMetrics& Metrics() {
         "nous_ingest_inline_extractions_total",
         "Documents the committing thread extracted itself (no pool "
         "helper had claimed them)");
-    m.window_edges = r.GetGauge("nous_mining_window_edges",
-                                "Live edges in the miner's sliding window");
     m.refresh_edges = r.GetGauge(
         "nous_embed_refresh_edges",
         "Triples trained by the last BPR refresh (every KG edge)");
@@ -142,9 +144,14 @@ KgPipeline::KgPipeline(const CuratedKb* kb, PipelineConfig config)
   if (threads > 1) {
     pool_ = std::make_unique<ThreadPool>(threads);
   }
+  if (config_.enable_mining) {
+    stage_ = std::make_unique<MiningStage>(
+        config_.miner, config_.miner_window_edges,
+        static_cast<EdgeId>(kb_->facts().size()), pool_.get());
+  }
   mapper_.LoadDefaultSeeds();
-  LoadCuratedKb();
   kg_version_ = 1;  // the curated bootstrap is the first KG version
+  LoadCuratedKb();
   PublishSnapshot();
 }
 
@@ -187,26 +194,24 @@ void KgPipeline::LoadCuratedKb() {
     graph_.AddEdge(s, p, o, meta);
     curated_pairs_[{s, o}].push_back(f.predicate);
   }
-  ResetMinerWindowLocked(static_cast<EdgeId>(graph_.NumEdges()));
+  SubmitMiningLocked(static_cast<EdgeId>(graph_.NumEdges()), /*reset=*/true);
   if (config_.enable_link_prediction && !kb_->facts().empty()) {
     RefreshBpr(config_.bpr.epochs);
   }
 }
 
-void KgPipeline::ResetMinerWindowLocked(EdgeId stream_begin) {
-  if (!config_.enable_mining) return;
-  const EdgeId curated = static_cast<EdgeId>(kb_->facts().size());
-  miner_ = std::make_unique<StreamingMiner>(config_.miner);
-  window_ = std::make_unique<TemporalWindow>(
-      &graph_, config_.miner_window_edges, curated, stream_begin);
-  window_->AddListener(miner_.get());
-  // A fresh miner restarts its generation, which a cached render could
-  // alias.
-  rendered_patterns_.store(nullptr, std::memory_order_release);
-  // Announced, not pushed: pinned edges never expire.
-  for (EdgeId e = 0; e < curated; ++e) miner_->OnEdgeAdded(*window_, e);
-  for (EdgeId e = stream_begin; e < graph_.NumEdges(); ++e) window_->Push(e);
-  Metrics().window_edges->Set(static_cast<double>(window_->size()));
+void KgPipeline::SubmitMiningLocked(EdgeId begin, bool reset) {
+  if (stage_ == nullptr) return;
+  if (!reset && begin == graph_.NumEdges()) return;  // the set is unchanged
+  // Under the writer lock, so no job starts while a reader holding the
+  // shared side looks at miner(). Without a pool the job runs here.
+  patterns_ = stage_->Submit(kg_version_, graph_.Clone(), begin, reset);
+}
+
+PipelineStats KgPipeline::stats() const {
+  PipelineStats stats = stats_;
+  if (stage_ != nullptr) stats.mine_seconds = stage_->mine_seconds();
+  return stats;
 }
 
 std::string KgPipeline::VertexTypeName(VertexId v) const {
@@ -265,6 +270,9 @@ void KgPipeline::IngestBatch(const Article* articles, size_t count) {
       }
     });
   }
+  // Backpressure on the mining stage, with no lock held (the stage takes
+  // none): the helpers keep extracting meanwhile.
+  if (stage_ != nullptr) stage_->WaitForBacklogBelow(kMaxQueuedMiningJobs);
   {
     // This thread's own extractions run inside the writer section, and
     // that blocks no reader that could otherwise run: every other
@@ -274,6 +282,7 @@ void KgPipeline::IngestBatch(const Article* articles, size_t count) {
     // read published snapshots and take no lock.
     WriterMutexLock lock(kg_mutex_);
     const PipelineMetrics& metrics = Metrics();
+    const EdgeId first_edge = static_cast<EdgeId>(graph_.NumEdges());
     for (size_t i = 0; i < count; ++i) {
       while (batch->published[i].load(std::memory_order_acquire) == 0) {
         size_t claimed = 0;
@@ -303,6 +312,10 @@ void KgPipeline::IngestBatch(const Article* articles, size_t count) {
     // One bump per batch (the WAL commit unit), so recovery replay
     // reproduces the exact version of the uncrashed run.
     ++kg_version_;
+    // Every new KG edge enters the miner's window, in id order. A
+    // retraction only lowers a KG edge's confidence, which mining does
+    // not read, so it adds nothing to mine.
+    SubmitMiningLocked(first_edge, /*reset=*/false);
   }
   PublishSnapshot();
 }
@@ -501,20 +514,11 @@ void KgPipeline::CommitDocument(const Article& article,
     meta.timestamp = ts;
     meta.source = source_id;
     meta.curated = false;
-    const EdgeId edge = graph_.AddEdge(s, p, o, meta);
+    graph_.AddEdge(s, p, o, meta);
     ++stats_.accepted_triples;
     metrics.accepted->Increment();
-
-    // ---- 6. Stream the fact into the miner's sliding window. ----
-    // Every new KG edge enters the window, in id order. A retraction
-    // (above) only lowers a KG edge's confidence, which mining does not
-    // read, so it leaves the window unchanged.
-    if (config_.enable_mining) {
-      NOUS_SPAN_VAR(mine_span, "mining");
-      window_->Push(edge);
-      stats_.mine_seconds += mine_span.End();
-      metrics.window_edges->Set(static_cast<double>(window_->size()));
-    }
+    // ---- 6. Mining: IngestBatch hands the batch's new edges to the
+    // mining stage once the batch is committed. ----
   }
 
   // ---- 7. Periodic model refresh. ----
@@ -649,12 +653,14 @@ Status KgPipeline::LoadStateLocked(std::string_view payload) {
 
   // The image holds no miner: every streamed KG edge entered the
   // window, which expires only by count, so the live window is the
-  // KG's last miner_window_edges streamed edges. Replay them.
+  // KG's last miner_window_edges streamed edges. The stage replays them
+  // after the jobs queued before this load, so a bring-up's WAL replay
+  // overlaps the replay.
   const size_t edges = graph_.NumEdges();
   const size_t w = config_.miner_window_edges;
   const size_t first =
       (w == 0 || edges - kb_facts <= w) ? kb_facts : edges - w;
-  ResetMinerWindowLocked(static_cast<EdgeId>(first));
+  SubmitMiningLocked(static_cast<EdgeId>(first), /*reset=*/true);
   return Status::Ok();
 }
 
@@ -729,8 +735,8 @@ void KgPipeline::PublishSnapshot() {
   NOUS_SPAN_VAR(span, "snapshot_publish");
   uint64_t version = 0;
   PropertyGraph graph;
-  PipelineStats stats;
-  std::shared_ptr<const RenderedPatternSet> pattern_set;
+  PipelineStats pipeline_stats;
+  KgSnapshot::PatternFuture patterns;
   {
     // Shared lock: concurrent publishers (rare — one per committed
     // ingest) clone independently; SnapshotStore keeps the newest.
@@ -739,25 +745,14 @@ void KgPipeline::PublishSnapshot() {
     // O(1): shares every chunk with the live graph; later ingest
     // unshares only the chunks it touches (DESIGN.md §5.13).
     graph = graph_.Clone();
-    stats = stats_;
-    if (miner_ != nullptr) {
-      uint64_t generation = miner_->generation();
-      std::shared_ptr<const RenderedPatternSet> rendered =
-          rendered_patterns_.load(std::memory_order_acquire);
-      if (rendered == nullptr || rendered->miner_generation != generation) {
-        auto fresh = std::make_shared<RenderedPatternSet>();
-        fresh->miner_generation = generation;
-        fresh->patterns = RenderClosedPatterns(*miner_, graph_);
-        rendered = std::move(fresh);
-        rendered_patterns_.store(rendered, std::memory_order_release);
-      }
-      pattern_set = std::move(rendered);
-    }
+    pipeline_stats = stats();
+    patterns = patterns_;
   }
   // The constructor runs the footprint estimate off the lock (chunk
   // byte caches make it O(chunks touched since the last pass)).
   auto snap = std::make_shared<const KgSnapshot>(
-      version, std::move(graph), std::move(pattern_set), std::move(stats));
+      version, std::move(graph), std::move(patterns),
+      std::move(pipeline_stats));
   CowFootprint footprint = snap->graph().Footprint();
   span.Attr("version", snap->version());
   span.Attr("graph_bytes", snap->approx_graph_bytes());

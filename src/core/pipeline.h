@@ -12,18 +12,17 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
+#include "core/mining_stage.h"
 #include "core/pipeline_stats.h"
 #include "core/snapshot.h"
 #include "corpus/article_generator.h"
 #include "embed/bpr.h"
 #include "graph/property_graph.h"
-#include "graph/temporal_window.h"
 #include "kb/curated_kb.h"
 #include "core/source_trust.h"
 #include "linker/entity_linker.h"
 #include "mapping/distant_supervision.h"
 #include "mapping/predicate_mapper.h"
-#include "mining/streaming_miner.h"
 #include "text/lexicon.h"
 #include "text/ner.h"
 #include "text/srl.h"
@@ -79,12 +78,13 @@ struct PipelineConfig {
   bool negation_retracts = true;
   /// Confidence multiplier applied to a retracted edge per negation.
   double retraction_factor = 0.5;
-  /// Worker threads for batch ingest extraction and Finalize's two
-  /// fits (0 = hardware_concurrency); above 1 the pipeline owns a pool
-  /// of this many, beside the ingesting thread. The fused KG is
-  /// identical for every value: extraction is pure per-document work
-  /// that helpers run ahead of a commit loop fusing in arrival order,
-  /// and Finalize's BPR retrain and LDA fit each run serially on one
+  /// Worker threads for batch ingest extraction, the mining stage and
+  /// Finalize's two fits (0 = hardware_concurrency); above 1 the
+  /// pipeline owns a pool of this many, beside the ingesting thread.
+  /// The fused KG is identical for every value: extraction is pure
+  /// per-document work that helpers run ahead of a commit loop fusing
+  /// in arrival order, mining feeds nothing back into fusion, and
+  /// Finalize's BPR retrain and LDA fit each run serially on one
   /// thread, side by side, reading only the KG until both finish.
   size_t num_threads = 0;
 };
@@ -97,11 +97,12 @@ struct PipelineConfig {
 ///
 /// Threading model (DESIGN.md "Threading model"): pool helpers run the
 /// pure extraction stage ahead of the commit loop (IngestBatch);
-/// everything that mutates shared state — linking, mapping, scoring,
-/// KG/miner-window updates, BPR refresh — commits sequentially in
-/// arrival order under the exclusive side of kg_mutex(), so the fused
-/// graph is bit-identical to serial ingest. Readers (query serving,
-/// stats) take the shared side.
+/// everything that mutates the KG and its models — linking, mapping,
+/// scoring, KG updates, BPR refresh — commits sequentially in arrival
+/// order under the exclusive side of kg_mutex(), so the fused graph is
+/// bit-identical to serial ingest. The streaming miner consumes what
+/// each commit publishes, as its own stage (MiningStage) beside the
+/// commit loop. Readers (query serving, stats) take the shared side.
 class KgPipeline {
  public:
   /// Copies the curated KB's contents into the KG. `kb` must outlive
@@ -112,14 +113,16 @@ class KgPipeline {
   KgPipeline& operator=(const KgPipeline&) = delete;
 
   /// Ingests a batch: extraction, joint linking, predicate mapping,
-  /// confidence scoring, KG + miner-window update, distant
-  /// supervision. Pool helpers extract documents (pure, per-document)
-  /// in array order while this thread commits link -> map -> score ->
-  /// update in array order under one write-lock acquisition, taking
-  /// each document as soon as it is extracted and extracting any
-  /// document no helper has claimed itself. The fused KG is the same
-  /// for any batching of the same articles and any thread count.
-  /// An article with id "adhoc_N" raises the ad-hoc counter past N.
+  /// confidence scoring, KG update, distant supervision, then hands
+  /// the batch's new edges to the mining stage. Pool helpers extract
+  /// documents (pure, per-document) in array order while this thread
+  /// commits link -> map -> score -> update in array order under one
+  /// write-lock acquisition, taking each document as soon as it is
+  /// extracted and extracting any document no helper has claimed
+  /// itself. Before taking the lock it waits (span "mine_wait") only
+  /// while two mining jobs are queued. The fused KG is the same for
+  /// any batching of the same articles and any thread count. An
+  /// article with id "adhoc_N" raises the ad-hoc counter past N.
   void IngestBatch(const Article* articles, size_t count)
       EXCLUDES(kg_mutex_);
   void IngestBatch(const std::vector<Article>& articles)
@@ -154,9 +157,10 @@ class KgPipeline {
   /// Restores a SaveState payload onto a pipeline built with the same
   /// CuratedKb and PipelineConfig that produced it (fresh, or warm as
   /// in a replication resync). The saved state replaces the current
-  /// one; the miner window is rebuilt by replaying the KG's last
-  /// miner_window_edges streamed edges through the live insert path,
-  /// so the restored miner serves the same patterns. Atomic: the whole
+  /// one; the miner window is rebuilt by a mining-stage reset job that
+  /// replays the KG's last miner_window_edges streamed edges through
+  /// the live insert path, after the jobs queued before it, so the
+  /// restored miner serves the same patterns. Atomic: the whole
   /// image is parsed before anything is replaced, so on any error the
   /// pipeline is unchanged. A malformed image (truncated, trailing
   /// bytes, ids out of range) is DataLoss, as are images older than
@@ -165,10 +169,11 @@ class KgPipeline {
   /// bit-identical to the uncheckpointed run.
   Status LoadState(std::string_view payload) EXCLUDES(kg_mutex_);
 
-  /// Reader/writer lock over the fused KG, miner state, and models.
-  /// IngestBatch/Finalize acquire it exclusively; concurrent readers
-  /// (query execution, stats, serialization) must hold a
-  /// ReaderMutexLock while touching graph()/miner()/stats().
+  /// Reader/writer lock over the fused KG and models. IngestBatch,
+  /// Finalize and LoadState acquire it exclusively, and submit mining
+  /// jobs only under it; concurrent readers (query execution, stats,
+  /// serialization) must hold a ReaderMutexLock while touching
+  /// graph()/miner()/stats().
   /// RETURN_CAPABILITY makes `pipeline.kg_mutex()` and the member
   /// `kg_mutex_` the same capability to the thread-safety analysis, so
   /// locks taken through the accessor satisfy REQUIRES(kg_mutex_)
@@ -177,23 +182,26 @@ class KgPipeline {
     return kg_mutex_;
   }
 
-  /// Worker pool shared by extraction helpers and Finalize's fits; null when
-  /// the pipeline resolved to one thread. The pool itself is
-  /// internally synchronized; the pointer is immutable after
-  /// construction.
+  /// Worker pool shared by extraction helpers, the mining stage and
+  /// Finalize's fits; null when the pipeline resolved to one thread.
+  /// The pool itself is internally synchronized; the pointer is
+  /// immutable after construction.
   ThreadPool* pool() { return pool_.get(); }
 
   PropertyGraph& graph() REQUIRES(kg_mutex_) { return graph_; }
   const PropertyGraph& graph() const REQUIRES_SHARED(kg_mutex_) {
     return graph_;
   }
-  StreamingMiner* miner() REQUIRES(kg_mutex_) { return miner_.get(); }
+  /// The streaming miner, null with mining off. Waits until the
+  /// mining stage is idle; no job can start while the caller holds the
+  /// shared lock, so the miner stays still until it is released.
   const StreamingMiner* miner() const REQUIRES_SHARED(kg_mutex_) {
-    return miner_.get();
+    return stage_ == nullptr ? nullptr : stage_->miner();
   }
-  /// The miner's sliding window over graph(), null with mining off.
+  /// The miner's sliding window over a clone of graph() at the latest
+  /// mined version, null with mining off. Waits like miner().
   const TemporalWindow* miner_window() const REQUIRES_SHARED(kg_mutex_) {
-    return window_.get();
+    return stage_ == nullptr ? nullptr : stage_->window();
   }
   EntityLinker& linker() REQUIRES(kg_mutex_) { return linker_; }
   PredicateMapper& mapper() REQUIRES(kg_mutex_) { return mapper_; }
@@ -205,9 +213,9 @@ class KgPipeline {
   const LdaModel* lda() const REQUIRES_SHARED(kg_mutex_) {
     return lda_.get();
   }
-  const PipelineStats& stats() const REQUIRES_SHARED(kg_mutex_) {
-    return stats_;
-  }
+  /// The counters, with the mining stage's time for the jobs it has
+  /// finished (mine_seconds); does not wait for the stage.
+  PipelineStats stats() const REQUIRES_SHARED(kg_mutex_);
   const PipelineConfig& config() const { return config_; }
   const Lexicon& lexicon() const { return lexicon_; }
   const Ner& ner() const { return ner_; }
@@ -233,9 +241,15 @@ class KgPipeline {
   }
 
   /// Clones the KG under the shared lock and installs the result as
-  /// the current snapshot. Called automatically after every mutating
-  /// operation (ingest call, batch, finalize, state load).
+  /// the current snapshot, carrying the pattern set of the latest
+  /// mining job. Called automatically after every mutating operation
+  /// (ingest call, batch, finalize, state load).
   void PublishSnapshot() EXCLUDES(kg_mutex_);
+
+  /// Mining jobs submitted and not yet finished (0 with mining off).
+  size_t mining_stage_lag() const {
+    return stage_ == nullptr ? 0 : stage_->lag();
+  }
 
  private:
   /// Result of the pure, thread-safe extraction stage for one article.
@@ -249,10 +263,12 @@ class KgPipeline {
   };
 
   void LoadCuratedKb() REQUIRES(kg_mutex_);
-  /// Builds a fresh miner and a window over graph_ pinning the curated
-  /// facts (its first kb_->facts().size() edges), announces those to
-  /// the miner, and pushes KG edges [stream_begin, E) into the window.
-  void ResetMinerWindowLocked(EdgeId stream_begin) REQUIRES(kg_mutex_);
+  /// Submits a mining job for the current KG version: KG edges
+  /// [begin, E), or with `reset` a fresh miner and window pinning the
+  /// curated facts (the KG's first kb_->facts().size() edges) that
+  /// streams [begin, E). Keeps the previous pattern set when a
+  /// non-reset job would push nothing.
+  void SubmitMiningLocked(EdgeId begin, bool reset) REQUIRES(kg_mutex_);
   /// Finalize body (BPR refresh beside the LDA fit, then rescore and
   /// topic apply), under the writer lock held by Finalize().
   void FinalizeLocked() REQUIRES(kg_mutex_);
@@ -265,8 +281,8 @@ class KgPipeline {
   /// Stage 1 (extraction + document bag): reads only immutable models
   /// (lexicon, NER, SRL), safe to run from pool threads with no lock.
   ExtractedDoc ExtractDocument(const Article& article) const;
-  /// Stages 2-7 (link -> map -> score -> KG/miner update -> periodic
-  /// BPR refresh); caller must hold kg_mutex_ exclusively.
+  /// Stages 2-7 (link -> map -> score -> KG update -> periodic BPR
+  /// refresh); caller must hold kg_mutex_ exclusively.
   void CommitDocument(const Article& article, ExtractedDoc&& doc)
       REQUIRES(kg_mutex_);
   /// LoadState body, under the writer lock held by LoadState().
@@ -282,10 +298,14 @@ class KgPipeline {
   std::unique_ptr<ThreadPool> pool_;  // lint: unguarded(see above)
 
   PropertyGraph graph_ GUARDED_BY(kg_mutex_);  // the fused KG
-  /// The miner's sliding window: curated facts pinned plus the newest
-  /// streamed edges, as a range of graph_'s edge ids.
-  std::unique_ptr<TemporalWindow> window_ GUARDED_BY(kg_mutex_);
-  std::unique_ptr<StreamingMiner> miner_ GUARDED_BY(kg_mutex_);
+  /// The streaming miner's stage, null with mining off. Internally
+  /// synchronized; declared after pool_ so that its destructor, which
+  /// waits for the queued jobs, runs while the pool is up. The pointer
+  /// never changes after construction.
+  std::unique_ptr<MiningStage> stage_;  // lint: unguarded(see above)
+  /// The pattern set of the latest submitted mining job, which every
+  /// snapshot published since carries.
+  KgSnapshot::PatternFuture patterns_ GUARDED_BY(kg_mutex_);
 
   /// Read-only extraction models: initialized in the constructor, then
   /// only read (including from pool threads during batch extraction).
@@ -307,16 +327,8 @@ class KgPipeline {
   size_t docs_since_refresh_ GUARDED_BY(kg_mutex_) = 0;
   /// See kg_version(); set to 1 by the constructor's curated bootstrap.
   uint64_t kg_version_ GUARDED_BY(kg_mutex_) = 0;
-  /// Internally synchronized shared_ptr-swap store (see SnapshotStore).
+  /// Internally synchronized store of the latest snapshot.
   SnapshotStore snapshots_;
-  /// Render cache for miner patterns, keyed by miner generation;
-  /// PublishSnapshot reuses it (a shared_ptr bump) when the miner saw
-  /// no window events since the last render. Atomic because publishers
-  /// hold only the shared side of kg_mutex_: racing publishers may
-  /// overwrite each other, which at worst costs one redundant
-  /// re-render on a later publish, never a wrong pattern set (each
-  /// stored set is consistent with some published generation).
-  std::atomic<std::shared_ptr<const RenderedPatternSet>> rendered_patterns_;
   /// Ids for ad-hoc IngestText articles; atomic so concurrent HTTP
   /// ingest callers get distinct ids without taking the write lock
   /// early. IngestBatch raises it past every "adhoc_N" it commits.

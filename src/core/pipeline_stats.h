@@ -38,7 +38,9 @@ struct PipelineStats {
   /// periodic and Finalize refresh.
   double refresh_seconds = 0;
   /// Span "mining": window insert plus notify and expiry per accepted
-  /// triple (the curated bootstrap is not timed).
+  /// triple, on the mining stage (core/mining_stage.h); counts the jobs
+  /// the stage has finished, so it can trail the other fields. Window
+  /// resets (the curated bootstrap, LoadState's replay) are not timed.
   double mine_seconds = 0;
   /// Span "extract_wait": the committing thread waiting for a pool
   /// helper to finish the next document in arrival order.

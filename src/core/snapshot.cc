@@ -1,41 +1,59 @@
 #include "core/snapshot.h"
 
+#include <chrono>
 #include <utility>
+
+#include "obs/trace.h"
 
 namespace nous {
 
 KgSnapshot::KgSnapshot(uint64_t version, PropertyGraph graph,
-                       std::shared_ptr<const RenderedPatternSet> pattern_set,
-                       PipelineStats stats)
+                       PatternFuture patterns, PipelineStats stats)
     : version_(version),
       graph_(std::move(graph)),
-      pattern_set_(std::move(pattern_set)),
+      patterns_(std::move(patterns)),
       stats_(std::move(stats)) {
   // Chunk byte caches make this O(chunks touched since the last
   // accounting pass); the producer constructs off the pipeline locks.
   approx_graph_bytes_ = graph_.Footprint().total_bytes();
 }
 
+bool KgSnapshot::patterns_ready() const {
+  return !patterns_.valid() ||
+         patterns_.wait_for(std::chrono::seconds(0)) ==
+             std::future_status::ready;
+}
+
+std::shared_ptr<const RenderedPatternSet> KgSnapshot::pattern_set() const {
+  if (!patterns_.valid()) return nullptr;
+  if (!patterns_ready()) {
+    NOUS_SPAN("mine_wait");
+    patterns_.wait();
+  }
+  return patterns_.get();
+}
+
 const std::vector<RenderedPattern>& KgSnapshot::patterns() const {
   static const std::vector<RenderedPattern> kEmpty;
-  return pattern_set_ == nullptr ? kEmpty : pattern_set_->patterns;
+  // The set is owned by the future's shared state, which lives as long
+  // as this snapshot.
+  const RenderedPatternSet* set = pattern_set().get();
+  return set == nullptr ? kEmpty : set->patterns;
 }
 
 void SnapshotStore::Publish(std::shared_ptr<const KgSnapshot> snapshot) {
   if (snapshot == nullptr) return;
-  std::shared_ptr<const KgSnapshot> cur =
-      current_.load(std::memory_order_acquire);
-  // Install unless a racing publisher already holds an equal-or-newer
-  // view. compare_exchange reloads `cur` on failure, so each retry
-  // re-checks monotonicity against the latest winner.
-  while (cur == nullptr || snapshot->version() > cur->version()) {
-    if (current_.compare_exchange_weak(cur, snapshot,
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_acquire)) {
-      publishes_.fetch_add(1, std::memory_order_relaxed);
+  {
+    MutexLock lock(mutex_);
+    // Keep an equal-or-newer view a racing publisher already installed.
+    if (current_ != nullptr && snapshot->version() <= current_->version()) {
       return;
     }
+    current_.swap(snapshot);
   }
+  // `snapshot` now holds the replaced view; it is released here, off the
+  // lock, in case this was its last reference.
+  publishes_.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace nous

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <vector>
 
@@ -24,13 +25,10 @@ namespace nous {
 /// checkpoints (SaveState/LoadState), and keys the query cache — a
 /// cached answer is valid exactly while the version it was computed
 /// at is still current.
-/// Miner patterns pre-rendered against the window graph's
-/// dictionaries, tagged with the miner generation they were rendered
-/// at. Publish reuses the previous set (a shared_ptr bump) whenever
-/// the generation is unchanged — re-stringifying every closed
-/// frequent pattern under the reader lock was a fixed per-publish tax.
+/// A KG version's closed frequent patterns, rendered by the mining
+/// stage (core/mining_stage.h) once it has mined that version. Versions
+/// that add no edge share their predecessor's set.
 struct RenderedPatternSet {
-  uint64_t miner_generation = 0;
   std::vector<RenderedPattern> patterns;
 };
 
@@ -43,11 +41,16 @@ struct RenderedPatternSet {
 /// snapshot-reachable state.
 class KgSnapshot {
  public:
+  /// Write-once pattern set of a version: the mining stage fills it
+  /// when it has mined the version (an invalid future means mining is
+  /// off).
+  using PatternFuture =
+      std::shared_future<std::shared_ptr<const RenderedPatternSet>>;
+
   /// Assembled by KgPipeline::PublishSnapshot, the only producer. The
   /// graph footprint estimate is computed here, outside the pipeline
   /// locks, so readers report bytes without re-walking chunks.
-  KgSnapshot(uint64_t version, PropertyGraph graph,
-             std::shared_ptr<const RenderedPatternSet> pattern_set,
+  KgSnapshot(uint64_t version, PropertyGraph graph, PatternFuture patterns,
              PipelineStats stats);
 
   KgSnapshot(const KgSnapshot&) = delete;
@@ -62,11 +65,13 @@ class KgSnapshot {
   /// it touches (DESIGN.md §5.13).
   const PropertyGraph& graph() const { return graph_; }
 
-  /// Rendered miner patterns; shared across snapshots while the miner
-  /// generation is unchanged. Null when no patterns were ever rendered.
-  std::shared_ptr<const RenderedPatternSet> pattern_set() const {
-    return pattern_set_;
-  }
+  /// This version's rendered miner patterns, shared with the previous
+  /// version when this one added no edge; null with mining off. Blocks
+  /// (span "mine_wait") until the mining stage has mined this version.
+  std::shared_ptr<const RenderedPatternSet> pattern_set() const;
+
+  /// Whether pattern_set() would return without waiting.
+  bool patterns_ready() const;
 
   /// Pipeline counters as of version() (lock-free /api/stats).
   const PipelineStats& stats() const { return stats_; }
@@ -77,34 +82,38 @@ class KgSnapshot {
   /// nous_snapshot_graph_{shared,private}_bytes.
   size_t approx_graph_bytes() const { return approx_graph_bytes_; }
 
-  /// Patterns for query execution (empty set when none rendered yet).
+  /// Patterns for query execution (empty with mining off); blocks
+  /// like pattern_set(). Only pattern and trending answers read them.
   const std::vector<RenderedPattern>& patterns() const;
 
  private:
   uint64_t version_ = 0;
   PropertyGraph graph_;
-  std::shared_ptr<const RenderedPatternSet> pattern_set_;
+  PatternFuture patterns_;
   PipelineStats stats_;
   size_t approx_graph_bytes_ = 0;
 };
 
-/// Holds the latest published snapshot behind an atomic shared_ptr
-/// swap. Readers copy the pointer with a single atomic load — no
-/// mutex anywhere on the query hot path — and the snapshot itself is
-/// immutable, outliving the store entry for as long as any reader
-/// holds it.
+/// Holds the latest published snapshot. Readers copy the pointer
+/// under a mutex held only for that copy (one refcount increment), so
+/// a query never waits on ingest; the snapshot itself is immutable,
+/// outliving the store entry for as long as any reader holds it. A
+/// plain mutex rather than std::atomic<std::shared_ptr>: libstdc++'s
+/// lock-bit implementation of the latter is invisible to
+/// ThreadSanitizer, which then reports its internals as races.
 class SnapshotStore {
  public:
   /// Installs `snapshot` if its version is newer than the current one.
-  /// Publication is monotonic (CAS loop): two publishers can race
-  /// (each cloned under a reader lock, so each snapshot is internally
-  /// consistent and correctly labeled), and the older label simply
-  /// loses.
-  void Publish(std::shared_ptr<const KgSnapshot> snapshot);
+  /// Publication is monotonic: two publishers can race (each cloned
+  /// under a reader lock, so each snapshot is internally consistent
+  /// and correctly labeled), and the older label simply loses.
+  void Publish(std::shared_ptr<const KgSnapshot> snapshot)
+      EXCLUDES(mutex_);
 
   /// Latest published snapshot; null before the first Publish.
-  std::shared_ptr<const KgSnapshot> Current() const {
-    return current_.load(std::memory_order_acquire);
+  std::shared_ptr<const KgSnapshot> Current() const EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    return current_;
   }
 
   /// Version of the latest published snapshot (0 before the first).
@@ -121,8 +130,8 @@ class SnapshotStore {
   }
 
  private:
-  /// Internally synchronized; no GUARDED_BY needed.
-  std::atomic<std::shared_ptr<const KgSnapshot>> current_;
+  mutable AnnotatedMutex mutex_;
+  std::shared_ptr<const KgSnapshot> current_ GUARDED_BY(mutex_);
   std::atomic<uint64_t> publishes_{0};
 };
 

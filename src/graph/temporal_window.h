@@ -33,8 +33,8 @@ class WindowListener {
 /// + window degree) and the window keeps no per-edge state.
 ///
 /// Concurrency: externally synchronized, like the listeners it
-/// notifies. KgPipeline mutates it only under the exclusive side of
-/// `kg_mutex()` (`window_` is GUARDED_BY in pipeline.h).
+/// notifies. In KgPipeline it belongs to the mining stage
+/// (core/mining_stage.h), over a copy-on-write clone of the KG.
 class TemporalWindow {
  public:
   /// Pins every edge `graph` holds now; the stream starts at the next

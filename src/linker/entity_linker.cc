@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/logging.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
 
@@ -280,6 +281,10 @@ std::vector<LinkDecision> EntityLinker::LinkMentions(
     EntityType type =
         i < types.size() ? types[i] : EntityType::kMisc;
     if (graph_->VertexType(v) == kInvalidType) {
+      // Typed mining reads types from a later clone of the KG, which is
+      // exact only while no vertex is retyped once it has an edge.
+      NOUS_CHECK(graph_->OutDegree(v) == 0 && graph_->InDegree(v) == 0)
+          << "typing vertex " << v << ", which already has an edge";
       // NOLINTNEXTLINE(nous-layering)
       // lint: graph-mutation-ok(same commit section, replayed from the WAL)
       graph_->SetVertexType(v, graph_->types().Intern(TypeNameFor(type)));

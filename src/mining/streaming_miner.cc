@@ -61,7 +61,6 @@ StreamingMiner::StreamingMiner(MinerConfig config)
 
 void StreamingMiner::OnEdgeAdded(const TemporalWindow& window,
                                  EdgeId edge) {
-  ++generation_;
   if (edge >= window.num_pinned() && first_stream_edge_ == kInvalidEdge) {
     first_stream_edge_ = edge;
   }
@@ -86,7 +85,6 @@ void StreamingMiner::OnEdgeAdded(const TemporalWindow& window,
 
 void StreamingMiner::OnEdgeExpiring(const TemporalWindow& window,
                                     EdgeId edge) {
-  ++generation_;
   // `edge` is the oldest streamed edge, so every window subset holding
   // it has only in-window edges that were in the window when its newest
   // edge arrived: the live embeddings of `edge` are exactly the subsets

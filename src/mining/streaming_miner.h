@@ -40,11 +40,10 @@ namespace nous {
 /// recompute from scratch per window for the E4 speedup comparison.
 ///
 /// Concurrency: externally synchronized. The miner keeps no internal
-/// locks; KgPipeline owns it behind `kg_mutex()` (`miner_` is
-/// GUARDED_BY in pipeline.h) — updates arrive under the exclusive
-/// side, reads (FrequentPatterns, query serving) under the shared
-/// side. Standalone users need the same discipline or a single
-/// thread.
+/// locks; in KgPipeline it belongs to the mining stage
+/// (core/mining_stage.h), whose one running job updates it, and
+/// readers see it only once the stage is idle. Standalone users need
+/// the same discipline or a single thread.
 class StreamingMiner : public WindowListener {
  public:
   explicit StreamingMiner(MinerConfig config);
@@ -70,13 +69,6 @@ class StreamingMiner : public WindowListener {
     std::vector<Pattern> became_infrequent;
   };
   Churn TakeChurn();
-
-  /// Monotonic counter bumped by every window event the miner
-  /// observes. Equal generations guarantee the pattern set (and its
-  /// rendering) is unchanged, so snapshot publish can reuse the
-  /// previous RenderedPatternSet instead of re-stringifying every
-  /// closed frequent pattern.
-  uint64_t generation() const { return generation_; }
 
   size_t num_tracked_patterns() const { return patterns_.size(); }
   /// Distinct quick patterns cached: at most max_edges! per tracked
@@ -155,7 +147,6 @@ class StreamingMiner : public WindowListener {
   std::vector<TypeId> read_type_;
   std::unordered_map<VertexId, std::vector<Retype>> retypes_;
   std::unordered_set<size_t> last_frequent_;  // pattern ids
-  uint64_t generation_ = 0;
   size_t live_embeddings_ = 0;
   size_t created_total_ = 0;
   size_t removed_total_ = 0;

@@ -73,6 +73,12 @@ struct QueryEngineConfig {
   bool trending_rising = true;
 };
 
+/// Whether answers of `kind` read the miner's patterns (pattern and
+/// trending queries); the engine reads them for no other class.
+inline bool ReadsPatterns(QueryKind kind) {
+  return kind == QueryKind::kPattern || kind == QueryKind::kTrending;
+}
+
 /// Executes the five query classes against the dynamic KG and the
 /// miner's closed patterns, rendered beforehand (at snapshot publish,
 /// core/snapshot.h, or by RenderClosedPatterns), so everything the

@@ -203,6 +203,10 @@ HttpResponse NousApi::HandleStats() {
   w.Int(static_cast<long long>(cost.quick_patterns->Value()));
   w.Key("mining_subsets_enumerated");
   w.Int(static_cast<long long>(cost.subsets_enumerated->Value()));
+  // Committed batches the mining stage has yet to finish (its gauge is
+  // nous_mining_stage_lag_batches).
+  w.Key("mining_stage_lag");
+  w.Int(static_cast<long long>(nous_->pipeline().mining_stage_lag()));
   w.Key("linker_candidates");
   w.Int(static_cast<long long>(cost.linker_candidates->Value()));
   w.Key("linker_adjacency_scanned");

@@ -4,7 +4,7 @@
 // restored window is the KG's last miner_window_edges streamed edges,
 // with the live window's ids, a restored pipeline serves exactly the
 // live pipeline's patterns, the window mines what a separate
-// string-keyed window mines, and its graph is the KG itself.
+// string-keyed window mines, and its graph is a clone of the KG.
 
 #include <algorithm>
 #include <string>
@@ -199,8 +199,21 @@ TEST_P(MinerWindowTest, WindowGraphHoldsKgIdsAndNoDictionaries) {
   const PropertyGraph& kg = pipeline.graph();
   const TemporalWindow* window = pipeline.miner_window();
   ASSERT_NE(window, nullptr);
-  // The window is a view of the KG, not a second graph.
-  EXPECT_EQ(&window->graph(), &kg);
+  // The window is a view of a copy-on-write clone of the KG at the last
+  // mined version (here the live one), not a second graph: the same
+  // edge records under the same ids, and the KG's dictionaries.
+  ASSERT_NE(&window->graph(), &kg);
+  EXPECT_EQ(window->graph().NumEdges(), kg.NumEdges());
+  EXPECT_EQ(window->graph().NumVertices(), kg.NumVertices());
+  EXPECT_EQ(window->graph().predicates().size(), kg.predicates().size());
+  EXPECT_EQ(window->graph().types().size(), kg.types().size());
+  for (EdgeId e = 0; e < kg.NumEdges(); ++e) {
+    const EdgeRecord& got = window->graph().Edge(e);
+    const EdgeRecord& want = kg.Edge(e);
+    EXPECT_EQ(got.subject, want.subject) << "edge " << e;
+    EXPECT_EQ(got.predicate, want.predicate) << "edge " << e;
+    EXPECT_EQ(got.object, want.object) << "edge " << e;
+  }
   // Curated facts pinned, plus a full window of the newest streamed
   // KG edges.
   const size_t curated = kb_.facts().size();

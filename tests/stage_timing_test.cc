@@ -93,11 +93,22 @@ TEST_F(StageTimingTest, HistogramSumsEqualPipelineStats) {
   TraceBuffer::Global().Clear();
   const uint64_t appended_before = TraceBuffer::Global().total_appended();
   KgPipeline pipeline(&kb_, Config());
+  // The mining stage runs one job for the curated bootstrap and one per
+  // batch that added an edge.
+  size_t mining_jobs = 1;
   for (size_t start = 0; start < articles.size(); start += kBatch) {
+    const size_t before = Stats(pipeline).accepted_triples;
     pipeline.IngestBatch(articles.data() + start,
                          std::min(kBatch, articles.size() - start));
+    if (Stats(pipeline).accepted_triples > before) ++mining_jobs;
   }
   pipeline.Finalize();
+  {
+    // The stage mines beside the commit loop; miner() waits until it
+    // has finished every job.
+    ReaderMutexLock lock(pipeline.kg_mutex());
+    ASSERT_NE(pipeline.miner(), nullptr);
+  }
   const PipelineStats stats = Stats(pipeline);
 
   std::map<std::string, MetricsRegistry::HistogramRow> histograms;
@@ -165,9 +176,31 @@ TEST_F(StageTimingTest, HistogramSumsEqualPipelineStats) {
                 1e-9 * stats.extract_wait_seconds);
   }
 
-  // Every traced child interval lies inside its parent's.
   std::unordered_map<uint64_t, const SpanRecord*> by_id;
   for (const SpanRecord& span : spans) by_id[span.span_id] = &span;
+
+  // Mining runs on the mining stage, beside the commit loop: one root
+  // "mine_batch" span per job, and every "mining" span nested under
+  // one, never under the ingest_batch that committed its edge.
+  {
+    SCOPED_TRACE("mine_batch");
+    const auto it = histograms.find("nous_mine_batch_latency_seconds");
+    ASSERT_NE(it, histograms.end());
+    EXPECT_EQ(it->second.count, mining_jobs);
+    EXPECT_EQ(traced["mine_batch"], mining_jobs);
+    for (const SpanRecord& span : spans) {
+      const std::string name = span.name;
+      if (name == "mine_batch") {
+        EXPECT_EQ(span.parent_span_id, 0u);
+      }
+      if (name != "mining") continue;
+      const auto parent = by_id.find(span.parent_span_id);
+      ASSERT_NE(parent, by_id.end());
+      EXPECT_EQ(std::string(parent->second->name), "mine_batch");
+    }
+  }
+
+  // Every traced child interval lies inside its parent's.
   size_t nested = 0;
   for (const SpanRecord& child : spans) {
     auto parent_it = by_id.find(child.parent_span_id);

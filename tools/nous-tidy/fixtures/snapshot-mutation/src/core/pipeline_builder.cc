@@ -9,9 +9,8 @@
 
 namespace nous {
 
-std::shared_ptr<const RenderedPatternSet> BuildFreshSet(uint64_t generation) {
+std::shared_ptr<const RenderedPatternSet> BuildFreshSet() {
   auto fresh = std::make_shared<RenderedPatternSet>();
-  fresh->miner_generation = generation;
   fresh->patterns.clear();  // pre-publish mutation: allowed here
   return std::move(fresh);
 }

@@ -62,7 +62,7 @@ hygiene contracts (DESIGN.md "Static analysis & locking contracts"):
                       injection points. Suppress with
                       `// lint: socket-ok(reason)`.
   R12 graph-mutation  Direct PropertyGraph mutation (GetOrAddVertex,
-                      AddEdge, RemoveEdge, SetVertexType,
+                      AddEdge, SetVertexType,
                       SetVertexTopics, AddVertexTerm,
                       SetEdgeConfidence, RebuildDerivedIndexes) is
                       confined to the commit path: src/graph/ itself
@@ -134,7 +134,7 @@ RAW_SOCKET_RE = re.compile(
 # R12: PropertyGraph mutators, matched as member calls (`.`/`->`) so
 # declarations and same-name wrappers (SetEdgeConfidenceTracked) pass.
 GRAPH_MUTATOR_RE = re.compile(
-    r"(?:\.|->)\s*(GetOrAddVertex|AddEdge|RemoveEdge|SetVertexType|"
+    r"(?:\.|->)\s*(GetOrAddVertex|AddEdge|SetVertexType|"
     r"SetVertexTopics|AddVertexTerm|SetEdgeConfidence|"
     r"RebuildDerivedIndexes)\s*\(")
 # The commit path: the graph layer and the pipeline, whose every write

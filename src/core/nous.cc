@@ -45,6 +45,7 @@ Result<Nous::RecoveryStats> Nous::Recover() {
   if (recovered.has_checkpoint) {
     NOUS_SPAN("load_state");
     NOUS_RETURN_IF_ERROR(pipeline_.LoadState(recovered.checkpoint.state));
+    if (cache_ != nullptr) cache_->Clear();
     stats.restored_checkpoint = true;
     last_seq = recovered.checkpoint.last_applied_seq;
   }
@@ -253,6 +254,9 @@ Status Nous::ApplyReplicatedCheckpoint(uint64_t seq,
         "ApplyReplicatedCheckpoint(): durability is not enabled");
   }
   NOUS_RETURN_IF_ERROR(pipeline_.LoadState(state));
+  // The load's generation already keeps stale answers from being
+  // served; clearing frees them.
+  if (cache_ != nullptr) cache_->Clear();
   NOUS_RETURN_IF_ERROR(durability_->InstallCheckpoint(seq, state));
   const uint64_t kgv = PublishCommitLocked(seq);
   if (listener_ != nullptr) listener_->OnCheckpoint(seq, state, kgv);
@@ -261,7 +265,11 @@ Status Nous::ApplyReplicatedCheckpoint(uint64_t seq,
 
 Result<Answer> Nous::Ask(const std::string& question,
                          std::shared_ptr<const KgSnapshot>* snapshot_out) {
-  NOUS_ASSIGN_OR_RETURN(Query query, ParseQuery(question));
+  Query query;
+  {
+    NOUS_SPAN("parse");
+    NOUS_ASSIGN_OR_RETURN(query, ParseQuery(question));
+  }
   return Execute(query, snapshot_out);
 }
 
@@ -279,7 +287,10 @@ Result<Answer> Nous::ExecuteOnSnapshot(
   if (cache_ != nullptr) {
     key = CanonicalCacheKey(query);
     Answer cached;
-    if (cache_->Lookup(key, snap->version(), &cached)) return cached;
+    if (cache_->Lookup(key, snap->load_generation(), snap->version(),
+                       &cached)) {
+      return cached;
+    }
   }
   // Only answers that read the miner's patterns wait for the mining
   // stage to finish this version.
@@ -289,7 +300,9 @@ Result<Answer> Nous::ExecuteOnSnapshot(
                          : std::span<const RenderedPattern>(),
                      options_.query);
   NOUS_ASSIGN_OR_RETURN(Answer answer, engine.Execute(query));
-  if (cache_ != nullptr) cache_->Insert(key, snap->version(), answer);
+  if (cache_ != nullptr) {
+    cache_->Insert(key, snap->load_generation(), snap->version(), answer);
+  }
   return answer;
 }
 

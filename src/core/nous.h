@@ -65,8 +65,9 @@ struct NousOptions {
   /// Crash safety; disabled while `durability.dir` is empty.
   DurabilityOptions durability;
   /// Versioned LRU cache over executed answers (DESIGN.md §5.11): a
-  /// cached answer is keyed by the KG version it was computed at, so
-  /// every ingest commit implicitly invalidates the whole cache.
+  /// cached answer is keyed by the KG version and load generation it
+  /// was computed at, so every ingest commit and state load implicitly
+  /// invalidates the whole cache.
   QueryCacheOptions query_cache;
   /// Must be 1 (the constructor checks): one graph, one WAL, one
   /// commit path. Accepted so callers that set it keep compiling.

@@ -642,6 +642,7 @@ Status KgPipeline::LoadStateLocked(std::string_view payload) {
   }
 
   kg_version_ = kg_version;
+  ++load_generation_;
   graph_ = std::move(graph);
   linker_ = std::move(linker);
   mapper_ = std::move(mapper);
@@ -733,6 +734,7 @@ void KgPipeline::FinalizeLocked() {
 
 void KgPipeline::PublishSnapshot() {
   NOUS_SPAN_VAR(span, "snapshot_publish");
+  uint64_t load_generation = 0;
   uint64_t version = 0;
   PropertyGraph graph;
   PipelineStats pipeline_stats;
@@ -741,6 +743,7 @@ void KgPipeline::PublishSnapshot() {
     // Shared lock: concurrent publishers (rare — one per committed
     // ingest) clone independently; SnapshotStore keeps the newest.
     ReaderMutexLock lock(kg_mutex_);
+    load_generation = load_generation_;
     version = kg_version_;
     // O(1): shares every chunk with the live graph; later ingest
     // unshares only the chunks it touches (DESIGN.md §5.13).
@@ -751,7 +754,7 @@ void KgPipeline::PublishSnapshot() {
   // The constructor runs the footprint estimate off the lock (chunk
   // byte caches make it O(chunks touched since the last pass)).
   auto snap = std::make_shared<const KgSnapshot>(
-      version, std::move(graph), std::move(patterns),
+      load_generation, version, std::move(graph), std::move(patterns),
       std::move(pipeline_stats));
   CowFootprint footprint = snap->graph().Footprint();
   span.Attr("version", snap->version());

@@ -220,11 +220,13 @@ class KgPipeline {
   const Lexicon& lexicon() const { return lexicon_; }
   const Ner& ner() const { return ner_; }
 
-  /// Monotonic KG version: starts at 1 after the curated bootstrap and
+  /// KG version: starts at 1 after the curated bootstrap and
   /// increments on every mutating operation (each IngestBatch call
-  /// and Finalize). Restored exactly by LoadState, and WAL replay
-  /// re-applies the same operations, so a recovered pipeline reports
-  /// the same version as the uncrashed run. Keys the query cache.
+  /// and Finalize). Restored exactly by LoadState (so a load may step
+  /// it back; snapshots order loads first, KgSnapshot::load_generation),
+  /// and WAL replay re-applies the same operations, so a recovered
+  /// pipeline reports the same version as the uncrashed run. Keys the
+  /// query cache with the load generation.
   uint64_t kg_version() const REQUIRES_SHARED(kg_mutex_) {
     return kg_version_;
   }
@@ -327,6 +329,10 @@ class KgPipeline {
   size_t docs_since_refresh_ GUARDED_BY(kg_mutex_) = 0;
   /// See kg_version(); set to 1 by the constructor's curated bootstrap.
   uint64_t kg_version_ GUARDED_BY(kg_mutex_) = 0;
+  /// Successful LoadState calls; orders snapshots before kg_version_
+  /// (KgSnapshot::load_generation), since a load may restore a lower
+  /// version than the one it replaces.
+  uint64_t load_generation_ GUARDED_BY(kg_mutex_) = 0;
   /// Internally synchronized store of the latest snapshot.
   SnapshotStore snapshots_;
   /// Ids for ad-hoc IngestText articles; atomic so concurrent HTTP

@@ -7,9 +7,11 @@
 
 namespace nous {
 
-KgSnapshot::KgSnapshot(uint64_t version, PropertyGraph graph,
-                       PatternFuture patterns, PipelineStats stats)
-    : version_(version),
+KgSnapshot::KgSnapshot(uint64_t load_generation, uint64_t version,
+                       PropertyGraph graph, PatternFuture patterns,
+                       PipelineStats stats)
+    : load_generation_(load_generation),
+      version_(version),
       graph_(std::move(graph)),
       patterns_(std::move(patterns)),
       stats_(std::move(stats)) {
@@ -46,7 +48,9 @@ void SnapshotStore::Publish(std::shared_ptr<const KgSnapshot> snapshot) {
   {
     MutexLock lock(mutex_);
     // Keep an equal-or-newer view a racing publisher already installed.
-    if (current_ != nullptr && snapshot->version() <= current_->version()) {
+    if (current_ != nullptr &&
+        std::pair(snapshot->load_generation(), snapshot->version()) <=
+            std::pair(current_->load_generation(), current_->version())) {
       return;
     }
     current_.swap(snapshot);

@@ -20,11 +20,14 @@ namespace nous {
 /// search can never stall ingest — and ingest can never mutate the
 /// graph under a running query.
 ///
-/// `version` is the pipeline's monotonic KG version: it increments on
-/// every mutating operation (ingest call, batch, finalize), survives
-/// checkpoints (SaveState/LoadState), and keys the query cache — a
-/// cached answer is valid exactly while the version it was computed
-/// at is still current.
+/// `version` is the pipeline's KG version: it increments on every
+/// mutating operation (ingest call, batch, finalize) and survives
+/// checkpoints (SaveState/LoadState). A load restores the image's
+/// version, which may be lower than the one it replaces, so snapshots
+/// are ordered by (`load_generation`, `version`): the generation counts
+/// the pipeline's successful loads. The pair keys the query cache — a
+/// cached answer is valid exactly while the pair it was computed at is
+/// still current.
 /// A KG version's closed frequent patterns, rendered by the mining
 /// stage (core/mining_stage.h) once it has mined that version. Versions
 /// that add no edge share their predecessor's set.
@@ -50,13 +53,18 @@ class KgSnapshot {
   /// Assembled by KgPipeline::PublishSnapshot, the only producer. The
   /// graph footprint estimate is computed here, outside the pipeline
   /// locks, so readers report bytes without re-walking chunks.
-  KgSnapshot(uint64_t version, PropertyGraph graph, PatternFuture patterns,
-             PipelineStats stats);
+  KgSnapshot(uint64_t load_generation, uint64_t version, PropertyGraph graph,
+             PatternFuture patterns, PipelineStats stats);
 
   KgSnapshot(const KgSnapshot&) = delete;
   KgSnapshot& operator=(const KgSnapshot&) = delete;
 
-  /// The pipeline's monotonic KG version this snapshot was cut at.
+  /// Successful state loads the pipeline had made when this snapshot
+  /// was cut; orders snapshots before version() does.
+  uint64_t load_generation() const { return load_generation_; }
+
+  /// The pipeline's KG version this snapshot was cut at; monotonic
+  /// within a load generation.
   uint64_t version() const { return version_; }
 
   /// O(1) copy-on-write clone of the fused KG (identical ids, slot
@@ -87,6 +95,7 @@ class KgSnapshot {
   const std::vector<RenderedPattern>& patterns() const;
 
  private:
+  uint64_t load_generation_ = 0;
   uint64_t version_ = 0;
   PropertyGraph graph_;
   PatternFuture patterns_;
@@ -103,10 +112,13 @@ class KgSnapshot {
 /// ThreadSanitizer, which then reports its internals as races.
 class SnapshotStore {
  public:
-  /// Installs `snapshot` if its version is newer than the current one.
-  /// Publication is monotonic: two publishers can race (each cloned
-  /// under a reader lock, so each snapshot is internally consistent
-  /// and correctly labeled), and the older label simply loses.
+  /// Installs `snapshot` if its (load generation, version) is newer
+  /// than the current one's. Publication is monotonic: two publishers
+  /// can race (each cloned under a reader lock, so each snapshot is
+  /// internally consistent and correctly labeled), and the older label
+  /// simply loses. A state load starts a new generation, so its
+  /// snapshot replaces every earlier one even when the loaded image
+  /// has a lower version.
   void Publish(std::shared_ptr<const KgSnapshot> snapshot)
       EXCLUDES(mutex_);
 

@@ -44,8 +44,8 @@ void QueryCache::EraseLocked(LruList::iterator it) {
   lru_.erase(it);
 }
 
-bool QueryCache::Lookup(const std::string& key, uint64_t version,
-                        Answer* answer) {
+bool QueryCache::Lookup(const std::string& key, uint64_t generation,
+                        uint64_t version, Answer* answer) {
   MutexLock lock(mu_);
   auto it = index_.find(key);
   if (it == index_.end()) {
@@ -53,8 +53,9 @@ bool QueryCache::Lookup(const std::string& key, uint64_t version,
     Metrics().misses->Increment();
     return false;
   }
-  if (it->second->version != version) {
-    // Computed against an older KG version: stale, drop it.
+  if (it->second->generation != generation ||
+      it->second->version != version) {
+    // Computed against another KG version or load: stale, drop it.
     EraseLocked(it->second);
     ++stats_.misses;
     Metrics().misses->Increment();
@@ -68,14 +69,14 @@ bool QueryCache::Lookup(const std::string& key, uint64_t version,
   return true;
 }
 
-void QueryCache::Insert(const std::string& key, uint64_t version,
-                        const Answer& answer) {
+void QueryCache::Insert(const std::string& key, uint64_t generation,
+                        uint64_t version, const Answer& answer) {
   if (capacity_ == 0) return;
   MutexLock lock(mu_);
   if (auto it = index_.find(key); it != index_.end()) {
     EraseLocked(it->second);
   }
-  lru_.push_front(Entry{key, version, answer});
+  lru_.push_front(Entry{key, generation, version, answer});
   index_[key] = lru_.begin();
   while (lru_.size() > capacity_) {
     EraseLocked(std::prev(lru_.end()));
@@ -83,6 +84,13 @@ void QueryCache::Insert(const std::string& key, uint64_t version,
     Metrics().evictions->Increment();
   }
   Metrics().entries->Set(static_cast<double>(lru_.size()));
+}
+
+void QueryCache::Clear() {
+  MutexLock lock(mu_);
+  index_.clear();
+  lru_.clear();
+  Metrics().entries->Set(0.0);
 }
 
 size_t QueryCache::size() const {

@@ -21,15 +21,18 @@ struct QueryCacheOptions {
 };
 
 /// Bounded LRU cache over executed answers, keyed by the canonical
-/// query string and validated against the KG version the answer was
-/// computed at (DESIGN.md §5.11).
+/// query string and validated against the (load generation, KG
+/// version) of the snapshot the answer was computed on (DESIGN.md
+/// §5.11).
 ///
-/// Invalidation is implicit: callers always look up with the version
+/// Invalidation is implicit: callers always look up with the stamp
 /// of the snapshot they are about to query, so any entry computed
-/// before the last ingest commit mismatches and is treated (and
-/// erased) as a miss. A post-ingest query can therefore never observe
-/// a stale cached answer — the ingest call publishes the bumped
-/// version before it returns.
+/// before the last ingest commit or state load mismatches and is
+/// treated (and erased) as a miss. A post-ingest query can therefore
+/// never observe a stale cached answer — the ingest call publishes the
+/// bumped version before it returns — and neither can a query after a
+/// load that restored an older version number: the load bumps the
+/// generation.
 ///
 /// Memory bound: at most `capacity` answers (strict LRU eviction).
 /// Thread-safe; hit/miss/eviction counters are exported both as
@@ -40,16 +43,20 @@ class QueryCache {
   explicit QueryCache(size_t capacity);
 
   /// Returns true and fills `*answer` iff `key` is cached at exactly
-  /// `version`. A version mismatch erases the entry and counts as a
-  /// miss.
-  bool Lookup(const std::string& key, uint64_t version, Answer* answer)
-      EXCLUDES(mu_);
+  /// (`generation`, `version`). A mismatch erases the entry and counts
+  /// as a miss.
+  bool Lookup(const std::string& key, uint64_t generation, uint64_t version,
+              Answer* answer) EXCLUDES(mu_);
 
-  /// Caches `answer` for (`key`, `version`), replacing any older
-  /// entry for `key` and evicting the least-recently-used entry when
-  /// over capacity.
-  void Insert(const std::string& key, uint64_t version,
+  /// Caches `answer` for (`key`, `generation`, `version`), replacing
+  /// any older entry for `key` and evicting the least-recently-used
+  /// entry when over capacity.
+  void Insert(const std::string& key, uint64_t generation, uint64_t version,
               const Answer& answer) EXCLUDES(mu_);
+
+  /// Drops every entry (a state load made them all stale); counts no
+  /// eviction.
+  void Clear() EXCLUDES(mu_);
 
   size_t size() const EXCLUDES(mu_);
   size_t capacity() const { return capacity_; }
@@ -64,6 +71,7 @@ class QueryCache {
  private:
   struct Entry {
     std::string key;
+    uint64_t generation = 0;
     uint64_t version = 0;
     Answer answer;
   };

@@ -1,7 +1,6 @@
 #include "qa/query_engine.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <sstream>
 
@@ -110,6 +109,10 @@ Result<Answer> QueryEngine::Execute(const Query& query) const {
       .GetCounter("nous_query_total", "Queries executed by class",
                   {{"class", QueryKindName(query.kind)}})
       ->Increment();
+  // Each class times its stages under "query": resolve (entity names
+  // to vertices; entity, relationship and search queries), search (the
+  // graph work) and compose (the answer's rows); pattern answers only
+  // compose.
   switch (query.kind) {
     case QueryKind::kTrending:
       return ExecuteTrending();
@@ -130,109 +133,187 @@ Result<Answer> QueryEngine::ExecuteText(
   return Execute(query);
 }
 
+namespace {
+
+/// One ranked trending vertex: its recent-window endpoint count and
+/// its rank score (recent minus previous-window count when rising).
+struct TrendingRow {
+  VertexId vertex;
+  size_t count;
+  double score;
+};
+
+/// An entity fact's sort key: curated first, then by recency.
+struct FactKey {
+  bool curated;
+  Timestamp timestamp;
+  EdgeId edge;
+};
+
+}  // namespace
+
 Answer QueryEngine::ExecuteTrending() const {
   Answer answer;
   answer.kind = QueryKind::kTrending;
-  // Hot entities: activity within the trailing horizon. The graph
-  // tracks its max live-edge timestamp incrementally, so trending
-  // needs one edge pass instead of two.
-  Timestamp newest = graph_->MaxEdgeTimestamp();
-  Timestamp cutoff = config_.trending_horizon == 0
-                         ? 0
-                         : newest - config_.trending_horizon;
-  Timestamp previous_cutoff =
-      config_.trending_horizon == 0
-          ? 0
-          : cutoff - config_.trending_horizon;
-  std::map<VertexId, size_t> activity;
-  std::map<VertexId, size_t> previous_activity;
+  std::vector<TrendingRow> ranked;
   std::vector<EdgeId> recent_edges;
-  graph_->ForEachEdge([&](EdgeId e, const EdgeRecord& rec) {
-    if (rec.meta.curated) return;  // trends come from the stream
-    if (rec.meta.timestamp >= cutoff) {
-      ++activity[rec.subject];
-      ++activity[rec.object];
-      recent_edges.push_back(e);
-    } else if (config_.trending_horizon != 0 &&
-               rec.meta.timestamp >= previous_cutoff) {
-      ++previous_activity[rec.subject];
-      ++previous_activity[rec.object];
+  {
+    NOUS_SPAN("search");
+    // Hot entities: activity within the trailing horizon. The graph
+    // tracks its max live-edge timestamp incrementally, so trending
+    // needs one edge pass instead of two.
+    Timestamp newest = graph_->MaxEdgeTimestamp();
+    Timestamp cutoff = config_.trending_horizon == 0
+                           ? 0
+                           : newest - config_.trending_horizon;
+    Timestamp previous_cutoff =
+        config_.trending_horizon == 0
+            ? 0
+            : cutoff - config_.trending_horizon;
+    // Each window's activity is its edges' endpoints, one entry per
+    // endpoint; sorted, a vertex's count is the length of its run.
+    // Sort plus run-length costs O(window log window) and nothing per
+    // vertex of the graph, and yields vertices in ascending id order.
+    std::vector<VertexId> recent;
+    std::vector<VertexId> previous;
+    for (EdgeId e = 0; e < graph_->NumEdges(); ++e) {
+      const EdgeRecord& rec = graph_->Edge(e);
+      if (rec.meta.curated) continue;  // trends come from the stream
+      if (rec.meta.timestamp >= cutoff) {
+        recent.push_back(rec.subject);
+        recent.push_back(rec.object);
+        if (recent_edges.size() < config_.trending_limit) {
+          recent_edges.push_back(e);
+        }
+      } else if (config_.trending_rising && config_.trending_horizon != 0 &&
+                 rec.meta.timestamp >= previous_cutoff) {
+        previous.push_back(rec.subject);
+        previous.push_back(rec.object);
+      }
     }
-  });
-  // Rising score = recent minus previous-window activity; raw recent
-  // count when rising ranking is disabled.
-  auto score_of = [&](VertexId v, size_t recent) -> double {
-    if (!config_.trending_rising) return static_cast<double>(recent);
-    auto it = previous_activity.find(v);
-    size_t previous = it == previous_activity.end() ? 0 : it->second;
-    return static_cast<double>(recent) -
-           static_cast<double>(previous);
-  };
-  std::vector<std::pair<VertexId, size_t>> ranked(activity.begin(),
-                                                  activity.end());
-  std::sort(ranked.begin(), ranked.end(),
-            [&](const auto& a, const auto& b) {
-              double sa = score_of(a.first, a.second);
-              double sb = score_of(b.first, b.second);
-              if (sa != sb) return sa > sb;
-              return a.second > b.second;
-            });
-  for (const auto& [v, count] : ranked) {
+    std::sort(recent.begin(), recent.end());
+    std::sort(previous.begin(), previous.end());
+    // Rising score = recent minus previous-window activity; raw recent
+    // count when rising ranking is disabled (nothing is collected into
+    // `previous` then). Both lists ascend, so one forward cursor finds
+    // each vertex's previous count.
+    size_t p = 0;
+    for (size_t i = 0; i < recent.size();) {
+      const VertexId v = recent[i];
+      size_t j = i;
+      while (j < recent.size() && recent[j] == v) ++j;
+      const size_t count = j - i;
+      while (p < previous.size() && previous[p] < v) ++p;
+      size_t prev = 0;
+      for (; p < previous.size() && previous[p] == v; ++p) ++prev;
+      ranked.push_back({v, count,
+                        static_cast<double>(count) -
+                            static_cast<double>(prev)});
+      i = j;
+    }
+    // Rows arrive in ascending vertex order. std::sort's order among
+    // rows that tie on (score, count) depends only on that input order,
+    // so the answer is deterministic; AnswerOracleTest pins it.
+    std::sort(ranked.begin(), ranked.end(),
+              [](const TrendingRow& a, const TrendingRow& b) {
+                if (a.score != b.score) return a.score > b.score;
+                return a.count > b.count;
+              });
+  }
+  NOUS_SPAN("compose");
+  for (const TrendingRow& row : ranked) {
     if (answer.hot_entities.size() >= config_.trending_limit) break;
-    answer.hot_entities.emplace_back(graph_->VertexLabel(v), count);
+    answer.hot_entities.emplace_back(graph_->VertexLabel(row.vertex),
+                                     row.count);
   }
-  for (EdgeId e : recent_edges) {
-    if (answer.facts.size() >= config_.trending_limit) break;
-    answer.facts.push_back(MakeFactLine(e));
-  }
+  for (EdgeId e : recent_edges) answer.facts.push_back(MakeFactLine(e));
   answer.patterns.assign(patterns_.begin(), patterns_.end());
   return answer;
 }
 
 Result<Answer> QueryEngine::ExecuteEntity(
     const Query& query) const {
-  NOUS_ASSIGN_OR_RETURN(VertexId v, ResolveEntity(query.entity_a));
+  VertexId v = kInvalidVertex;
+  {
+    NOUS_SPAN("resolve");
+    NOUS_ASSIGN_OR_RETURN(v, ResolveEntity(query.entity_a));
+  }
+  std::vector<FactKey> keys;
+  {
+    NOUS_SPAN("search");
+    // Both adjacency lists ascend by edge id, so merging them visits
+    // v's distinct edges in id order; a self-loop is in both lists
+    // under one id and is kept once.
+    const std::vector<AdjEntry>& out = graph_->OutEdges(v);
+    const std::vector<AdjEntry>& in = graph_->InEdges(v);
+    keys.reserve(out.size() + in.size());
+    size_t i = 0;
+    size_t j = 0;
+    while (i < out.size() || j < in.size()) {
+      EdgeId e;
+      if (j == in.size() || (i < out.size() && out[i].edge < in[j].edge)) {
+        e = out[i++].edge;
+      } else if (i == out.size() || in[j].edge < out[i].edge) {
+        e = in[j++].edge;
+      } else {
+        e = out[i].edge;
+        ++i;
+        ++j;
+      }
+      const EdgeMeta& meta = graph_->Edge(e).meta;
+      if (query.since != 0 && meta.timestamp < query.since) {
+        continue;  // temporal filter ("... since 2014")
+      }
+      keys.push_back({meta.curated, meta.timestamp, e});
+    }
+    // Curated facts first, then by recency. Keys arrive in ascending
+    // edge-id order, and std::sort's order among ties depends only on
+    // that input order; AnswerOracleTest pins it.
+    std::sort(keys.begin(), keys.end(),
+              [](const FactKey& a, const FactKey& b) {
+                if (a.curated != b.curated) return a.curated > b.curated;
+                return a.timestamp > b.timestamp;
+              });
+  }
+  NOUS_SPAN("compose");
   Answer answer;
   answer.kind = QueryKind::kEntity;
-  std::set<EdgeId> edges;
-  for (const AdjEntry& a : graph_->OutEdges(v)) edges.insert(a.edge);
-  for (const AdjEntry& a : graph_->InEdges(v)) edges.insert(a.edge);
-  for (EdgeId e : edges) {
-    if (query.since != 0 &&
-        graph_->Edge(e).meta.timestamp < query.since) {
-      continue;  // temporal filter ("... since 2014")
-    }
-    answer.facts.push_back(MakeFactLine(e));
+  answer.facts.reserve(keys.size());
+  for (const FactKey& key : keys) {
+    answer.facts.push_back(MakeFactLine(key.edge));
   }
-  // Curated facts first, then by recency.
-  std::sort(answer.facts.begin(), answer.facts.end(),
-            [](const FactLine& a, const FactLine& b) {
-              if (a.curated != b.curated) return a.curated > b.curated;
-              return a.timestamp > b.timestamp;
-            });
   return answer;
 }
 
 Result<Answer> QueryEngine::ExecuteRelationship(
     const Query& query, QueryKind kind) const {
-  NOUS_ASSIGN_OR_RETURN(VertexId s, ResolveEntity(query.entity_a));
-  NOUS_ASSIGN_OR_RETURN(VertexId t, ResolveEntity(query.entity_b));
+  VertexId s = kInvalidVertex;
+  VertexId t = kInvalidVertex;
   PredicateId constraint = kInvalidPredicate;
-  if (!query.predicate.empty()) {
-    if (auto p = graph_->predicates().Lookup(query.predicate)) {
-      constraint = *p;
+  {
+    NOUS_SPAN("resolve");
+    NOUS_ASSIGN_OR_RETURN(s, ResolveEntity(query.entity_a));
+    NOUS_ASSIGN_OR_RETURN(t, ResolveEntity(query.entity_b));
+    if (!query.predicate.empty()) {
+      if (auto p = graph_->predicates().Lookup(query.predicate)) {
+        constraint = *p;
+      }
+      // An unknown predicate stays unconstrained rather than failing:
+      // why-questions phrase relations loosely ("use" vs "uses").
     }
-    // An unknown predicate stays unconstrained rather than failing:
-    // why-questions phrase relations loosely ("use" vs "uses").
   }
   Answer answer;
   answer.kind = kind;
-  PathSearch search(graph_, config_.path_search);
-  answer.paths = search.FindPaths(s, t, constraint);
-  if (answer.paths.empty() && constraint != kInvalidPredicate) {
-    // Fall back to unconstrained explanation.
-    answer.paths = search.FindPaths(s, t, kInvalidPredicate);
+  {
+    NOUS_SPAN("search");
+    PathSearch search(graph_, config_.path_search);
+    answer.paths = search.FindPaths(s, t, constraint);
+    if (answer.paths.empty() && constraint != kInvalidPredicate) {
+      // Fall back to unconstrained explanation.
+      answer.paths = search.FindPaths(s, t, kInvalidPredicate);
+    }
   }
+  NOUS_SPAN("compose");
   std::set<SourceId> sources;
   for (const PathResult& path : answer.paths) {
     for (SourceId src : path.sources) sources.insert(src);
@@ -242,6 +323,7 @@ Result<Answer> QueryEngine::ExecuteRelationship(
 }
 
 Answer QueryEngine::ExecutePattern() const {
+  NOUS_SPAN("compose");
   Answer answer;
   answer.kind = QueryKind::kPattern;
   answer.patterns.assign(patterns_.begin(), patterns_.end());

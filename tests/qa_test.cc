@@ -1,9 +1,14 @@
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "graph/property_graph.h"
 #include "qa/path_baselines.h"
 #include "qa/path_search.h"
@@ -577,6 +582,204 @@ TEST(PathClosingTest, ClosesThroughEveryViaEdgeBetweenTailAndTarget) {
     EXPECT_EQ(paths[i].sources, sources[i]) << i;
     EXPECT_DOUBLE_EQ(paths[i].coherence, ComputePathCoherence(g, vertices));
   }
+}
+
+
+// ---------- Entity and trending answers against reference engines ----------
+
+// The entity and trending answers as first written: an entity's edges
+// pass through a std::set and whole FactLines are sorted; trending
+// counts into two std::maps and looks both up in its comparator. The
+// engine's merge and sort-plus-run-length versions must render the
+// same bytes, tie order included.
+FactLine ReferenceFactLine(const PropertyGraph& g, EdgeId edge) {
+  const EdgeRecord& rec = g.Edge(edge);
+  FactLine line;
+  line.subject = g.VertexLabel(rec.subject);
+  line.predicate = g.predicates().GetString(rec.predicate);
+  line.object = g.VertexLabel(rec.object);
+  line.confidence = rec.meta.confidence;
+  line.curated = rec.meta.curated;
+  line.source = rec.meta.source == kInvalidSource
+                    ? ""
+                    : g.sources().GetString(rec.meta.source);
+  line.timestamp = rec.meta.timestamp;
+  return line;
+}
+
+Answer ReferenceEntity(const PropertyGraph& g, VertexId v, Timestamp since) {
+  Answer answer;
+  answer.kind = QueryKind::kEntity;
+  std::set<EdgeId> edges;
+  for (const AdjEntry& a : g.OutEdges(v)) edges.insert(a.edge);
+  for (const AdjEntry& a : g.InEdges(v)) edges.insert(a.edge);
+  for (EdgeId e : edges) {
+    if (since != 0 && g.Edge(e).meta.timestamp < since) continue;
+    answer.facts.push_back(ReferenceFactLine(g, e));
+  }
+  std::sort(answer.facts.begin(), answer.facts.end(),
+            [](const FactLine& a, const FactLine& b) {
+              if (a.curated != b.curated) return a.curated > b.curated;
+              return a.timestamp > b.timestamp;
+            });
+  return answer;
+}
+
+Answer ReferenceTrending(const PropertyGraph& g,
+                         const std::vector<RenderedPattern>& patterns,
+                         const QueryEngineConfig& config) {
+  Answer answer;
+  answer.kind = QueryKind::kTrending;
+  Timestamp newest = g.MaxEdgeTimestamp();
+  Timestamp cutoff =
+      config.trending_horizon == 0 ? 0 : newest - config.trending_horizon;
+  Timestamp previous_cutoff =
+      config.trending_horizon == 0 ? 0 : cutoff - config.trending_horizon;
+  std::map<VertexId, size_t> activity;
+  std::map<VertexId, size_t> previous_activity;
+  std::vector<EdgeId> recent_edges;
+  g.ForEachEdge([&](EdgeId e, const EdgeRecord& rec) {
+    if (rec.meta.curated) return;
+    if (rec.meta.timestamp >= cutoff) {
+      ++activity[rec.subject];
+      ++activity[rec.object];
+      recent_edges.push_back(e);
+    } else if (config.trending_horizon != 0 &&
+               rec.meta.timestamp >= previous_cutoff) {
+      ++previous_activity[rec.subject];
+      ++previous_activity[rec.object];
+    }
+  });
+  auto score_of = [&](VertexId v, size_t recent) -> double {
+    if (!config.trending_rising) return static_cast<double>(recent);
+    auto it = previous_activity.find(v);
+    size_t previous = it == previous_activity.end() ? 0 : it->second;
+    return static_cast<double>(recent) - static_cast<double>(previous);
+  };
+  std::vector<std::pair<VertexId, size_t>> ranked(activity.begin(),
+                                                  activity.end());
+  std::sort(ranked.begin(), ranked.end(),
+            [&](const auto& a, const auto& b) {
+              double sa = score_of(a.first, a.second);
+              double sb = score_of(b.first, b.second);
+              if (sa != sb) return sa > sb;
+              return a.second > b.second;
+            });
+  for (const auto& [v, count] : ranked) {
+    if (answer.hot_entities.size() >= config.trending_limit) break;
+    answer.hot_entities.emplace_back(g.VertexLabel(v), count);
+  }
+  for (EdgeId e : recent_edges) {
+    if (answer.facts.size() >= config.trending_limit) break;
+    answer.facts.push_back(ReferenceFactLine(g, e));
+  }
+  answer.patterns = patterns;
+  return answer;
+}
+
+/// A random stream KG: `isolated` trailing vertices with no edge, a
+/// hub on a quarter of the edges, self-loops, curated edges, parallel
+/// edges and timestamps from a narrow range (so windows, counts and
+/// rising scores tie often).
+PropertyGraph RandomStreamGraph(uint64_t seed, size_t vertices,
+                                size_t isolated, size_t edges,
+                                Timestamp max_timestamp) {
+  Rng rng(seed);
+  PropertyGraph g;
+  for (size_t i = 0; i < vertices + isolated; ++i) {
+    g.GetOrAddVertex("v" + std::to_string(i));
+  }
+  std::vector<PredicateId> predicates;
+  for (const char* name : {"acquired", "invested_in", "partner_of"}) {
+    predicates.push_back(g.predicates().Intern(name));
+  }
+  std::vector<SourceId> sources;
+  for (const char* name : {"wsj", "web", "blog"}) {
+    sources.push_back(g.sources().Intern(name));
+  }
+  auto pick = [&] {
+    if (rng.Bernoulli(0.25)) return VertexId{0};  // the hub
+    return static_cast<VertexId>(rng.UniformInt(vertices));
+  };
+  for (size_t i = 0; i < edges; ++i) {
+    VertexId s = pick();
+    VertexId o = rng.Bernoulli(0.08) ? s : pick();
+    EdgeMeta meta;
+    meta.curated = rng.Bernoulli(0.15);
+    meta.timestamp = rng.UniformRange(0, max_timestamp);
+    meta.confidence = 0.25 * static_cast<double>(rng.UniformRange(1, 4));
+    if (!meta.curated && rng.Bernoulli(0.8)) {
+      meta.source = sources[rng.UniformInt(sources.size())];
+    }
+    g.AddEdge(s, predicates[rng.UniformInt(predicates.size())], o, meta);
+  }
+  return g;
+}
+
+TEST(AnswerOracleTest, EntityAnswersMatchTheSetAndSortReference) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    const size_t vertices = 4 + seed * 5;
+    const Timestamp max_timestamp = static_cast<Timestamp>(seed % 4) * 20 + 3;
+    PropertyGraph g =
+        RandomStreamGraph(seed, vertices, 3, 40 + seed * 30, max_timestamp);
+    QueryEngine engine(&g, {});
+    size_t self_loops = 0;
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      for (const AdjEntry& a : g.OutEdges(v)) self_loops += a.neighbor == v;
+      for (Timestamp since : {Timestamp{0}, Timestamp{1}, max_timestamp / 2,
+                              max_timestamp + 1}) {
+        Query q;
+        q.kind = QueryKind::kEntity;
+        q.entity_a = g.VertexLabel(v);
+        q.since = since;
+        Result<Answer> answer = engine.Execute(q);
+        ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+        EXPECT_EQ(answer->Render(g), ReferenceEntity(g, v, since).Render(g))
+            << "seed " << seed << " vertex " << v << " since " << since;
+      }
+    }
+    EXPECT_GT(self_loops, 0u) << "seed " << seed;
+    EXPECT_TRUE(g.OutEdges(g.NumVertices() - 1).empty());
+    EXPECT_TRUE(g.InEdges(g.NumVertices() - 1).empty());
+  }
+}
+
+TEST(AnswerOracleTest, TrendingAnswersMatchTheOrderedMapReference) {
+  const std::vector<RenderedPattern> patterns = {
+      {"(company)-[acquired]->(company)", 5, 7},
+      {"(company)-[partner_of]->(company)", 3, 3}};
+  size_t tied_rows = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    const Timestamp max_timestamp = static_cast<Timestamp>(seed % 4) * 20 + 3;
+    PropertyGraph g = RandomStreamGraph(seed, 4 + seed * 5, 3,
+                                        40 + seed * 30, max_timestamp);
+    for (Timestamp horizon : {Timestamp{0}, Timestamp{1}, Timestamp{5},
+                              max_timestamp + 1}) {
+      for (bool rising : {true, false}) {
+        for (size_t limit : {size_t{0}, size_t{3}, size_t{10},
+                             size_t{100000}}) {
+          QueryEngineConfig config;
+          config.trending_horizon = horizon;
+          config.trending_rising = rising;
+          config.trending_limit = limit;
+          QueryEngine engine(&g, patterns, config);
+          Result<Answer> answer = engine.ExecuteText("what is trending");
+          ASSERT_TRUE(answer.ok());
+          const Answer reference = ReferenceTrending(g, patterns, config);
+          EXPECT_EQ(answer->Render(g), reference.Render(g))
+              << "seed " << seed << " horizon " << horizon << " rising "
+              << rising << " limit " << limit;
+          for (size_t i = 1; i < reference.hot_entities.size(); ++i) {
+            tied_rows += reference.hot_entities[i].second ==
+                         reference.hot_entities[i - 1].second;
+          }
+        }
+      }
+    }
+  }
+  // Adjacent rows with equal counts (equal scores, with rising off)
+  // must occur, or the tie order would go untested.
+  EXPECT_GT(tied_rows, 100u);
 }
 
 }  // namespace

@@ -13,10 +13,13 @@
 
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
 #include "core/nous.h"
+#include "core/pipeline.h"
 #include "core/snapshot.h"
 #include "corpus/article_generator.h"
 #include "corpus/world_model.h"
+#include "durability/fs_util.h"
 #include "kb/kb_generator.h"
 #include "qa/query.h"
 #include "qa/query_cache.h"
@@ -264,6 +267,118 @@ TEST_F(SnapshotTest, VersionSurvivesSaveLoadState) {
   // And the restored instance keeps counting from there.
   NOUS_CHECK_OK(restored.Ingest(articles_[5]));
   EXPECT_EQ(restored.snapshot()->version(), version + 1);
+}
+
+/// A snapshot's graph image and its served patterns, as bytes.
+std::string GraphBytes(const KgSnapshot& snap) {
+  BinaryWriter writer;
+  snap.graph().SaveBinary(&writer);
+  return writer.Take();
+}
+std::string ServedPatterns(const KgSnapshot& snap) {
+  std::string out;
+  for (const RenderedPattern& p : snap.patterns()) {
+    out += p.description + " " + std::to_string(p.support) + " " +
+           std::to_string(p.embeddings) + "\n";
+  }
+  return out;
+}
+
+TEST_F(SnapshotTest, LoadingAnOlderImagePublishesIt) {
+  // The image is cut at version 2; the pipeline it is loaded into has
+  // moved on to version 6 over other articles. The load must replace
+  // the served KG and patterns, although the image's version is lower.
+  ASSERT_GE(articles_.size(), 20u);
+  KgPipeline source(&kb_);
+  source.IngestBatch(articles_.data(), 8);
+  const std::string image = source.SaveState();
+  const std::shared_ptr<const KgSnapshot> expected = source.snapshot();
+  ASSERT_EQ(expected->version(), 2u);
+  ASSERT_FALSE(expected->patterns().empty());
+
+  KgPipeline warm(&kb_);
+  for (size_t i = 0; i < 5; ++i) warm.IngestBatch(&articles_[8 + i * 2], 2);
+  const std::shared_ptr<const KgSnapshot> before = warm.snapshot();
+  ASSERT_EQ(before->version(), 6u);
+  ASSERT_NE(GraphBytes(*before), GraphBytes(*expected));
+  ASSERT_NE(ServedPatterns(*before), ServedPatterns(*expected));
+
+  ASSERT_TRUE(warm.LoadState(image).ok());
+  const std::shared_ptr<const KgSnapshot> loaded = warm.snapshot();
+  EXPECT_EQ(loaded->version(), 2u);
+  EXPECT_GT(loaded->load_generation(), before->load_generation());
+  EXPECT_EQ(GraphBytes(*loaded), GraphBytes(*expected));
+  EXPECT_EQ(ServedPatterns(*loaded), ServedPatterns(*expected));
+  // Publication stays monotonic after the load: the next batch wins.
+  warm.IngestBatch(&articles_[18], 2);
+  EXPECT_EQ(warm.snapshot()->version(), 3u);
+  EXPECT_EQ(warm.snapshot()->load_generation(), loaded->load_generation());
+}
+
+TEST_F(SnapshotTest, AnswerCachedBeforeALoadIsNotServedAfterIt) {
+  // A follower at version 6 caches an answer, installs a leader's
+  // version-2 checkpoint and ingests back up to version 6: the same
+  // (question, version) must be re-executed on the loaded KG.
+  Nous::Options no_cache;
+  no_cache.query_cache.entries = 0;
+  Nous leader(&kb_, no_cache);
+  NOUS_CHECK_OK(leader.IngestBatch(std::vector<Article>(
+      articles_.begin(), articles_.begin() + 8)));
+  const std::string image = leader.pipeline().SaveState();
+
+  const std::string dir = ::testing::TempDir() + "nous_snapshot_load_cache";
+  ASSERT_TRUE(EnsureDirectory(dir).ok());
+  for (const char* file :
+       {"/wal.log", "/checkpoint.nous", "/checkpoint.nous.tmp"}) {
+    ASSERT_TRUE(RemoveFile(dir + file).ok());
+  }
+  Nous::Options options;
+  options.durability.dir = dir;
+  Nous follower(&kb_, options);
+  NOUS_CHECK_OK(follower.EnableDurability());
+  for (size_t i = 0; i < 5; ++i) {
+    NOUS_CHECK_OK(follower.Ingest(articles_[8 + i]));
+  }
+  ASSERT_EQ(follower.snapshot()->version(), 6u);
+  const std::string question =
+      "tell me about " + BusyEntity(*leader.snapshot());
+  ASSERT_TRUE(follower.Ask(question).ok());
+  ASSERT_EQ(follower.query_cache()->size(), 1u);
+
+  NOUS_CHECK_OK(follower.ApplyReplicatedCheckpoint(
+      follower.last_durable_seq() + 1, image));
+  EXPECT_EQ(follower.query_cache()->size(), 0u);
+  for (size_t i = 0; i < 4; ++i) {
+    NOUS_CHECK_OK(follower.Ingest(articles_[13 + i]));
+    NOUS_CHECK_OK(leader.Ingest(articles_[13 + i]));
+  }
+  ASSERT_EQ(follower.snapshot()->version(), 6u);
+  const uint64_t hits = follower.query_cache()->stats().hits;
+  Result<Answer> answer = follower.Ask(question);
+  Result<Answer> expected = leader.Ask(question);
+  ASSERT_TRUE(answer.ok());
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(follower.query_cache()->stats().hits, hits);
+  EXPECT_EQ(answer->Render(follower.snapshot()->graph()),
+            expected->Render(leader.snapshot()->graph()));
+}
+
+TEST(QueryCacheTest, EntriesOfAnotherLoadGenerationMiss) {
+  // An answer a reader computed on a pre-load snapshot and inserted
+  // after the load cleared the cache must not be served at the same
+  // version number.
+  QueryCache cache(4);
+  Answer answer;
+  answer.kind = QueryKind::kPattern;
+  cache.Insert("patterns", /*generation=*/0, /*version=*/6, answer);
+  Answer out;
+  EXPECT_FALSE(cache.Lookup("patterns", 1, 6, &out));
+  EXPECT_EQ(cache.size(), 0u);
+  cache.Insert("patterns", 1, 6, answer);
+  EXPECT_TRUE(cache.Lookup("patterns", 1, 6, &out));
+  cache.Clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(cache.Lookup("patterns", 1, 6, &out));
 }
 
 TEST_F(SnapshotTest, PatternSetIsSharedWhileMinerUnchanged) {

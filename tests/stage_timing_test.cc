@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -12,12 +13,14 @@
 #include <gtest/gtest.h>
 
 #include "common/thread_annotations.h"
+#include "core/nous.h"
 #include "core/pipeline.h"
 #include "corpus/article_generator.h"
 #include "corpus/world_model.h"
 #include "kb/kb_generator.h"
 #include "obs/metrics.h"
 #include "obs/trace_buffer.h"
+#include "qa/query_engine.h"
 
 namespace nous {
 namespace {
@@ -214,6 +217,95 @@ TEST_F(StageTimingTest, HistogramSumsEqualPipelineStats) {
         << child.name << " in " << parent.name;
   }
   EXPECT_GT(nested, stats.documents);
+}
+
+TEST_F(StageTimingTest, QueryStagesNestUnderQueryOncePerClass) {
+  // Each class times its stages under the engine's "query" span, once
+  // per executed query: resolve (entity names), search (the graph
+  // work; explain's path_search nests inside it) and compose (the
+  // answer rows). Nous::Ask times parsing beside them, as its own span.
+  Nous::Options options;
+  options.pipeline = Config();
+  options.query_cache.entries = 0;  // every ask executes
+  Nous nous(&kb_, options);
+  NOUS_CHECK_OK(nous.IngestBatch(MakeArticles()));
+  {
+    // Let the mining stage finish, so no pool thread appends spans
+    // while the queries below are traced.
+    ReaderMutexLock lock(nous.kg_mutex());
+    ASSERT_NE(nous.miner(), nullptr);
+  }
+  const std::shared_ptr<const KgSnapshot> snap = nous.snapshot();
+  const PropertyGraph& g = snap->graph();
+  // An edge's endpoints: two entities explain and search connect.
+  ASSERT_GT(g.NumEdges(), 0u);
+  const EdgeRecord& edge = g.Edge(g.NumEdges() - 1);
+  const std::string a = g.VertexLabel(edge.subject);
+  const std::string b = g.VertexLabel(edge.object);
+
+  struct Case {
+    std::string question;
+    std::map<std::string, uint64_t> observations;
+  };
+  const Case cases[] = {
+      {"tell me about " + a,
+       {{"parse", 1}, {"query", 1}, {"resolve", 1}, {"search", 1},
+        {"compose", 1}, {"path_search", 0}}},
+      {"explain " + a + " and " + b,
+       {{"parse", 1}, {"query", 1}, {"resolve", 1}, {"search", 1},
+        {"compose", 1}, {"path_search", 1}}},
+      {"paths from " + a + " to " + b,
+       {{"parse", 1}, {"query", 1}, {"resolve", 1}, {"search", 1},
+        {"compose", 1}, {"path_search", 1}}},
+      {"what is trending",
+       {{"parse", 1}, {"query", 1}, {"resolve", 0}, {"search", 1},
+        {"compose", 1}, {"path_search", 0}}},
+      {"show patterns",
+       {{"parse", 1}, {"query", 1}, {"resolve", 0}, {"search", 0},
+        {"compose", 1}, {"path_search", 0}}},
+  };
+  auto counts = [] {
+    std::map<std::string, uint64_t> out;
+    for (const auto& row : MetricsRegistry::Global().HistogramRows()) {
+      out[row.name] = row.count;
+    }
+    return out;
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.question);
+    TraceBuffer::Global().Clear();
+    const uint64_t appended_before = TraceBuffer::Global().total_appended();
+    const std::map<std::string, uint64_t> before = counts();
+    ASSERT_TRUE(nous.Ask(c.question).ok());
+    std::map<std::string, uint64_t> after = counts();
+    for (const auto& [stage, expected] : c.observations) {
+      const std::string name = "nous_" + stage + "_latency_seconds";
+      const auto it = before.find(name);
+      EXPECT_EQ(after[name] - (it == before.end() ? 0 : it->second),
+                expected)
+          << stage;
+    }
+
+    std::vector<SpanRecord> spans = TraceBuffer::Global().Snapshot();
+    ASSERT_EQ(spans.size(),
+              TraceBuffer::Global().total_appended() - appended_before);
+    std::unordered_map<uint64_t, const SpanRecord*> by_id;
+    for (const SpanRecord& span : spans) by_id[span.span_id] = &span;
+    auto parent_of = [&](const SpanRecord& span) -> std::string {
+      const auto it = by_id.find(span.parent_span_id);
+      return it == by_id.end() ? "" : it->second->name;
+    };
+    for (const SpanRecord& span : spans) {
+      const std::string name = span.name;
+      if (name == "resolve" || name == "search" || name == "compose") {
+        EXPECT_EQ(parent_of(span), "query") << name;
+      } else if (name == "path_search") {
+        EXPECT_EQ(parent_of(span), "search");
+      } else if (name == "parse" || name == "query") {
+        EXPECT_EQ(span.parent_span_id, 0u) << name;
+      }
+    }
+  }
 }
 
 TEST_F(StageTimingTest, FinalizeNestsBothFitsUnderOneSpan) {

@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstring>
 #include <iostream>
 #include <map>
 #include <string>
@@ -17,6 +18,7 @@
 #include "common/table_printer.h"
 #include "common/timer.h"
 #include "core/nous.h"
+#include "obs/trace.h"
 #include "common/status.h"
 
 namespace nous {
@@ -54,7 +56,7 @@ std::vector<QueryCase> MakeQueries(const Nous& nous) {
 }
 
 size_t AnswerSize(const Answer& answer) {
-  return answer.facts.size() + answer.patterns.size() +
+  return answer.facts.size() + answer.patterns().size() +
          answer.paths.size() + answer.hot_entities.size();
 }
 
@@ -193,6 +195,65 @@ void RunTrendingQuality() {
   table.Print(std::cout);
 }
 
+/// Trending cost against KG size: the engine's trending answer on the
+/// snapshot after 25, 50, 75 and 100% of one stream, with the cost
+/// attributes of its search span. Trending reads only the edge chunks
+/// whose zone meets its two windows, so the edges it scans and its time
+/// track the windows, not the KG.
+void RunTrendingSizeSweep() {
+  std::cout << "\n-- trending vs KG size (engine on the snapshot; "
+               "200 answers per row) --\n";
+  auto fixture = bench::MakeDroneFixture(2400);
+  Nous::Options options;
+  Nous nous(&fixture.kb, options);
+  const Query query = *ParseQuery("what is trending");
+  TablePrinter table({"stream %", "edges", "chunks", "chunks visited",
+                      "edges scanned", "active vertices", "best us",
+                      "p50 us"});
+  size_t next = 0;
+  for (size_t quarter = 1; quarter <= 4; ++quarter) {
+    const size_t upto = fixture.articles.size() * quarter / 4;
+    while (next < upto) {
+      const size_t end = std::min(upto, next + 64);
+      NOUS_CHECK_OK(nous.IngestBatch(std::vector<Article>(
+          fixture.articles.begin() + static_cast<std::ptrdiff_t>(next),
+          fixture.articles.begin() + static_cast<std::ptrdiff_t>(end))));
+      next = end;
+    }
+    const std::shared_ptr<const KgSnapshot> snap = nous.snapshot();
+    const QueryEngine engine(&snap->graph(), snap->pattern_set(),
+                             options.query);
+    Histogram latency_us;
+    for (int rep = 0; rep < 200; ++rep) {
+      WallTimer timer;
+      NOUS_CHECK_OK(engine.Execute(query).status());
+      latency_us.Add(timer.ElapsedMicros());
+    }
+    // One more answer under a root span, for its search span's
+    // attributes.
+    TraceSpan root("e7_trending", nullptr);
+    NOUS_CHECK_OK(engine.Execute(query).status());
+    root.End();
+    std::map<std::string, int64_t> cost;
+    for (const SpanRecord& span :
+         TraceBuffer::Global().CollectTrace(root.trace_id())) {
+      if (std::strcmp(span.name, "search") != 0) continue;
+      for (const SpanAttr& attr : span.attrs) cost[attr.key] = attr.int_value;
+    }
+    table.AddRow({TablePrinter::Int(static_cast<long long>(quarter * 25)),
+                  TablePrinter::Int(static_cast<long long>(
+                      snap->graph().NumEdges())),
+                  TablePrinter::Int(static_cast<long long>(
+                      snap->graph().NumEdgeZones())),
+                  TablePrinter::Int(cost["chunks_visited"]),
+                  TablePrinter::Int(cost["edges_scanned"]),
+                  TablePrinter::Int(cost["active_vertices"]),
+                  TablePrinter::Num(latency_us.min(), 1),
+                  TablePrinter::Num(latency_us.Quantile(0.5), 1)});
+  }
+  table.Print(std::cout);
+}
+
 void BM_EntityQuery(benchmark::State& state) {
   auto fixture = bench::MakeDroneFixture(300);
   Nous nous(&fixture.kb);
@@ -210,6 +271,7 @@ BENCHMARK(BM_EntityQuery);
 int main(int argc, char** argv) {
   nous::RunQueryClasses();
   nous::RunTrendingQuality();
+  nous::RunTrendingSizeSweep();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -293,11 +293,10 @@ Result<Answer> Nous::ExecuteOnSnapshot(
     }
   }
   // Only answers that read the miner's patterns wait for the mining
-  // stage to finish this version.
+  // stage to finish this version. They share the snapshot's set, so a
+  // cached answer keeps it alive.
   QueryEngine engine(&snap->graph(),
-                     ReadsPatterns(query.kind)
-                         ? std::span<const RenderedPattern>(snap->patterns())
-                         : std::span<const RenderedPattern>(),
+                     ReadsPatterns(query.kind) ? snap->pattern_set() : nullptr,
                      options_.query);
   NOUS_ASSIGN_OR_RETURN(Answer answer, engine.Execute(query));
   if (cache_ != nullptr) {

@@ -28,13 +28,7 @@ namespace nous {
 /// the pipeline's successful loads. The pair keys the query cache — a
 /// cached answer is valid exactly while the pair it was computed at is
 /// still current.
-/// A KG version's closed frequent patterns, rendered by the mining
-/// stage (core/mining_stage.h) once it has mined that version. Versions
-/// that add no edge share their predecessor's set.
-struct RenderedPatternSet {
-  std::vector<RenderedPattern> patterns;
-};
-
+///
 /// Deeply immutable after construction: every accessor is const and
 /// returns `const&` / `shared_ptr<const ...>`, so holders of a
 /// snapshot — even through a non-const reference — cannot mutate the

@@ -86,7 +86,37 @@ void BprModel::SgdStep(uint32_t s, uint32_t p, uint32_t o_pos,
   }
 }
 
-void BprModel::ComputeGradient(const Sample& sample, double* grad) const {
+void BprModel::ScoreDiffs4(const Sample* samples, double* diffs) const {
+  const size_t d = config_.latent_dim;
+  const double* u[4];
+  const double* w[4];
+  const double* vp[4];
+  const double* vn[4];
+  double x_pos[4];
+  double x_neg[4];
+  for (size_t j = 0; j < 4; ++j) {
+    const Sample& sample = samples[j];
+    u[j] = &subject_emb_[sample.s * d];
+    w[j] = &predicate_diag_[sample.p * d];
+    vp[j] = &object_emb_[sample.o_pos * d];
+    vn[j] = &object_emb_[sample.o_neg * d];
+    x_pos[j] = x_neg[j] = predicate_bias_[sample.p];
+  }
+  // RawScore's sums, term for term: each starts from the bias and adds
+  // (u·w)·v in k order. The four samples' chains are independent, so
+  // their adds overlap instead of waiting on one another.
+  for (size_t k = 0; k < d; ++k) {
+    for (size_t j = 0; j < 4; ++j) {
+      const double uw = u[j][k] * w[j][k];
+      x_pos[j] += uw * vp[j][k];
+      x_neg[j] += uw * vn[j][k];
+    }
+  }
+  for (size_t j = 0; j < 4; ++j) diffs[j] = x_pos[j] - x_neg[j];
+}
+
+void BprModel::ComputeGradient(const Sample& sample, double x_diff,
+                               double* grad) const {
   const size_t d = config_.latent_dim;
   const double lr = config_.learning_rate;
   const double reg = config_.regularization;
@@ -94,8 +124,6 @@ void BprModel::ComputeGradient(const Sample& sample, double* grad) const {
   const double* vp = &object_emb_[sample.o_pos * d];
   const double* vn = &object_emb_[sample.o_neg * d];
   const double* w = &predicate_diag_[sample.p * d];
-  const double x_diff = RawScore(sample.s, sample.p, sample.o_pos) -
-                        RawScore(sample.s, sample.p, sample.o_neg);
   const double g = 1.0 - Sigmoid(x_diff);
   double* du = grad;
   double* dvp = grad + d;
@@ -157,9 +185,23 @@ void BprModel::RunEpochsBlocked(const std::vector<IdTriple>& triples,
       const size_t count = std::min(block, samples.size() - start);
       grads.resize(count * 4 * d);
       // Every gradient reads the parameters frozen at the block start;
-      // the apply loop below is the only writer.
-      for (size_t i = 0; i < count; ++i) {
-        ComputeGradient(samples[start + i], &grads[i * 4 * d]);
+      // the apply loop below is the only writer. Scores go four samples
+      // at a time, the block's tail one at a time.
+      size_t i = 0;
+      for (; i + 4 <= count; i += 4) {
+        double diffs[4];
+        ScoreDiffs4(&samples[start + i], diffs);
+        for (size_t j = 0; j < 4; ++j) {
+          ComputeGradient(samples[start + i + j], diffs[j],
+                          &grads[(i + j) * 4 * d]);
+        }
+      }
+      for (; i < count; ++i) {
+        const Sample& sample = samples[start + i];
+        ComputeGradient(sample,
+                        RawScore(sample.s, sample.p, sample.o_pos) -
+                            RawScore(sample.s, sample.p, sample.o_neg),
+                        &grads[i * 4 * d]);
       }
       for (size_t i = 0; i < count; ++i) {
         ApplyGradient(samples[start + i], &grads[i * 4 * d]);

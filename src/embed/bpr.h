@@ -81,9 +81,14 @@ class BprModel : public LinkPredictor {
   void RunEpochsBlocked(const std::vector<IdTriple>& triples, size_t epochs);
   double RawScore(uint32_t s, uint32_t p, uint32_t o) const;
   void SgdStep(uint32_t s, uint32_t p, uint32_t o_pos, uint32_t o_neg);
+  /// RawScore(s, p, o_pos) − RawScore(s, p, o_neg) of samples[0..4)
+  /// into diffs[0..4), bit for bit, with the four sums interleaved.
+  void ScoreDiffs4(const Sample* samples, double* diffs) const;
   /// Writes the 4 x latent_dim gradient rows (du, dv_pos, dv_neg, dw)
-  /// for `sample` into `grad`, reading current parameters only.
-  void ComputeGradient(const Sample& sample, double* grad) const;
+  /// for `sample`, whose score difference is `x_diff`, into `grad`,
+  /// reading current parameters only.
+  void ComputeGradient(const Sample& sample, double x_diff,
+                       double* grad) const;
   void ApplyGradient(const Sample& sample, const double* grad);
 
   BprConfig config_;

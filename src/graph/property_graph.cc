@@ -38,6 +38,7 @@ PropertyGraph PropertyGraph::Clone() const {
   copy.in_ = in_;
   copy.folded_labels_ = folded_labels_;
   copy.max_edge_timestamp_ = max_edge_timestamp_;
+  copy.edge_zones_ = edge_zones_;
   return copy;
 }
 
@@ -52,6 +53,7 @@ void PropertyGraph::Detach() {
   out_.Detach();
   in_.Detach();
   folded_labels_.Detach();
+  edge_zones_.Detach();
 }
 
 uint64_t PropertyGraph::FoldedHashOf(VertexId v) const {
@@ -131,8 +133,24 @@ EdgeId PropertyGraph::AddEdge(VertexId subject, PredicateId predicate,
   edges_.PushBack(EdgeRecord{subject, object, predicate, meta});
   out_.Mutable(subject).push_back(AdjEntry{predicate, object, e});
   in_.Mutable(object).push_back(AdjEntry{predicate, subject, e});
-  max_edge_timestamp_ = std::max(max_edge_timestamp_, meta.timestamp);
+  IndexEdgeTimestamp(e, meta);
   return e;
+}
+
+void PropertyGraph::IndexEdgeTimestamp(EdgeId e, const EdgeMeta& meta) {
+  max_edge_timestamp_ = std::max(max_edge_timestamp_, meta.timestamp);
+  if (e % kEdgeZoneSize == 0) edge_zones_.PushBack(EdgeZone{});
+  if (meta.curated) return;  // trends come from the stream
+  const size_t z = e / kEdgeZoneSize;
+  const EdgeZone& zone = edge_zones_[z];
+  // Write (and so unshare the zone chunk) only when the range grows.
+  if (meta.timestamp >= zone.min_timestamp &&
+      meta.timestamp <= zone.max_timestamp) {
+    return;
+  }
+  EdgeZone& grown = edge_zones_.Mutable(z);
+  grown.min_timestamp = std::min(grown.min_timestamp, meta.timestamp);
+  grown.max_timestamp = std::max(grown.max_timestamp, meta.timestamp);
 }
 
 EdgeId PropertyGraph::AddTriple(const TimedTriple& t) {
@@ -202,6 +220,7 @@ CowFootprint PropertyGraph::Footprint() const {
   out_.AddFootprint(&fp, AdjDeepBytes);
   in_.AddFootprint(&fp, AdjDeepBytes);
   folded_labels_.AddFootprint(&fp);
+  edge_zones_.AddFootprint(&fp, [](const EdgeZone&) { return size_t{0}; });
   return fp;
 }
 
@@ -308,9 +327,9 @@ void PropertyGraph::RebuildDerivedIndexes() {
                           [this](VertexId w) { return FoldedHashOf(w); });
   }
   max_edge_timestamp_ = 0;
+  edge_zones_.Clear();
   for (size_t e = 0; e < edges_.size(); ++e) {
-    max_edge_timestamp_ =
-        std::max(max_edge_timestamp_, edges_[e].meta.timestamp);
+    IndexEdgeTimestamp(static_cast<EdgeId>(e), edges_[e].meta);
   }
 }
 

@@ -2,6 +2,7 @@
 #define NOUS_GRAPH_PROPERTY_GRAPH_H_
 
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -30,6 +31,20 @@ struct EdgeRecord {
   VertexId object = kInvalidVertex;
   PredicateId predicate = kInvalidPredicate;
   EdgeMeta meta;
+};
+
+/// Timestamp range [min_timestamp, max_timestamp] of the non-curated
+/// edges in one PropertyGraph::kEdgeZoneSize block of edge ids; empty
+/// (min > max) when the block holds none.
+struct EdgeZone {
+  Timestamp min_timestamp = std::numeric_limits<Timestamp>::max();
+  Timestamp max_timestamp = std::numeric_limits<Timestamp>::min();
+
+  bool empty() const { return min_timestamp > max_timestamp; }
+  /// Whether some non-curated edge of the block may lie in [lo, hi].
+  bool Meets(Timestamp lo, Timestamp hi) const {
+    return !empty() && min_timestamp <= hi && max_timestamp >= lo;
+  }
 };
 
 /// Per-vertex properties mirroring the paper's GraphX usage: a type, a
@@ -146,6 +161,15 @@ class PropertyGraph {
 
   size_t NumEdges() const { return edges_.size(); }
 
+  /// Edges per zone: one zone per chunk of the edge records.
+  static constexpr size_t kEdgeZoneSize = CowVec<EdgeRecord>::kChunkSize;
+
+  /// Zone map over the edge ids: zone z covers edges [z ·
+  /// kEdgeZoneSize, (z + 1) · kEdgeZoneSize) ∩ [0, NumEdges()). A scan
+  /// for timestamps in a range reads only the zones that meet it.
+  size_t NumEdgeZones() const { return edge_zones_.size(); }
+  const EdgeZone& EdgeZoneAt(size_t zone) const { return edge_zones_[zone]; }
+
   /// Invokes fn(edge_id, record) for every edge, in id order.
   void ForEachEdge(
       const std::function<void(EdgeId, const EdgeRecord&)>& fn) const;
@@ -192,10 +216,14 @@ class PropertyGraph {
   Status LoadBinary(BinaryReader* reader);
 
  private:
-  /// Rebuilds the derived indexes (folded labels, max timestamp) from
-  /// the primary state; LoadBinary calls it because checkpoints only
-  /// store the primary state.
+  /// Rebuilds the derived indexes (folded labels, max timestamp, zone
+  /// map) from the primary state; LoadBinary calls it because
+  /// checkpoints only store the primary state.
   void RebuildDerivedIndexes();
+
+  /// Folds edge `e`, the newest edge, into the max timestamp and the
+  /// zone map.
+  void IndexEdgeTimestamp(EdgeId e, const EdgeMeta& meta);
 
   static uint64_t FoldedHash(const std::string& folded) {
     return std::hash<std::string>{}(folded);
@@ -221,6 +249,9 @@ class PropertyGraph {
   /// lookups find the lowest id among folding collisions.
   CowIdIndex folded_labels_;
   Timestamp max_edge_timestamp_ = 0;
+  /// One zone per edge chunk; a clone shares it like the edge chunks,
+  /// so a publish copies only the zone chunk its appends touch.
+  CowVec<EdgeZone> edge_zones_;
 };
 
 }  // namespace nous

@@ -1,8 +1,12 @@
 #include "qa/query_engine.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <set>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/string_util.h"
 #include "obs/metrics.h"
@@ -31,9 +35,9 @@ std::string Answer::Render(const PropertyGraph& graph) const {
                       provenance.c_str());
     }
   }
-  if (!patterns.empty()) {
+  if (!patterns().empty()) {
     os << "Patterns:\n";
-    for (const RenderedPattern& p : patterns) {
+    for (const RenderedPattern& p : patterns()) {
       os << StrFormat("  support=%zu  %s\n", p.support,
                       p.description.c_str());
     }
@@ -61,9 +65,20 @@ std::string Answer::Render(const PropertyGraph& graph) const {
 
 
 QueryEngine::QueryEngine(const PropertyGraph* graph,
+                         std::shared_ptr<const RenderedPatternSet> patterns,
+                         QueryEngineConfig config)
+    : graph_(graph), patterns_(std::move(patterns)), config_(config) {}
+
+QueryEngine::QueryEngine(const PropertyGraph* graph,
                          std::span<const RenderedPattern> patterns,
                          QueryEngineConfig config)
-    : graph_(graph), patterns_(patterns), config_(config) {}
+    : QueryEngine(graph,
+                  patterns.empty()
+                      ? nullptr
+                      : std::make_shared<const RenderedPatternSet>(
+                            RenderedPatternSet{{patterns.begin(),
+                                                patterns.end()}}),
+                  config) {}
 
 std::vector<RenderedPattern> RenderClosedPatterns(
     const StreamingMiner& miner, const PropertyGraph& graph) {
@@ -143,6 +158,45 @@ struct TrendingRow {
   double score;
 };
 
+/// Endpoint counts of trending's two windows, indexed by vertex id.
+/// Slots grow with the graph and are zeroed again through `touched`
+/// (the vertices counted since the last Reset), so a query's cost is
+/// its windows' edges, never the vertex count.
+struct TrendingCounters {
+  std::vector<uint32_t> recent;
+  std::vector<uint32_t> previous;
+  std::vector<VertexId> touched;
+
+  void Grow(size_t vertices) {
+    if (recent.size() < vertices) {
+      recent.resize(vertices, 0);
+      previous.resize(vertices, 0);
+    }
+  }
+  void Touch(VertexId v) {
+    if (recent[v] == 0 && previous[v] == 0) touched.push_back(v);
+  }
+  void AddRecent(VertexId v) {
+    Touch(v);
+    ++recent[v];
+  }
+  void AddPrevious(VertexId v) {
+    Touch(v);
+    ++previous[v];
+  }
+  void Reset() {
+    for (VertexId v : touched) recent[v] = previous[v] = 0;
+    touched.clear();
+  }
+};
+
+/// Each thread's counters; engines on any snapshot share them, since a
+/// query leaves them zeroed.
+TrendingCounters& ThreadTrendingCounters() {
+  thread_local TrendingCounters counters;
+  return counters;
+}
+
 /// An entity fact's sort key: curated first, then by recency.
 struct FactKey {
   bool curated;
@@ -158,7 +212,7 @@ Answer QueryEngine::ExecuteTrending() const {
   std::vector<TrendingRow> ranked;
   std::vector<EdgeId> recent_edges;
   {
-    NOUS_SPAN("search");
+    NOUS_SPAN_VAR(search, "search");
     // Hot entities: activity within the trailing horizon. The graph
     // tracks its max live-edge timestamp incrementally, so trending
     // needs one edge pass instead of two.
@@ -166,51 +220,58 @@ Answer QueryEngine::ExecuteTrending() const {
     Timestamp cutoff = config_.trending_horizon == 0
                            ? 0
                            : newest - config_.trending_horizon;
-    Timestamp previous_cutoff =
-        config_.trending_horizon == 0
-            ? 0
-            : cutoff - config_.trending_horizon;
-    // Each window's activity is its edges' endpoints, one entry per
-    // endpoint; sorted, a vertex's count is the length of its run.
-    // Sort plus run-length costs O(window log window) and nothing per
-    // vertex of the graph, and yields vertices in ascending id order.
-    std::vector<VertexId> recent;
-    std::vector<VertexId> previous;
-    for (EdgeId e = 0; e < graph_->NumEdges(); ++e) {
-      const EdgeRecord& rec = graph_->Edge(e);
-      if (rec.meta.curated) continue;  // trends come from the stream
-      if (rec.meta.timestamp >= cutoff) {
-        recent.push_back(rec.subject);
-        recent.push_back(rec.object);
-        if (recent_edges.size() < config_.trending_limit) {
-          recent_edges.push_back(e);
+    const bool count_previous =
+        config_.trending_rising && config_.trending_horizon != 0;
+    // The oldest timestamp either window counts.
+    const Timestamp oldest =
+        count_previous ? cutoff - config_.trending_horizon : cutoff;
+    // Every edge counted below has a timestamp in [oldest, newest]
+    // (newest bounds them all), so only the edge chunks whose zone
+    // meets that range are read; the rest hold no such edge. The
+    // visited chunks ascend, so edges are still seen in id order.
+    TrendingCounters& counters = ThreadTrendingCounters();
+    counters.Grow(graph_->NumVertices());
+    size_t chunks_visited = 0;
+    size_t edges_scanned = 0;
+    for (size_t z = 0; z < graph_->NumEdgeZones(); ++z) {
+      if (!graph_->EdgeZoneAt(z).Meets(oldest, newest)) continue;
+      ++chunks_visited;
+      const size_t begin = z * PropertyGraph::kEdgeZoneSize;
+      const size_t end =
+          std::min(begin + PropertyGraph::kEdgeZoneSize, graph_->NumEdges());
+      edges_scanned += end - begin;
+      for (size_t e = begin; e < end; ++e) {
+        const EdgeRecord& rec = graph_->Edge(static_cast<EdgeId>(e));
+        if (rec.meta.curated) continue;  // trends come from the stream
+        if (rec.meta.timestamp >= cutoff) {
+          counters.AddRecent(rec.subject);
+          counters.AddRecent(rec.object);
+          if (recent_edges.size() < config_.trending_limit) {
+            recent_edges.push_back(static_cast<EdgeId>(e));
+          }
+        } else if (count_previous && rec.meta.timestamp >= oldest) {
+          counters.AddPrevious(rec.subject);
+          counters.AddPrevious(rec.object);
         }
-      } else if (config_.trending_rising && config_.trending_horizon != 0 &&
-                 rec.meta.timestamp >= previous_cutoff) {
-        previous.push_back(rec.subject);
-        previous.push_back(rec.object);
       }
     }
-    std::sort(recent.begin(), recent.end());
-    std::sort(previous.begin(), previous.end());
     // Rising score = recent minus previous-window activity; raw recent
-    // count when rising ranking is disabled (nothing is collected into
-    // `previous` then). Both lists ascend, so one forward cursor finds
-    // each vertex's previous count.
-    size_t p = 0;
-    for (size_t i = 0; i < recent.size();) {
-      const VertexId v = recent[i];
-      size_t j = i;
-      while (j < recent.size() && recent[j] == v) ++j;
-      const size_t count = j - i;
-      while (p < previous.size() && previous[p] < v) ++p;
-      size_t prev = 0;
-      for (; p < previous.size() && previous[p] == v; ++p) ++prev;
+    // count when rising ranking is disabled (no previous count is kept
+    // then). Only vertices with recent activity rank, in ascending id
+    // order.
+    std::vector<VertexId> active;
+    for (VertexId v : counters.touched) {
+      if (counters.recent[v] > 0) active.push_back(v);
+    }
+    std::sort(active.begin(), active.end());
+    ranked.reserve(active.size());
+    for (VertexId v : active) {
+      const size_t count = counters.recent[v];
       ranked.push_back({v, count,
                         static_cast<double>(count) -
-                            static_cast<double>(prev)});
-      i = j;
+                            static_cast<double>(counters.previous[v])});
     }
+    counters.Reset();
     // Rows arrive in ascending vertex order. std::sort's order among
     // rows that tie on (score, count) depends only on that input order,
     // so the answer is deterministic; AnswerOracleTest pins it.
@@ -219,6 +280,9 @@ Answer QueryEngine::ExecuteTrending() const {
                 if (a.score != b.score) return a.score > b.score;
                 return a.count > b.count;
               });
+    search.Attr("chunks_visited", chunks_visited);
+    search.Attr("edges_scanned", edges_scanned);
+    search.Attr("active_vertices", active.size());
   }
   NOUS_SPAN("compose");
   for (const TrendingRow& row : ranked) {
@@ -227,7 +291,7 @@ Answer QueryEngine::ExecuteTrending() const {
                                      row.count);
   }
   for (EdgeId e : recent_edges) answer.facts.push_back(MakeFactLine(e));
-  answer.patterns.assign(patterns_.begin(), patterns_.end());
+  answer.pattern_set = patterns_;
   return answer;
 }
 
@@ -326,7 +390,7 @@ Answer QueryEngine::ExecutePattern() const {
   NOUS_SPAN("compose");
   Answer answer;
   answer.kind = QueryKind::kPattern;
-  answer.patterns.assign(patterns_.begin(), patterns_.end());
+  answer.pattern_set = patterns_;
   return answer;
 }
 

@@ -1,6 +1,7 @@
 #ifndef NOUS_QA_QUERY_ENGINE_H_
 #define NOUS_QA_QUERY_ENGINE_H_
 
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -40,14 +41,23 @@ struct RenderedPattern {
 std::vector<RenderedPattern> RenderClosedPatterns(
     const StreamingMiner& miner, const PropertyGraph& graph);
 
+/// A KG version's closed frequent patterns, rendered by the mining
+/// stage (core/mining_stage.h) once it has mined that version. Versions
+/// that add no edge share their predecessor's set; engines and the
+/// answers they return share it too, so no answer copies it.
+struct RenderedPatternSet {
+  std::vector<RenderedPattern> patterns;
+};
+
 /// Structured answer; which fields are filled depends on `kind`.
 struct Answer {
   QueryKind kind = QueryKind::kEntity;
   /// kEntity: facts about the entity; kTrending: recent facts of hot
   /// entities.
   std::vector<FactLine> facts;
-  /// kTrending / kPattern: discovered frequent patterns.
-  std::vector<RenderedPattern> patterns;
+  /// kTrending / kPattern: the discovered frequent patterns, shared
+  /// with the engine that answered (null: none). Read via patterns().
+  std::shared_ptr<const RenderedPatternSet> pattern_set;
   /// kTrending: entities ranked by recent-window activity.
   std::vector<std::pair<std::string, size_t>> hot_entities;
   /// kRelationship / kSearch: explanation paths.
@@ -55,6 +65,12 @@ struct Answer {
   /// Number of distinct sources backing the paths (multi-source
   /// answers, §1 contribution 3).
   size_t distinct_sources = 0;
+
+  /// The patterns of pattern_set; empty when it is null.
+  std::span<const RenderedPattern> patterns() const {
+    if (pattern_set == nullptr) return {};
+    return pattern_set->patterns;
+  }
 
   /// Human-readable rendering for the CLI demos.
   std::string Render(const PropertyGraph& graph) const;
@@ -82,11 +98,16 @@ inline bool ReadsPatterns(QueryKind kind) {
 /// Executes the five query classes against the dynamic KG and the
 /// miner's closed patterns, rendered beforehand (at snapshot publish,
 /// core/snapshot.h, or by RenderClosedPatterns), so everything the
-/// engine reads is immutable. Pass `{}` for no patterns (pattern and
-/// trending-pattern sections are then empty); otherwise `patterns`
-/// must outlive the engine.
+/// engine reads is immutable. Pattern and trending answers share the
+/// engine's pattern set; a null set means no patterns (pattern and
+/// trending-pattern sections are then empty).
 class QueryEngine {
  public:
+  QueryEngine(const PropertyGraph* graph,
+              std::shared_ptr<const RenderedPatternSet> patterns,
+              QueryEngineConfig config = {});
+
+  /// Copies `patterns` once into a set the engine's answers share.
   QueryEngine(const PropertyGraph* graph,
               std::span<const RenderedPattern> patterns,
               QueryEngineConfig config = {});
@@ -107,7 +128,7 @@ class QueryEngine {
   FactLine MakeFactLine(EdgeId edge) const;
 
   const PropertyGraph* graph_;
-  std::span<const RenderedPattern> patterns_;
+  std::shared_ptr<const RenderedPatternSet> patterns_;
   QueryEngineConfig config_;
 };
 

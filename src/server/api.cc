@@ -104,7 +104,7 @@ std::string NousApi::AnswerJson(const Answer& answer,
   w.EndArray();
   w.Key("patterns");
   w.BeginArray();
-  for (const RenderedPattern& p : answer.patterns) {
+  for (const RenderedPattern& p : answer.patterns()) {
     w.BeginObject();
     w.Key("pattern");
     w.String(p.description);
@@ -162,7 +162,10 @@ HttpResponse NousApi::HandleQuery(const HttpRequest& request) {
         answer.status().ToString());
   }
   HttpResponse response;
-  response.body = AnswerJson(*answer, snap->graph());
+  {
+    NOUS_SPAN("render");
+    response.body = AnswerJson(*answer, snap->graph());
+  }
   return response;
 }
 

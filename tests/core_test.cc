@@ -199,7 +199,7 @@ TEST_F(NousFixture, MiningCanBeDisabled) {
   EXPECT_EQ(nous.miner(), nullptr);
   auto patterns = nous.Ask("show patterns");
   ASSERT_TRUE(patterns.ok());
-  EXPECT_TRUE(patterns->patterns.empty());
+  EXPECT_TRUE(patterns->patterns().empty());
 }
 
 TEST_F(NousFixture, DedupStrengthensRepeatedFacts) {
@@ -310,8 +310,8 @@ TEST_F(NousFixture, SaveLoadQueryEquivalence) {
   ASSERT_TRUE(loaded.ok()) << loaded.status();
 
   // A query engine over the restored graph answers identically.
-  QueryEngine original(&nous.graph(), {});
-  QueryEngine restored(loaded->get(), {});
+  QueryEngine original(&nous.graph(), nullptr);
+  QueryEngine restored(loaded->get(), nullptr);
   auto a1 = original.ExecuteText("tell me about DJI");
   auto a2 = restored.ExecuteText("tell me about DJI");
   ASSERT_TRUE(a1.ok());

@@ -9,12 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/binary_io.h"
+#include "common/hash.h"
 #include "graph/cow.h"
 #include "graph/property_graph.h"
 #include "graph/types.h"
@@ -361,6 +363,163 @@ TEST(CowFootprintTest, PublishCostIsDeltaNotGraphSize) {
   uint64_t deep_copies = CowCounters::ChunkCopies().load();
   EXPECT_GT(deep_copies, 10 * delta_copies)
       << "deep copy must cost O(graph), COW delta O(delta)";
+}
+
+// ---- Zone map (derived; never serialized) ----
+
+enum class StreamOrder { kDateOrdered, kShuffled, kCuratedOnly };
+
+// Appends `edges` edges from `start` on. Date-ordered timestamps
+// advance one step per 8 edges, with 1 in 20 a straggler from up to
+// 1000 steps back (negative near the start); shuffled ones are uniform
+// over 5000 steps. Both mark 1 in 6 edges curated; curated-only
+// streams mark all.
+void AppendStream(PropertyGraph* g, std::mt19937* rng, size_t edges,
+                  StreamOrder order, Timestamp start) {
+  const PredicateId p = g->predicates().Intern("pred");
+  for (size_t i = 0; i < edges; ++i) {
+    const VertexId s = g->GetOrAddVertex("V" + std::to_string((*rng)() % 50));
+    const VertexId o = g->GetOrAddVertex("V" + std::to_string((*rng)() % 50));
+    EdgeMeta meta;
+    if (order == StreamOrder::kDateOrdered) {
+      meta.timestamp = start + static_cast<Timestamp>(i / 8);
+      if ((*rng)() % 20 == 0) {
+        meta.timestamp -= static_cast<Timestamp>((*rng)() % 1000);
+      }
+    } else {
+      meta.timestamp = start + static_cast<Timestamp>((*rng)() % 5000);
+    }
+    meta.curated =
+        order == StreamOrder::kCuratedOnly || (*rng)() % 6 == 0;
+    g->AddEdge(s, p, o, meta);
+  }
+}
+
+using ZoneRows = std::vector<std::pair<Timestamp, Timestamp>>;
+
+ZoneRows Zones(const PropertyGraph& g) {
+  ZoneRows rows;
+  for (size_t z = 0; z < g.NumEdgeZones(); ++z) {
+    rows.emplace_back(g.EdgeZoneAt(z).min_timestamp,
+                      g.EdgeZoneAt(z).max_timestamp);
+  }
+  return rows;
+}
+
+// The zone map recomputed from scratch off the edge records.
+ZoneRows RecomputedZones(const PropertyGraph& g) {
+  const size_t size = PropertyGraph::kEdgeZoneSize;
+  std::vector<EdgeZone> zones((g.NumEdges() + size - 1) / size);
+  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+    const EdgeMeta& meta = g.Edge(e).meta;
+    if (meta.curated) continue;
+    EdgeZone& zone = zones[e / size];
+    zone.min_timestamp = std::min(zone.min_timestamp, meta.timestamp);
+    zone.max_timestamp = std::max(zone.max_timestamp, meta.timestamp);
+  }
+  ZoneRows rows;
+  for (const EdgeZone& zone : zones) {
+    rows.emplace_back(zone.min_timestamp, zone.max_timestamp);
+  }
+  return rows;
+}
+
+TEST(EdgeZoneMapTest, MatchesRecomputationOnDateOrderedStreams) {
+  for (uint32_t seed : {3u, 17u, 40u}) {
+    PropertyGraph g;
+    std::mt19937 rng(seed);
+    EXPECT_EQ(g.NumEdgeZones(), 0u);
+    // Batches of 100 straddle zone boundaries at varying offsets.
+    for (int batch = 0; batch < 14; ++batch) {
+      AppendStream(&g, &rng, 100, StreamOrder::kDateOrdered, batch * 13);
+      ASSERT_EQ(Zones(g), RecomputedZones(g))
+          << "seed " << seed << " batch " << batch;
+    }
+    EXPECT_EQ(g.NumEdgeZones(), 6u);  // 1400 edges
+  }
+}
+
+TEST(EdgeZoneMapTest, MatchesRecomputationOnShuffledStreams) {
+  for (uint32_t seed : {5u, 23u}) {
+    PropertyGraph g;
+    std::mt19937 rng(seed);
+    for (size_t edges : {1u, 254u, 1u, 256u, 600u}) {
+      AppendStream(&g, &rng, edges, StreamOrder::kShuffled, -2000);
+      ASSERT_EQ(Zones(g), RecomputedZones(g))
+          << "seed " << seed << " edges " << g.NumEdges();
+    }
+  }
+}
+
+TEST(EdgeZoneMapTest, CuratedOnlyStreamsLeaveTheirZonesEmpty) {
+  PropertyGraph g;
+  std::mt19937 rng(9);
+  AppendStream(&g, &rng, 600, StreamOrder::kCuratedOnly, 0);
+  ASSERT_EQ(Zones(g), RecomputedZones(g));
+  ASSERT_EQ(g.NumEdgeZones(), 3u);
+  for (size_t z = 0; z < g.NumEdgeZones(); ++z) {
+    EXPECT_TRUE(g.EdgeZoneAt(z).empty()) << z;
+    EXPECT_FALSE(g.EdgeZoneAt(z).Meets(std::numeric_limits<Timestamp>::min(),
+                                       std::numeric_limits<Timestamp>::max()));
+  }
+  // A stream after the curated prefix fills only the zones it reaches.
+  AppendStream(&g, &rng, 300, StreamOrder::kDateOrdered, 100);
+  ASSERT_EQ(Zones(g), RecomputedZones(g));
+  EXPECT_TRUE(g.EdgeZoneAt(0).empty());
+  EXPECT_FALSE(g.EdgeZoneAt(2).empty());
+}
+
+TEST(EdgeZoneMapTest, CloneAndAppendsOnEitherCopyKeepBothExact) {
+  PropertyGraph g;
+  std::mt19937 rng(31);
+  AppendStream(&g, &rng, 700, StreamOrder::kDateOrdered, 0);
+  PropertyGraph clone = g.Clone();
+  const ZoneRows at_clone = Zones(clone);
+  ASSERT_EQ(at_clone, RecomputedZones(g));
+
+  // Appends on the source leave the clone's zones as they were.
+  AppendStream(&g, &rng, 500, StreamOrder::kDateOrdered, 50);
+  EXPECT_EQ(Zones(g), RecomputedZones(g));
+  EXPECT_EQ(Zones(clone), at_clone);
+
+  // And appends on the clone leave the source's alone.
+  const ZoneRows source = Zones(g);
+  AppendStream(&clone, &rng, 300, StreamOrder::kShuffled, -500);
+  EXPECT_EQ(Zones(clone), RecomputedZones(clone));
+  EXPECT_EQ(Zones(g), source);
+
+  PropertyGraph deep = g.Clone();
+  deep.Detach();
+  EXPECT_EQ(Zones(deep), source);
+}
+
+// A fixed graph whose SaveBinary image was pinned before the zone map
+// existed: the map adds no byte to the image.
+PropertyGraph PinnedImageGraph() {
+  PropertyGraph g;
+  std::mt19937 rng(2024);
+  AppendStream(&g, &rng, 300, StreamOrder::kCuratedOnly, 0);
+  AppendStream(&g, &rng, 900, StreamOrder::kDateOrdered, 10);
+  AppendStream(&g, &rng, 200, StreamOrder::kShuffled, 0);
+  return g;
+}
+
+TEST(EdgeZoneMapTest, LoadBinaryRebuildsTheZoneMapAndImagesOmitIt) {
+  PropertyGraph g = PinnedImageGraph();
+  const std::string bytes = Serialize(g);
+  EXPECT_EQ(bytes.size(), 47808u);
+  EXPECT_EQ(Fnv1a(bytes), 0x5e9fc586321358d1ULL);
+
+  // Load into a graph that already holds other edges: the map is
+  // rebuilt from the loaded records alone.
+  PropertyGraph loaded;
+  std::mt19937 rng(77);
+  AppendStream(&loaded, &rng, 2000, StreamOrder::kShuffled, 90000);
+  BinaryReader reader(bytes);
+  ASSERT_TRUE(loaded.LoadBinary(&reader).ok());
+  EXPECT_EQ(Zones(loaded), Zones(g));
+  EXPECT_EQ(Zones(loaded), RecomputedZones(loaded));
+  EXPECT_EQ(Serialize(loaded), bytes);
 }
 
 }  // namespace

@@ -1,3 +1,7 @@
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -133,6 +137,156 @@ TEST(BprTest, BlockSgdModelBytesArePinned) {
   model.SaveBinary(&writer);
   EXPECT_EQ(writer.data().size(), 10592u);
   EXPECT_EQ(Fnv1a(writer.data()), 0xa27618cd20d5d780ull);
+}
+
+/// Block SGD as first written, one sample's score and gradient at a
+/// time (RawScore, ComputeGradient and ApplyGradient copied from the
+/// scalar trainer), over the state a BprModel image holds.
+struct ScalarBlockSgd {
+  BprConfig config;
+  Rng rng;
+  uint64_t entities = 0;
+  uint64_t predicates = 0;
+  std::vector<double> subject_emb, object_emb, predicate_diag, predicate_bias;
+
+  explicit ScalarBlockSgd(const BprModel& model) : config(model.config()) {
+    BinaryWriter writer;
+    model.SaveBinary(&writer);
+    BinaryReader reader(writer.data());
+    uint64_t state[4];
+    for (uint64_t& word : state) NOUS_CHECK_OK(reader.U64(&word));
+    rng.RestoreState(state);
+    NOUS_CHECK_OK(reader.U64(&entities));
+    NOUS_CHECK_OK(reader.U64(&predicates));
+    NOUS_CHECK_OK(reader.F64Array(&subject_emb));
+    NOUS_CHECK_OK(reader.F64Array(&object_emb));
+    NOUS_CHECK_OK(reader.F64Array(&predicate_diag));
+    NOUS_CHECK_OK(reader.F64Array(&predicate_bias));
+  }
+
+  std::string Image() const {
+    BinaryWriter writer;
+    uint64_t state[4];
+    rng.SaveState(state);
+    for (uint64_t word : state) writer.U64(word);
+    writer.U64(entities);
+    writer.U64(predicates);
+    writer.F64Array(subject_emb);
+    writer.F64Array(object_emb);
+    writer.F64Array(predicate_diag);
+    writer.F64Array(predicate_bias);
+    return writer.Take();
+  }
+
+  double RawScore(uint32_t s, uint32_t p, uint32_t o) const {
+    const size_t d = config.latent_dim;
+    const double* u = &subject_emb[s * d];
+    const double* v = &object_emb[o * d];
+    const double* w = &predicate_diag[p * d];
+    double x = predicate_bias[p];
+    for (size_t k = 0; k < d; ++k) x += u[k] * w[k] * v[k];
+    return x;
+  }
+
+  void ComputeGradient(const std::array<uint32_t, 4>& sample,
+                       double* grad) const {
+    const size_t d = config.latent_dim;
+    const double lr = config.learning_rate;
+    const double reg = config.regularization;
+    const double* u = &subject_emb[sample[0] * d];
+    const double* vp = &object_emb[sample[2] * d];
+    const double* vn = &object_emb[sample[3] * d];
+    const double* w = &predicate_diag[sample[1] * d];
+    const double x = RawScore(sample[0], sample[1], sample[2]) -
+                     RawScore(sample[0], sample[1], sample[3]);
+    // 1 - sigmoid(x), with the trainer's overflow-safe sigmoid.
+    const double g = 1.0 - (x >= 0 ? 1.0 / (1.0 + std::exp(-x))
+                                   : std::exp(x) / (1.0 + std::exp(x)));
+    for (size_t k = 0; k < d; ++k) {
+      const double uk = u[k], vpk = vp[k], vnk = vn[k], wk = w[k];
+      grad[k] = lr * (g * wk * (vpk - vnk) - reg * uk);
+      grad[d + k] = lr * (g * wk * uk - reg * vpk);
+      grad[2 * d + k] = lr * (-g * wk * uk - reg * vnk);
+      grad[3 * d + k] = lr * (g * uk * (vpk - vnk) - reg * wk);
+    }
+  }
+
+  void ApplyGradient(const std::array<uint32_t, 4>& sample,
+                     const double* grad) {
+    const size_t d = config.latent_dim;
+    for (size_t k = 0; k < d; ++k) {
+      subject_emb[sample[0] * d + k] += grad[k];
+      object_emb[sample[2] * d + k] += grad[d + k];
+      object_emb[sample[3] * d + k] += grad[2 * d + k];
+      predicate_diag[sample[1] * d + k] += grad[3 * d + k];
+    }
+  }
+
+  void Train(const std::vector<IdTriple>& triples, size_t epochs) {
+    const size_t d = config.latent_dim;
+    std::vector<size_t> order(triples.size());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::vector<std::array<uint32_t, 4>> samples;
+    std::vector<double> grads;
+    for (size_t epoch = 0; epoch < epochs; ++epoch) {
+      rng.Shuffle(&order);
+      samples.clear();
+      for (size_t idx : order) {
+        const IdTriple& t = triples[idx];
+        for (size_t neg = 0; neg < config.negatives_per_positive; ++neg) {
+          uint32_t o_neg = static_cast<uint32_t>(rng.UniformInt(entities));
+          if (o_neg == t[2]) {
+            o_neg = static_cast<uint32_t>((o_neg + 1) % entities);
+          }
+          samples.push_back({t[0], t[1], t[2], o_neg});
+        }
+      }
+      for (size_t start = 0; start < samples.size();
+           start += config.sgd_block) {
+        const size_t count =
+            std::min(config.sgd_block, samples.size() - start);
+        grads.resize(count * 4 * d);
+        for (size_t i = 0; i < count; ++i) {
+          ComputeGradient(samples[start + i], &grads[i * 4 * d]);
+        }
+        for (size_t i = 0; i < count; ++i) {
+          ApplyGradient(samples[start + i], &grads[i * 4 * d]);
+        }
+      }
+    }
+  }
+};
+
+TEST(BprTest, InterleavedBlockScoresMatchTheScalarKernelBitForBit) {
+  // Random triples; 103 triples x 2 negatives = 206 samples in blocks
+  // of 13 (three scored singly after each run of four), with a last
+  // block of 11; latent_dim 7.
+  Rng rng(5);
+  std::vector<IdTriple> triples;
+  for (size_t i = 0; i < 103; ++i) {
+    triples.push_back(IdTriple{static_cast<uint32_t>(rng.UniformInt(37)),
+                               static_cast<uint32_t>(rng.UniformInt(3)),
+                               static_cast<uint32_t>(rng.UniformInt(37))});
+  }
+  BprConfig config;
+  config.latent_dim = 7;
+  config.negatives_per_positive = 2;
+  config.sgd_block = 13;
+  BprModel model(config);
+  model.Train(triples, 37, 3, 0);  // sizes the tables, trains nothing
+  ScalarBlockSgd reference(model);
+  ASSERT_EQ(reference.Image(), [&] {
+    BinaryWriter writer;
+    model.SaveBinary(&writer);
+    return writer.Take();
+  }());
+  for (size_t round = 0; round < 3; ++round) {
+    model.Train(triples, 37, 3, 4);
+    reference.Train(triples, 4);
+    BinaryWriter writer;
+    model.SaveBinary(&writer);
+    ASSERT_EQ(writer.Take(), reference.Image()) << "round " << round;
+  }
 }
 
 TEST(BprTest, BlockSgdWithBlockOneMatchesSequentialSgd) {

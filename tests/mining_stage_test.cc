@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -32,7 +33,7 @@ namespace {
 
 using ServedPattern = std::tuple<std::string, size_t, size_t>;
 
-std::vector<ServedPattern> Served(const std::vector<RenderedPattern>& set) {
+std::vector<ServedPattern> Served(std::span<const RenderedPattern> set) {
   std::vector<ServedPattern> out;
   for (const RenderedPattern& p : set) {
     out.emplace_back(p.description, p.support, p.embeddings);
@@ -264,7 +265,7 @@ TEST_P(MiningStageTest, PatternQueryOnAnOldVersionAnswersThatVersion) {
   const QueryEngine engine(&old->graph(), old->patterns());
   Result<Answer> answer = engine.Execute(*ParseQuery("show patterns"));
   ASSERT_TRUE(answer.ok()) << answer.status();
-  EXPECT_EQ(Served(answer->patterns), reference[1]);
+  EXPECT_EQ(Served(answer->patterns()), reference[1]);
   EXPECT_EQ(Served(pipeline.snapshot()->patterns()), reference[3]);
 }
 
@@ -335,7 +336,7 @@ TEST_P(MiningStageTest, FollowerCheckpointWhileJobsAreQueued) {
             Served(leader.snapshot()->patterns()));
   Result<Answer> answer = follower.Ask("show patterns");
   ASSERT_TRUE(answer.ok()) << answer.status();
-  EXPECT_EQ(Served(answer->patterns), Served(leader.snapshot()->patterns()));
+  EXPECT_EQ(Served(answer->patterns()), Served(leader.snapshot()->patterns()));
 }
 
 TEST_P(MiningStageTest, DestructionWithJobsQueuedFinishesThem) {

@@ -258,7 +258,7 @@ TEST(QueryParserTest, RejectsUnknownText) {
 
 class EngineFixture : public PathFixture {
  protected:
-  EngineFixture() : engine_(&graph_, {}) {}
+  EngineFixture() : engine_(&graph_, nullptr) {}
   QueryEngine engine_;
 };
 
@@ -314,7 +314,7 @@ TEST_F(EngineFixture, TrendingRanksActiveEntities) {
 TEST_F(EngineFixture, PatternQueryWithoutMinerIsEmpty) {
   auto answer = engine_.ExecuteText("show patterns");
   ASSERT_TRUE(answer.ok());
-  EXPECT_TRUE(answer->patterns.empty());
+  EXPECT_TRUE(answer->patterns().empty());
 }
 
 // ---------- Path-search extensions ----------
@@ -393,7 +393,7 @@ TEST(TrendingTest, RisingRankingPrefersEmergingEntities) {
   QueryEngineConfig rising;
   rising.trending_horizon = 100;
   rising.trending_rising = true;
-  QueryEngine rising_engine(&g, {}, rising);
+  QueryEngine rising_engine(&g, nullptr, rising);
   auto answer = rising_engine.ExecuteText("what is trending");
   ASSERT_TRUE(answer.ok());
   ASSERT_FALSE(answer->hot_entities.empty());
@@ -403,7 +403,7 @@ TEST(TrendingTest, RisingRankingPrefersEmergingEntities) {
   QueryEngineConfig raw;
   raw.trending_horizon = 100;
   raw.trending_rising = false;
-  QueryEngine raw_engine(&g, {}, raw);
+  QueryEngine raw_engine(&g, nullptr, raw);
   auto raw_answer = raw_engine.ExecuteText("what is trending");
   ASSERT_TRUE(raw_answer.ok());
   // Raw recent counts put the steady entity first (6 vs 4).
@@ -419,7 +419,7 @@ TEST(RenderTest, ExtractedFactWithoutSourceRendersCleanly) {
   VertexId b = g.GetOrAddVertex("Biz");
   EdgeMeta meta;  // no source interned: provenance is unknown
   g.AddEdge(a, p, b, meta);
-  QueryEngine engine(&g, {});
+  QueryEngine engine(&g, nullptr);
   auto answer = engine.ExecuteText("tell me about Acme");
   ASSERT_TRUE(answer.ok());
   ASSERT_EQ(answer->facts.size(), 1u);
@@ -673,7 +673,10 @@ Answer ReferenceTrending(const PropertyGraph& g,
     if (answer.facts.size() >= config.trending_limit) break;
     answer.facts.push_back(ReferenceFactLine(g, e));
   }
-  answer.patterns = patterns;
+  if (!patterns.empty()) {
+    answer.pattern_set = std::make_shared<const RenderedPatternSet>(
+        RenderedPatternSet{patterns});
+  }
   return answer;
 }
 
@@ -722,7 +725,7 @@ TEST(AnswerOracleTest, EntityAnswersMatchTheSetAndSortReference) {
     const Timestamp max_timestamp = static_cast<Timestamp>(seed % 4) * 20 + 3;
     PropertyGraph g =
         RandomStreamGraph(seed, vertices, 3, 40 + seed * 30, max_timestamp);
-    QueryEngine engine(&g, {});
+    QueryEngine engine(&g, nullptr);
     size_t self_loops = 0;
     for (VertexId v = 0; v < g.NumVertices(); ++v) {
       for (const AdjEntry& a : g.OutEdges(v)) self_loops += a.neighbor == v;
@@ -744,42 +747,112 @@ TEST(AnswerOracleTest, EntityAnswersMatchTheSetAndSortReference) {
   }
 }
 
-TEST(AnswerOracleTest, TrendingAnswersMatchTheOrderedMapReference) {
+/// A date-ordered stream KG of `edges` edges (at least 4 zone chunks):
+/// timestamps advance one step per `edges_per_step` edges, 1 in 25 is
+/// a straggler from up to 400 steps back, and the first 300 edges are
+/// a curated prefix at timestamp 0. Trending then skips the chunks
+/// before its windows and reads those that meet them, stragglers'
+/// chunks included.
+PropertyGraph DateOrderedStreamGraph(uint64_t seed, size_t vertices,
+                                     size_t edges, size_t edges_per_step) {
+  Rng rng(seed);
+  PropertyGraph g;
+  for (size_t i = 0; i < vertices; ++i) {
+    g.GetOrAddVertex("v" + std::to_string(i));
+  }
+  const PredicateId p = g.predicates().Intern("acquired");
+  const SourceId source = g.sources().Intern("wsj");
+  for (size_t i = 0; i < edges; ++i) {
+    EdgeMeta meta;
+    meta.curated = i < 300;
+    if (!meta.curated) {
+      meta.timestamp = static_cast<Timestamp>(i / edges_per_step);
+      if (rng.Bernoulli(0.04)) {
+        meta.timestamp -= static_cast<Timestamp>(rng.UniformInt(400));
+      }
+      meta.source = source;
+    }
+    const VertexId s = static_cast<VertexId>(rng.UniformInt(vertices));
+    const VertexId o = static_cast<VertexId>(rng.UniformInt(vertices));
+    g.AddEdge(s, p, o, meta);
+  }
+  return g;
+}
+
+/// Renders trending under every (horizon, rising, limit) config on `g`
+/// against ReferenceTrending; adds adjacent equal-count rows to
+/// `tied_rows` and the zone chunks the windows skip and meet to
+/// `skipped` / `met`.
+void ExpectTrendingMatchesReference(const PropertyGraph& g,
+                                    const std::vector<Timestamp>& horizons,
+                                    const std::string& label,
+                                    size_t* tied_rows, size_t* skipped,
+                                    size_t* met) {
   const std::vector<RenderedPattern> patterns = {
       {"(company)-[acquired]->(company)", 5, 7},
       {"(company)-[partner_of]->(company)", 3, 3}};
+  for (Timestamp horizon : horizons) {
+    for (bool rising : {true, false}) {
+      for (size_t limit : {size_t{0}, size_t{3}, size_t{10},
+                           size_t{100000}}) {
+        QueryEngineConfig config;
+        config.trending_horizon = horizon;
+        config.trending_rising = rising;
+        config.trending_limit = limit;
+        QueryEngine engine(&g, patterns, config);
+        Result<Answer> answer = engine.ExecuteText("what is trending");
+        ASSERT_TRUE(answer.ok());
+        const Answer reference = ReferenceTrending(g, patterns, config);
+        EXPECT_EQ(answer->Render(g), reference.Render(g))
+            << label << " horizon " << horizon << " rising " << rising
+            << " limit " << limit;
+        for (size_t i = 1; i < reference.hot_entities.size(); ++i) {
+          *tied_rows += reference.hot_entities[i].second ==
+                        reference.hot_entities[i - 1].second;
+        }
+      }
+      // The chunks a rising query's windows meet.
+      const Timestamp newest = g.MaxEdgeTimestamp();
+      const Timestamp lo = horizon == 0 ? 0 : newest - 2 * horizon;
+      for (size_t z = 0; z < g.NumEdgeZones(); ++z) {
+        ++*(g.EdgeZoneAt(z).Meets(lo, newest) ? met : skipped);
+      }
+    }
+  }
+}
+
+TEST(AnswerOracleTest, TrendingAnswersMatchTheOrderedMapReference) {
   size_t tied_rows = 0;
+  size_t skipped = 0;
+  size_t met = 0;
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     const Timestamp max_timestamp = static_cast<Timestamp>(seed % 4) * 20 + 3;
     PropertyGraph g = RandomStreamGraph(seed, 4 + seed * 5, 3,
                                         40 + seed * 30, max_timestamp);
-    for (Timestamp horizon : {Timestamp{0}, Timestamp{1}, Timestamp{5},
-                              max_timestamp + 1}) {
-      for (bool rising : {true, false}) {
-        for (size_t limit : {size_t{0}, size_t{3}, size_t{10},
-                             size_t{100000}}) {
-          QueryEngineConfig config;
-          config.trending_horizon = horizon;
-          config.trending_rising = rising;
-          config.trending_limit = limit;
-          QueryEngine engine(&g, patterns, config);
-          Result<Answer> answer = engine.ExecuteText("what is trending");
-          ASSERT_TRUE(answer.ok());
-          const Answer reference = ReferenceTrending(g, patterns, config);
-          EXPECT_EQ(answer->Render(g), reference.Render(g))
-              << "seed " << seed << " horizon " << horizon << " rising "
-              << rising << " limit " << limit;
-          for (size_t i = 1; i < reference.hot_entities.size(); ++i) {
-            tied_rows += reference.hot_entities[i].second ==
-                         reference.hot_entities[i - 1].second;
-          }
-        }
-      }
-    }
+    ExpectTrendingMatchesReference(
+        g, {Timestamp{0}, Timestamp{1}, Timestamp{5}, max_timestamp + 1},
+        "random seed " + std::to_string(seed), &tied_rows, &skipped, &met);
   }
   // Adjacent rows with equal counts (equal scores, with rising off)
   // must occur, or the tie order would go untested.
   EXPECT_GT(tied_rows, 100u);
+
+  // Date-ordered streams of 5-7 chunks, where the zone map lets
+  // trending skip the chunks before its windows.
+  skipped = 0;
+  met = 0;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    const size_t edges = 1100 + seed * 150;
+    PropertyGraph g = DateOrderedStreamGraph(seed, 20 + seed * 10, edges,
+                                             2 + seed % 3);
+    ASSERT_GE(g.NumEdgeZones(), 4u);
+    ExpectTrendingMatchesReference(
+        g, {Timestamp{0}, Timestamp{3}, Timestamp{40}, Timestamp{150}},
+        "date-ordered seed " + std::to_string(seed), &tied_rows, &skipped,
+        &met);
+  }
+  EXPECT_GT(skipped, 0u) << "no chunk was skipped";
+  EXPECT_GT(met, 0u) << "no chunk was read";
 }
 
 }  // namespace

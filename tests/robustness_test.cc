@@ -94,7 +94,7 @@ TEST_F(RobustnessFixture, QueriesOnEmptyKg) {
   EXPECT_TRUE(trending->hot_entities.empty());
   auto patterns = nous.Ask("show patterns");
   ASSERT_TRUE(patterns.ok());
-  EXPECT_TRUE(patterns->patterns.empty());
+  EXPECT_TRUE(patterns->patterns().empty());
 }
 
 TEST_F(RobustnessFixture, QueryParserFuzz) {

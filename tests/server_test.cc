@@ -16,6 +16,7 @@
 
 #include "corpus/world_model.h"
 #include "kb/kb_generator.h"
+#include "obs/metrics.h"
 #include "obs/trace_buffer.h"
 #include "replication/telemetry.h"
 #include "server/api.h"
@@ -476,6 +477,44 @@ TEST_F(ServerFixture, QueryRequestFormsSingleTraceTree) {
   std::string exported = Get(server_.port(), "/api/trace?limit=2000");
   EXPECT_NE(exported.find("\"trace_id\":\"" + header + "\""),
             std::string::npos);
+}
+
+TEST_F(ServerFixture, AnswerJsonIsTimedAsARenderSpanUnderApiQuery) {
+  auto renders = [] {
+    for (const auto& row : MetricsRegistry::Global().HistogramRows()) {
+      if (row.name == "nous_render_latency_seconds") return row.count;
+    }
+    return uint64_t{0};
+  };
+  const uint64_t before = renders();
+  std::string response =
+      Get(server_.port(), "/api/query?q=tell+me+about+DJI");
+  ASSERT_NE(response.find("200 OK"), std::string::npos);
+  EXPECT_EQ(renders(), before + 1);
+  const uint64_t trace_id = std::strtoull(
+      HeaderValue(response, "X-Nous-Trace-Id").c_str(), nullptr, 10);
+  ASSERT_NE(trace_id, 0u);
+  const SpanRecord* api_query = nullptr;
+  const SpanRecord* render = nullptr;
+  std::vector<SpanRecord> trace =
+      TraceBuffer::Global().CollectTrace(trace_id);
+  for (const SpanRecord& s : trace) {
+    if (std::strcmp(s.name, "api_query") == 0) api_query = &s;
+    if (std::strcmp(s.name, "render") == 0) {
+      EXPECT_EQ(render, nullptr) << "one render span per answer";
+      render = &s;
+    }
+  }
+  ASSERT_NE(api_query, nullptr);
+  ASSERT_NE(render, nullptr);
+  EXPECT_EQ(render->parent_span_id, api_query->span_id);
+
+  // Another answer (a cache hit) renders again; a failed query does not.
+  Get(server_.port(), "/api/query?q=tell+me+about+DJI");
+  EXPECT_EQ(renders(), before + 2);
+  response = Get(server_.port(), "/api/query?q=tell+me+about+Nobody+Known");
+  EXPECT_NE(response.find("404"), std::string::npos);
+  EXPECT_EQ(renders(), before + 2);
 }
 
 TEST_F(ServerFixture, TraceEndpointRejectsBadLimit) {

@@ -404,6 +404,60 @@ TEST_F(SnapshotTest, PatternSetIsSharedWhileMinerUnchanged) {
   (void)advanced->patterns();
 }
 
+TEST_F(SnapshotTest, TrendingAndPatternAnswersShareTheSnapshotPatternSet) {
+  Nous nous(&kb_);
+  for (size_t i = 0; i < 10; ++i) NOUS_CHECK_OK(nous.Ingest(articles_[i]));
+  std::shared_ptr<const KgSnapshot> snap;
+  Result<Answer> trending = nous.Ask("what is trending", &snap);
+  ASSERT_TRUE(trending.ok());
+  ASSERT_NE(snap, nullptr);
+  const std::shared_ptr<const RenderedPatternSet> set = snap->pattern_set();
+  ASSERT_NE(set, nullptr);
+  ASSERT_FALSE(set->patterns.empty());
+  // Both answers hold the snapshot's set itself, not a copy.
+  EXPECT_EQ(trending->pattern_set, set);
+  std::shared_ptr<const KgSnapshot> pattern_snap;
+  Result<Answer> patterns = nous.Ask("show patterns", &pattern_snap);
+  ASSERT_TRUE(patterns.ok());
+  ASSERT_EQ(pattern_snap, snap);
+  EXPECT_EQ(patterns->pattern_set, set);
+  // Entity answers read no patterns.
+  Result<Answer> entity = nous.Ask("tell me about " + BusyEntity(*snap));
+  ASSERT_TRUE(entity.ok());
+  EXPECT_EQ(entity->pattern_set, nullptr);
+
+  // They render as the span-constructed engine's answers do.
+  const QueryEngine copied(&snap->graph(), snap->patterns(),
+                           nous.options().query);
+  for (const auto* answer : {&trending, &patterns}) {
+    Result<Answer> fresh = copied.Execute(*ParseQuery(
+        (*answer)->kind == QueryKind::kTrending ? "what is trending"
+                                                : "show patterns"));
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_NE(fresh->pattern_set, set);
+    EXPECT_EQ(fresh->Render(snap->graph()),
+              (*answer)->Render(snap->graph()));
+  }
+
+  // A cached answer keeps its set alive after newer snapshots replace
+  // the one it was computed on.
+  Result<Answer> cached = nous.Ask("what is trending");
+  ASSERT_TRUE(cached.ok());
+  EXPECT_GE(nous.query_cache()->stats().hits, 1u);
+  EXPECT_EQ(cached->pattern_set, set);
+  const std::string rendered = cached->Render(snap->graph());
+  const std::weak_ptr<const RenderedPatternSet> weak = set;
+  const PropertyGraph graph = snap->graph().Clone();
+  snap.reset();
+  pattern_snap.reset();
+  trending = Status::Internal("released");
+  patterns = Status::Internal("released");
+  for (size_t i = 10; i < 16; ++i) NOUS_CHECK_OK(nous.Ingest(articles_[i]));
+  EXPECT_NE(nous.snapshot()->pattern_set(), set);
+  EXPECT_FALSE(weak.expired());
+  EXPECT_EQ(cached->Render(graph), rendered);
+}
+
 // COW-specific TSan target: readers hold *old* snapshots and keep
 // reading their graphs while the writer publishes many newer ones.
 // Every publish unshares chunks the old snapshots still reference —
@@ -514,6 +568,56 @@ TEST_F(SnapshotTest, ConcurrentQueriesAreConsistentWithTheirSnapshot) {
         if (!recomputed.ok() ||
             answer->Render(snap->graph()) !=
                 recomputed->Render(snap->graph())) {
+          ++failures;
+        }
+      }
+    });
+  }
+  for (std::thread& r : readers) r.join();
+  stop.store(true);
+  writer.join();
+  EXPECT_EQ(failures.load(), 0u);
+}
+
+// The TSan target for shared pattern sets: readers ask trending and
+// pattern questions, so answers and the cache hold the sets the mining
+// stage publishes while the writer commits new ones. Each answer must
+// hold its snapshot's set and render as an uncached, copying engine on
+// that snapshot does.
+TEST_F(SnapshotTest, TrendingAndPatternReadersShareSetsWhileAWriterCommits) {
+  Nous nous(&kb_);
+  const size_t warm = articles_.size() / 4;
+  for (size_t i = 0; i < warm; ++i) NOUS_CHECK_OK(nous.Ingest(articles_[i]));
+
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    for (size_t i = warm;
+         i < articles_.size() && !stop.load(std::memory_order_relaxed);
+         ++i) {
+      NOUS_CHECK_OK(nous.Ingest(articles_[i]));
+    }
+  });
+  constexpr size_t kReaders = 3;
+  constexpr size_t kAsksPerReader = 80;
+  std::atomic<size_t> failures{0};
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      for (size_t i = 0; i < kAsksPerReader; ++i) {
+        const std::string question =
+            (i + t) % 2 == 0 ? "what is trending" : "show patterns";
+        std::shared_ptr<const KgSnapshot> snap;
+        Result<Answer> answer = nous.Ask(question, &snap);
+        if (!answer.ok() || snap == nullptr ||
+            answer->pattern_set != snap->pattern_set()) {
+          ++failures;
+          continue;
+        }
+        const QueryEngine copied(&snap->graph(), snap->patterns(),
+                                 nous.options().query);
+        Result<Answer> fresh = copied.Execute(*ParseQuery(question));
+        if (!fresh.ok() ||
+            fresh->Render(snap->graph()) != answer->Render(snap->graph())) {
           ++failures;
         }
       }

@@ -42,7 +42,7 @@ AblationResult Evaluate(const bench::DroneFixture& fixture,
                         Nous::Options options) {
   Nous nous(&fixture.kb, options);
   for (const Article& article : fixture.articles) NOUS_CHECK_OK(nous.Ingest(article));
-  nous.Finalize();
+  NOUS_CHECK_OK(nous.Finalize());
   const PropertyGraph& g = nous.graph();
 
   // Ground-truth fact set, canonical names + ontology predicate.

@@ -32,7 +32,7 @@ void RunGrowthSweep() {
     for (const Article& article : fixture.articles) {
       NOUS_CHECK_OK(nous.Ingest(article));
     }
-    nous.Finalize();
+    NOUS_CHECK_OK(nous.Finalize());
     double seconds = timer.ElapsedSeconds();
     GraphStats stats = nous.ComputeStats();
     const Histogram& conf = stats.extracted_confidence;
@@ -60,7 +60,7 @@ void RunConfidenceHistogram() {
   auto fixture = bench::MakeDroneFixture(800);
   Nous nous(&fixture.kb);
   for (const Article& article : fixture.articles) NOUS_CHECK_OK(nous.Ingest(article));
-  nous.Finalize();
+  NOUS_CHECK_OK(nous.Finalize());
   GraphStats stats = nous.ComputeStats();
   auto buckets = stats.extracted_confidence.Bucketize(0.0, 1.0, 10);
   TablePrinter table({"confidence bucket", "extracted facts"});

@@ -240,7 +240,7 @@ bool RunParallelIngest(size_t max_threads, JsonWriter* out) {
     if (threads == sweep.front()) serial_seconds = seconds;
     const PipelineStats ps = nous.stats();  // ingest only
     WallTimer finalize_timer;
-    nous.Finalize();
+    NOUS_CHECK_OK(nous.Finalize());
     const double finalize_seconds = finalize_timer.ElapsedSeconds();
     size_t vertices = 0, edges = 0;
     BinaryWriter image;
@@ -477,7 +477,7 @@ void RunMultiSource() {
   auto fixture = bench::MakeDroneFixture(800, 23, 0.6, corpus_config);
   Nous nous(&fixture.kb);
   for (const Article& a : fixture.articles) NOUS_CHECK_OK(nous.Ingest(a));
-  nous.Finalize();
+  NOUS_CHECK_OK(nous.Finalize());
 
   // Sample connected (s, t) pairs two hops apart and ask for
   // explanations.

@@ -74,7 +74,7 @@ void RunQueryClasses() {
   // Mid-stream snapshot: queries on the half-built dynamic KG.
   size_t half = fixture.articles.size() / 2;
   for (size_t i = 0; i < half; ++i) NOUS_CHECK_OK(nous.Ingest(fixture.articles[i]));
-  nous.Finalize();  // topics for path search
+  NOUS_CHECK_OK(nous.Finalize());  // topics for path search
 
   std::cout << "\n-- mid-stream (dynamic KG, " << half
             << " articles ingested) --\n";
@@ -103,7 +103,7 @@ void RunQueryClasses() {
   for (size_t i = half; i < fixture.articles.size(); ++i) {
     NOUS_CHECK_OK(nous.Ingest(fixture.articles[i]));
   }
-  nous.Finalize();
+  NOUS_CHECK_OK(nous.Finalize());
   std::cout << "\n-- post-stream (" << fixture.articles.size()
             << " articles) --\n";
   TablePrinter post({"class", "query", "ok", "answer items", "mean ms",
@@ -258,7 +258,7 @@ void BM_EntityQuery(benchmark::State& state) {
   auto fixture = bench::MakeDroneFixture(300);
   Nous nous(&fixture.kb);
   for (const Article& a : fixture.articles) NOUS_CHECK_OK(nous.Ingest(a));
-  nous.Finalize();
+  NOUS_CHECK_OK(nous.Finalize());
   for (auto _ : state) {
     benchmark::DoNotOptimize(nous.Ask("tell me about DJI"));
   }

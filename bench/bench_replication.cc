@@ -209,9 +209,9 @@ RunResult RunOne(const bench::DroneFixture& fixture,
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& r : readers) r.join();
 
-  // Finalize propagates as a checkpoint image; convergence must end
+  // Finalize propagates as a WAL record; convergence must end
   // in bit-identical graphs on every follower.
-  leader_nous->Finalize();
+  NOUS_CHECK_OK(leader_nous->Finalize());
   wait_caught_up(leader_nous->last_durable_seq(),
                  leader_nous->durable_kg_version());
   const std::string leader_bytes = GraphBytes(*leader_nous);

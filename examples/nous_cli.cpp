@@ -174,7 +174,11 @@ int main(int argc, char** argv) {
       return 1;
     }
   } else {
-    nous.Finalize();
+    Status finalized = nous.Finalize();
+    if (!finalized.ok()) {
+      std::cerr << "finalize failed: " << finalized << "\n";
+      return 1;
+    }
   }
   std::cout << nous.ComputeStats().ToString();
   PrintHelp();
@@ -208,7 +212,8 @@ int main(int argc, char** argv) {
         std::cout << "ingest failed (not committed): " << s << "\n";
         continue;
       }
-      nous.Finalize();  // refresh topics for path queries
+      s = nous.Finalize();  // refresh topics for path queries
+      if (!s.ok()) std::cout << "finalize failed: " << s << "\n";
       std::cout << "ingested; KG now has "
                 << nous.graph().NumEdges() << " edges\n";
       continue;

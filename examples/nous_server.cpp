@@ -283,7 +283,15 @@ int main(int argc, char** argv) {
                 << ", replayed batches: " << recovered->replayed_batches
                 << ", dropped torn records: "
                 << recovered->dropped_wal_records << ")\n";
-      nous.Finalize();
+      // A follower's records come from the leader only: a local
+      // Finalize would log a record the leader never wrote.
+      if (!is_follower) {
+        Status finalized = nous.Finalize();
+        if (!finalized.ok()) {
+          std::cerr << "finalize failed: " << finalized << "\n";
+          return 1;
+        }
+      }
       build_demo_kg = false;
     }
   }
@@ -319,7 +327,11 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    nous.Finalize();
+    Status finalized = nous.Finalize();
+    if (!finalized.ok()) {
+      std::cerr << "finalize failed: " << finalized << "\n";
+      return 1;
+    }
   }
   std::cout << nous.ComputeStats().ToString();
 

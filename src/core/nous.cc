@@ -52,12 +52,13 @@ Result<Nous::RecoveryStats> Nous::Recover() {
   {
     NOUS_SPAN_VAR(replay_span, "wal_replay");
     for (const WalRecord& record : recovered.replay) {
-      NOUS_ASSIGN_OR_RETURN(std::vector<Article> batch,
-                            DecodeArticleBatch(record.payload));
-      pipeline_.IngestBatch(batch);
+      NOUS_ASSIGN_OR_RETURN(WalRecordBody body,
+                            DecodeWalRecord(record.payload));
+      ApplyRecordLocked(body.kind, body.articles.data(),
+                        body.articles.size());
       last_seq = record.seq;
       ++stats.replayed_batches;
-      stats.replayed_articles += batch.size();
+      stats.replayed_articles += body.articles.size();
     }
     replay_span.Attr("batches", stats.replayed_batches);
     replay_span.Attr("articles", stats.replayed_articles);
@@ -84,12 +85,7 @@ Status Nous::Checkpoint() {
 }
 
 Status Nous::CheckpointLocked() {
-  std::string state = pipeline_.SaveState();
-  const uint64_t seq = durability_->last_logged_seq();
-  NOUS_RETURN_IF_ERROR(durability_->WriteCheckpoint(state));
-  const uint64_t kgv = PublishCommitLocked(seq);
-  if (listener_ != nullptr) listener_->OnCheckpoint(seq, state, kgv);
-  return Status::Ok();
+  return durability_->WriteCheckpoint(pipeline_.SaveState());
 }
 
 uint64_t Nous::PublishCommitLocked(uint64_t seq) {
@@ -103,26 +99,50 @@ uint64_t Nous::PublishCommitLocked(uint64_t seq) {
   return kgv;
 }
 
-Status Nous::Commit(const Article* articles, size_t count) {
-  if (count == 0) return Status::Ok();
-  if (!durable()) {
+void Nous::ApplyRecordLocked(WalRecordKind kind, const Article* articles,
+                             size_t count) {
+  if (kind == WalRecordKind::kFinalize) {
+    pipeline_.Finalize();
+  } else {
     pipeline_.IngestBatch(articles, count);
-    return Status::Ok();
   }
+}
+
+Status Nous::LogAndApply(const std::string& payload, WalRecordKind kind,
+                         const Article* articles, size_t count,
+                         uint64_t replicated_seq,
+                         uint64_t expected_kg_version) {
   DurabilityManager* manager = nullptr;
   uint64_t seq = 0;
   {
     MutexLock lock(ingest_mutex_);
-    // Log before apply: a batch that cannot reach the WAL is rejected
+    if (durability_ == nullptr) {
+      return Status::FailedPrecondition("durability is not enabled");
+    }
+    const uint64_t local = durability_->last_logged_seq();
+    if (replicated_seq != 0 && replicated_seq != local + 1) {
+      return Status::FailedPrecondition(
+          "replicated record seq " + std::to_string(replicated_seq) +
+          " does not follow local seq " + std::to_string(local));
+    }
+    // Log before apply: a record that cannot reach the WAL is rejected
     // with the pipeline untouched, so nothing unlogged is ever
     // acknowledged. A torn append (crash or injected fault) leaves a
     // CRC-invalid tail the next Recover() drops.
-    std::string payload = EncodeArticleBatch(articles, count);
     NOUS_ASSIGN_OR_RETURN(seq, durability_->LogBatch(payload));
-    pipeline_.IngestBatch(articles, count);
+    ApplyRecordLocked(kind, articles, count);
     const uint64_t kgv = PublishCommitLocked(seq);
     if (listener_ != nullptr) listener_->OnCommit(seq, payload, kgv);
-    if (durability_->ShouldCheckpoint()) {
+    if (expected_kg_version != 0 && kgv != expected_kg_version) {
+      return Status::DataLoss(
+          "replica diverged: KG version " + std::to_string(kgv) +
+          " after seq " + std::to_string(seq) + ", leader had " +
+          std::to_string(expected_kg_version));
+    }
+    // A finalize record replays as a whole Finalize, so a checkpoint
+    // follows it and recovery starts past it. Only cadence depends on
+    // this checkpoint: the record alone already makes Finalize durable.
+    if (kind == WalRecordKind::kFinalize || durability_->ShouldCheckpoint()) {
       NOUS_RETURN_IF_ERROR(CheckpointLocked());
     }
     manager = durability_.get();
@@ -131,6 +151,16 @@ Status Nous::Commit(const Article* articles, size_t count) {
   // released, so the next writers append while this one's flush runs
   // and one fsync acknowledges them all. No-op for the other policies.
   return manager->WaitDurable(seq);
+}
+
+Status Nous::Commit(const Article* articles, size_t count) {
+  if (count == 0) return Status::Ok();
+  if (!durable()) {
+    pipeline_.IngestBatch(articles, count);
+    return Status::Ok();
+  }
+  return LogAndApply(EncodeArticleBatch(articles, count),
+                     WalRecordKind::kArticleBatch, articles, count);
 }
 
 Status Nous::Ingest(const Article& article) { return Commit(&article, 1); }
@@ -154,8 +184,7 @@ Status Nous::IngestStream(DocumentStream* stream, bool finalize) {
     }
   }
   NOUS_RETURN_IF_ERROR(IngestBatch(batch));
-  if (finalize) Finalize();
-  return Status::Ok();
+  return finalize ? Finalize() : Status::Ok();
 }
 
 Status Nous::IngestText(const std::string& text, const Date& date,
@@ -170,20 +199,13 @@ Status Nous::IngestText(const std::string& text, const Date& date,
   return Commit(&article, 1);
 }
 
-void Nous::Finalize() {
-  MutexLock lock(ingest_mutex_);
-  pipeline_.Finalize();
-  if (durability_ == nullptr) return;
-  // Finalize mutates the KG outside the WAL (topic fit, confidence
-  // refresh), so durable mode must capture its effect in a checkpoint
-  // — otherwise a restart or a follower replaying the WAL would land
-  // on a different KG than the one that served queries.
-  Status status = CheckpointLocked();
-  if (!status.ok()) {
-    NOUS_LOG(Warning) << "Finalize(): checkpoint failed, durable state "
-                         "lags the finalized KG: "
-                      << status.ToString();
+Status Nous::Finalize() {
+  if (!durable()) {
+    pipeline_.Finalize();
+    return Status::Ok();
   }
+  return LogAndApply(EncodeFinalizeRecord(), WalRecordKind::kFinalize,
+                     nullptr, 0);
 }
 
 void Nous::SetCommitListener(CommitListener* listener) {
@@ -209,41 +231,11 @@ Result<Nous::ReplicationImage> Nous::CaptureReplicationImage() {
 
 Status Nous::ApplyReplicatedBatch(uint64_t seq, const std::string& payload,
                                   uint64_t expected_kg_version) {
-  DurabilityManager* manager = nullptr;
-  {
-    MutexLock lock(ingest_mutex_);
-    if (durability_ == nullptr) {
-      return Status::FailedPrecondition(
-          "ApplyReplicatedBatch(): durability is not enabled");
-    }
-    const uint64_t local = durability_->last_logged_seq();
-    if (seq != local + 1) {
-      return Status::FailedPrecondition(
-          "replicated batch seq " + std::to_string(seq) +
-          " does not follow local seq " + std::to_string(local));
-    }
-    // Decode before logging: a payload that cannot decode must not
-    // enter the local WAL (recovery would choke on it).
-    NOUS_ASSIGN_OR_RETURN(std::vector<Article> batch,
-                          DecodeArticleBatch(payload));
-    NOUS_ASSIGN_OR_RETURN(uint64_t logged, durability_->LogBatch(payload));
-    (void)logged;
-    pipeline_.IngestBatch(batch);
-    const uint64_t kgv = PublishCommitLocked(seq);
-    if (listener_ != nullptr) listener_->OnCommit(seq, payload, kgv);
-    if (expected_kg_version != 0 && kgv != expected_kg_version) {
-      return Status::DataLoss(
-          "replica diverged: KG version " + std::to_string(kgv) +
-          " after seq " + std::to_string(seq) + ", leader had " +
-          std::to_string(expected_kg_version));
-    }
-    if (durability_->ShouldCheckpoint()) {
-      NOUS_RETURN_IF_ERROR(CheckpointLocked());
-    }
-    manager = durability_.get();
-  }
-  // Same group-commit wait as Commit(): acknowledged once fsynced.
-  return manager->WaitDurable(seq);
+  // Decode before logging: a payload that cannot decode must not
+  // enter the local WAL (recovery would choke on it).
+  NOUS_ASSIGN_OR_RETURN(WalRecordBody body, DecodeWalRecord(payload));
+  return LogAndApply(payload, body.kind, body.articles.data(),
+                     body.articles.size(), seq, expected_kg_version);
 }
 
 Status Nous::ApplyReplicatedCheckpoint(uint64_t seq,
@@ -258,8 +250,7 @@ Status Nous::ApplyReplicatedCheckpoint(uint64_t seq,
   // served; clearing frees them.
   if (cache_ != nullptr) cache_->Clear();
   NOUS_RETURN_IF_ERROR(durability_->InstallCheckpoint(seq, state));
-  const uint64_t kgv = PublishCommitLocked(seq);
-  if (listener_ != nullptr) listener_->OnCheckpoint(seq, state, kgv);
+  PublishCommitLocked(seq);
   return Status::Ok();
 }
 

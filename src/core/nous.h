@@ -10,6 +10,7 @@
 #include "core/snapshot.h"
 #include "corpus/document_stream.h"
 #include "durability/manager.h"
+#include "durability/wal_codec.h"
 #include "graph/graph_stats.h"
 #include "obs/resource_sampler.h"
 #include "qa/query_cache.h"
@@ -18,23 +19,21 @@
 namespace nous {
 
 /// Observer of durable commits, the WAL-shipping hook (DESIGN.md
-/// §5.15). Both callbacks run on the committing thread while it holds
-/// the ingest mutex: implementations must only enqueue (never block on
-/// network or disk) and must not call back into Nous. Under
-/// FsyncPolicy::kAlways OnCommit fires once the batch is applied,
-/// before its group fsync (§5.16).
+/// §5.15). Every mutation of a durable instance, Finalize included, is
+/// one WAL record, so the records it sees rebuild the KG. The callback
+/// runs on the committing thread while it holds the ingest mutex:
+/// implementations must only enqueue (never block on network or disk)
+/// and must not call back into Nous. Under FsyncPolicy::kAlways it
+/// fires once the record is applied, before its group fsync (§5.16).
+/// Checkpoints are not reported: they change no state.
 class CommitListener {
  public:
   virtual ~CommitListener() = default;
-  /// One batch was WAL-logged and applied. `payload` is the exact WAL
-  /// payload (EncodeArticleBatch bytes); `kg_version` the live KG
-  /// version after the apply.
+  /// One record (an article batch or a finalize) was WAL-logged and
+  /// applied. `payload` is the exact WAL payload (wal_codec bytes);
+  /// `kg_version` the live KG version after the apply.
   virtual void OnCommit(uint64_t seq, const std::string& payload,
                         uint64_t kg_version) = 0;
-  /// A checkpoint covering everything up to `seq` was persisted.
-  /// `state` is the full KgPipeline::SaveState image.
-  virtual void OnCheckpoint(uint64_t seq, const std::string& state,
-                            uint64_t kg_version) = 0;
 };
 
 /// Top-level facade: the public API a downstream user programs against.
@@ -50,11 +49,11 @@ class CommitListener {
 ///
 /// Durability (DESIGN.md §5.10): with Options::durability.dir set,
 /// Recover() restores the last checkpoint, replays the WAL, and opens
-/// the log; every subsequent ingest is logged before it is applied and
-/// only acknowledged (Status OK) once both succeeded — and, under
-/// FsyncPolicy::kAlways, once a group fsync covered it (§5.16). kill -9
-/// at any byte offset recovers a KG bit-identical to the last durable
-/// batch.
+/// the log; every subsequent ingest and Finalize is logged before it is
+/// applied and only acknowledged (Status OK) once both succeeded — and,
+/// under FsyncPolicy::kAlways, once a group fsync covered it (§5.16).
+/// kill -9 at any byte offset recovers a KG bit-identical to the last
+/// durable record.
 /// Nous construction options. Lives at namespace scope (with a nested
 /// alias below) because GCC 12 miscompiles `Options options = {}`
 /// default arguments when a nested class carries its own default
@@ -84,6 +83,7 @@ class Nous {
   /// What Recover() found on disk.
   struct RecoveryStats {
     bool restored_checkpoint = false;
+    /// WAL records replayed: article batches and finalizes.
     uint64_t replayed_batches = 0;
     uint64_t replayed_articles = 0;
     /// Torn/corrupt WAL tail records dropped (never-acknowledged data).
@@ -136,15 +136,17 @@ class Nous {
                     const std::string& source) EXCLUDES(kg_mutex());
 
   /// Fits topics + final confidence refresh. Idempotent-ish: may be
-  /// called again after more ingestion. In durable mode this also
-  /// writes a checkpoint: Finalize mutates the KG outside the WAL
-  /// (topic fit, confidence refresh), so the only way a restart or a
-  /// follower can reproduce it is from a full image.
-  void Finalize() EXCLUDES(kg_mutex());
+  /// called again after more ingestion. In durable mode Finalize is a
+  /// commit like an ingest: its WAL record is logged before it runs
+  /// and shipped to followers, and recovery replays it. A checkpoint
+  /// follows (replaying a Finalize is costly); if that checkpoint
+  /// fails, the error is returned, and the logged record still keeps
+  /// durable state equal to the served one.
+  Status Finalize() EXCLUDES(kg_mutex());
 
   /// Registers the replication hook (nullptr to clear). The listener
-  /// is invoked under the ingest mutex for every durable commit and
-  /// checkpoint from the moment this returns; it must outlive its
+  /// is invoked under the ingest mutex for every durable commit from
+  /// the moment this returns; it must outlive its
   /// registration. Setting it blocks until in-flight commits drain,
   /// so after SetCommitListener(nullptr) returns no further callbacks
   /// run.
@@ -160,8 +162,9 @@ class Nous {
   };
   Result<ReplicationImage> CaptureReplicationImage() EXCLUDES(kg_mutex());
 
-  /// Follower-side apply of one shipped WAL batch: logs it to the
-  /// local WAL (log-before-apply, same as the leader) and applies it.
+  /// Follower-side apply of one shipped WAL record (an article batch
+  /// or a finalize): logs it to the local WAL (log-before-apply, same
+  /// as the leader) and applies it through the leader's commit path.
   /// `seq` must be exactly last_durable_seq() + 1 — a gap means frames
   /// were lost and the caller must resync (FailedPrecondition). When
   /// `expected_kg_version` is nonzero and the local KG version after
@@ -254,22 +257,38 @@ class Nous {
   void RegisterResourceProbes(ResourceSampler* sampler);
 
  private:
-  /// The one commit path: Ingest, IngestBatch and IngestText all land
-  /// here, and only here is durable vs. not decided. Durable: log,
-  /// apply and publish under ingest_mutex_, then (kAlways) wait for
-  /// the group fsync with the mutex released, so concurrent writers
-  /// share one fsync.
+  /// The one ingest path: Ingest, IngestBatch and IngestText all land
+  /// here, and only here is durable vs. not decided.
   Status Commit(const Article* articles, size_t count)
       EXCLUDES(ingest_mutex_, kg_mutex());
+  /// The durable commit path of Commit, Finalize and
+  /// ApplyReplicatedBatch: under ingest_mutex_, logs `payload` (the
+  /// encoding of `kind` and `articles`), applies it, publishes, tells
+  /// the listener and checkpoints when due (always after a finalize);
+  /// then (kAlways) waits for the group fsync with the mutex released,
+  /// so concurrent writers share one fsync. A nonzero `replicated_seq`
+  /// must be the next local seq, and a nonzero `expected_kg_version`
+  /// must match the version after the apply (else DataLoss).
+  Status LogAndApply(const std::string& payload, WalRecordKind kind,
+                     const Article* articles, size_t count,
+                     uint64_t replicated_seq = 0,
+                     uint64_t expected_kg_version = 0)
+      EXCLUDES(ingest_mutex_, kg_mutex());
+  /// Applies one logged record to the pipeline; recovery replay calls
+  /// it directly.
+  void ApplyRecordLocked(WalRecordKind kind, const Article* articles,
+                         size_t count) REQUIRES(ingest_mutex_)
+      EXCLUDES(kg_mutex());
   /// Persists SaveState() as the checkpoint covering every logged
-  /// batch (resetting the WAL) and tells the listener.
+  /// record (resetting the WAL).
   Status CheckpointLocked() REQUIRES(ingest_mutex_) EXCLUDES(kg_mutex());
   /// Cache-checked execution against one immutable snapshot.
   Result<Answer> ExecuteOnSnapshot(
       const Query& query,
       const std::shared_ptr<const KgSnapshot>& snap) const;
-  /// Reads the live KG version (brief reader lock) and publishes the
-  /// (seq, version) pair to the lock-free accessors + the listener.
+  /// Reads the live KG version (brief reader lock), publishes the
+  /// (seq, version) pair to the lock-free accessors and returns the
+  /// version.
   uint64_t PublishCommitLocked(uint64_t seq) REQUIRES(ingest_mutex_)
       EXCLUDES(kg_mutex());
 

@@ -174,12 +174,10 @@ void ReplicationFollower::RunSession(bool* force_image) {
           break;
         }
         case ReplFrameType::kCheckpoint: {
-          const uint64_t applied = nous_->last_durable_seq();
-          // Skip only images strictly behind us (a stale broadcast
-          // from before a resync). Same-seq images are always applied:
-          // they carry Finalize re-checkpoints and forced-image
-          // resyncs, where the seq matches but the state must change.
-          if (frame.seq < applied) break;
+          // The leader sends an image only when this session needs one
+          // (handshake or a catch-up the WAL cannot bridge), so every
+          // image is applied — even one behind our seq, from a leader
+          // that lost its unsynced WAL tail.
           Status status =
               nous_->ApplyReplicatedCheckpoint(frame.seq, frame.payload);
           if (!status.ok()) {
@@ -207,10 +205,11 @@ void ReplicationFollower::RunSession(bool* force_image) {
           } else if (frame.seq == nous_->last_durable_seq() &&
                      frame.aux != 0 &&
                      frame.aux != nous_->durable_kg_version()) {
-            // Same seq, different version: our state silently forked
-            // from the leader's (catch-up frames carry no version to
-            // cross-check). Transient mismatch is normal while a
-            // checkpoint image is in flight, so require a streak.
+            // Same seq, different version: our history forked from the
+            // leader's (catch-up frames carry no version to
+            // cross-check). Each side publishes seq and version as two
+            // atomics, so one mismatch can be a torn read: require a
+            // streak.
             if (++diverged_heartbeats >= options_.heartbeat_stall_limit) {
               NOUS_LOG(Warning)
                   << "replication: same-seq version mismatch on "

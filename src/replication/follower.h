@@ -17,7 +17,7 @@
 namespace nous {
 
 /// WAL-shipping follower (DESIGN.md §5.15): maintains a connection to
-/// the leader, replays shipped WAL batches through the local
+/// the leader, replays shipped WAL records through the local
 /// durability path (log-before-apply, same as the leader), and
 /// installs full checkpoint images when the leader sends one. The
 /// local Nous keeps publishing lock-free snapshots, so queries serve

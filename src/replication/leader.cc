@@ -1,6 +1,5 @@
 #include "replication/leader.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <utility>
@@ -71,21 +70,6 @@ void ReplicationLeader::OnCommit(uint64_t seq, const std::string& payload,
   frame.aux = kg_version;
   frame.payload = payload;
   QueueItem item;
-  item.type = frame.type;
-  item.seq = seq;
-  item.wire = std::make_shared<const std::string>(EncodeReplFrame(frame));
-  Broadcast(std::move(item));
-}
-
-void ReplicationLeader::OnCheckpoint(uint64_t seq, const std::string& state,
-                                     uint64_t kg_version) {
-  ReplFrame frame;
-  frame.type = ReplFrameType::kCheckpoint;
-  frame.seq = seq;
-  frame.aux = kg_version;
-  frame.payload = state;
-  QueueItem item;
-  item.type = frame.type;
   item.seq = seq;
   item.wire = std::make_shared<const std::string>(EncodeReplFrame(frame));
   Broadcast(std::move(item));
@@ -227,8 +211,9 @@ void ReplicationLeader::ServeFollower(Session* session) {
   // The follower resumes after everything it already applied. A
   // follower *ahead* of us means we lost unsynced WAL tail in a crash
   // — its state is unreachable from ours, so re-image it. So is a
-  // follower at our seq but a different kg_version: our state moved
-  // without a WAL record (a recovery-time Finalize re-trained it).
+  // follower at our seq but on a different kg_version: every mutation
+  // is a record, so equal seqs with unequal versions mean the two
+  // histories forked.
   uint64_t sent = hello.seq;
   const uint64_t hello_kgv = DecodeHelloKgVersion(hello.payload);
   bool need_image = (hello.aux & kHelloForceImage) != 0 ||
@@ -238,15 +223,11 @@ void ReplicationLeader::ServeFollower(Session* session) {
 
   WalTailReader tail;
   tail.Open(wal_path_);
-  // Consecutive non-progress events (WAL resets, unbridgeable queue
-  // gaps). A couple are normal around a checkpoint; a streak means
-  // the WAL can no longer bridge this follower — fall back to a full
-  // image instead of spinning.
+  // Consecutive rounds in which neither the live queue nor the WAL
+  // file had the next record: a gap in the file, or end of log with
+  // the follower behind. A streak means the records were checkpointed
+  // away before this session queued them — send an image.
   int stalled_rounds = 0;
-  // Seq of the last checkpoint image/frame this session shipped. A WAL
-  // reset is only safe to read past when the follower already holds
-  // the state the new log builds on (see the kReset branch).
-  uint64_t last_ckpt_sent = 0;
 
   while (running_.load(std::memory_order_acquire)) {
     {
@@ -270,26 +251,42 @@ void ReplicationLeader::ServeFollower(Session* session) {
       if (!SendDataFrame(session, EncodeReplFrame(frame)).ok()) break;
       checkpoints_sent_.fetch_add(1, std::memory_order_relaxed);
       sent = frame.seq;
-      last_ckpt_sent = frame.seq;
       need_image = false;
       stalled_rounds = 0;
-      MutexLock lock(session->mutex);
-      while (!session->queue.empty() &&
-             session->queue.front().seq <= sent) {
-        session->queue.pop_front();
-      }
       continue;
     }
 
-    // Phase 1: catch up from the WAL file.
+    // The live queue first: it holds every record committed since this
+    // session was accepted, in seq order, so it bridges WAL resets.
+    std::shared_ptr<const std::string> queued;
+    {
+      MutexLock lock(session->mutex);
+      std::deque<QueueItem>& queue = session->queue;
+      while (!queue.empty() && queue.front().seq <= sent) queue.pop_front();
+      if (!queue.empty() && queue.front().seq == sent + 1) {
+        queued = std::move(queue.front().wire);
+        queue.pop_front();
+      }
+    }
+    if (queued != nullptr) {
+      if (!SendDataFrame(session, *queued).ok()) break;
+      ++sent;
+      stalled_rounds = 0;
+      continue;
+    }
+
+    // Then catch up from the WAL file. A kReset (a checkpoint rewrote
+    // the log) rereads it from the top.
     Result<WalTailReader::Event> event = tail.Next();
     if (!event.ok()) break;
+    if (event->kind == WalTailReader::EventKind::kReset) continue;
     if (event->kind == WalTailReader::EventKind::kRecord) {
       WalRecord& rec = event->record;
       if (rec.seq <= sent) continue;  // already shipped
       if (rec.seq > sent + 1) {
-        // The records bridging the gap were checkpointed away.
-        need_image = true;
+        // The records bridging the gap were checkpointed away; the
+        // queue may still have them.
+        ++stalled_rounds;
         continue;
       }
       ReplFrame frame;
@@ -297,7 +294,7 @@ void ReplicationLeader::ServeFollower(Session* session) {
       frame.seq = rec.seq;
       // Historical frame: the KG version it produced is unknowable
       // from the log alone; 0 = "do not cross-check". Divergence is
-      // still caught by the next live frame or checkpoint.
+      // still caught by the next live frame or heartbeat.
       frame.aux = 0;
       frame.payload = std::move(rec.payload);
       if (!SendDataFrame(session, EncodeReplFrame(frame)).ok()) break;
@@ -305,113 +302,30 @@ void ReplicationLeader::ServeFollower(Session* session) {
       stalled_rounds = 0;
       continue;
     }
-    if (event->kind == WalTailReader::EventKind::kReset) {
-      // The WAL was reset by a checkpoint; every record in the new log
-      // was applied ON TOP of that checkpoint's state. Reading past
-      // the reset is only sound once the follower holds that state —
-      // a Finalize checkpoint mutates the KG with no WAL record, so
-      // skipping it diverges the follower silently. The checkpoint
-      // rides in the live queue (commit order), so deliver it now,
-      // before any new-log records.
-      QueueItem queued_ckpt;
-      bool have_ckpt = false;
-      {
-        MutexLock lock(session->mutex);
-        for (auto it = session->queue.begin(); it != session->queue.end();
-             ++it) {
-          if (it->type == ReplFrameType::kCheckpoint && it->seq >= sent) {
-            queued_ckpt = std::move(*it);
-            session->queue.erase(it);
-            have_ckpt = true;
-            break;
-          }
-        }
-      }
-      if (have_ckpt) {
-        if (!SendDataFrame(session, *queued_ckpt.wire).ok()) break;
-        checkpoints_sent_.fetch_add(1, std::memory_order_relaxed);
-        sent = std::max(sent, queued_ckpt.seq);
-        last_ckpt_sent = queued_ckpt.seq;
-        stalled_rounds = 0;
-      } else if (last_ckpt_sent >= sent) {
-        // Already shipped a state image at/past `sent`: the new log's
-        // base state is on the follower. Safe to read on.
-      } else {
-        // The bridging checkpoint is gone (overflow, or the follower
-        // connected after it was broadcast). A streak forces an image.
-        ++stalled_rounds;
-      }
-      continue;
-    }
 
-    // Phase 2: end of log — serve the live queue, or heartbeat.
-    // Snapshot the durable seq *before* inspecting the queue: a commit
-    // published after this point wakes the cv wait below, so "queue
-    // still empty afterwards" proves records ≤ durable_now are neither
-    // in the WAL nor coming through the queue (checkpointed away).
-    const uint64_t durable_now = nous_->last_durable_seq();
-    const bool behind = sent < durable_now;
-    QueueItem item;
-    bool have_item = false;
-    bool recheck_tail = false;
+    // End of log: wait for the queue, then heartbeat. The durable seq
+    // is read *before* waiting: if the follower was behind it, the
+    // next record was in neither the queue nor the WAL, and this
+    // round counts as stalled.
+    const bool behind = sent < nous_->last_durable_seq();
     {
       UniqueLock lock(session->mutex);
-      while (!session->queue.empty()) {
-        const QueueItem& front = session->queue.front();
-        const bool stale =
-            front.type == ReplFrameType::kWalBatch
-                ? front.seq <= sent
-                // A checkpoint at seq == sent is NOT stale: Finalize
-                // re-checkpoints the same seq with a new KG.
-                : front.seq < sent;
-        if (!stale) break;
-        session->queue.pop_front();
-      }
-      if (!session->queue.empty()) {
-        QueueItem& front = session->queue.front();
-        if (front.type == ReplFrameType::kCheckpoint ||
-            front.seq == sent + 1) {
-          item = std::move(front);
-          session->queue.pop_front();
-          have_item = true;
-        } else {
-          // front.seq > sent + 1: the bridge records are in the WAL
-          // (or gone — the tail reports kReset / a gap and we image).
-          recheck_tail = true;
-        }
-      } else if (!session->stop && !session->overflowed) {
-        // When behind, wait only a sliver: we are very likely looking
-        // at a WAL hole (records checkpointed away), and the sliver
-        // just lets an in-flight enqueue land before we conclude that.
+      if (session->queue.empty() && !session->stop && !session->overflowed) {
+        // When behind, wait only a sliver: it lets an in-flight
+        // enqueue land before the next round.
         session->cv.wait_for(
             lock.std_lock(),
             std::chrono::milliseconds(behind ? 10 : options_.heartbeat_ms));
       }
       if (session->stop || session->overflowed) break;
     }
-    if (have_item) {
-      if (!SendDataFrame(session, *item.wire).ok()) break;
-      if (item.type == ReplFrameType::kCheckpoint) {
-        checkpoints_sent_.fetch_add(1, std::memory_order_relaxed);
-        last_ckpt_sent = std::max(last_ckpt_sent, item.seq);
-      }
-      sent = std::max(sent, item.seq);
-      stalled_rounds = 0;
-      continue;
-    }
-    if (recheck_tail) {
-      ++stalled_rounds;
-      continue;
-    }
     if (behind) {
-      // End of log, empty queue, follower still behind the durable
-      // seq we saw before waiting: the bridging records are gone from
-      // the WAL (a checkpoint reset it). The streak forces an image.
       ++stalled_rounds;
       continue;
     }
-    // Idle: tell the follower where we are so it can measure lag and
-    // detect a silently broken link.
+    // Tell the follower where we are, after every wait (so also under
+    // steady commits), so it can measure lag and detect a silently
+    // broken link.
     ReplFrame heartbeat;
     heartbeat.type = ReplFrameType::kHeartbeat;
     heartbeat.seq = nous_->last_durable_seq();

@@ -20,22 +20,23 @@
 namespace nous {
 
 /// WAL-shipping leader (DESIGN.md §5.15): accepts follower
-/// connections on a loopback port and streams every durable commit to
-/// each of them — historical frames read back from the WAL file
-/// (catch-up), live frames taken from a per-follower queue fed by the
-/// Nous commit hook, full checkpoint images when a follower is too
-/// far behind for the WAL to bridge.
+/// connections on a loopback port and streams every durable commit
+/// (article batches and finalizes alike) to each of them — live frames
+/// taken from a per-follower queue fed by the Nous commit hook,
+/// historical frames read back from the WAL file (catch-up), and a full
+/// image only when neither holds the records a follower needs.
 ///
 /// Robustness contract:
-///  - Ingest never blocks on a follower. OnCommit/OnCheckpoint only
-///    enqueue pre-encoded frames into bounded per-session queues; a
+///  - Ingest never blocks on a follower. OnCommit only enqueues
+///    pre-encoded frames into bounded per-session queues; a
 ///    queue that fills (slow or wedged follower) is cleared and the
 ///    session disconnected (overflow_disconnects in the telemetry) —
 ///    the follower reconnects and catches up from the WAL.
 ///  - A follower whose Hello seq the leader cannot bridge from its
-///    WAL (records checkpointed away, or the follower is *ahead* of a
-///    leader that lost unsynced WAL tail in a crash) gets a full
-///    image, captured consistently from memory.
+///    queue or WAL (records checkpointed away before the session
+///    started, or the follower is *ahead* of a leader that lost
+///    unsynced WAL tail in a crash) gets a full image, captured
+///    consistently from memory.
 ///  - Session threads never touch Nous ingest paths; they read the
 ///    WAL file and lock-free atomics only.
 class ReplicationLeader : public CommitListener, public ReplicationTelemetry {
@@ -70,16 +71,13 @@ class ReplicationLeader : public CommitListener, public ReplicationTelemetry {
   // CommitListener (called under the Nous ingest mutex — enqueue only).
   void OnCommit(uint64_t seq, const std::string& payload,
                 uint64_t kg_version) override;
-  void OnCheckpoint(uint64_t seq, const std::string& state,
-                    uint64_t kg_version) override;
 
   // ReplicationTelemetry.
   ReplicationView View() const override;
 
  private:
-  /// One pre-encoded frame waiting in a session queue.
+  /// One pre-encoded kWalBatch frame waiting in a session queue.
   struct QueueItem {
-    ReplFrameType type = ReplFrameType::kWalBatch;
     uint64_t seq = 0;
     std::shared_ptr<const std::string> wire;
   };

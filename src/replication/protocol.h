@@ -27,19 +27,19 @@ enum class ReplFrameType : uint8_t {
   /// follower -> leader, once per connection: seq = last applied seq,
   /// aux = flags (kHelloForceImage requests a full checkpoint image),
   /// payload = EncodeHelloPayload (the follower's kg_version, so a
-  /// leader at the same seq but a different version — e.g. one whose
-  /// recovery Finalize re-trained state the follower never saw — can
-  /// detect the divergence and re-image instead of silently serving
-  /// heartbeats forever).
+  /// leader at the same seq but a different version — a forked
+  /// history — can detect the divergence and re-image instead of
+  /// silently serving heartbeats forever).
   kHello = 1,
-  /// leader -> follower: one committed WAL batch. seq = WAL seq,
-  /// payload = the exact WAL payload (EncodeArticleBatch bytes),
-  /// aux = the leader's kg_version after applying this batch, or 0
-  /// when unknown (historical catch-up frames).
+  /// leader -> follower: one committed WAL record (an article batch
+  /// or a finalize). seq = WAL seq, payload = the exact WAL payload
+  /// (wal_codec bytes), aux = the leader's kg_version after applying
+  /// this record, or 0 when unknown (historical catch-up frames).
   kWalBatch = 2,
-  /// leader -> follower: a full checkpoint image. seq = the WAL seq
-  /// the image covers, aux = its kg_version, payload = the
-  /// KgPipeline::SaveState bytes.
+  /// leader -> follower: a full catch-up image, sent only when neither
+  /// the session queue nor the WAL holds the records the follower
+  /// needs. seq = the WAL seq the image covers, aux = its kg_version,
+  /// payload = the KgPipeline::SaveState bytes.
   kCheckpoint = 3,
   /// leader -> follower, on idle: seq = leader's last committed seq,
   /// aux = leader's kg_version, empty payload. Lets followers report

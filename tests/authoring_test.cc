@@ -129,7 +129,7 @@ TEST(DeterminismTest, IdenticalRunsProduceIdenticalGraphs) {
     options.pipeline.bpr.epochs = 3;
     Nous nous(&kb, options);
     for (const Article& a : articles) NOUS_CHECK_OK(nous.Ingest(a));
-    nous.Finalize();
+    NOUS_CHECK_OK(nous.Finalize());
     std::multiset<std::string> edges;
     const PropertyGraph& g = nous.graph();
     g.ForEachEdge([&](EdgeId, const EdgeRecord& rec) {

@@ -340,18 +340,67 @@ TEST(WalCodecTest, RoundTripsArticlesAndDropsGold) {
   batch[1].text = std::string("binary\0text", 11);
 
   std::string payload = EncodeArticleBatch(batch);
-  auto decoded = DecodeArticleBatch(payload);
+  auto decoded = DecodeWalRecord(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
-  ASSERT_EQ(decoded->size(), 2u);
-  EXPECT_EQ((*decoded)[0].id, "doc_1");
-  EXPECT_EQ((*decoded)[0].date.year, 2016);
-  EXPECT_EQ((*decoded)[0].date.month, 3);
-  EXPECT_EQ((*decoded)[0].date.day, 9);
-  EXPECT_EQ((*decoded)[0].source, "wsj");
-  EXPECT_EQ((*decoded)[0].text, batch[0].text);
-  EXPECT_TRUE((*decoded)[0].gold.empty());
-  EXPECT_EQ((*decoded)[1].id, "adhoc_7");
-  EXPECT_EQ((*decoded)[1].text, batch[1].text);
+  EXPECT_EQ(decoded->kind, WalRecordKind::kArticleBatch);
+  const std::vector<Article>& articles = decoded->articles;
+  ASSERT_EQ(articles.size(), 2u);
+  EXPECT_EQ(articles[0].id, "doc_1");
+  EXPECT_EQ(articles[0].date.year, 2016);
+  EXPECT_EQ(articles[0].date.month, 3);
+  EXPECT_EQ(articles[0].date.day, 9);
+  EXPECT_EQ(articles[0].source, "wsj");
+  EXPECT_EQ(articles[0].text, batch[0].text);
+  EXPECT_TRUE(articles[0].gold.empty());
+  EXPECT_EQ(articles[1].id, "adhoc_7");
+  EXPECT_EQ(articles[1].text, batch[1].text);
+}
+
+TEST(WalCodecTest, RoundTripsAFinalizeRecord) {
+  const std::string payload = EncodeFinalizeRecord();
+  EXPECT_EQ(payload.size(), 5u);  // version + kind, no body
+  auto decoded = DecodeWalRecord(payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->kind, WalRecordKind::kFinalize);
+  EXPECT_TRUE(decoded->articles.empty());
+}
+
+TEST(WalCodecTest, EveryTruncationAndBitFlipIsRejectedOrKeepsTheKind) {
+  std::vector<Article> batch(1);
+  batch[0].id = "doc";
+  batch[0].date = Date{2016, 1, 1};
+  batch[0].source = "s";
+  batch[0].text = "some text";
+  const std::pair<std::string, WalRecordKind> records[] = {
+      {EncodeArticleBatch(batch), WalRecordKind::kArticleBatch},
+      {EncodeFinalizeRecord(), WalRecordKind::kFinalize},
+  };
+  for (const auto& [payload, kind] : records) {
+    for (size_t cut = 0; cut < payload.size(); ++cut) {
+      EXPECT_FALSE(DecodeWalRecord(payload.substr(0, cut)).ok())
+          << "cut=" << cut;
+    }
+    for (size_t bit = 0; bit < payload.size() * 8; ++bit) {
+      std::string flipped = payload;
+      flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+      auto decoded = DecodeWalRecord(flipped);
+      if (decoded.ok()) {
+        EXPECT_EQ(decoded->kind, kind) << "bit=" << bit;
+      }
+    }
+  }
+}
+
+TEST(WalCodecTest, VersionOnePayloadIsDataLoss) {
+  // The v1 layout: version, then the article count with no kind byte.
+  BinaryWriter v1;
+  v1.U32(1);
+  v1.U64(0);
+  auto decoded = DecodeWalRecord(v1.Take());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(decoded.status().message().find("version 1"), std::string::npos)
+      << decoded.status();
 }
 
 TEST(WalCodecTest, EveryTruncatedPayloadIsRejectedNotCrashed) {
@@ -362,11 +411,11 @@ TEST(WalCodecTest, EveryTruncatedPayloadIsRejectedNotCrashed) {
   batch[0].text = "some text";
   std::string payload = EncodeArticleBatch(batch);
   for (size_t cut = 0; cut < payload.size(); ++cut) {
-    auto decoded = DecodeArticleBatch(payload.substr(0, cut));
+    auto decoded = DecodeWalRecord(payload.substr(0, cut));
     EXPECT_FALSE(decoded.ok()) << "cut=" << cut;
   }
-  auto trailing = DecodeArticleBatch(payload + "x");
-  EXPECT_FALSE(trailing.ok());
+  EXPECT_FALSE(DecodeWalRecord(payload + "x").ok());
+  EXPECT_FALSE(DecodeWalRecord(EncodeFinalizeRecord() + "x").ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -555,6 +604,39 @@ class DurabilityPipelineFixture : public ::testing::Test {
   static size_t Documents(Nous& nous) {
     ReaderMutexLock lock(nous.kg_mutex());
     return nous.stats().documents;
+  }
+
+  /// The served edge rows and the full pipeline image.
+  struct DurableImage {
+    std::vector<EdgeRow> edges;
+    std::string state;
+  };
+  static DurableImage ImageOf(Nous& nous) {
+    return {Dump(nous), nous.pipeline().SaveState()};
+  }
+  static void ExpectSameImage(const DurableImage& actual,
+                              const DurableImage& expected,
+                              const std::string& where) {
+    EXPECT_EQ(actual.edges, expected.edges) << where;
+    EXPECT_TRUE(actual.state == expected.state)
+        << where << ": SaveState bytes differ";
+  }
+  /// What a crash now would recover: `dir`'s files are copied to
+  /// `dir`_recovered (the live instance keeps the originals), which is
+  /// recovered.
+  DurableImage RecoveredImage(const std::string& dir,
+                              Nous::RecoveryStats* stats_out = nullptr) {
+    const std::string copy = dir + "_recovered";
+    EXPECT_TRUE(EnsureDirectory(copy).ok());
+    for (const char* file : {"/wal.log", "/checkpoint.nous"}) {
+      EXPECT_TRUE(RemoveFile(copy + file).ok());
+      if (FileExists(dir + file)) WriteFile(copy + file, ReadFile(dir + file));
+    }
+    Nous recovered(&kb_, DurableOptions(copy));
+    auto stats = recovered.Recover();
+    EXPECT_TRUE(stats.ok()) << stats.status();
+    if (stats.ok() && stats_out != nullptr) *stats_out = *stats;
+    return ImageOf(recovered);
   }
 
   /// A non-durable reference that ingested `batches[0..count)`.
@@ -804,8 +886,8 @@ TEST_F(DurabilityPipelineFixture, CheckpointPlusWalReplayRecovers) {
   for (const auto& batch : batches) {
     ASSERT_TRUE(reference.IngestBatch(batch).ok());
   }
-  recovered.Finalize();
-  reference.Finalize();
+  ASSERT_TRUE(recovered.Finalize().ok());
+  ASSERT_TRUE(reference.Finalize().ok());
   EXPECT_EQ(Dump(recovered), Dump(reference));
 }
 
@@ -980,6 +1062,107 @@ TEST_F(DurabilityPipelineFixture, TornWalAppendIsDroppedAtRecovery) {
   EXPECT_EQ(stats->dropped_wal_records, 1u);
   EXPECT_GT(stats->dropped_wal_bytes, 0u);
   EXPECT_EQ(Dump(recovered), ReferenceEdges(batches, 1));
+}
+
+TEST_F(DurabilityPipelineFixture,
+       FailedFinalizeCheckpointStillRecoversTheServedKg) {
+  // Finalize retrains BPR, refits topics and rescores every edge. Its
+  // WAL record, not the checkpoint after it, is what makes that
+  // durable: with the checkpoint failed, recovery must still land on
+  // the KG the live instance serves, before and after later ingest.
+  FaultGuard guard;
+  std::string dir = FreshDir("nous_finalize_ckpt_fail");
+  auto articles = MakeArticles();
+  auto batches = MakeBatches(articles, 4);
+  ASSERT_EQ(batches.size(), 4u);
+
+  Nous live(&kb_, DurableOptions(dir));
+  ASSERT_TRUE(live.EnableDurability().ok());
+  ASSERT_TRUE(live.IngestBatch(batches[0]).ok());
+  ASSERT_TRUE(live.IngestBatch(batches[1]).ok());
+  ExpectSameImage(RecoveredImage(dir), ImageOf(live), "2 batches");
+
+  FaultInjector::Global().Arm("atomic_write", FaultKind::kFail, 1);
+  EXPECT_FALSE(live.Finalize().ok());
+  FaultInjector::Global().Reset();
+  EXPECT_FALSE(FileExists(dir + "/checkpoint.nous"));
+  ExpectSameImage(RecoveredImage(dir), ImageOf(live), "failed checkpoint");
+
+  ASSERT_TRUE(live.IngestBatch(batches[2]).ok());
+  ASSERT_TRUE(live.IngestBatch(batches[3]).ok());
+  Nous::RecoveryStats stats;
+  ExpectSameImage(RecoveredImage(dir, &stats), ImageOf(live), "2 more");
+  EXPECT_EQ(stats.replayed_batches, 5u);  // 4 batches and the Finalize
+  EXPECT_EQ(stats.replayed_articles, 4 * kBatchSize);
+}
+
+TEST_F(DurabilityPipelineFixture,
+       KillPointsAroundAFinalizeRecordRecoverEitherImage) {
+  FaultGuard guard;
+  auto articles = MakeArticles();
+  auto batches = MakeBatches(articles, 2);
+  ASSERT_EQ(batches.size(), 2u);
+  auto ingest = [&](Nous& nous) {
+    ASSERT_TRUE(nous.EnableDurability().ok());
+    for (const auto& batch : batches) {
+      ASSERT_TRUE(nous.IngestBatch(batch).ok());
+    }
+  };
+
+  // Killed before the record's append, then after its checkpoint.
+  std::string dir = FreshDir("nous_finalize_kill_clean");
+  Nous live(&kb_, DurableOptions(dir));
+  ingest(live);
+  const DurableImage before = ImageOf(live);
+  ExpectSameImage(RecoveredImage(dir), before, "before the append");
+  ASSERT_TRUE(live.Finalize().ok());
+  const DurableImage after = ImageOf(live);
+  ASSERT_NE(after.edges, before.edges);  // Finalize rescored the edges
+  Nous::RecoveryStats stats;
+  ExpectSameImage(RecoveredImage(dir, &stats), after, "after the checkpoint");
+  EXPECT_TRUE(stats.restored_checkpoint);
+  EXPECT_EQ(stats.replayed_batches, 0u);
+
+  // A torn append: the Finalize is refused unapplied, and the process
+  // dies with the torn frame as its WAL tail.
+  {
+    std::string torn_dir = FreshDir("nous_finalize_kill_torn");
+    Nous torn(&kb_, DurableOptions(torn_dir));
+    ingest(torn);
+    FaultInjector::Global().Arm("wal_append", FaultKind::kTorn, 1);
+    EXPECT_FALSE(torn.Finalize().ok());
+    FaultInjector::Global().Reset();
+    ExpectSameImage(ImageOf(torn), before, "torn, live");
+    ExpectSameImage(RecoveredImage(torn_dir, &stats), before, "torn");
+    EXPECT_EQ(stats.dropped_wal_records, 1u);
+    EXPECT_EQ(stats.replayed_batches, 2u);
+  }
+
+  // After the append, before the checkpoint: the WAL ends with the
+  // finalize record. Every cut inside that record recovers the image
+  // before it; the whole record recovers the image after it.
+  std::string wal;
+  {
+    std::string logged_dir = FreshDir("nous_finalize_kill_logged");
+    Nous logged(&kb_, DurableOptions(logged_dir));
+    ingest(logged);
+    FaultInjector::Global().Arm("atomic_write", FaultKind::kFail, 1);
+    EXPECT_FALSE(logged.Finalize().ok());
+    FaultInjector::Global().Reset();
+    ExpectSameImage(ImageOf(logged), after, "logged, live");
+    wal = ReadFile(logged_dir + "/wal.log");
+  }
+  const std::vector<size_t> ends = FrameEnds(wal);
+  ASSERT_EQ(ends.size(), 3u);
+  const size_t start = ends[1];
+  for (size_t cut : {start, start + 2, start + 20, ends[2] - 1, ends[2]}) {
+    std::string crash_dir = FreshDir("nous_finalize_kill_cut");
+    WriteFile(crash_dir + "/wal.log", wal.substr(0, cut));
+    const bool whole = cut == ends[2];
+    ExpectSameImage(RecoveredImage(crash_dir, &stats), whole ? after : before,
+                    "cut=" + std::to_string(cut));
+    EXPECT_EQ(stats.replayed_batches, whole ? 3u : 2u) << "cut=" << cut;
+  }
 }
 
 TEST_F(DurabilityPipelineFixture, AdhocIdsNeverCollideAcrossRecovery) {

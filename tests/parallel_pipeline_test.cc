@@ -133,12 +133,12 @@ TEST_F(ParallelPipelineFixture, BatchIngestAtEightThreadsMatchesSerial) {
   // Serial reference: one article at a time on one thread.
   Nous serial(&kb_, FastOptions(1));
   for (const Article& a : articles) NOUS_CHECK_OK(serial.Ingest(a));
-  serial.Finalize();
+  NOUS_CHECK_OK(serial.Finalize());
 
   // Batched ingest across 8 extraction threads.
   Nous parallel(&kb_, FastOptions(8));
   parallel.pipeline().IngestBatch(articles);
-  parallel.Finalize();
+  NOUS_CHECK_OK(parallel.Finalize());
 
   ASSERT_EQ(serial.graph().NumVertices(), parallel.graph().NumVertices());
   ASSERT_EQ(serial.graph().NumEdges(), parallel.graph().NumEdges());
@@ -198,7 +198,7 @@ TEST_F(ParallelPipelineFixture,
   auto image = [&](size_t threads) {
     Nous nous(&kb_, FastOptions(threads));
     NOUS_CHECK_OK(nous.IngestBatch(articles));
-    nous.Finalize();
+    NOUS_CHECK_OK(nous.Finalize());
     return nous.pipeline().SaveState();
   };
   const std::string first = image(1);

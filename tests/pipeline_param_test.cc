@@ -55,7 +55,7 @@ TEST_P(PipelineParamTest, InvariantsHoldUnderSweep) {
   options.pipeline.bpr.epochs = 2;
   Nous nous(&kb, options);
   for (const Article& a : articles) NOUS_CHECK_OK(nous.Ingest(a));
-  nous.Finalize();
+  NOUS_CHECK_OK(nous.Finalize());
 
   const PropertyGraph& g = nous.graph();
   const PipelineStats& stats = nous.stats();

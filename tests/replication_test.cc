@@ -342,7 +342,8 @@ class ReplicationFixture : public ::testing::Test {
     coverage.fact_coverage = 0.9;
     return coverage;
   }
-  Nous::Options DurableOptions(const std::string& dir) {
+  Nous::Options DurableOptions(const std::string& dir,
+                               size_t checkpoint_interval = 0) {
     Nous::Options options;
     options.pipeline.lda.iterations = 10;
     options.pipeline.bpr.epochs = 2;
@@ -353,12 +354,14 @@ class ReplicationFixture : public ::testing::Test {
     options.pipeline.num_threads = 2;
     options.durability.dir = dir;
     options.durability.fsync_policy = FsyncPolicy::kNever;  // speed
-    options.durability.checkpoint_interval_batches = 0;
+    options.durability.checkpoint_interval_batches = checkpoint_interval;
     return options;
   }
 
-  std::unique_ptr<Nous> MakeDurableNous(const std::string& dir) {
-    auto nous = std::make_unique<Nous>(&kb_, DurableOptions(dir));
+  std::unique_ptr<Nous> MakeDurableNous(const std::string& dir,
+                                        size_t checkpoint_interval = 0) {
+    auto nous = std::make_unique<Nous>(
+        &kb_, DurableOptions(dir, checkpoint_interval));
     auto recovered = nous->Recover();
     EXPECT_TRUE(recovered.ok()) << recovered.status();
     return nous;
@@ -414,7 +417,7 @@ class ReplicationFixture : public ::testing::Test {
 
   /// Polls until the follower's durable (seq, kg_version) equals the
   /// leader's. Convergence on both is the bounded-staleness invariant:
-  /// equal seq alone would miss version-only divergence (Finalize).
+  /// equal seq alone would miss a forked history.
   static bool WaitConverged(Nous& leader, Nous& follower,
                             int timeout_ms = 30000) {
     const auto deadline = std::chrono::steady_clock::now() +
@@ -502,7 +505,7 @@ TEST_F(ReplicationFixture, CheckpointedAwayHistoryForcesAnImageResync) {
   }
   // Finalize checkpoints and resets the WAL: the batches are no longer
   // replayable from the log, so a fresh follower needs the image.
-  leader_nous->Finalize();
+  ASSERT_TRUE(leader_nous->Finalize().ok());
   ReplicationLeader leader(leader_nous.get(), {});
   ASSERT_TRUE(leader.Start().ok());
 
@@ -550,25 +553,63 @@ TEST_F(ReplicationFixture, FinalizePropagatesToFollowers) {
   ReplicationFollower follower(follower_nous.get(),
                                FollowOptions(leader.port()));
   ASSERT_TRUE(follower.Start().ok());
+  // Once the session is registered, its queue holds every record the
+  // Finalize checkpoints take out of the WAL.
+  ASSERT_TRUE(WaitFor([&] { return leader.View().followers == 1; }));
 
   auto batches = MakeBatches(4);
   for (size_t i = 0; i < batches.size(); ++i) {
     ASSERT_TRUE(leader_nous->IngestBatch(batches[i]).ok());
     if (i == 1) {
-      leader_nous->Finalize();
-      // The leader coalesces images: a follower that connects late
-      // could receive both Finalize states as one. Converging here
-      // makes each Finalize image one the follower has to apply.
-      ASSERT_TRUE(WaitConverged(*leader_nous, *follower_nous));
+      ASSERT_TRUE(leader_nous->Finalize().ok());
     }
   }
-  // Finalize mutates state without a WAL record (training, pattern
-  // render) and bumps kg_version; followers get it as a checkpoint
-  // image. Converged versions prove the image arrived.
-  leader_nous->Finalize();
+  // Each Finalize is a WAL record (training, pattern render and the
+  // kg_version bump replay on the follower), so it arrives as a frame,
+  // never as an image.
+  ASSERT_TRUE(leader_nous->Finalize().ok());
   ASSERT_TRUE(WaitConverged(*leader_nous, *follower_nous));
-  EXPECT_EQ(GraphBytes(*leader_nous), GraphBytes(*follower_nous));
-  EXPECT_GE(follower.View().checkpoints_applied, 2u);
+  ExpectSameState(*leader_nous, *follower_nous);
+  EXPECT_EQ(follower.View().checkpoints_applied, 0u);
+  // The follower counts a frame once its apply returned, just after
+  // the seq WaitConverged saw was published.
+  EXPECT_TRUE(WaitFor([&] {
+    return follower.View().frames_applied == batches.size() + 2;
+  })) << follower.View().frames_applied;
+}
+
+TEST_F(ReplicationFixture,
+       LiveFollowerNeedsNoImageAcrossFinalizeAndCheckpoints) {
+  // A checkpoint after every record resets the leader's WAL under the
+  // session's tail reader again and again; the session queue bridges
+  // each reset, and the Finalizes ride it as records.
+  FaultGuard faults;
+  auto leader_nous =
+      MakeDurableNous(FreshDir("live_fin_leader"), /*checkpoint_interval=*/1);
+  auto follower_nous = MakeDurableNous(FreshDir("live_fin_follower"));
+  ReplicationLeader leader(leader_nous.get(), {});
+  ASSERT_TRUE(leader.Start().ok());
+  ReplicationFollower follower(follower_nous.get(),
+                               FollowOptions(leader.port()));
+  ASSERT_TRUE(follower.Start().ok());
+  ASSERT_TRUE(WaitFor([&] { return leader.View().followers == 1; }));
+
+  auto batches = MakeBatches(6, 2);
+  for (size_t i = 0; i < batches.size(); ++i) {
+    ASSERT_TRUE(leader_nous->IngestBatch(batches[i]).ok());
+    if (i == 1 || i == 4) {
+      ASSERT_TRUE(leader_nous->Finalize().ok());
+    }
+  }
+  ASSERT_TRUE(WaitConverged(*leader_nous, *follower_nous));
+  ExpectSameState(*leader_nous, *follower_nous);
+  EXPECT_EQ(follower.View().checkpoints_applied, 0u);
+  EXPECT_EQ(leader.View().checkpoints_sent, 0u);
+  // The follower counts a frame once its apply returned, just after
+  // the seq WaitConverged saw was published.
+  EXPECT_TRUE(WaitFor([&] {
+    return follower.View().frames_applied == batches.size() + 2;
+  })) << follower.View().frames_applied;
 }
 
 TEST_F(ReplicationFixture, DroppedFramesAreDetectedAndResynced) {
@@ -710,11 +751,12 @@ TEST_F(ReplicationFixture, LeaderCrashRecoveryReconvergesFollowers) {
     follower->Stop();
   }  // leader "dies" without Finalize — its WAL is all it leaves
 
-  // Restart path mirrors nous_server: recover, Finalize (which
-  // re-trains state and bumps kg_version with no WAL record), serve.
+  // Restart path mirrors nous_server: recover, Finalize (a logged
+  // record, then a checkpoint that resets the WAL), serve.
   auto leader_nous = MakeDurableNous(leader_dir);
   EXPECT_EQ(leader_nous->last_durable_seq(), 3u);
-  leader_nous->Finalize();
+  ASSERT_TRUE(leader_nous->Finalize().ok());
+  EXPECT_EQ(leader_nous->last_durable_seq(), 4u);
   ReplicationLeader leader(leader_nous.get(), {});
   ASSERT_TRUE(leader.Start().ok());
 
@@ -722,8 +764,9 @@ TEST_F(ReplicationFixture, LeaderCrashRecoveryReconvergesFollowers) {
   follower = std::make_unique<ReplicationFollower>(
       follower_nous.get(), FollowOptions(leader.port()));
   ASSERT_TRUE(follower->Start().ok());
-  // The follower sits at the same seq but an older kg_version; the
-  // Hello version check must force an image, not leave it stale.
+  // The follower is one record behind, and the Finalize checkpoint took
+  // that record out of the WAL before this session existed to queue
+  // it: the catch-up stalls and an image bridges the gap.
   ASSERT_TRUE(WaitConverged(*leader_nous, *follower_nous));
   EXPECT_EQ(GraphBytes(*leader_nous), GraphBytes(*follower_nous));
   EXPECT_GE(follower->View().checkpoints_applied, 1u);
@@ -828,7 +871,9 @@ TEST_F(ReplicationFixture, RandomizedChaosAlwaysEndsInBitIdentity) {
     auto batches = MakeBatches(5, 2);
     for (size_t i = 0; i < batches.size(); ++i) {
       ASSERT_TRUE(leader_nous->IngestBatch(batches[i]).ok());
-      if (i == 2) leader_nous->Finalize();
+      if (i == 2) {
+        ASSERT_TRUE(leader_nous->Finalize().ok());
+      }
     }
     ASSERT_TRUE(WaitConverged(*leader_nous, *follower_nous))
         << "round " << round;

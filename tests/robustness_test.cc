@@ -60,7 +60,7 @@ TEST_F(RobustnessFixture, PipelineSurvivesGarbageText) {
   for (const char* text : kGarbage) {
     NOUS_CHECK_OK(nous.IngestText(text, Date{2014, 1, 1}, "fuzz"));
   }
-  nous.Finalize();
+  NOUS_CHECK_OK(nous.Finalize());
   auto answer = nous.Ask("tell me about DJI");
   EXPECT_TRUE(answer.ok());
 }
@@ -129,10 +129,10 @@ TEST_F(RobustnessFixture, EntityNamesThatLookLikeCommands) {
 TEST_F(RobustnessFixture, RepeatFinalizeIsStable) {
   Nous nous(&kb_, FastOptions());
   NOUS_CHECK_OK(nous.IngestText("DJI acquired SkyWard Labs.", Date{2014, 1, 1}, "a"));
-  nous.Finalize();
-  nous.Finalize();
+  NOUS_CHECK_OK(nous.Finalize());
+  NOUS_CHECK_OK(nous.Finalize());
   NOUS_CHECK_OK(nous.IngestText("DJI bought Parrot.", Date{2014, 2, 1}, "a"));
-  nous.Finalize();
+  NOUS_CHECK_OK(nous.Finalize());
   auto answer = nous.Ask("tell me about DJI");
   EXPECT_TRUE(answer.ok());
 }

@@ -147,7 +147,7 @@ class ServerFixture : public ::testing::Test {
         server_([this](const HttpRequest& r) { return api_.Handle(r); }) {
     NOUS_CHECK_OK(nous_.IngestText("DJI acquired Talon Works.", Date{2014, 3, 5},
                      "wsj"));
-    nous_.Finalize();
+    NOUS_CHECK_OK(nous_.Finalize());
     Status status = server_.Start(0);  // ephemeral port
     EXPECT_TRUE(status.ok()) << status;
   }

@@ -91,7 +91,7 @@ TEST_F(SnapshotTest, VersionBumpsPerMutatingCall) {
   // One bump per batch call (the WAL commit unit), not per article.
   NOUS_CHECK_OK(nous.IngestBatch({articles_[1], articles_[2], articles_[3]}));
   EXPECT_EQ(nous.snapshot()->version(), 3u);
-  nous.Finalize();
+  NOUS_CHECK_OK(nous.Finalize());
   EXPECT_EQ(nous.snapshot()->version(), 4u);
 }
 
@@ -389,7 +389,7 @@ TEST_F(SnapshotTest, PatternSetIsSharedWhileMinerUnchanged) {
   // Finalize rescores edges and re-publishes, but feeds no new window
   // events to the miner — the rendered pattern set must be reused
   // (shared_ptr identity), not re-rendered.
-  nous.Finalize();
+  NOUS_CHECK_OK(nous.Finalize());
   std::shared_ptr<const KgSnapshot> after = nous.snapshot();
   ASSERT_NE(after, nullptr);
   EXPECT_GT(after->version(), before->version());
@@ -505,7 +505,7 @@ TEST_F(SnapshotTest, OldSnapshotsStayStableAcrossManyPublishes) {
   for (size_t i = warm; i < articles_.size(); ++i) {
     NOUS_CHECK_OK(nous.Ingest(articles_[i]));
   }
-  nous.Finalize();
+  NOUS_CHECK_OK(nous.Finalize());
   stop.store(true, std::memory_order_release);
   for (std::thread& r : readers) r.join();
 
